@@ -234,7 +234,6 @@ def cmd_eval(args) -> int:
     suite_seed = int(_merged(args, config, "suite_seed", 0))
     timeout_ms = int(_merged(args, config, "timeout_ms", 30000))
     cache = Path(_merged(args, config, "cache", ".sqlbench-suites"))
-    jobs = int(_merged(args, config, "jobs", 1))
     out = Path(_merged(args, config, "out", "outcomes.jsonl"))
 
     pred_manifest = _read_manifest(predictions_path)
@@ -249,11 +248,15 @@ def cmd_eval(args) -> int:
             return 2
 
     bench = load_benchmark(bench_path, db_root)
-    predictions = {
-        rec["example_id"]: Prediction(rec["example_id"], rec.get("raw_completion", ""),
-                                      rec["sql"])
-        for rec in _read_jsonl(predictions_path)
-    }
+    predictions = {}
+    for rec in _read_jsonl(predictions_path):
+        example_id = rec["example_id"]
+        if example_id in predictions:
+            print(f"error: {predictions_path} has more than one prediction for "
+                  f"{example_id!r}", file=sys.stderr)
+            return 2
+        predictions[example_id] = Prediction(example_id, rec.get("raw_completion", ""),
+                                             rec["sql"])
     suites = {}
     for db_id in sorted({e.db_id for e in bench.examples}):
         db_file = bench.db_path(db_id)
@@ -266,7 +269,7 @@ def cmd_eval(args) -> int:
             log=lambda msg: print(f"warning: {msg}", file=sys.stderr),
         )
 
-    result = evaluate_benchmark(bench, predictions, suites, timeout_ms, jobs)
+    result = evaluate_benchmark(bench, predictions, suites, timeout_ms)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
     _write_jsonl(out, [o.to_dict() for o in result.outcomes])
@@ -436,7 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite-seed", type=int)
     p.add_argument("--timeout-ms", type=int)
     p.add_argument("--cache")
-    p.add_argument("--jobs", type=int)
     p.add_argument("--allow-mismatch", action="store_true")
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 
 from .backend import EMPTY_PREDICTION, Prediction
 from .dataset import Benchmark, ExampleRecord
-from .execution import ExecError, ExecResult, compare_results, execute_sql
+from .execution import Connections, ExecError, compare_results, execute_sql
 from .fuzz import TestSuite
 
 
@@ -37,13 +37,17 @@ class EvalOutcome:
 
 
 def evaluate(example: ExampleRecord, prediction: Prediction, suite: TestSuite,
-             timeout_ms: int = 30000, warnings: list | None = None) -> EvalOutcome:
+             timeout_ms: int = 30000, warnings: list | None = None,
+             connections: Connections | None = None) -> EvalOutcome:
     """Score one prediction. valid: executes on the original database;
-    ex: matches gold there; ts: matches gold on every suite variant."""
+    ex: matches gold there; ts: matches gold on every suite variant.
+
+    Queries run on the connections `connections` holds for the suite's
+    files, or, without it, each on a connection of its own."""
     start = time.monotonic()
     original = suite.variants[0]
 
-    gold_res = execute_sql(original, example.gold_sql, timeout_ms)
+    gold_res = execute_sql(original, example.gold_sql, timeout_ms, connections)
     if isinstance(gold_res, ExecError):
         raise GoldBrokenError(
             f"{example.example_id}: gold query failed on {suite.db_id}: {gold_res.message}"
@@ -62,7 +66,7 @@ def evaluate(example: ExampleRecord, prediction: Prediction, suite: TestSuite,
     if prediction.sql == EMPTY_PREDICTION:
         return done(False, "empty prediction", False, False)
 
-    pred_res = execute_sql(original, prediction.sql, timeout_ms)
+    pred_res = execute_sql(original, prediction.sql, timeout_ms, connections)
     if isinstance(pred_res, ExecError):
         return done(False, pred_res.message, False, False)
 
@@ -72,14 +76,14 @@ def evaluate(example: ExampleRecord, prediction: Prediction, suite: TestSuite,
 
     ts = True
     for variant in suite.variants[1:]:
-        gold_v = execute_sql(variant, example.gold_sql, timeout_ms)
+        gold_v = execute_sql(variant, example.gold_sql, timeout_ms, connections)
         if isinstance(gold_v, ExecError):
             if warnings is not None:
                 warnings.append(
                     f"{example.example_id}: gold failed on variant {variant}; skipped"
                 )
             continue
-        pred_v = execute_sql(variant, prediction.sql, timeout_ms)
+        pred_v = execute_sql(variant, prediction.sql, timeout_ms, connections)
         if isinstance(pred_v, ExecError) or not compare_results(gold_v, pred_v):
             ts = False
             break
@@ -94,41 +98,47 @@ class BenchmarkEvaluation:
 
 
 def evaluate_benchmark(bench: Benchmark, predictions: dict[str, Prediction],
-                       suites: dict[str, TestSuite], timeout_ms: int = 30000,
-                       jobs: int = 1) -> BenchmarkEvaluation:
+                       suites: dict[str, TestSuite],
+                       timeout_ms: int = 30000) -> BenchmarkEvaluation:
     """Evaluate every benchmark example that has a prediction and a suite.
 
+    Examples run grouped by database, so each suite file is opened once per
+    group and at most one suite's connections are open at a time. Outcomes,
+    gold-broken ids and warnings still come out in benchmark order.
     Gold-broken examples are excluded from outcomes and listed separately.
     """
+    groups: dict[str, list[int]] = {}
+    for i, example in enumerate(bench.examples):
+        if example.example_id in predictions and example.db_id in suites:
+            groups.setdefault(example.db_id, []).append(i)
+
+    scored: dict[int, tuple[EvalOutcome | None, list[str]]] = {}
+    for db_id, indices in groups.items():
+        with closing(Connections()) as connections:
+            for i in indices:
+                example = bench.examples[i]
+                notes: list[str] = []
+                try:
+                    outcome = evaluate(example, predictions[example.example_id],
+                                       suites[db_id], timeout_ms, notes, connections)
+                except GoldBrokenError as e:
+                    outcome = None
+                    notes.append(str(e))
+                scored[i] = (outcome, notes)
+
     result = BenchmarkEvaluation(outcomes=[], gold_broken=[])
-
-    def run_one(example):
-        pred = predictions.get(example.example_id)
-        if pred is None:
-            return ("missing", example.example_id, None)
-        suite = suites.get(example.db_id)
-        if suite is None:
-            return ("nosuite", example.example_id, None)
-        try:
-            outcome = evaluate(example, pred, suite, timeout_ms, result.warnings)
-            return ("ok", example.example_id, outcome)
-        except GoldBrokenError as e:
-            result.warnings.append(str(e))
-            return ("broken", example.example_id, None)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            statuses = list(pool.map(run_one, bench.examples))
-    else:
-        statuses = [run_one(e) for e in bench.examples]
-
-    for status, example_id, outcome in statuses:
-        if status == "ok":
-            result.outcomes.append(outcome)
-        elif status == "broken":
-            result.gold_broken.append(example_id)
-        elif status == "missing":
-            result.warnings.append(f"{example_id}: no prediction; skipped")
+    skipped = []
+    for i, example in enumerate(bench.examples):
+        if i in scored:
+            outcome, notes = scored[i]
+            result.warnings.extend(notes)
+            if outcome is None:
+                result.gold_broken.append(example.example_id)
+            else:
+                result.outcomes.append(outcome)
+        elif example.example_id not in predictions:
+            skipped.append(f"{example.example_id}: no prediction; skipped")
         else:
-            result.warnings.append(f"{example_id}: no test suite for its database; skipped")
+            skipped.append(f"{example.example_id}: no test suite for its database; skipped")
+    result.warnings.extend(skipped)
     return result

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import sqlite3
 import time
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
 REL_TOL = 1e-6
 ABS_TOL = 1e-9
+
+# Rows one query may return: far above any benchmark result, low enough that a
+# runaway prediction cannot exhaust memory.
+MAX_ROWS = 1_000_000
 
 # SQLite authorizer action codes permitted for arbitrary predicted SQL.
 _ALLOWED_ACTIONS = {
@@ -28,7 +33,7 @@ class ExecResult:
 
 @dataclass
 class ExecError:
-    kind: str  # engine | timeout | forbidden
+    kind: str  # engine | timeout | forbidden | too_many_rows
     message: str
 
 
@@ -63,52 +68,93 @@ def has_top_level_order_by(sql: str) -> bool:
     return False
 
 
-def execute_sql(db_file, sql: str, timeout_ms: int = 30000) -> ExecResult | ExecError:
-    """Run arbitrary SQL read-only with a wall-clock timeout.
+class Connections:
+    """Read-only connections, one per database file, each opened on first use
+    and reused for every later query on that file until close().
 
-    Write attempts are denied via the authorizer; engine errors carry the
-    engine message verbatim so they can be triaged later.
-    """
-    path = Path(db_file)
-    try:
-        conn = sqlite3.connect(f"file:{path}?mode=ro", uri=True)
-    except sqlite3.Error as e:
-        return ExecError("engine", str(e))
+    The authorizer and progress handler are installed once per connection;
+    every query resets the deadline and the denied/timed-out flags they set,
+    so a rejected, timed-out or failed query never affects the next one.
+    SQLite connections belong to the thread that opened them, so one holder
+    serves one thread."""
 
-    state = {"timed_out": False, "denied": False}
+    def __init__(self):
+        self._open: dict[str, sqlite3.Connection] = {}
+        self._order_sensitive: dict[str, bool] = {}
+        self._deadline = 0.0
+        self._denied = False
+        self._timed_out = False
 
-    def authorizer(action, *args):
+    def _authorize(self, action, *args):
         if action in _ALLOWED_ACTIONS:
             return sqlite3.SQLITE_OK
-        state["denied"] = True
+        self._denied = True
         return sqlite3.SQLITE_DENY
 
-    deadline = time.monotonic() + timeout_ms / 1000.0
-
-    def progress():
-        if time.monotonic() > deadline:
-            state["timed_out"] = True
+    def _progress(self):
+        if time.monotonic() > self._deadline:
+            self._timed_out = True
             return 1
         return 0
 
-    try:
-        conn.set_authorizer(authorizer)
-        conn.set_progress_handler(progress, 10000)
-        cur = conn.execute(sql)
-        rows = [tuple(r) for r in cur.fetchall()]
-        columns = [d[0] for d in cur.description] if cur.description else []
-        return ExecResult(columns=columns, rows=rows,
-                          order_sensitive=has_top_level_order_by(sql))
-    except sqlite3.Error as e:
-        if state["timed_out"]:
-            return ExecError("timeout", f"query exceeded {timeout_ms} ms")
-        if state["denied"]:
-            return ExecError("forbidden", f"write or unsafe statement rejected: {e}")
-        return ExecError("engine", str(e))
-    except RecursionError as e:
-        return ExecError("engine", str(e))
-    finally:
-        conn.close()
+    def _connection(self, db_file) -> sqlite3.Connection:
+        key = str(db_file)
+        conn = self._open.get(key)
+        if conn is None:
+            # Each query runs about once per connection, so a statement cache
+            # would only hold memory.
+            conn = sqlite3.connect(f"file:{Path(db_file)}?mode=ro", uri=True,
+                                   cached_statements=0)
+            conn.set_authorizer(self._authorize)
+            conn.set_progress_handler(self._progress, 10000)
+            self._open[key] = conn
+        return conn
+
+    def execute(self, db_file, sql: str, timeout_ms: int) -> ExecResult | ExecError:
+        try:
+            conn = self._connection(db_file)
+        except sqlite3.Error as e:
+            return ExecError("engine", str(e))
+        self._denied = self._timed_out = False
+        self._deadline = time.monotonic() + timeout_ms / 1000.0
+        try:
+            with closing(conn.execute(sql)) as cur:
+                rows = cur.fetchmany(MAX_ROWS + 1)
+                columns = [d[0] for d in cur.description] if cur.description else []
+        except sqlite3.Error as e:
+            if self._timed_out:
+                return ExecError("timeout", f"query exceeded {timeout_ms} ms")
+            if self._denied:
+                return ExecError("forbidden", f"write or unsafe statement rejected: {e}")
+            return ExecError("engine", str(e))
+        except RecursionError as e:
+            return ExecError("engine", str(e))
+        if len(rows) > MAX_ROWS:
+            return ExecError("too_many_rows", f"query returned more than {MAX_ROWS} rows")
+        ordered = self._order_sensitive.get(sql)
+        if ordered is None:
+            ordered = self._order_sensitive[sql] = has_top_level_order_by(sql)
+        return ExecResult(columns=columns, rows=rows, order_sensitive=ordered)
+
+    def close(self) -> None:
+        for conn in self._open.values():
+            conn.close()
+        self._open.clear()
+
+
+def execute_sql(db_file, sql: str, timeout_ms: int = 30000,
+                connections: Connections | None = None) -> ExecResult | ExecError:
+    """Run arbitrary SQL read-only with a wall-clock timeout.
+
+    Write attempts are denied via the authorizer; engine errors carry the
+    engine message verbatim so they can be triaged later. The query runs on
+    the connection that `connections` holds for db_file, or, without it, on
+    one opened and closed for this call.
+    """
+    if connections is not None:
+        return connections.execute(db_file, sql, timeout_ms)
+    with closing(Connections()) as one_shot:
+        return one_shot.execute(db_file, sql, timeout_ms)
 
 
 def _is_number(v) -> bool:

@@ -181,6 +181,20 @@ class TestEval:
                  "--out", workdir / "mm2.jsonl")
         assert rc == 0
 
+    def test_duplicate_prediction_id_refused(self, workdir, gold_predictions,
+                                             fixture_benchmark_path, db_root, capsys):
+        lines = gold_predictions.read_text().splitlines()
+        first_id = json.loads(lines[0])["example_id"]
+        dup = workdir / "dup_predictions.jsonl"
+        dup.write_text("\n".join(lines + [lines[0]]) + "\n")
+        out = workdir / "dup.jsonl"
+        rc = run("eval", "--benchmark", fixture_benchmark_path, "--db-root", db_root,
+                 "--predictions", dup, "--suite-k", "2",
+                 "--cache", workdir / "suites", "--out", out)
+        assert rc == 2
+        assert repr(first_id) in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestReport:
     def test_metrics_markdown(self, outcomes_file, capsys):

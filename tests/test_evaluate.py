@@ -3,10 +3,13 @@ import sqlite3
 
 import pytest
 
+from sqlbench import execution
 from sqlbench.backend import Prediction
 from sqlbench.dataset import ExampleRecord, load_benchmark
 from sqlbench.evaluate import GoldBrokenError, evaluate, evaluate_benchmark
-from sqlbench.fuzz import build_test_suite
+from sqlbench.fuzz import TestSuite, build_test_suite
+
+from conftest import FIXTURE_QUESTIONS, make_geo_db, make_network1_db
 
 
 def example(gold, eid="e0000", db_id="network_1"):
@@ -134,13 +137,78 @@ class TestEvaluateBenchmark:
         assert result.gold_broken == ["e0001"]
         assert all(o.ts for o in result.outcomes)
 
-    def test_parallel_matches_serial(self, db_root, fixture_benchmark_path, tmp_path):
-        bench = load_benchmark(fixture_benchmark_path, db_root)
+    def test_one_connection_per_variant_file(self, db_root, tmp_path, monkeypatch):
+        db_file = db_root / "network_1" / "network_1.sqlite"
+        items = [{"db_id": "network_1", "question": q, "query": sql}
+                 for q, sql in FIXTURE_QUESTIONS[:3]]
+        bench_file = tmp_path / "bench.json"
+        bench_file.write_text(json.dumps(items))
+        bench = load_benchmark(bench_file, db_root)
         predictions = {e.example_id: prediction(e.gold_sql, e.example_id)
                        for e in bench.examples}
-        suites = {"network_1": build_test_suite(db_root / "network_1" / "network_1.sqlite",
-                                                2, seed=1, cache_dir=tmp_path / "cache")}
-        serial = evaluate_benchmark(bench, predictions, suites, jobs=1)
-        parallel = evaluate_benchmark(bench, predictions, suites, jobs=4)
-        key = lambda r: [(o.example_id, o.valid, o.ex, o.ts) for o in r.outcomes]
-        assert key(serial) == key(parallel)
+        suites = {"network_1": build_test_suite(db_file, 2, seed=1,
+                                                cache_dir=tmp_path / "cache")}
+        opened = []
+        connect = sqlite3.connect
+
+        def counting_connect(database, *args, **kwargs):
+            opened.append(database)
+            return connect(database, *args, **kwargs)
+
+        monkeypatch.setattr(sqlite3, "connect", counting_connect)
+        result = evaluate_benchmark(bench, predictions, suites)
+        assert [o.ts for o in result.outcomes] == [True, True, True]
+        # one connection per query would be 3 examples x (1 + 2) files x 2 queries = 18
+        assert len(opened) == len(set(opened)) == 3
+
+    def test_interleaved_databases_keep_benchmark_order(self, tmp_path):
+        root = tmp_path / "dbroot"
+        (root / "network_1").mkdir(parents=True)
+        (root / "geography").mkdir()
+        make_network1_db(root / "network_1" / "network_1.sqlite")
+        geo_file = make_geo_db(root / "geography" / "geography.sqlite")
+        no_lake = make_geo_db(tmp_path / "no_lake.sqlite")
+        conn = sqlite3.connect(no_lake)
+        conn.execute("DROP TABLE lake")
+        conn.commit()
+        conn.close()
+        items = [
+            ("geography", "SELECT population FROM city WHERE city_name = 'austin'"),
+            ("network_1", "SELECT name FROM Highschooler WHERE grade = 9"),
+            ("geography", "SELECT state_name FROM state ORDER BY population DESC"),
+            ("network_1", "SELECT x FROM missing_table"),
+            ("geography", "SELECT lake_name FROM lake WHERE area > 1000"),
+            ("network_1", "SELECT count(*) FROM Friend"),
+            ("geography", "SELECT count(*) FROM river"),
+        ]
+        bench_file = tmp_path / "bench.json"
+        bench_file.write_text(json.dumps(
+            [{"db_id": db, "question": "q", "query": sql} for db, sql in items]))
+        bench = load_benchmark(bench_file, root)
+        predictions = {e.example_id: prediction(e.gold_sql, e.example_id)
+                       for e in bench.examples if e.example_id != "e0005"}
+        geo_suite = build_test_suite(geo_file, 2, seed=3, cache_dir=tmp_path / "cache")
+        suites = {
+            "network_1": build_test_suite(root / "network_1" / "network_1.sqlite", 2,
+                                          seed=3, cache_dir=tmp_path / "cache"),
+            # the gold query on lake fails on the middle variant only
+            "geography": TestSuite("geography", 3, 2,
+                                   [geo_file, no_lake, geo_suite.variants[1]]),
+        }
+        result = evaluate_benchmark(bench, predictions, suites)
+        assert [o.example_id for o in result.outcomes] == [
+            "e0000", "e0001", "e0002", "e0004", "e0006"]
+        assert all(o.ts for o in result.outcomes)
+        assert result.gold_broken == ["e0003"]
+        assert result.warnings == [
+            "e0003: gold query failed on network_1: no such table: missing_table",
+            f"e0004: gold failed on variant {no_lake}; skipped",
+            "e0005: no prediction; skipped",
+        ]
+
+    def test_prediction_past_row_cap_is_invalid(self, suite, monkeypatch):
+        monkeypatch.setattr(execution, "MAX_ROWS", 5)
+        out = evaluate(example("SELECT count(*) FROM Highschooler"),
+                       prediction("SELECT name FROM Highschooler"), suite)
+        assert not out.valid and not out.ex and not out.ts
+        assert "more than 5 rows" in out.invalid_reason

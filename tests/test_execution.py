@@ -1,6 +1,12 @@
-import pytest
+from contextlib import closing
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sqlbench import execution
 from sqlbench.execution import (
+    Connections,
     ExecError,
     ExecResult,
     cells_equal,
@@ -55,6 +61,46 @@ class TestExecuteSql:
         ordered = execute_sql(network1_db, "SELECT name FROM Highschooler ORDER BY name")
         unordered = execute_sql(network1_db, "SELECT name FROM Highschooler")
         assert ordered.order_sensitive and not unordered.order_sensitive
+
+    def test_row_cap(self, network1_db, monkeypatch):
+        monkeypatch.setattr(execution, "MAX_ROWS", 5)
+        count_to = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c "
+                    "WHERE x < {}) SELECT x FROM c")
+        res = execute_sql(network1_db, count_to.format(6))
+        assert isinstance(res, ExecError)
+        assert res.kind == "too_many_rows"
+        assert len(execute_sql(network1_db, count_to.format(5)).rows) == 5
+
+
+# (sql, timeout_ms): one query of each outcome a reused connection must isolate
+REUSE_POOL = [
+    ("SELECT ID, name FROM Highschooler WHERE grade = 12", 30000),
+    ("SELECT name FROM Highschooler ORDER BY name", 30000),
+    ("SELECT nocol FROM Highschooler", 30000),
+    ("SELECT * FORM Highschooler", 30000),
+    ("DELETE FROM Likes", 30000),
+    ("SELECT name FROM pragma_table_info('Highschooler')", 30000),
+    ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c) "
+     "SELECT count(*) FROM c", 50),
+]
+
+
+class TestReusedConnection:
+    @pytest.fixture(scope="class")
+    def one_shot(self, network1_db):
+        return [execute_sql(network1_db, sql, timeout_ms) for sql, timeout_ms in REUSE_POOL]
+
+    def test_pool_covers_every_outcome(self, one_shot):
+        kinds = [getattr(r, "kind", "ok") for r in one_shot]
+        assert kinds == ["ok", "ok", "engine", "engine", "forbidden", "forbidden", "timeout"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(sequence=st.lists(st.integers(0, len(REUSE_POOL) - 1), min_size=1, max_size=8))
+    def test_matches_one_shot_in_any_sequence(self, network1_db, one_shot, sequence):
+        with closing(Connections()) as connections:
+            for i in sequence:
+                sql, timeout_ms = REUSE_POOL[i]
+                assert execute_sql(network1_db, sql, timeout_ms, connections) == one_shot[i]
 
 
 class TestTopLevelOrderBy:
