@@ -282,6 +282,9 @@ def cmd_eval(args) -> int:
         "gold_broken": result.gold_broken,
         "n_outcomes": len(result.outcomes),
         "prompt_config": (pred_manifest or {}).get("prompt_config"),
+        "model": (pred_manifest or {}).get("config", {}).get("model", ""),
+        "suites": {db_id: {"source_sha256": s.source_sha256, "suite_hash": s.content_hash}
+                   for db_id, s in suites.items()},
     })
     print(f"wrote {len(result.outcomes)} outcomes to {out} "
           f"({len(result.gold_broken)} gold-broken excluded)")
@@ -301,7 +304,7 @@ def _run_label(path) -> str:
     if manifest:
         cfg = manifest.get("prompt_config") or {}
         parts = [Path(manifest["config"].get("benchmark", "")).stem,
-                 cfg.get("prompt", ""), ]
+                 manifest.get("model", ""), cfg.get("prompt", "")]
         shots = cfg.get("shots")
         if shots:
             parts.append(f"{shots}-shot")

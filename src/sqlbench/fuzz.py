@@ -4,14 +4,24 @@ A test suite pairs the original database (variant 0) with k fuzzed variants
 that keep tables, columns, types, primary-key uniqueness, and foreign-key
 integrity, while regenerating row contents. The last fuzzed variant empties
 every originally non-empty table to probe empty-input query semantics.
+
+Suites are cached under <cache>/<db_id>/<seed>/k<k>-v<generator version>-<first
+16 hex digits of the source file's sha256>. A suite is generated into a temporary
+directory and renamed into place, so a reader never sees a half-written one,
+and its manifest records a sha256 per variant that is checked on every reuse.
 """
 
 from __future__ import annotations
 
+import errno
+import hashlib
 import json
+import os
 import random
+import shutil
 import sqlite3
 import string
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -33,6 +43,12 @@ class TestSuite:
     seed: int
     k: int
     variants: list[Path]  # variants[0] is the original database file
+    source_sha256: str = ""
+    content_hash: str = ""  # sha256 over the source and every variant file
+
+
+class _Unusable(Exception):
+    """A cached suite that must not be reused; the message says why."""
 
 
 def _topo_order(schema: DatabaseSchema) -> tuple[list[TableSchema], list[TableSchema]]:
@@ -48,13 +64,14 @@ def _topo_order(schema: DatabaseSchema) -> tuple[list[TableSchema], list[TableSc
         }
         for t in schema.tables
     }
+    position = {name: i for i, name in enumerate(by_name)}
     ordered = []
     remaining = dict(deps)
     while remaining:
         ready = [name for name, d in remaining.items() if not (d & remaining.keys())]
         if not ready:
             break
-        for name in sorted(ready, key=lambda n: [t.name.lower() for t in schema.tables].index(n)):
+        for name in sorted(ready, key=position.__getitem__):
             ordered.append(by_name[name])
             del remaining[name]
     cyclic = [by_name[name] for name in remaining]
@@ -89,16 +106,23 @@ def _mutate_value(rng: random.Random, value, declared_type: str):
     return value
 
 
+def _distinct_columns(rows: list[tuple], width: int) -> list[list]:
+    """Per column, its distinct values in first-seen order. Values equal under
+    == (1, 1.0 and True) count once, as the first one seen."""
+    return [list(dict.fromkeys(r[j] for r in rows)) for j in range(width)]
+
+
 def _column_pools(conn: sqlite3.Connection, table: TableSchema) -> tuple[list[tuple], list[list]]:
     rows = [tuple(r) for r in conn.execute(f'SELECT * FROM "{table.name}"')]
-    pools = []
-    for j in range(len(table.columns)):
-        seen = []
-        for r in rows:
-            if r[j] not in seen:
-                seen.append(r[j])
-        pools.append(seen)
-    return rows, pools
+    return rows, _distinct_columns(rows, len(table.columns))
+
+
+def _key_pools(table: TableSchema, rows: list[tuple]) -> dict[str, list]:
+    """The values each column of table offers to foreign keys that reference it."""
+    return {
+        c.name.lower(): [v for v in values if v is not None]
+        for c, values in zip(table.columns, _distinct_columns(rows, len(table.columns)))
+    }
 
 
 def _generate_table_rows(
@@ -178,14 +202,7 @@ def _generate_variant(
 
     def register(table: TableSchema, rows: list[tuple]):
         generated[table.name.lower()] = rows
-        cols = {}
-        for j, c in enumerate(table.columns):
-            vals = []
-            for r in rows:
-                if r[j] is not None and r[j] not in vals:
-                    vals.append(r[j])
-            cols[c.name.lower()] = vals
-        parent_keys[table.name.lower()] = cols
+        parent_keys[table.name.lower()] = _key_pools(table, rows)
 
     for table in ordered:
         orig_rows, pools = orig_data[table.name.lower()]
@@ -236,11 +253,11 @@ def _generate_variant(
                             f"cannot satisfy cyclic foreign keys for table {table.name}"
                         )
 
-    out_file.parent.mkdir(parents=True, exist_ok=True)
-    if out_file.exists():
-        out_file.unlink()
-    conn = sqlite3.connect(out_file)
+    # one transaction for the whole variant: one journal write and sync, not
+    # one per CREATE TABLE
+    conn = sqlite3.connect(out_file, isolation_level=None)
     try:
+        conn.execute("BEGIN")
         for table in schema.tables:
             conn.execute(table.create_sql)
         for table in schema.tables:
@@ -248,43 +265,54 @@ def _generate_variant(
             if rows:
                 marks = ",".join("?" * len(table.columns))
                 conn.executemany(f'INSERT INTO "{table.name}" VALUES ({marks})', rows)
-        conn.commit()
+        conn.execute("COMMIT")
     finally:
         conn.close()
 
 
-def build_test_suite(db_file, k: int, seed: int, cache_dir, db_id: str | None = None,
-                     log=None) -> TestSuite:
-    """Create (or reuse) k fuzzed variants of db_file under cache_dir.
+def _sha256(path: Path) -> str:
+    h = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):  # memory flat in file size
+            h.update(chunk)
+    return h.hexdigest()
 
-    Generation is a pure function of (original database, seed, k); a manifest
-    guards cached suites and triggers regeneration when stale or corrupt.
-    """
-    if k < 1:
-        raise ValueError("suite size k must be >= 1")
-    db_file = Path(db_file)
-    if db_id is None:
-        db_id = db_file.stem
-    suite_dir = Path(cache_dir) / db_id / str(seed)
-    manifest_path = suite_dir / "manifest.json"
-    variants = [db_file] + [suite_dir / f"variant_{i}.db" for i in range(1, k + 1)]
 
-    if manifest_path.exists():
+def _fresh_dir(parent: Path, prefix: str) -> Path:
+    """A new empty directory in parent. Made by mkdir, so it gets the umask's
+    permissions like any other directory (tempfile.mkdtemp would force 0700)."""
+    path = parent / f"{prefix}{os.getpid()}-{uuid.uuid4().hex}"
+    path.mkdir()
+    return path
+
+
+def _cached_hashes(suite_dir: Path, header: dict) -> list[str]:
+    """The variant sha256s of the suite in suite_dir, after checking every file
+    against them. Raises _Unusable when the suite must be regenerated."""
+    try:
+        manifest = json.loads((suite_dir / "manifest.json").read_text())
+    except FileNotFoundError:
+        raise _Unusable("has no manifest") from None
+    except (json.JSONDecodeError, UnicodeDecodeError, OSError):
+        raise _Unusable("has a corrupt manifest") from None
+    names = [f"variant_{i}.db" for i in range(1, header["k"] + 1)]
+    hashes = manifest.get("variant_sha256") if isinstance(manifest, dict) else None
+    if (not isinstance(hashes, dict) or set(hashes) != set(names)
+            or any(manifest.get(key) != value for key, value in header.items())):
+        raise _Unusable("has a stale manifest")
+    for name in names:
         try:
-            manifest = json.loads(manifest_path.read_text())
-            if (
-                manifest.get("seed") == seed
-                and manifest.get("k") == k
-                and manifest.get("generator_version") == GENERATOR_VERSION
-                and all(v.exists() for v in variants[1:])
-            ):
-                return TestSuite(db_id=db_id, seed=seed, k=k, variants=variants)
-            if log:
-                log(f"suite manifest for {db_id}/{seed} is stale; regenerating")
-        except (json.JSONDecodeError, OSError):
-            if log:
-                log(f"suite manifest for {db_id}/{seed} is corrupt; regenerating")
+            ok = _sha256(suite_dir / name) == hashes[name]
+        except OSError:
+            ok = False
+        if not ok:
+            raise _Unusable(f"has a {name} that does not match its sha256")
+    return [hashes[name] for name in names]
 
+
+def _generate_suite(db_file: Path, header: dict, out_dir: Path) -> list[str]:
+    """Write the k variants and the manifest into out_dir; return the variant sha256s."""
+    seed, k = header["seed"], header["k"]
     schema = introspect(db_file)
     conn = sqlite3.connect(f"file:{db_file}?mode=ro", uri=True)
     try:
@@ -292,12 +320,91 @@ def build_test_suite(db_file, k: int, seed: int, cache_dir, db_id: str | None = 
     finally:
         conn.close()
 
+    hashes = {}
     for i in range(1, k + 1):
         rng = random.Random(f"{seed}:{i}")
         empty = i == k  # last variant probes empty-table semantics
-        _generate_variant(schema, orig_data, rng, variants[i], empty)
+        out_file = out_dir / f"variant_{i}.db"
+        _generate_variant(schema, orig_data, rng, out_file, empty)
+        hashes[out_file.name] = _sha256(out_file)
+    (out_dir / "manifest.json").write_text(json.dumps({**header, "variant_sha256": hashes}))
+    return list(hashes.values())
 
-    manifest_path.write_text(json.dumps(
-        {"db_id": db_id, "seed": seed, "k": k, "generator_version": GENERATOR_VERSION}
-    ))
-    return TestSuite(db_id=db_id, seed=seed, k=k, variants=variants)
+
+def _install(built: Path, suite_dir: Path, header: dict) -> None:
+    """Rename the built suite directory to suite_dir. A valid suite another
+    process placed there first is kept. An invalid one is moved aside and
+    deleted, never rewritten where a reader may be using it; if it turns out
+    valid once moved aside (another process installed it after our check), it
+    is put back instead, so a valid suite is never deleted."""
+    candidate = built
+    asides = []
+    try:
+        for _ in range(3):
+            try:
+                os.replace(candidate, suite_dir)
+                return
+            except OSError as e:
+                if e.errno not in (errno.ENOTEMPTY, errno.EEXIST):
+                    raise
+            try:
+                _cached_hashes(suite_dir, header)
+                return
+            except _Unusable:
+                pass
+            aside = _fresh_dir(suite_dir.parent, ".trash-")
+            asides.append(aside)
+            try:
+                os.replace(suite_dir, aside)
+            except FileNotFoundError:
+                continue  # another process moved it first
+            try:
+                _cached_hashes(aside, header)
+                candidate = aside
+            except _Unusable:
+                pass
+        raise SuiteError(f"could not install the suite at {suite_dir}")
+    finally:
+        for aside in asides:  # an installed one no longer exists here
+            shutil.rmtree(aside, ignore_errors=True)
+
+
+def build_test_suite(db_file, k: int, seed: int, cache_dir, db_id: str | None = None,
+                     log=None) -> TestSuite:
+    """Create (or reuse) k fuzzed variants of db_file under cache_dir.
+
+    Generation is a pure function of (original database content, seed, k). A
+    cached suite is reused only when its manifest matches and every variant
+    matches its recorded sha256; otherwise it is regenerated and log is told.
+    """
+    if k < 1:
+        raise ValueError("suite size k must be >= 1")
+    db_file = Path(db_file)
+    if db_id is None:
+        db_id = db_file.stem
+    source = _sha256(db_file)
+    header = {"db_id": db_id, "seed": seed, "k": k,
+              "generator_version": GENERATOR_VERSION, "source_sha256": source}
+    suite_dir = Path(cache_dir) / db_id / str(seed) / f"k{k}-v{GENERATOR_VERSION}-{source[:16]}"
+    variants = [db_file] + [suite_dir / f"variant_{i}.db" for i in range(1, k + 1)]
+
+    hashes = None
+    if suite_dir.exists():
+        try:
+            hashes = _cached_hashes(suite_dir, header)
+        except _Unusable as e:
+            if log:
+                log(f"suite {db_id}/{seed}/{suite_dir.name} {e}; regenerating")
+    if hashes is None:
+        suite_dir.parent.mkdir(parents=True, exist_ok=True)
+        # a dot-prefixed sibling: never a suite directory name, so a build
+        # killed before the rename leaves nothing a later call returns
+        built = _fresh_dir(suite_dir.parent, ".build-")
+        try:
+            hashes = _generate_suite(db_file, header, built)
+            _install(built, suite_dir, header)
+        finally:
+            shutil.rmtree(built, ignore_errors=True)
+    content_hash = hashlib.sha256("\n".join([source, *hashes]).encode()).hexdigest()
+    return TestSuite(db_id=db_id, seed=seed, k=k, variants=variants, source_sha256=source,
+                     content_hash=content_hash)

@@ -25,7 +25,7 @@ from sqlbench.report import metrics_row
 from sqlbench.schema import introspect, sample_rows
 
 from conftest import FIXTURE_QUESTIONS, GEO_SUPPORT_PAIRS, load_golden
-from test_fuzz import check_integrity
+from test_fuzz import check_integrity, make_item_db
 
 
 @contextmanager
@@ -205,6 +205,16 @@ def test_fuzzer_integrity(network1_db, tmp_path):
                 assert va.read_bytes() == vb.read_bytes(), f"seed {seed} not reproducible"
         elapsed = time.perf_counter() - start
         assert elapsed < 60.0, f"fuzzing took {elapsed:.1f} s"
+
+
+def test_large_table_suite_build(tmp_path):
+    with criterion("cold k=4 suite for one 16,000-row table in < 3 s"):
+        db = make_item_db(tmp_path / "items.sqlite", 16_000)
+        start = time.perf_counter()
+        suite = build_test_suite(db, 4, seed=0, cache_dir=tmp_path / "cache")
+        elapsed = time.perf_counter() - start
+        check_integrity(suite.variants[1])
+        assert elapsed < 3.0, f"building the suite took {elapsed:.1f} s"
 
 
 def test_few_shot_protocol(geo_db):

@@ -1,8 +1,10 @@
+import hashlib
 import json
 
 import pytest
 
 from sqlbench.cli import main
+from sqlbench.fuzz import build_test_suite
 
 from conftest import FIXTURE_QUESTIONS
 
@@ -155,11 +157,19 @@ class TestEval:
         assert len(records) == len(FIXTURE_QUESTIONS)
         assert all(r["valid"] and r["ex"] and r["ts"] for r in records)
 
-    def test_manifest_records_gold_broken(self, outcomes_file):
+    def test_manifest_records_gold_broken(self, outcomes_file, db_root):
         manifest = json.loads(
             (outcomes_file.parent / "outcomes.jsonl.manifest.json").read_text())
         assert manifest["gold_broken"] == []
         assert manifest["n_outcomes"] == len(FIXTURE_QUESTIONS)
+        # suite provenance sits outside the config, so config_hash does not move
+        suite = build_test_suite(db_root / "network_1" / "network_1.sqlite", 4, 7,
+                                 outcomes_file.parent / "suites", db_id="network_1")
+        assert manifest["suites"] == {"network_1": {
+            "source_sha256": hashlib.sha256(suite.variants[0].read_bytes()).hexdigest(),
+            "suite_hash": suite.content_hash}}
+        assert "suites" not in manifest["config"]
+        assert manifest["model"] == ""
 
     def test_benchmark_mismatch_refused(self, workdir, gold_predictions,
                                         fixture_benchmark_path, db_root, capsys):
@@ -210,6 +220,30 @@ class TestReport:
         assert rc == 0
         assert "va_pct" in dest.read_text()
 
+    def test_runs_differing_by_model_get_their_own_rows(
+            self, workdir, prompts_file, outcomes_file, fixture_benchmark_path, db_root):
+        ids = [r["example_id"] for r in read_jsonl(prompts_file)]
+        runs = []
+        for model, completion in (("model-a", " count(*) FROM Highschooler;"),
+                                  ("model-b", " name FROM Highschooler;")):
+            replay = workdir / f"replay-{model}.jsonl"
+            replay.write_text("".join(json.dumps({"example_id": i, "raw_completion": completion})
+                                      + "\n" for i in ids))
+            preds, out = workdir / f"preds-{model}.jsonl", workdir / f"outcomes-{model}.jsonl"
+            assert run("predict", "--prompts", prompts_file, "--backend", "replay",
+                       "--replay-file", replay, "--model", model, "--out", preds) == 0
+            assert run("eval", "--benchmark", fixture_benchmark_path, "--db-root", db_root,
+                       "--predictions", preds, "--suite-k", "2",
+                       "--cache", workdir / "suites", "--out", out) == 0
+            runs.append(out)
+        dest = workdir / "by-model.json"
+        assert run("report", "metrics", "--runs", outcomes_file, *runs,
+                   "--format", "json", "--out", dest) == 0
+        labels = [r["label"] for r in json.loads(dest.read_text())]
+        assert sorted(labels) == ["fixture_dev / create+select:3",
+                                  "fixture_dev / model-a / create+select:3",
+                                  "fixture_dev / model-b / create+select:3"]
+
     def test_no_matching_runs(self, workdir, capsys):
         rc = run("report", "metrics", "--runs", workdir / "nope-*.jsonl")
         assert rc == 2
@@ -230,7 +264,7 @@ class TestSuiteCommand:
                  "--suite-k", "3", "--suite-seed", "5", "--cache", workdir / "pregen")
         assert rc == 0
         assert "3 variants" in capsys.readouterr().out
-        made = list((workdir / "pregen" / "network_1" / "5").glob("variant_*.db"))
+        made = list((workdir / "pregen" / "network_1" / "5").glob("*/variant_*.db"))
         assert len(made) == 3
 
 
