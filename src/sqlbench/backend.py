@@ -159,11 +159,6 @@ class HttpBackend:
         raise BackendError(f"backend failed for {example_id} after {self.retries} retries: {last_error}")
 
 
-def complete(request: CompletionRequest, backend, example_id: str = "") -> str:
-    """Obtain the raw completion text for one request from the given backend."""
-    return backend.complete(example_id, request)
-
-
 def predict(example_id: str, prompt_text: str, backend,
             max_tokens: int = 200, temperature: float = 0.0) -> Prediction:
     request = CompletionRequest(prompt=prompt_text, max_tokens=max_tokens,

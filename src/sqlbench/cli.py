@@ -9,6 +9,7 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import yaml
 
@@ -26,37 +27,119 @@ from .report import (curve_csv, learning_curve, metrics_table, render_breakdown_
 from .schema import introspect, sample_rows
 
 
-def _load_config(path) -> dict:
-    if path is None:
-        return {}
-    with open(path) as f:
-        data = yaml.safe_load(f)
-    return data or {}
+class Option(NamedTuple):
+    """One setting of a stage that takes --config. Its flag is the name with
+    `-` for `_`; its config key is the name itself."""
+    name: str
+    type: type = str
+    default: object = None
+    help: str | None = None
+    choices: tuple[str, ...] | None = None
 
 
-def _merged(args, config: dict, key: str, default=None):
-    val = getattr(args, key.replace("-", "_"), None)
-    if val is not None:
-        return val
-    if key in config:
-        return config[key]
-    return default
+BENCHMARK = Option("benchmark")
+DB_ROOT = Option("db_root")
+PROMPTS = Option("prompts", Path, "prompts.jsonl")
+PREDICTIONS = Option("predictions", Path, "predictions.jsonl")
+SUITE_K = Option("suite_k", int, 32)
+SUITE_SEED = Option("suite_seed", int, 0)
+CACHE = Option("cache", Path, ".sqlbench-suites")
+
+# Each stage writes by default where the next one reads by default.
+STAGE_OPTIONS = {
+    "prompt": (
+        BENCHMARK, DB_ROOT,
+        Option("prompt", default="create+select:3",
+               help="question|apidocs|select:<X>|create|create+select:<X>"),
+        Option("shots", int, 0),
+        Option("train", help="training split for few-shot support selection"),
+        Option("seed", int, 0),
+        Option("context_tokens", int, 4096),
+        Option("completion_reserve", int, 200),
+        Option("out", Path, PROMPTS.default),
+    ),
+    "predict": (
+        PROMPTS,
+        Option("backend", default="replay", choices=("replay", "gold", "http")),
+        Option("replay_file"),
+        BENCHMARK, DB_ROOT._replace(default="."),
+        Option("base_url"),
+        Option("model", default=""),
+        Option("rpm", int, 20),
+        Option("retries", int, 5),
+        Option("max_tokens", int, 200),
+        Option("temperature", float, 0.0),
+        Option("sql_out", help="also write one SQL per line in benchmark order"),
+        Option("out", Path, PREDICTIONS.default),
+    ),
+    "eval": (
+        BENCHMARK, DB_ROOT, PREDICTIONS, SUITE_K, SUITE_SEED,
+        Option("timeout_ms", int, 30000),
+        CACHE,
+        Option("out", Path, "outcomes.jsonl"),
+    ),
+    "suite": (
+        Option("db", Path, help="path to the original database file"),
+        SUITE_K, SUITE_SEED, CACHE,
+    ),
+}
+CONFIG_KEYS = {opt.name for options in STAGE_OPTIONS.values() for opt in options}
+
+# The options each stage records, in this order, in its manifest's config.
+RECORDED = {
+    "prompt": ("benchmark", "db_root", "prompt", "shots", "seed", "context_tokens",
+               "completion_reserve"),
+    "predict": ("prompts", "backend", "model", "max_tokens", "temperature"),
+    "eval": ("benchmark", "db_root", "predictions", "suite_k", "suite_seed", "timeout_ms"),
+}
 
 
-def _config_hash(config: dict) -> str:
-    canonical = json.dumps(config, sort_keys=True, default=str)
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+def _resolve(args) -> str | None:
+    """Set each option of the stage to its flag, else its --config key, else its
+    default, converted to the option's type. Returns what is wrong with the
+    config file, if anything."""
+    config = {}
+    if args.config:
+        with open(args.config) as f:
+            config = yaml.safe_load(f) or {}
+        if not isinstance(config, dict):
+            return f"{args.config} does not map option names to values"
+        unknown = [key for key in config if key not in CONFIG_KEYS]
+        if unknown:
+            return (f"unknown key {unknown[0]!r} in {args.config} "
+                    "(a config key is a flag name with '_' for '-')")
+    for opt in STAGE_OPTIONS[args.command]:
+        value = getattr(args, opt.name)
+        if value is None:
+            value = config.get(opt.name)
+        if value is None:  # an empty key in the file is the same as no key
+            value = opt.default
+        if value is not None:
+            try:
+                value = opt.type(value)
+            except (TypeError, ValueError):
+                return f"{opt.name} {value!r} in {args.config} is not a {opt.type.__name__}"
+        if opt.choices and value not in opt.choices:
+            return f"{opt.name} {value!r} in {args.config} is not one of {opt.choices}"
+        setattr(args, opt.name, value)
+    return None
 
 
-def _write_manifest(artifact_path: Path, config: dict, extra: dict | None = None):
+def _write_manifest(args, recorded: tuple[str, ...], extra: dict):
+    """Write <out>.manifest.json. Its config holds the recorded options: numbers
+    as resolved, every other value as a string."""
+    config = {"stage": args.command}
+    for name in recorded:
+        value = getattr(args, name)
+        config[name] = value if isinstance(value, (int, float)) else str(value)
+    canonical = json.dumps(config, sort_keys=True)
     manifest = {
         "config": config,
-        "config_hash": _config_hash(config),
+        "config_hash": hashlib.sha256(canonical.encode()).hexdigest()[:16],
         "code_version": __version__,
     }
-    if extra:
-        manifest.update(extra)
-    Path(str(artifact_path) + ".manifest.json").write_text(json.dumps(manifest, indent=2, default=str))
+    manifest.update(extra)
+    Path(str(args.out) + ".manifest.json").write_text(json.dumps(manifest, indent=2, default=str))
 
 
 def _read_manifest(artifact_path) -> dict | None:
@@ -82,31 +165,23 @@ def _read_jsonl(path):
 
 
 def cmd_prompt(args) -> int:
-    config = _load_config(args.config)
-    bench_path = _merged(args, config, "benchmark")
-    db_root = _merged(args, config, "db_root")
-    style_spec = _merged(args, config, "prompt", "create+select:3")
-    shots = int(_merged(args, config, "shots", 0))
-    seed = int(_merged(args, config, "seed", 0))
-    context_tokens = int(_merged(args, config, "context_tokens", 4096))
-    reserve = int(_merged(args, config, "completion_reserve", 200))
-    out = Path(_merged(args, config, "out", "prompts.jsonl"))
-
-    bench = load_benchmark(bench_path, db_root)
+    bench = load_benchmark(args.benchmark, args.db_root)
     for w in bench.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    style = parse_style(style_spec, shots)
-    budget = PromptBudget(context_tokens=context_tokens, completion_reserve=reserve)
+    style = parse_style(args.prompt, args.shots)
+    budget = PromptBudget(context_tokens=args.context_tokens,
+                          completion_reserve=args.completion_reserve)
 
-    support = SupportSet(n=0, seed=seed, examples=[])
-    if shots > 0:
-        train_path = _merged(args, config, "train")
-        if not train_path:
+    support = SupportSet(n=0, seed=args.seed, examples=[])
+    recorded = RECORDED["prompt"]
+    if args.shots > 0:
+        if not args.train:
             print("error: --shots requires --train", file=sys.stderr)
             return 2
-        train = load_benchmark(train_path, db_root, split="train")
-        support = select_support(train, shots, seed)
-        support_out = out.with_suffix(".support.json")
+        train = load_benchmark(args.train, args.db_root, split="train")
+        support = select_support(train, args.shots, args.seed)
+        recorded += ("train",)
+        support_out = args.out.with_suffix(".support.json")
         support_out.parent.mkdir(parents=True, exist_ok=True)
         support_out.write_text(support.to_json())
 
@@ -149,110 +224,72 @@ def cmd_prompt(args) -> int:
             "est_tokens": rendered.est_tokens,
             "shots_used": n_used,
         })
-    _write_jsonl(out, records)
-    run_config = {
-        "stage": "prompt", "benchmark": str(bench_path), "db_root": str(db_root),
-        "prompt": style_spec, "shots": shots, "seed": seed,
-        "context_tokens": context_tokens, "completion_reserve": reserve,
-    }
-    _write_manifest(out, run_config, {"skipped": skipped, "n_prompts": len(records)})
-    print(f"wrote {len(records)} prompts to {out} ({len(skipped)} over budget)")
+    _write_jsonl(args.out, records)
+    _write_manifest(args, recorded, {"skipped": skipped, "n_prompts": len(records)})
+    print(f"wrote {len(records)} prompts to {args.out} ({len(skipped)} over budget)")
     return 0
 
 
 def cmd_predict(args) -> int:
-    config = _load_config(args.config)
-    prompts_path = Path(_merged(args, config, "prompts", "prompts.jsonl"))
-    backend_kind = _merged(args, config, "backend", "replay")
-    out = Path(_merged(args, config, "out", "predictions.jsonl"))
-    max_tokens = int(_merged(args, config, "max_tokens", 200))
-    temperature = float(_merged(args, config, "temperature", 0.0))
-
-    if backend_kind == "replay":
-        replay_file = _merged(args, config, "replay_file")
-        if not replay_file:
+    if args.backend == "replay":
+        if not args.replay_file:
             print("error: replay backend requires --replay-file", file=sys.stderr)
             return 2
-        backend = ReplayBackend(replay_file)
-    elif backend_kind == "gold":
-        bench_path = _merged(args, config, "benchmark")
-        db_root = _merged(args, config, "db_root", ".")
-        if not bench_path:
+        backend = ReplayBackend(args.replay_file)
+    elif args.backend == "gold":
+        if not args.benchmark:
             print("error: gold backend requires --benchmark", file=sys.stderr)
             return 2
-        bench = load_benchmark(bench_path, db_root)
+        bench = load_benchmark(args.benchmark, args.db_root)
         backend = GoldOracleBackend({e.example_id: e.gold_sql for e in bench.examples})
-    elif backend_kind == "http":
-        base_url = _merged(args, config, "base_url")
-        model = _merged(args, config, "model", "")
-        if not base_url:
+    else:
+        if not args.base_url:
             print("error: http backend requires --base-url", file=sys.stderr)
             return 2
-        backend = HttpBackend(base_url, model,
-                              rpm=int(_merged(args, config, "rpm", 20)),
-                              retries=int(_merged(args, config, "retries", 5)))
-    else:
-        print(f"error: unknown backend {backend_kind!r}", file=sys.stderr)
-        return 2
+        backend = HttpBackend(args.base_url, args.model, rpm=args.rpm, retries=args.retries)
 
     records = []
     try:
-        for rec in _read_jsonl(prompts_path):
+        for rec in _read_jsonl(args.prompts):
             p = predict(rec["example_id"], rec["prompt"], backend,
-                        max_tokens=max_tokens, temperature=temperature)
+                        max_tokens=args.max_tokens, temperature=args.temperature)
             records.append({"example_id": p.example_id,
                             "raw_completion": p.raw_completion, "sql": p.sql})
     except BackendError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
-    _write_jsonl(out, records)
-    prompt_manifest = _read_manifest(prompts_path)
-    run_config = {
-        "stage": "predict", "prompts": str(prompts_path), "backend": backend_kind,
-        "model": _merged(args, config, "model", ""),
-        "max_tokens": max_tokens, "temperature": temperature,
-    }
+    _write_jsonl(args.out, records)
+    prompt_manifest = _read_manifest(args.prompts)
     extra = {}
     if prompt_manifest:
         extra["prompt_config_hash"] = prompt_manifest.get("config_hash")
         extra["prompt_config"] = prompt_manifest.get("config")
-    _write_manifest(out, run_config, extra)
-    sql_out = _merged(args, config, "sql_out")
-    if sql_out:
-        Path(sql_out).write_text("".join(r["sql"] + "\n" for r in records))
-    print(f"wrote {len(records)} predictions to {out}")
+    _write_manifest(args, RECORDED["predict"], extra)
+    if args.sql_out:
+        Path(args.sql_out).write_text("".join(r["sql"] + "\n" for r in records))
+    print(f"wrote {len(records)} predictions to {args.out}")
     return 0
 
 
 def cmd_eval(args) -> int:
-    config = _load_config(args.config)
-    bench_path = _merged(args, config, "benchmark")
-    db_root = _merged(args, config, "db_root")
-    predictions_path = Path(_merged(args, config, "predictions", "predictions.jsonl"))
-    suite_k = int(_merged(args, config, "suite_k", 32))
-    suite_seed = int(_merged(args, config, "suite_seed", 0))
-    timeout_ms = int(_merged(args, config, "timeout_ms", 30000))
-    cache = Path(_merged(args, config, "cache", ".sqlbench-suites"))
-    out = Path(_merged(args, config, "out", "outcomes.jsonl"))
-
-    pred_manifest = _read_manifest(predictions_path)
+    pred_manifest = _read_manifest(args.predictions)
     if pred_manifest and pred_manifest.get("prompt_config"):
         prompt_bench = pred_manifest["prompt_config"].get("benchmark")
-        if prompt_bench and str(bench_path) != prompt_bench and not args.allow_mismatch:
+        if prompt_bench and str(args.benchmark) != prompt_bench and not args.allow_mismatch:
             print(
                 f"error: predictions were made for benchmark {prompt_bench!r}, "
-                f"not {bench_path!r} (use --allow-mismatch to override)",
+                f"not {args.benchmark!r} (use --allow-mismatch to override)",
                 file=sys.stderr,
             )
             return 2
 
-    bench = load_benchmark(bench_path, db_root)
+    bench = load_benchmark(args.benchmark, args.db_root)
     predictions = {}
-    for rec in _read_jsonl(predictions_path):
+    for rec in _read_jsonl(args.predictions):
         example_id = rec["example_id"]
         if example_id in predictions:
-            print(f"error: {predictions_path} has more than one prediction for "
+            print(f"error: {args.predictions} has more than one prediction for "
                   f"{example_id!r}", file=sys.stderr)
             return 2
         predictions[example_id] = Prediction(example_id, rec.get("raw_completion", ""),
@@ -265,20 +302,15 @@ def cmd_eval(args) -> int:
                   file=sys.stderr)
             continue
         suites[db_id] = build_test_suite(
-            db_file, suite_k, suite_seed, cache, db_id=db_id,
+            db_file, args.suite_k, args.suite_seed, args.cache, db_id=db_id,
             log=lambda msg: print(f"warning: {msg}", file=sys.stderr),
         )
 
-    result = evaluate_benchmark(bench, predictions, suites, timeout_ms)
+    result = evaluate_benchmark(bench, predictions, suites, args.timeout_ms)
     for w in result.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    _write_jsonl(out, [o.to_dict() for o in result.outcomes])
-    run_config = {
-        "stage": "eval", "benchmark": str(bench_path), "db_root": str(db_root),
-        "predictions": str(predictions_path), "suite_k": suite_k,
-        "suite_seed": suite_seed, "timeout_ms": timeout_ms,
-    }
-    _write_manifest(out, run_config, {
+    _write_jsonl(args.out, [o.to_dict() for o in result.outcomes])
+    _write_manifest(args, RECORDED["eval"], {
         "gold_broken": result.gold_broken,
         "n_outcomes": len(result.outcomes),
         "prompt_config": (pred_manifest or {}).get("prompt_config"),
@@ -286,7 +318,7 @@ def cmd_eval(args) -> int:
         "suites": {db_id: {"source_sha256": s.source_sha256, "suite_hash": s.content_hash}
                    for db_id, s in suites.items()},
     })
-    print(f"wrote {len(result.outcomes)} outcomes to {out} "
+    print(f"wrote {len(result.outcomes)} outcomes to {args.out} "
           f"({len(result.gold_broken)} gold-broken excluded)")
     return 0
 
@@ -373,14 +405,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    config = _load_config(args.config)
-    db_file = Path(_merged(args, config, "db"))
-    suite = build_test_suite(
-        db_file, int(_merged(args, config, "suite_k", 32)),
-        int(_merged(args, config, "suite_seed", 0)),
-        Path(_merged(args, config, "cache", ".sqlbench-suites")),
-        log=lambda msg: print(f"warning: {msg}", file=sys.stderr),
-    )
+    suite = build_test_suite(args.db, args.suite_k, args.suite_seed, args.cache,
+                             log=lambda msg: print(f"warning: {msg}", file=sys.stderr))
     print(f"suite for {suite.db_id}: {suite.k} variants under seed {suite.seed}")
     return 0
 
@@ -403,48 +429,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("prompt", help="render prompts for every benchmark example")
-    p.add_argument("--config")
-    p.add_argument("--benchmark")
-    p.add_argument("--db-root")
-    p.add_argument("--prompt", help="question|apidocs|select:<X>|create|create+select:<X>")
-    p.add_argument("--shots", type=int)
-    p.add_argument("--train", help="training split for few-shot support selection")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--context-tokens", type=int)
-    p.add_argument("--completion-reserve", type=int)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_prompt)
-
-    p = sub.add_parser("predict", help="obtain completions and finalize SQL")
-    p.add_argument("--config")
-    p.add_argument("--prompts")
-    p.add_argument("--backend", choices=["replay", "gold", "http"])
-    p.add_argument("--replay-file")
-    p.add_argument("--benchmark")
-    p.add_argument("--db-root")
-    p.add_argument("--base-url")
-    p.add_argument("--model")
-    p.add_argument("--rpm", type=int)
-    p.add_argument("--retries", type=int)
-    p.add_argument("--max-tokens", type=int)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--sql-out", help="also write one SQL per line in benchmark order")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("eval", help="build suites and score predictions")
-    p.add_argument("--config")
-    p.add_argument("--benchmark")
-    p.add_argument("--db-root")
-    p.add_argument("--predictions")
-    p.add_argument("--suite-k", type=int)
-    p.add_argument("--suite-seed", type=int)
-    p.add_argument("--timeout-ms", type=int)
-    p.add_argument("--cache")
-    p.add_argument("--allow-mismatch", action="store_true")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_eval)
+    for name, summary, func in (
+            ("prompt", "render prompts for every benchmark example", cmd_prompt),
+            ("predict", "obtain completions and finalize SQL", cmd_predict),
+            ("eval", "build suites and score predictions", cmd_eval),
+            ("suite", "pre-generate fuzzed test-suite variants", cmd_suite)):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config")
+        for opt in STAGE_OPTIONS[name]:
+            p.add_argument("--" + opt.name.replace("_", "-"), type=opt.type,
+                           choices=opt.choices, help=opt.help)
+        p.set_defaults(func=func)
+    # a flag only: a run.yaml shared by many runs must not switch the check off for all
+    sub.choices["eval"].add_argument("--allow-mismatch", action="store_true")
 
     p = sub.add_parser("report", help="aggregate outcomes into tables and curves")
     rsub = p.add_subparsers(dest="report_kind", required=True)
@@ -464,14 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
             rp.add_argument("--annotations")
         rp.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("suite", help="pre-generate fuzzed test-suite variants")
-    p.add_argument("--config")
-    p.add_argument("--db", help="path to the original database file")
-    p.add_argument("--suite-k", type=int)
-    p.add_argument("--suite-seed", type=int)
-    p.add_argument("--cache")
-    p.set_defaults(func=cmd_suite)
-
     p = sub.add_parser("annotate", help="emit a manual-annotation skeleton")
     p.add_argument("--outcomes", required=True)
     p.add_argument("--n", type=int, default=100)
@@ -482,8 +471,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    error = _resolve(args) if args.command in STAGE_OPTIONS else None
+    if error:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

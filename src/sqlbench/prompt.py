@@ -232,15 +232,10 @@ def render_prompt(
 
 _TOKEN_RUN = re.compile(r"\w+|[^\w\s]")
 
-# Hook for callers with a model-specific tokenizer; must map str -> token count.
-tokenizer_hook = None
-
 
 def estimate_tokens(text: str, inflation: float = 1.3) -> int:
     """Deterministic upper-bound token estimate: non-whitespace runs split on
     punctuation boundaries, inflated and rounded up."""
-    if tokenizer_hook is not None:
-        return tokenizer_hook(text)
     count = len(_TOKEN_RUN.findall(text))
     return math.ceil(count * inflation)
 

@@ -11,24 +11,6 @@ from decimal import ROUND_HALF_UP, Decimal
 from .evaluate import EvalOutcome
 
 
-@dataclass
-class RunDescriptor:
-    benchmark: str
-    model: str
-    prompt: str
-    shots: int = 0
-    suite_seed: int = 0
-    suite_k: int = 0
-    timestamp: str = ""
-
-    @property
-    def label(self) -> str:
-        parts = [self.benchmark, self.model, self.prompt]
-        if self.shots:
-            parts.append(f"{self.shots}-shot")
-        return " / ".join(p for p in parts if p)
-
-
 def _pct(numerator: int, denominator: int) -> float:
     if denominator == 0:
         return 0.0
@@ -61,11 +43,10 @@ def metrics_row(label: str, outcomes: list[EvalOutcome],
     )
 
 
-def metrics_table(runs: list[tuple[RunDescriptor | str, list[EvalOutcome]]],
+def metrics_table(runs: list[tuple[str, list[EvalOutcome]]],
                   gold_broken: dict[str, int] | None = None) -> list[MetricsRow]:
     rows = []
-    for desc, outcomes in runs:
-        label = desc if isinstance(desc, str) else desc.label
+    for label, outcomes in runs:
         broken = (gold_broken or {}).get(label, 0)
         rows.append(metrics_row(label, outcomes, broken))
     return rows

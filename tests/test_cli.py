@@ -98,6 +98,93 @@ class TestPrompt:
         records = read_jsonl(workdir / "from_config.jsonl")
         assert records and "Using valid SQLite" in records[0]["prompt"]
 
+    def test_train_recorded_only_for_few_shot(self, workdir, fixture_benchmark_path,
+                                              db_root):
+        other_train = workdir / "other_train.json"
+        other_train.write_text(fixture_benchmark_path.read_text())
+        configs = []
+        for name, shots, train in (("a", 2, fixture_benchmark_path), ("b", 2, other_train),
+                                   ("zero", 0, other_train)):
+            out = workdir / f"train-{name}.jsonl"
+            assert run("prompt", "--benchmark", fixture_benchmark_path, "--db-root", db_root,
+                       "--prompt", "question", "--shots", shots, "--train", train,
+                       "--out", out) == 0
+            configs.append(json.loads((workdir / f"train-{name}.jsonl.manifest.json")
+                                      .read_text()))
+        few_a, few_b, zero = configs
+        assert few_a["config"]["train"] == str(fixture_benchmark_path)
+        assert few_a["config_hash"] != few_b["config_hash"]
+        assert "train" not in zero["config"]
+
+
+class TestConfig:
+    @pytest.fixture(scope="class")
+    def run_yaml(self, workdir, fixture_benchmark_path, db_root):
+        """One file holding keys of the prompt, predict and eval stages."""
+        cfg = workdir / "all-stages.yaml"
+        cfg.write_text(
+            f"benchmark: {fixture_benchmark_path}\ndb_root: {db_root}\n"
+            "prompt: question\nbackend: gold\ntemperature: 0\n"
+            f"suite_k: 2\ncache: {workdir / 'suites'}\n"
+        )
+        return cfg
+
+    def test_one_file_serves_every_stage(self, workdir, run_yaml):
+        prompts, preds = workdir / "all.prompts.jsonl", workdir / "all.predictions.jsonl"
+        assert run("prompt", "--config", run_yaml, "--out", prompts) == 0
+        assert run("predict", "--config", run_yaml, "--prompts", prompts, "--out", preds) == 0
+        out = workdir / "all.outcomes.jsonl"
+        assert run("eval", "--config", run_yaml, "--predictions", preds, "--out", out) == 0
+        assert all(r["ts"] for r in read_jsonl(out))
+
+    def test_yaml_integer_temperature_recorded_as_float(self, workdir, run_yaml,
+                                                        prompts_file):
+        out = workdir / "temp0.jsonl"
+        assert run("predict", "--config", run_yaml, "--prompts", prompts_file,
+                   "--out", out) == 0
+        manifest_text = (workdir / "temp0.jsonl.manifest.json").read_text()
+        assert '"temperature": 0.0' in manifest_text
+
+    def test_flag_wins_over_config(self, workdir, run_yaml):
+        out = workdir / "flag-wins.jsonl"
+        assert run("prompt", "--config", run_yaml, "--prompt", "create",
+                   "--out", out) == 0
+        manifest = json.loads((workdir / "flag-wins.jsonl.manifest.json").read_text())
+        assert manifest["config"]["prompt"] == "create"
+        assert "CREATE TABLE" in read_jsonl(out)[0]["prompt"]
+
+    @pytest.mark.parametrize("key", ["timout_ms", "suite-k"])
+    def test_unknown_key_refused(self, workdir, gold_predictions, fixture_benchmark_path,
+                                 db_root, key, capsys):
+        cfg = workdir / f"typo-{key}.yaml"
+        cfg.write_text(f"{key}: 2\n")
+        out = workdir / f"typo-{key}.jsonl"
+        rc = run("eval", "--config", cfg, "--benchmark", fixture_benchmark_path,
+                 "--db-root", db_root, "--predictions", gold_predictions, "--suite-k", "2",
+                 "--cache", workdir / "suites", "--out", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert repr(key) in err and str(cfg) in err
+        assert not out.exists()
+
+    def test_empty_key_takes_the_default(self, workdir, fixture_benchmark_path, db_root):
+        cfg = workdir / "empty-key.yaml"
+        cfg.write_text("shots:\nseed:\n")
+        out = workdir / "empty-key.jsonl"
+        assert run("prompt", "--config", cfg, "--benchmark", fixture_benchmark_path,
+                   "--db-root", db_root, "--out", out) == 0
+        config = json.loads((workdir / "empty-key.jsonl.manifest.json").read_text())["config"]
+        assert (config["shots"], config["seed"]) == (0, 0)
+
+    def test_value_of_wrong_type_refused(self, workdir, db_root, capsys):
+        cfg = workdir / "bad-value.yaml"
+        cfg.write_text("suite_k: many\n")
+        rc = run("suite", "--config", cfg, "--db", db_root / "network_1" / "network_1.sqlite",
+                 "--cache", workdir / "bad-value-suites")
+        assert rc == 2
+        assert "suite_k 'many'" in capsys.readouterr().err
+        assert not (workdir / "bad-value-suites").exists()
+
 
 class TestPredict:
     def test_gold_backend_round_trips_gold_sql(self, gold_predictions):
@@ -145,10 +232,20 @@ class TestPredict:
         assert len(lines) == len(FIXTURE_QUESTIONS)
         assert lines[1] == "SELECT name FROM Highschooler"
 
-    def test_unknown_backend(self, workdir, prompts_file):
+    def test_replay_without_replay_file_errors(self, workdir, prompts_file, capsys):
         rc = run("predict", "--prompts", prompts_file, "--backend", "replay",
                  "--out", workdir / "junk2.jsonl")
-        assert rc == 2  # replay without --replay-file
+        assert rc == 2
+        assert "--replay-file" in capsys.readouterr().err
+
+    def test_unknown_backend(self, workdir, prompts_file, capsys):
+        cfg = workdir / "nope.yaml"
+        cfg.write_text("backend: nope\n")
+        out = workdir / "junk3.jsonl"
+        rc = run("predict", "--config", cfg, "--prompts", prompts_file, "--out", out)
+        assert rc == 2
+        assert "'nope'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEval:
@@ -243,6 +340,31 @@ class TestReport:
         assert sorted(labels) == ["fixture_dev / create+select:3",
                                   "fixture_dev / model-a / create+select:3",
                                   "fixture_dev / model-b / create+select:3"]
+
+    def test_few_shot_label(self, workdir, fixture_benchmark_path, db_root):
+        prompts, preds = workdir / "4shot.prompts.jsonl", workdir / "4shot.predictions.jsonl"
+        out = workdir / "4shot.outcomes.jsonl"
+        assert run("prompt", "--benchmark", fixture_benchmark_path, "--db-root", db_root,
+                   "--train", fixture_benchmark_path, "--prompt", "create", "--shots", "4",
+                   "--out", prompts) == 0
+        assert run("predict", "--prompts", prompts, "--backend", "gold", "--model", "m",
+                   "--benchmark", fixture_benchmark_path, "--db-root", db_root,
+                   "--out", preds) == 0
+        assert run("eval", "--benchmark", fixture_benchmark_path, "--db-root", db_root,
+                   "--predictions", preds, "--suite-k", "2", "--cache", workdir / "suites",
+                   "--out", out) == 0
+        dest = workdir / "4shot.json"
+        assert run("report", "metrics", "--runs", out, "--format", "json",
+                   "--out", dest) == 0
+        assert [r["label"] for r in json.loads(dest.read_text())] == [
+            "fixture_dev / m / create / 4-shot"]
+
+    def test_zero_shot_label_omits_shots(self, workdir, outcomes_file):
+        dest = workdir / "zero-shot.json"
+        assert run("report", "metrics", "--runs", outcomes_file, "--format", "json",
+                   "--out", dest) == 0
+        [row] = json.loads(dest.read_text())
+        assert row["label"] == "fixture_dev / create+select:3"
 
     def test_no_matching_runs(self, workdir, capsys):
         rc = run("report", "metrics", "--runs", workdir / "nope-*.jsonl")

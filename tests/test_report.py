@@ -7,7 +7,6 @@ import pytest
 from sqlbench.errors import breakdown
 from sqlbench.evaluate import EvalOutcome
 from sqlbench.report import (
-    RunDescriptor,
     curve_csv,
     learning_curve,
     metrics_row,
@@ -58,16 +57,6 @@ class TestMetricsRow:
     def test_gold_broken_carried(self):
         row = metrics_row("run", mixed_outcomes(), n_gold_broken=2)
         assert row.n_gold_broken == 2
-
-
-class TestRunDescriptor:
-    def test_label(self):
-        d = RunDescriptor(benchmark="spider-dev", model="m", prompt="create_table", shots=4)
-        assert d.label == "spider-dev / m / create_table / 4-shot"
-
-    def test_zero_shot_label_omits_shots(self):
-        d = RunDescriptor(benchmark="b", model="m", prompt="question")
-        assert "shot" not in d.label
 
 
 class TestRenderers:
