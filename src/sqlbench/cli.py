@@ -16,12 +16,11 @@ import yaml
 from . import __version__
 from .backend import (BackendError, GoldOracleBackend, HttpBackend, Prediction,
                       ReplayBackend, predict)
-from .dataset import load_benchmark, select_support, SupportSet
+from .dataset import load_benchmark, select_support
 from .errors import annotation_skeleton, breakdown, load_annotations, sample_for_annotation
 from .evaluate import EvalOutcome, evaluate_benchmark
 from .fuzz import build_test_suite
-from .prompt import (BudgetError, PromptBudget, StyleKind, fit_support, parse_style,
-                     render_prompt)
+from .prompt import BudgetError, PromptBudget, fit_support, parse_style, render_prompt
 from .report import (curve_csv, learning_curve, metrics_table, render_breakdown_markdown,
                      render_csv, render_json, render_markdown)
 from .schema import introspect, sample_rows
@@ -92,16 +91,22 @@ RECORDED = {
     "predict": ("prompts", "backend", "model", "max_tokens", "temperature"),
     "eval": ("benchmark", "db_root", "predictions", "suite_k", "suite_seed", "timeout_ms"),
 }
+# The options a stage cannot run without.
+REQUIRED = {"prompt": ("benchmark", "db_root"), "eval": ("benchmark", "db_root"),
+            "suite": ("db",)}
 
 
 def _resolve(args) -> str | None:
     """Set each option of the stage to its flag, else its --config key, else its
     default, converted to the option's type. Returns what is wrong with the
-    config file, if anything."""
+    config file or what is missing, if anything."""
     config = {}
     if args.config:
-        with open(args.config) as f:
-            config = yaml.safe_load(f) or {}
+        try:
+            with open(args.config, "rb") as f:  # yaml reports undecodable bytes
+                config = yaml.safe_load(f) or {}
+        except (OSError, yaml.YAMLError) as e:
+            return f"cannot read config file {args.config}: {e}"
         if not isinstance(config, dict):
             return f"{args.config} does not map option names to values"
         unknown = [key for key in config if key not in CONFIG_KEYS]
@@ -122,6 +127,10 @@ def _resolve(args) -> str | None:
         if opt.choices and value not in opt.choices:
             return f"{opt.name} {value!r} in {args.config} is not one of {opt.choices}"
         setattr(args, opt.name, value)
+    for name in REQUIRED.get(args.command, ()):
+        if getattr(args, name) is None:
+            return (f"{args.command} needs --{name.replace('_', '-')} "
+                    f"or the config key {name}")
     return None
 
 
@@ -168,11 +177,11 @@ def cmd_prompt(args) -> int:
     bench = load_benchmark(args.benchmark, args.db_root)
     for w in bench.warnings:
         print(f"warning: {w}", file=sys.stderr)
-    style = parse_style(args.prompt, args.shots)
+    style = parse_style(args.prompt)
     budget = PromptBudget(context_tokens=args.context_tokens,
                           completion_reserve=args.completion_reserve)
 
-    support = SupportSet(n=0, seed=args.seed, examples=[])
+    support = None
     recorded = RECORDED["prompt"]
     if args.shots > 0:
         if not args.train:
@@ -193,15 +202,15 @@ def cmd_prompt(args) -> int:
         db_file = bench.db_path(rec.db_id)
         if rec.db_id not in schemas:
             schemas[rec.db_id] = introspect(db_file)
-            if style.needs_rows:
+            if style.x is not None:
                 samples_cache[rec.db_id] = [
-                    sample_rows(db_file, t.name, style.row_limit)
+                    sample_rows(db_file, t.name, style.x)
                     for t in schemas[rec.db_id].tables
                 ]
         schema = schemas[rec.db_id]
         samples = samples_cache.get(rec.db_id)
         try:
-            if style.kind is StyleKind.FEW_SHOT:
+            if support is not None:
                 rendered, n_used = fit_support(budget, style, schema, samples,
                                                rec.question, support)
             else:

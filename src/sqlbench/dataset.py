@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import json
 import random
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
+
+from .execution import sql_tokens
 
 
 class IngestionError(Exception):
@@ -100,48 +101,21 @@ def load_benchmark(path, db_root, name: str | None = None, split: str = "dev") -
                      db_root=db_root, warnings=warnings)
 
 
-# SQL lexer for template derivation: string literals, numbers, words, operators.
-_SQL_TOKEN = re.compile(
-    r"""
-      '(?:[^']|'')*'          # single-quoted string
-    | "(?:[^"]|"")*"          # double-quoted (Spider golds use these as strings)
-    | \d+\.\d*(?:[eE][+-]?\d+)?
-    | \.\d+(?:[eE][+-]?\d+)?
-    | \d+(?:[eE][+-]?\d+)?
-    | [A-Za-z_][A-Za-z_0-9]*
-    | <>|<=|>=|!=|\|\|
-    | [(),.;*=<>+\-/%]
-    """,
-    re.VERBOSE,
-)
-
-
 def canonical_template(sql: str) -> str:
     """Anonymize literals so queries sharing structure map to one string.
 
-    String literals become <str>, numeric literals <num>; everything else is
-    uppercased and whitespace-collapsed. Idempotent.
+    String literals become <str>, numeric literals <num>; comments are
+    dropped and everything else is uppercased and whitespace-collapsed.
+    Idempotent.
     """
     tokens = []
-    pos = 0
-    for m in _SQL_TOKEN.finditer(sql):
-        between = sql[pos:m.start()]
-        if between.strip():
-            raise TemplateError(f"cannot lex SQL near {between.strip()[:20]!r}")
-        pos = m.end()
-        tok = m.group(0)
-        if tok[0] in "'\"":
-            tokens.append("<str>")
-        elif tok[0].isdigit() or (tok[0] == "." and len(tok) > 1 and tok[1].isdigit()):
-            tokens.append("<num>")
-        else:
-            tokens.append(tok.upper())
-    if sql[pos:].strip():
-        raise TemplateError(f"cannot lex SQL near {sql[pos:].strip()[:20]!r}")
+    for kind, text in sql_tokens(sql):
+        if kind == "other":
+            raise TemplateError(f"cannot lex SQL near {text!r}")
+        tokens.append("<str>" if kind == "str" else "<num>" if kind == "num" else text.upper())
     out = " ".join(tokens)
     # re-join placeholder brackets split by the lexer
-    out = out.replace("< STR >", "<str>").replace("< NUM >", "<num>")
-    return out
+    return out.replace("< STR >", "<str>").replace("< NUM >", "<num>")
 
 
 def template_groups(bench: Benchmark) -> dict[str, list[ExampleRecord]]:

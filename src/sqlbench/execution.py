@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import sqlite3
 import time
 from contextlib import closing
@@ -37,34 +38,47 @@ class ExecError:
     message: str
 
 
+# The one SQL lexer. Whitespace and comments are skipped; an unterminated block
+# comment runs to the end, as in SQLite. A character no other kind takes is
+# `other`, one at a time.
+_SQL_TOKEN = re.compile(
+    r"""
+      (?P<skip>\s+ | --[^\n]* | /\*[\s\S]*?(?:\*/|\Z))
+    | (?P<str>'(?:[^']|'')*' | "(?:[^"]|"")*")  # Spider golds use "..." as strings
+    | (?P<ident>\[[^\]]*\] | `(?:[^`]|``)*`)
+    | (?P<num>\d+\.\d*(?:[eE][+-]?\d+)? | \.\d+(?:[eE][+-]?\d+)? | \d+(?:[eE][+-]?\d+)?)
+    | (?P<word>[A-Za-z_][A-Za-z_0-9]*)
+    | (?P<op><> | <= | >= | != | \|\| | [(),.;*=<>+\-/%])
+    | (?P<other>.)
+    """,
+    re.VERBOSE,
+)
+
+
+def sql_tokens(sql: str):
+    """Yield (kind, text) for each token of sql, kind being one of str, ident,
+    num, word, op and other."""
+    for m in _SQL_TOKEN.finditer(sql):
+        if m.lastgroup != "skip":
+            yield m.lastgroup, m.group()
+
+
 def has_top_level_order_by(sql: str) -> bool:
-    """True when the query has an ORDER BY outside any parenthesized subquery."""
+    """True when the query has an ORDER BY outside any parenthesized subquery.
+    Comments, string literals and quoted identifiers are never read as SQL."""
+    if "ORDER" not in sql.upper():  # true of most queries: skip the costly token walk
+        return False
     depth = 0
-    i = 0
-    n = len(sql)
-    upper = sql.upper()
-    while i < n:
-        c = sql[i]
-        if c in "'\"":
-            quote = c
-            i += 1
-            while i < n:
-                if sql[i] == quote:
-                    if i + 1 < n and sql[i + 1] == quote:
-                        i += 2
-                        continue
-                    break
-                i += 1
-        elif c == "(":
+    after_order = False
+    for kind, text in sql_tokens(sql):
+        word = text.upper() if kind == "word" else None
+        if word == "BY" and after_order and depth == 0:
+            return True
+        after_order = word == "ORDER"
+        if text == "(":
             depth += 1
-        elif c == ")":
+        elif text == ")":
             depth -= 1
-        elif depth == 0 and upper.startswith("ORDER", i):
-            before_ok = i == 0 or not (sql[i - 1].isalnum() or sql[i - 1] == "_")
-            rest = upper[i + 5:].lstrip()
-            if before_ok and rest.startswith("BY"):
-                return True
-        i += 1
     return False
 
 

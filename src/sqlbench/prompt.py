@@ -25,61 +25,39 @@ class StyleKind(Enum):
     SELECT_X = "select"
     CREATE_TABLE = "create"
     CREATE_TABLE_SELECT_X = "create+select"
-    FEW_SHOT = "fewshot"
 
 
 @dataclass(frozen=True)
 class PromptStyle:
     kind: StyleKind
-    x: int | None = None
-    base: "PromptStyle | None" = None
+    x: int | None = None  # rows sampled per table
 
     def __post_init__(self):
         needs_x = self.kind in (StyleKind.SELECT_X, StyleKind.CREATE_TABLE_SELECT_X)
         if needs_x != (self.x is not None):
             raise ValueError(f"row count x must be set iff style samples rows ({self.kind})")
-        if (self.kind is StyleKind.FEW_SHOT) != (self.base is not None):
-            raise ValueError("base style must be set iff kind is fewshot")
-
-    @property
-    def needs_rows(self) -> bool:
-        if self.kind is StyleKind.FEW_SHOT:
-            return self.base.needs_rows
-        return self.x is not None
-
-    @property
-    def row_limit(self) -> int | None:
-        if self.kind is StyleKind.FEW_SHOT:
-            return self.base.row_limit
-        return self.x
 
     @property
     def label(self) -> str:
-        if self.kind is StyleKind.FEW_SHOT:
-            return f"fewshot({self.base.label})"
         if self.x is not None:
             return f"{self.kind.value}:{self.x}"
         return self.kind.value
 
 
-def parse_style(text: str, shots: int = 0) -> PromptStyle:
+def parse_style(text: str) -> PromptStyle:
     """Parse a CLI style spec: question | apidocs | select:<X> | create | create+select:<X>."""
     text = text.strip().lower()
     if text == "question":
-        base = PromptStyle(StyleKind.QUESTION)
-    elif text == "apidocs":
-        base = PromptStyle(StyleKind.API_DOCS)
-    elif text == "create":
-        base = PromptStyle(StyleKind.CREATE_TABLE)
-    elif m := re.fullmatch(r"select:(\d+)", text):
-        base = PromptStyle(StyleKind.SELECT_X, x=int(m.group(1)))
-    elif m := re.fullmatch(r"create\+select:(\d+)", text):
-        base = PromptStyle(StyleKind.CREATE_TABLE_SELECT_X, x=int(m.group(1)))
-    else:
-        raise ValueError(f"unknown prompt style {text!r}")
-    if shots > 0:
-        return PromptStyle(StyleKind.FEW_SHOT, base=base)
-    return base
+        return PromptStyle(StyleKind.QUESTION)
+    if text == "apidocs":
+        return PromptStyle(StyleKind.API_DOCS)
+    if text == "create":
+        return PromptStyle(StyleKind.CREATE_TABLE)
+    if m := re.fullmatch(r"select:(\d+)", text):
+        return PromptStyle(StyleKind.SELECT_X, x=int(m.group(1)))
+    if m := re.fullmatch(r"create\+select:(\d+)", text):
+        return PromptStyle(StyleKind.CREATE_TABLE_SELECT_X, x=int(m.group(1)))
+    raise ValueError(f"unknown prompt style {text!r}")
 
 
 @dataclass(frozen=True)
@@ -173,31 +151,27 @@ def render_prompt(
     budget: PromptBudget | None = None,
 ) -> RenderedPrompt:
     """Produce the final prompt text for one style. Ends in the literal token
-    SELECT; the model completion is the query body."""
+    SELECT; the model completion is the query body. Given a support set, even
+    an empty one, the prompt takes the few-shot layout."""
     kind = style.kind
-    if kind is StyleKind.FEW_SHOT and support is None:
-        raise PromptContractError("fewshot style requires a support set")
-    body_kind = style.base.kind if kind is StyleKind.FEW_SHOT else kind
-
-    if body_kind in (StyleKind.SELECT_X, StyleKind.CREATE_TABLE_SELECT_X):
-        if samples is None:
-            raise PromptContractError(f"style {style.label} requires row samples")
-    if body_kind is not StyleKind.QUESTION and schema is None:
+    if style.x is not None and samples is None:
+        raise PromptContractError(f"style {style.label} requires row samples")
+    if kind is not StyleKind.QUESTION and schema is None:
         raise PromptContractError(f"style {style.label} requires a database schema")
 
-    if body_kind is StyleKind.QUESTION:
+    if kind is StyleKind.QUESTION:
         schema_part = None
-    elif body_kind is StyleKind.API_DOCS:
+    elif kind is StyleKind.API_DOCS:
         lines = ["### SQLite SQL tables, with their properties:", "#"]
         for t in schema.tables:
             lines.append(f"# {t.name}({', '.join(t.column_names)})")
         lines.append("#")
         schema_part = "\n".join(lines)
-    elif body_kind is StyleKind.SELECT_X:
+    elif kind is StyleKind.SELECT_X:
         by_table = {s.table.lower(): s for s in samples}
         sections = [_select_section(by_table[t.name.lower()], True) for t in schema.tables]
         schema_part = "\n\n".join(sections)
-    elif body_kind is StyleKind.CREATE_TABLE:
+    elif kind is StyleKind.CREATE_TABLE:
         schema_part = "\n\n".join(t.create_sql for t in schema.tables)
     else:  # CREATE_TABLE_SELECT_X
         by_table = {s.table.lower(): s for s in samples}
@@ -207,8 +181,8 @@ def render_prompt(
         ]
         schema_part = "\n\n".join(sections)
 
-    if kind is StyleKind.FEW_SHOT:
-        if body_kind is StyleKind.QUESTION:
+    if support is not None:
+        if kind is StyleKind.QUESTION:
             head = INSTRUCTION_PLAIN
         else:
             head = schema_part + "\n\n" + INSTRUCTION_TABLES
@@ -216,9 +190,9 @@ def render_prompt(
             text = head + "\n" + _support_block(support, question)
         else:
             text = head + "\n\n" + _tail(question)
-    elif body_kind is StyleKind.QUESTION:
+    elif kind is StyleKind.QUESTION:
         text = INSTRUCTION_PLAIN + "\n\n" + _tail(question)
-    elif body_kind is StyleKind.API_DOCS:
+    elif kind is StyleKind.API_DOCS:
         text = schema_part + f"\n### {question}\nSELECT"
     else:
         text = schema_part + "\n\n\n" + INSTRUCTION_TABLES + "\n\n" + _tail(question)

@@ -24,7 +24,7 @@ from sqlbench.prompt import (PromptBudget, PromptStyle, StyleKind, fit_support,
 from sqlbench.report import metrics_row
 from sqlbench.schema import introspect, sample_rows
 
-from conftest import FIXTURE_QUESTIONS, GEO_SUPPORT_PAIRS, load_golden
+from conftest import FIXTURE_QUESTIONS, GEO_SUPPORT_PAIRS, GOLDEN_DIR, load_golden
 from test_fuzz import check_integrity, make_item_db
 
 
@@ -72,8 +72,7 @@ def test_golden_prompt_fixtures(network1_db, geo_db):
                       for i, (q, sql) in enumerate(GEO_SUPPORT_PAIRS)],
         )
         five_shot = select_support(support, 5, seed=0)
-        style = PromptStyle(StyleKind.FEW_SHOT,
-                            base=PromptStyle(StyleKind.CREATE_TABLE_SELECT_X, x=3))
+        style = PromptStyle(StyleKind.CREATE_TABLE_SELECT_X, x=3)
         text = render_prompt(style, geo_schema, geo_samples,
                              "what is the biggest city in arizona", five_shot).text
         lines = text.split("\n")
@@ -85,6 +84,8 @@ def test_golden_prompt_fixtures(network1_db, geo_db):
         sqls = [l for l in pair_lines if l.startswith("SELECT ")]
         assert len(sqls) == 5 and all(l.endswith(" ;") for l in sqls)
         assert text.endswith("SELECT")
+        golden = (GOLDEN_DIR / "geography_create_table_select3_5shot.txt").read_text()
+        assert text == golden, "5-shot geography prompt drifted from its golden fixture"
 
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"golden rendering took {elapsed:.2f} s"
@@ -247,8 +248,7 @@ def test_few_shot_protocol(geo_db):
                       for i, (q, sql) in enumerate(GEO_SUPPORT_PAIRS)],
         )
         five = select_support(support, 5, seed=0)
-        style = PromptStyle(StyleKind.FEW_SHOT,
-                            base=PromptStyle(StyleKind.CREATE_TABLE_SELECT_X, x=3))
+        style = PromptStyle(StyleKind.CREATE_TABLE_SELECT_X, x=3)
         _, n_2048 = fit_support(PromptBudget(2048), style, schema, samples, "q", five)
         _, n_4096 = fit_support(PromptBudget(4096), style, schema, samples, "q", five)
         assert n_4096 >= n_2048

@@ -116,8 +116,31 @@ class TestPrompt:
         assert few_a["config_hash"] != few_b["config_hash"]
         assert "train" not in zero["config"]
 
+    def test_without_benchmark_refused(self, workdir, db_root, capsys):
+        out = workdir / "no-benchmark.jsonl"
+        assert run("prompt", "--db-root", db_root, "--out", out) == 2
+        assert "--benchmark or the config key benchmark" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConfig:
+    def test_missing_config_file_refused(self, workdir, db_root, capsys):
+        cfg = workdir / "no-such.yaml"
+        rc = run("suite", "--config", cfg, "--db", db_root / "network_1" / "network_1.sqlite",
+                 "--cache", workdir / "no-config-suites")
+        assert rc == 2
+        assert str(cfg) in capsys.readouterr().err
+        assert not (workdir / "no-config-suites").exists()
+
+    def test_invalid_yaml_refused(self, workdir, db_root, capsys):
+        cfg = workdir / "broken.yaml"
+        cfg.write_text("suite_k: [2\n")
+        rc = run("suite", "--config", cfg, "--db", db_root / "network_1" / "network_1.sqlite",
+                 "--cache", workdir / "broken-suites")
+        assert rc == 2
+        assert str(cfg) in capsys.readouterr().err
+        assert not (workdir / "broken-suites").exists()
+
     @pytest.fixture(scope="class")
     def run_yaml(self, workdir, fixture_benchmark_path, db_root):
         """One file holding keys of the prompt, predict and eval stages."""
@@ -268,6 +291,14 @@ class TestEval:
         assert "suites" not in manifest["config"]
         assert manifest["model"] == ""
 
+    def test_without_db_root_refused(self, workdir, gold_predictions,
+                                     fixture_benchmark_path, capsys):
+        out = workdir / "no-db-root.jsonl"
+        assert run("eval", "--benchmark", fixture_benchmark_path,
+                   "--predictions", gold_predictions, "--out", out) == 2
+        assert "--db-root or the config key db_root" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_benchmark_mismatch_refused(self, workdir, gold_predictions,
                                         fixture_benchmark_path, db_root, capsys):
         other = workdir / "other_bench.json"
@@ -381,6 +412,11 @@ class TestReport:
 
 
 class TestSuiteCommand:
+    def test_without_db_refused(self, workdir, capsys):
+        assert run("suite", "--cache", workdir / "no-db-suites") == 2
+        assert "--db or the config key db" in capsys.readouterr().err
+        assert not (workdir / "no-db-suites").exists()
+
     def test_generates_variants(self, workdir, db_root, capsys):
         rc = run("suite", "--db", db_root / "network_1" / "network_1.sqlite",
                  "--suite-k", "3", "--suite-seed", "5", "--cache", workdir / "pregen")

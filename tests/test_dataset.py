@@ -80,6 +80,14 @@ class TestCanonicalTemplate:
         t = canonical_template("SELECT a FROM t WHERE b = 'it''s'")
         assert t == "SELECT A FROM T WHERE B = <str>"
 
+    def test_comments_dropped(self):
+        sql = "SELECT a /* pick ( */ FROM t -- note\nWHERE b = 1 /* open"
+        assert canonical_template(sql) == "SELECT A FROM T WHERE B = <num>"
+        assert canonical_template("SELECT a--1") == "SELECT A"
+
+    def test_quoted_identifiers_lex(self):
+        assert canonical_template("SELECT [a b] FROM `a`") == "SELECT [A B] FROM `A`"
+
     def test_unlexable_raises(self):
         with pytest.raises(TemplateError):
             canonical_template("SELECT a FROM t WHERE b = 'unterminated")

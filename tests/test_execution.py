@@ -103,6 +103,39 @@ class TestReusedConnection:
                 assert execute_sql(network1_db, sql, timeout_ms, connections) == one_shot[i]
 
 
+# Separators, select items and table aliases that must never be read as SQL:
+# comments, string literals and quoted identifiers holding parens or ORDER BY.
+GAPS = [" ", "\n", " -- ) ORDER BY a\n", " /* ( */ ", " /* ORDER BY ) */ ", " /* ("]
+ITEMS = ["a", "'ORDER BY ('", '"ORDER BY )"', "'it''s )'"]
+ALIASES = ["", " [x (]", " AS `y )`", " ORDERS", " AS BYTES"]
+
+
+@st.composite
+def ordered_queries(draw, depth=2):
+    """A SELECT and whether it has a top-level ORDER BY, known by construction.
+    Its subqueries, in FROM and in WHERE, may have ORDER BYs of their own. The
+    SQL runs on any table t with a column a."""
+    def gap(last=False):
+        # an unterminated block comment runs to the end, so it may only come last
+        return draw(st.sampled_from(GAPS if last else GAPS[:-1]))
+
+    def subquery():
+        sql, _ = draw(ordered_queries(depth - 1))
+        return f"({gap()}{sql}{gap()})"
+
+    source = subquery() if depth and draw(st.booleans()) else "t"
+    sql = (f"SELECT{gap()}{draw(st.sampled_from(ITEMS))} AS a{gap()}FROM{gap()}{source}"
+           f"{draw(st.sampled_from(ALIASES))}")
+    if depth and draw(st.booleans()):
+        sql += f"{gap()}WHERE a IN{gap()}{subquery()}"
+    ordered = draw(st.booleans())
+    if ordered:
+        sql += f"{gap()}ORDER{gap()}BY{gap()}a"
+    if depth == 2:
+        sql += gap(last=True)
+    return sql, ordered
+
+
 class TestTopLevelOrderBy:
     @pytest.mark.parametrize("sql,expected", [
         ("SELECT a FROM t ORDER BY a", True),
@@ -112,9 +145,20 @@ class TestTopLevelOrderBy:
         ("SELECT a FROM t", False),
         ("SELECT 'ORDER BY' FROM t", False),
         ("SELECT a FROM t UNION SELECT b FROM u ORDER BY 1", True),
+        ("SELECT a FROM t -- )\nORDER BY a", True),
+        ("SELECT [x (] FROM t ORDER BY a", True),
+        ("SELECT a FROM t /* ( */ ORDER BY a", True),
+        ("SELECT `x (` FROM t ORDER BY a", True),
+        ("SELECT a FROM t ORDER BYTES", False),
     ])
     def test_detection(self, sql, expected):
         assert has_top_level_order_by(sql) is expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(query=ordered_queries())
+    def test_detection_property(self, query):
+        sql, ordered = query
+        assert has_top_level_order_by(sql) is ordered
 
 
 def rs(rows, cols=None, ordered=False):

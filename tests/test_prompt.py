@@ -4,6 +4,7 @@ import pytest
 
 from sqlbench.dataset import ExampleRecord, SupportSet
 from sqlbench.prompt import (
+    INSTRUCTION_TABLES,
     BudgetError,
     PromptBudget,
     PromptContractError,
@@ -93,8 +94,7 @@ class TestFewShot:
             ExampleRecord(f"s{i}", "geography", q, sql, template_id=str(i))
             for i, (q, sql) in enumerate(GEO_SUPPORT_PAIRS)
         ])
-        style = PromptStyle(StyleKind.FEW_SHOT,
-                            base=PromptStyle(StyleKind.CREATE_TABLE_SELECT_X, x=3))
+        style = PromptStyle(StyleKind.CREATE_TABLE_SELECT_X, x=3)
         text = render_prompt(style, schema, samples,
                              "what is the biggest city in arizona", support).text
         lines = text.split("\n")
@@ -120,15 +120,19 @@ class TestFewShot:
             ExampleRecord("s0", "network_1", "How many students?",
                           "SELECT count(*) FROM Highschooler;", template_id="t"),
         ])
-        style = PromptStyle(StyleKind.FEW_SHOT, base=PromptStyle(StyleKind.CREATE_TABLE))
+        style = PromptStyle(StyleKind.CREATE_TABLE)
         text = render_prompt(style, schema, None, QUESTION, support).text
         assert "-- How many students?\nSELECT count(*) FROM Highschooler ;" in text
 
-    def test_requires_support(self, network1):
-        schema, samples = network1
-        style = PromptStyle(StyleKind.FEW_SHOT, base=PromptStyle(StyleKind.CREATE_TABLE))
-        with pytest.raises(PromptContractError):
-            render_prompt(style, schema, None, QUESTION)
+    def test_support_set_selects_few_shot_layout(self, network1):
+        schema, _ = network1
+        style = PromptStyle(StyleKind.CREATE_TABLE)
+        zero_shot = render_prompt(style, schema, None, QUESTION).text
+        assert zero_shot == load_golden("create_table")
+        empty = render_prompt(style, schema, None, QUESTION,
+                              SupportSet(n=0, seed=0, examples=[])).text
+        tables = "\n\n".join(t.create_sql for t in schema.tables)
+        assert empty == f"{tables}\n\n{INSTRUCTION_TABLES}\n\n-- {QUESTION}\nSELECT"
 
     def test_missing_samples_contract_error(self, network1):
         schema, _ = network1
@@ -172,8 +176,7 @@ def geo(geo_db):
         ExampleRecord(f"s{i}", "geography", q, sql, template_id=str(i))
         for i, (q, sql) in enumerate(GEO_SUPPORT_PAIRS)
     ])
-    style = PromptStyle(StyleKind.FEW_SHOT,
-                        base=PromptStyle(StyleKind.CREATE_TABLE_SELECT_X, x=3))
+    style = PromptStyle(StyleKind.CREATE_TABLE_SELECT_X, x=3)
     return schema, samples, support, style
 
 
@@ -235,11 +238,6 @@ class TestParseStyle:
         style = parse_style(spec)
         assert style.kind is kind and style.x == x
 
-    def test_shots_wrap_in_fewshot(self):
-        style = parse_style("create+select:3", shots=5)
-        assert style.kind is StyleKind.FEW_SHOT
-        assert style.base.kind is StyleKind.CREATE_TABLE_SELECT_X
-
     def test_unknown(self):
         with pytest.raises(ValueError):
             parse_style("banana")
@@ -249,5 +247,3 @@ class TestParseStyle:
             PromptStyle(StyleKind.SELECT_X)  # x required
         with pytest.raises(ValueError):
             PromptStyle(StyleKind.QUESTION, x=3)  # x forbidden
-        with pytest.raises(ValueError):
-            PromptStyle(StyleKind.FEW_SHOT)  # base required
