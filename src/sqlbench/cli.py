@@ -189,6 +189,8 @@ def cmd_prompt(args) -> int:
             return 2
         train = load_benchmark(args.train, args.db_root, split="train")
         support = select_support(train, args.shots, args.seed)
+        for w in train.warnings:
+            print(f"warning: train: {w}", file=sys.stderr)
         recorded += ("train",)
         support_out = args.out.with_suffix(".support.json")
         support_out.parent.mkdir(parents=True, exist_ok=True)

@@ -137,7 +137,8 @@ def template_groups(bench: Benchmark) -> dict[str, list[ExampleRecord]]:
 
 
 def select_support(train: Benchmark, n: int, seed: int) -> SupportSet:
-    """Pick one example from each of the n most frequent train templates.
+    """Pick one example from each of the n most frequent train templates, or
+    from every template when there are fewer.
 
     Frequency ties break by ascending template string. The draw for each
     template is seeded by (seed, template string) so extending the pool never
@@ -157,4 +158,4 @@ def select_support(train: Benchmark, n: int, seed: int) -> SupportSet:
             pick = ExampleRecord(pick.example_id, pick.db_id, pick.question,
                                  pick.gold_sql, template_id=template)
         chosen.append(pick)
-    return SupportSet(n=n, seed=seed, examples=chosen)
+    return SupportSet(n=len(chosen), seed=seed, examples=chosen)

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import re
 import sqlite3
 import time
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass
+from itertools import chain, groupby
 from pathlib import Path
 
 REL_TOL = 1e-6
@@ -176,12 +180,19 @@ def _is_number(v) -> bool:
 
 
 def cells_equal(a, b) -> bool:
+    """Cell equality: NULL only equals NULL; an int equals an int exactly; a
+    float equals a number within REL_TOL/ABS_TOL, an infinity only itself; any
+    other value equals a value of the same type that compares ==, so bool is
+    kept apart from int and text from bytes."""
     if a is None or b is None:
         return a is None and b is None
     if _is_number(a) and _is_number(b):
+        if a == b:
+            return True
         if isinstance(a, int) and isinstance(b, int):
-            return a == b
-        return abs(a - b) <= max(ABS_TOL, REL_TOL * max(abs(a), abs(b)))
+            return False
+        diff = abs(a - b)  # inf, or NaN, when either side is not finite
+        return diff != math.inf and diff <= max(ABS_TOL, REL_TOL * max(abs(a), abs(b)))
     if type(a) is not type(b):
         return False
     return a == b
@@ -191,30 +202,134 @@ def _rows_equal(ra: tuple, rb: tuple) -> bool:
     return len(ra) == len(rb) and all(cells_equal(x, y) for x, y in zip(ra, rb))
 
 
-def _sort_key(row: tuple):
-    key = []
-    for v in row:
-        if v is None:
-            key.append((0, ""))
-        elif _is_number(v):
-            key.append((1, float(v)))
-        elif isinstance(v, bytes):
-            key.append((3, v.hex()))
+# Types on which cells_equal is plain == and hashing agrees with it. A float
+# is equal within tolerance; a bool is ==, and hashes alike, to 1 or 0, which
+# cells_equal keeps apart.
+_EXACT_TYPES = frozenset({int, str, bytes, type(None)})
+_TOLERANT = object()  # key mark of a cell compared within tolerance
+
+
+def _typed(cells: tuple) -> tuple:
+    return tuple((type(v), v) for v in cells)
+
+
+def _split_row(row: tuple, tolerant: set[int]) -> tuple[tuple, tuple]:
+    """Split a row into its exact key and its tolerance part: the numbers in
+    columns that hold a float. cells_equal on the key is ==, numbers keyed by
+    value (ints only) and every other cell by (type, value)."""
+    key, reals = [], []
+    for j, v in enumerate(row):
+        if not _is_number(v):
+            key.append((type(v), v))
+        elif j in tolerant:
+            key.append(_TOLERANT)
+            reals.append(v)
         else:
-            key.append((2, str(v)))
-    return key
+            key.append(v)
+    return tuple(key), tuple(reals)
+
+
+def _augment(start: int, candidates: list[list[int]], need: list[int], free: list[int],
+             paired: list[dict[int, int]]) -> bool:
+    """Pair more rows of gold run start along a shortest path, found breadth
+    first: to a pred run with rows free, maybe through pred runs whose gold
+    partners move on to another candidate. False when no such path exists."""
+    reached_from = {}  # pred run -> the gold run that reached it
+    gives_up = {start: None}  # gold run -> the pred run it would leave
+    queue = [start]
+    for i in queue:
+        for j in candidates[i]:
+            if j in reached_from:
+                continue
+            reached_from[j] = i
+            if free[j]:
+                path = []  # (gold run, pred run it pairs with more rows), from j back to start
+                while j is not None:
+                    i = reached_from[j]
+                    path.append((i, j))
+                    j = gives_up[i]
+                amount = min(need[start], free[path[0][1]],
+                             *(paired[gives_up[i]][i] for i, _ in path[:-1]))
+                for i, j in path:
+                    paired[j][i] = paired[j].get(i, 0) + amount
+                    if gives_up[i] is not None:
+                        paired[gives_up[i]][i] -= amount
+                need[start] -= amount
+                free[path[0][1]] -= amount
+                return True
+            for k, rows in paired[j].items():
+                if rows and k not in gives_up:
+                    gives_up[k] = j
+                    queue.append(k)
+    return False
+
+
+def _perfect_matching(gold: list[tuple], pred: list[tuple]) -> bool:
+    """True when the tolerance parts of gold and pred (equally many, of one
+    length) pair up one to one with every pair equal under cells_equal."""
+    gold, pred = sorted(gold), sorted(pred)
+    if all(map(_rows_equal, gold, pred)):  # a matching; its absence proves nothing
+        return True
+    if any(v != v for part in chain(gold, pred) for v in part):
+        return False  # NaN equals nothing, and would leave the sort order undefined
+    # Identical parts are interchangeable, so runs of them are matched as one
+    # node with a count: many equal REALs cost one node, not a quadratic graph.
+    gold_runs = [list(run) for _, run in groupby(gold, key=_typed)]
+    pred_runs = [list(run) for _, run in groupby(pred, key=_typed)]
+    firsts = [float(run[0][0]) for run in pred_runs]  # ascending, pred being sorted
+    candidates = []
+    for run in gold_runs:
+        a = float(run[0][0])
+        # cells_equal(a, b) implies |a - b| <= max(ABS_TOL, REL_TOL * |a| / (1 - REL_TOL));
+        # an infinity equals only itself
+        reach = 2 * max(ABS_TOL, REL_TOL * abs(a)) if math.isfinite(a) else 0.0
+        lo, hi = bisect_left(firsts, a - reach), bisect_right(firsts, a + reach)
+        equal = [j for j in range(lo, hi) if _rows_equal(run[0], pred_runs[j][0])]
+        if not equal:
+            return False
+        candidates.append(equal)
+    need = [len(run) for run in gold_runs]
+    free = [len(run) for run in pred_runs]
+    paired = [{} for _ in pred_runs]  # pred run -> {gold run: rows paired}
+    for i in range(len(gold_runs)):
+        while need[i]:
+            # no path now means none later either: a perfect matching would
+            # leave one from this run (Berge)
+            if not _augment(i, candidates, need, free, paired):
+                return False
+    return True
+
+
+def _tolerant_multisets_equal(gold_rows: list[tuple], pred_rows: list[tuple]) -> bool:
+    """Multiset equality under cells_equal: a perfect matching between gold
+    and pred rows. Rows are grouped on their exact key and matched within each
+    group on their tolerance part; rows that are exactly equal are not paired
+    off first, since equality within tolerance is not transitive."""
+    tolerant = {j for row in chain(gold_rows, pred_rows)
+                for j, v in enumerate(row) if isinstance(v, float)}
+    groups: dict[tuple, tuple[list, list]] = {}
+    for side, rows in enumerate((gold_rows, pred_rows)):
+        for row in rows:
+            key, reals = _split_row(row, tolerant)
+            groups.setdefault(key, ([], []))[side].append(reals)
+    return all(len(g) == len(p) and _perfect_matching(g, p) for g, p in groups.values())
 
 
 def compare_results(gold: ExecResult, pred: ExecResult) -> bool:
     """Denotation equality: sequence comparison when the gold query orders its
     output, multiset comparison otherwise. Column names are ignored; arity
-    must match. Reals compare within tolerance."""
+    must match. Reals compare within tolerance (cells_equal), and multisets
+    are equal when their rows pair up one to one, each pair equal. Without a
+    REAL or bool cell, equality is exact, so rows are counted, not sorted."""
     if len(gold.columns) != len(pred.columns):
         return False
     if len(gold.rows) != len(pred.rows):
         return False
-    if gold.order_sensitive:
-        return all(_rows_equal(g, p) for g, p in zip(gold.rows, pred.rows))
-    gold_sorted = sorted(gold.rows, key=_sort_key)
-    pred_sorted = sorted(pred.rows, key=_sort_key)
-    return all(_rows_equal(g, p) for g, p in zip(gold_sorted, pred_sorted))
+    in_order = gold.order_sensitive or len(gold.rows) < 2  # one row is a sequence too
+    if _EXACT_TYPES.issuperset(map(type, chain.from_iterable(chain(gold.rows, pred.rows)))):
+        if in_order:
+            return gold.rows == pred.rows
+        return Counter(gold.rows) == Counter(pred.rows)
+    if in_order:
+        return all(map(_rows_equal, gold.rows, pred.rows))
+    return _tolerant_multisets_equal(gold.rows, pred.rows)

@@ -88,6 +88,22 @@ class TestPrompt:
         assert support["n"] == 2 and len(support["examples"]) == 2
         assert all(r["shots_used"] == 2 for r in read_jsonl(out))
 
+    def test_unlexable_train_gold_reported(self, workdir, fixture_benchmark_path, db_root,
+                                           capsys):
+        train = workdir / "train_unlexable.json"
+        train.write_text(json.dumps([
+            {"db_id": "network_1", "question": "q0", "query": "SELECT a FROM t WHERE a = ?1"},
+            {"db_id": "network_1", "question": "q1", "query": "SELECT count(*) FROM Likes"},
+        ]))
+        out = workdir / "unlexable.jsonl"
+        rc = run("prompt", "--benchmark", fixture_benchmark_path, "--db-root", db_root,
+                 "--train", train, "--prompt", "question", "--shots", "2", "--out", out)
+        assert rc == 0
+        assert "warning: train: e0000: excluded from templates" in capsys.readouterr().err
+        support = json.loads((workdir / "unlexable.support.json").read_text())
+        assert support["n"] == 1 and len(support["examples"]) == 1
+        assert all(r["shots_used"] == 1 for r in read_jsonl(out))
+
     def test_config_file_supplies_defaults(self, workdir, fixture_benchmark_path, db_root):
         cfg = workdir / "run.yaml"
         cfg.write_text(

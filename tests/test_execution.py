@@ -1,4 +1,7 @@
+import math
+import random
 from contextlib import closing
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from sqlbench.execution import (
     execute_sql,
     has_top_level_order_by,
 )
+from sqlbench.errors import detect_extra_columns
 
 
 class TestExecuteSql:
@@ -161,6 +165,13 @@ class TestTopLevelOrderBy:
         assert has_top_level_order_by(sql) is ordered
 
 
+# cells_equal(V, V + T) and cells_equal(V, V - T) hold, but not
+# cells_equal(V - T, V + T); likewise for 0.0 and +-1e-9.
+V, T = 1.0, 0.99e-6
+CELLS = [None, 0, 1, 2, 1.0, "1", b"1", True, False, "a", b"a", math.inf, -math.inf,
+         V + T, V - T, 1.0 + 1e-9, 0.0, 1e-9, -1e-9]
+
+
 def rs(rows, cols=None, ordered=False):
     n = len(rows[0]) if rows else 1
     return ExecResult(columns=cols or [f"c{i}" for i in range(n)], rows=rows,
@@ -203,6 +214,54 @@ class TestCompareResults:
     def test_empty_results_equal(self):
         assert compare_results(rs([], cols=["a"]), rs([], cols=["b"]))
 
+    def test_exact_cells_keep_their_type(self):
+        assert not compare_results(rs([(True,)]), rs([(1,)]))
+        assert not compare_results(rs([("1",)]), rs([(b"1",)]))
+        assert not compare_results(rs([(1, "a"), (2, "b")]), rs([(1, "b"), (2, "a")]))
+
+    def test_multiset_within_tolerance(self):
+        # sorting pairs (1.0, 'b') with (1.0, 'a'): a row-by-row check after a
+        # sort rejects this, though each row has an equal partner
+        gold = rs([(1.0, "b"), (1.0 + 1e-9, "a")])
+        assert compare_results(gold, rs([(1.0 + 1e-9, "b"), (1.0, "a")]))
+
+    def test_tolerance_is_not_transitive(self):
+        # pairing v with v first would leave v + t with v - t, which differ
+        assert compare_results(rs([(V,), (V + T,)]), rs([(V,), (V - T,)]))
+        assert not compare_results(rs([(V + T,), (V + T,)]), rs([(V,), (V - T,)]))
+
+    def test_matching_takes_back_a_pairing(self):
+        # (V - T, V - T) equals both pred rows; pairing it with the first one
+        # leaves (V - T, V + T) without a partner
+        gold = rs([(V - T, V - T), (V - T, V + T)])
+        assert compare_results(gold, rs([(V - T, V), (V, V - T)]))
+        assert compare_results(gold, rs([(V, V - T), (V - T, V)]))
+
+    def test_many_rows_within_tolerance(self):
+        gold, pred = [], []
+        for k in range(1000):
+            gold += [(float(k), 0.5), (k + 1e-9, 2.5)]
+            pred += [(k + 1e-9, 0.5), (float(k), 2.5)]
+        random.Random(1).shuffle(pred)
+        assert compare_results(rs(gold), rs(pred))
+        pred[500] = (pred[500][0], 7.5)
+        assert not compare_results(rs(gold), rs(pred))
+
+    def test_many_equal_reals(self):
+        # identical rows are matched as one counted node, not one node each,
+        # so a failed shortcut does not cost time quadratic in the rows
+        gold = [(0.0, 2.5)] * 2500 + [(1e-9, 2.5)] * 2500
+        pred = [(1e-9, 2.5)] * 2500 + [(0.0, 2.5 + 1e-9)] * 2500
+        assert compare_results(rs(gold), rs(pred))
+        assert not compare_results(rs(gold), rs(pred[:-1] + [(0.0, 3.5)]))
+
+    def test_infinity_from_sqlite(self, network1_db):
+        res = execute_sql(network1_db, "SELECT 1e999, -1e999")
+        assert res.rows == [(math.inf, -math.inf)]
+        assert compare_results(res, execute_sql(network1_db, "SELECT 1e999, -1e999"))
+        assert not compare_results(res, execute_sql(network1_db, "SELECT 1e999, 1e999"))
+        assert not compare_results(res, execute_sql(network1_db, "SELECT 1e999, -1e300"))
+
     def test_reflexive_and_symmetric(self):
         a = rs([(1, "x"), (2, None), (2, None)])
         b = rs([(2, None), (1, "x"), (2, None)])
@@ -216,3 +275,82 @@ class TestCellsEqual:
         assert cells_equal(1, 1)
         assert cells_equal(1.5, 1.5)
         assert not cells_equal("a", "b")
+
+    def test_infinity_equals_only_itself(self):
+        assert cells_equal(math.inf, math.inf)
+        assert not cells_equal(math.inf, -math.inf)
+        assert not cells_equal(math.inf, 1e308)
+        assert not cells_equal(math.nan, math.nan)
+
+
+def reference_compare(gold: ExecResult, pred: ExecResult) -> bool:
+    """Brute force: some order of the pred rows (only the given one when gold
+    is ordered) equals gold row by row under cells_equal."""
+    if len(gold.columns) != len(pred.columns) or len(gold.rows) != len(pred.rows):
+        return False
+
+    def equal_in_order(rows):
+        return all(len(g) == len(p) and all(map(cells_equal, g, p))
+                   for g, p in zip(gold.rows, rows))
+
+    if gold.order_sensitive:
+        return equal_in_order(pred.rows)
+    return any(equal_in_order(rows) for rows in permutations(pred.rows))
+
+
+def reference_extra_columns(gold: ExecResult, pred: ExecResult) -> bool:
+    g, p = len(gold.columns), len(pred.columns)
+    return p > g and any(
+        reference_compare(gold, ExecResult(columns=[pred.columns[i] for i in kept],
+                                           rows=[tuple(r[i] for i in kept) for r in pred.rows]))
+        for kept in combinations(range(p), g))
+
+
+@st.composite
+def result_pairs(draw, max_rows=6, extra_columns=0, near_only=False):
+    """A gold result and a pred result built from it: rows shuffled, some cells
+    replaced, now and then a row added or dropped, and up to extra_columns
+    columns inserted. near_only keeps to two columns of V - T, V and V + T."""
+    near = st.sampled_from([V - T, V, V + T])
+    cells = near if near_only else st.one_of(near, near, st.sampled_from(CELLS))
+    arity = 2 if near_only else draw(st.sampled_from([1, 1, 2, 3]))
+    gold = draw(st.lists(st.tuples(*[cells] * arity), max_size=max_rows))
+    pred = [tuple(draw(cells) if draw(st.integers(0, 4)) == 0 else v for v in row)
+            for row in draw(st.permutations(gold))]
+    if pred and draw(st.integers(0, 5)) == 0:
+        pred.pop()
+    elif len(pred) < max_rows and draw(st.integers(0, 5)) == 0:
+        pred.append(draw(st.tuples(*[cells] * arity)))
+    width = arity
+    for _ in range(draw(st.integers(0, extra_columns))):
+        at = draw(st.integers(0, width))
+        pred = [row[:at] + (draw(cells),) + row[at:] for row in pred]
+        width += 1
+    ordered = draw(st.booleans())
+    return (ExecResult([f"g{i}" for i in range(arity)], gold, ordered),
+            ExecResult([f"p{i}" for i in range(width)], pred, ordered))
+
+
+class TestAgainstReference:
+    @settings(max_examples=1000, deadline=None)
+    @given(pair=result_pairs())
+    def test_compare_results(self, pair):
+        gold, pred = pair
+        assert compare_results(gold, pred) is reference_compare(gold, pred)
+
+    @settings(max_examples=500, deadline=None)
+    @given(pair=result_pairs(max_rows=5, near_only=True))
+    def test_compare_results_near_tolerance(self, pair):
+        gold, pred = pair
+        assert compare_results(gold, pred) is reference_compare(gold, pred)
+
+    @settings(max_examples=500, deadline=None)
+    @given(pair=result_pairs(max_rows=5, extra_columns=2))
+    def test_detect_extra_columns(self, pair):
+        gold, pred = pair
+        assert detect_extra_columns(gold, pred) is reference_extra_columns(gold, pred)
+
+    def test_cell_pool(self):
+        for v, t in ((V, T), (0.0, 1e-9)):
+            assert cells_equal(v, v + t) and cells_equal(v, v - t)
+            assert not cells_equal(v - t, v + t)
