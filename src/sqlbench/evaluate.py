@@ -10,6 +10,7 @@ from .backend import EMPTY_PREDICTION, Prediction
 from .dataset import Benchmark, ExampleRecord
 from .execution import Connections, ExecError, compare_results, execute_sql
 from .fuzz import TestSuite
+from .store import GoldStore
 
 
 class GoldBrokenError(Exception):
@@ -38,16 +39,28 @@ class EvalOutcome:
 
 def evaluate(example: ExampleRecord, prediction: Prediction, suite: TestSuite,
              timeout_ms: int = 30000, warnings: list | None = None,
-             connections: Connections | None = None) -> EvalOutcome:
+             connections: Connections | None = None,
+             gold_store: GoldStore | None = None) -> EvalOutcome:
     """Score one prediction. valid: executes on the original database;
     ex: matches gold there; ts: matches gold on every suite variant.
 
     Queries run on the connections `connections` holds for the suite's
-    files, or, without it, each on a connection of its own."""
+    files, or, without it, each on a connection of its own. Gold results
+    come from gold_store when it holds them, and go into it when it does not
+    (given connections, which tell whether a result may be stored)."""
     start = time.monotonic()
     original = suite.variants[0]
+    stored = gold_store.lookup(example.gold_sql) if gold_store is not None else None
 
-    gold_res = execute_sql(original, example.gold_sql, timeout_ms, connections)
+    def gold_on(i, db_file):
+        result = stored.get(i) if stored is not None else None
+        if result is None:
+            result = execute_sql(db_file, example.gold_sql, timeout_ms, connections)
+            if stored is not None:
+                stored.put(i, result, volatile=connections is None or connections.volatile)
+        return result
+
+    gold_res = gold_on(0, original)
     if isinstance(gold_res, ExecError):
         raise GoldBrokenError(
             f"{example.example_id}: gold query failed on {suite.db_id}: {gold_res.message}"
@@ -75,8 +88,8 @@ def evaluate(example: ExampleRecord, prediction: Prediction, suite: TestSuite,
         return done(True, None, False, False)
 
     ts = True
-    for variant in suite.variants[1:]:
-        gold_v = execute_sql(variant, example.gold_sql, timeout_ms, connections)
+    for i, variant in enumerate(suite.variants[1:], 1):
+        gold_v = gold_on(i, variant)
         if isinstance(gold_v, ExecError):
             if warnings is not None:
                 warnings.append(
@@ -95,6 +108,7 @@ class BenchmarkEvaluation:
     outcomes: list[EvalOutcome]
     gold_broken: list[str]
     warnings: list[str] = field(default_factory=list)
+    gold_store: dict[str, int] = field(default_factory=lambda: {"hits": 0, "misses": 0})
 
 
 def evaluate_benchmark(bench: Benchmark, predictions: dict[str, Prediction],
@@ -102,9 +116,10 @@ def evaluate_benchmark(bench: Benchmark, predictions: dict[str, Prediction],
                        timeout_ms: int = 30000) -> BenchmarkEvaluation:
     """Evaluate every benchmark example that has a prediction and a suite.
 
-    Examples run grouped by database, so each suite file is opened once per
-    group and at most one suite's connections are open at a time. Outcomes,
-    gold-broken ids and warnings still come out in benchmark order.
+    Examples run grouped by database, so each suite file, and the suite's
+    gold store, is opened once per group and at most one suite's connections
+    are open at a time. Outcomes, gold-broken ids and warnings still come out
+    in benchmark order, after one warning per gold store that failed.
     Gold-broken examples are excluded from outcomes and listed separately.
     """
     groups: dict[str, list[int]] = {}
@@ -112,21 +127,26 @@ def evaluate_benchmark(bench: Benchmark, predictions: dict[str, Prediction],
         if example.example_id in predictions and example.db_id in suites:
             groups.setdefault(example.db_id, []).append(i)
 
+    result = BenchmarkEvaluation(outcomes=[], gold_broken=[])
     scored: dict[int, tuple[EvalOutcome | None, list[str]]] = {}
     for db_id, indices in groups.items():
-        with closing(Connections()) as connections:
+        suite = suites[db_id]
+        with closing(Connections()) as connections, closing(GoldStore(suite)) as store:
             for i in indices:
                 example = bench.examples[i]
                 notes: list[str] = []
                 try:
-                    outcome = evaluate(example, predictions[example.example_id],
-                                       suites[db_id], timeout_ms, notes, connections)
+                    outcome = evaluate(example, predictions[example.example_id], suite,
+                                       timeout_ms, notes, connections, store)
                 except GoldBrokenError as e:
                     outcome = None
                     notes.append(str(e))
                 scored[i] = (outcome, notes)
+        result.gold_store["hits"] += store.hits
+        result.gold_store["misses"] += store.misses
+        if store.warning:
+            result.warnings.append(f"gold store {store.path}: {store.warning}")
 
-    result = BenchmarkEvaluation(outcomes=[], gold_broken=[])
     skipped = []
     for i, example in enumerate(bench.examples):
         if i in scored:

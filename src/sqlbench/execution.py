@@ -27,6 +27,16 @@ _ALLOWED_ACTIONS = {
     31,  # SQLITE_FUNCTION
     33,  # SQLITE_RECURSIVE
 }
+_SQLITE_FUNCTION = 31
+
+# SQL functions whose result can differ between two runs of one query on one
+# database: randomness, connection state and the clock. Names as the
+# authorizer reports them.
+VOLATILE_FUNCTIONS = frozenset({
+    "random", "randomblob", "changes", "last_insert_rowid", "total_changes",
+    "date", "time", "datetime", "julianday", "unixepoch", "strftime", "timediff",
+    "current_date", "current_time", "current_timestamp",
+})
 
 
 @dataclass
@@ -93,6 +103,8 @@ class Connections:
     The authorizer and progress handler are installed once per connection;
     every query resets the deadline and the denied/timed-out flags they set,
     so a rejected, timed-out or failed query never affects the next one.
+    After a query, `volatile` tells whether it called one of
+    VOLATILE_FUNCTIONS, so that its result may not repeat.
     SQLite connections belong to the thread that opened them, so one holder
     serves one thread."""
 
@@ -102,9 +114,12 @@ class Connections:
         self._deadline = 0.0
         self._denied = False
         self._timed_out = False
+        self.volatile = False
 
-    def _authorize(self, action, *args):
+    def _authorize(self, action, arg1, arg2, *rest):
         if action in _ALLOWED_ACTIONS:
+            if action == _SQLITE_FUNCTION and arg2 in VOLATILE_FUNCTIONS:
+                self.volatile = True
             return sqlite3.SQLITE_OK
         self._denied = True
         return sqlite3.SQLITE_DENY
@@ -133,7 +148,7 @@ class Connections:
             conn = self._connection(db_file)
         except sqlite3.Error as e:
             return ExecError("engine", str(e))
-        self._denied = self._timed_out = False
+        self._denied = self._timed_out = self.volatile = False
         self._deadline = time.monotonic() + timeout_ms / 1000.0
         try:
             with closing(conn.execute(sql)) as cur:
@@ -181,9 +196,10 @@ def _is_number(v) -> bool:
 
 def cells_equal(a, b) -> bool:
     """Cell equality: NULL only equals NULL; an int equals an int exactly; a
-    float equals a number within REL_TOL/ABS_TOL, an infinity only itself; any
-    other value equals a value of the same type that compares ==, so bool is
-    kept apart from int and text from bytes."""
+    float equals a number within REL_TOL/ABS_TOL, an infinity only itself, an
+    int outside the float range no float; any other value equals a value of
+    the same type that compares ==, so bool is kept apart from int and text
+    from bytes."""
     if a is None or b is None:
         return a is None and b is None
     if _is_number(a) and _is_number(b):
@@ -191,8 +207,11 @@ def cells_equal(a, b) -> bool:
             return True
         if isinstance(a, int) and isinstance(b, int):
             return False
-        diff = abs(a - b)  # inf, or NaN, when either side is not finite
-        return diff != math.inf and diff <= max(ABS_TOL, REL_TOL * max(abs(a), abs(b)))
+        try:
+            diff = abs(a - b)  # inf, or NaN, when either side is not finite
+            return diff != math.inf and diff <= max(ABS_TOL, REL_TOL * max(abs(a), abs(b)))
+        except OverflowError:  # an int past the float range, against a float
+            return False
     if type(a) is not type(b):
         return False
     return a == b
@@ -264,6 +283,14 @@ def _augment(start: int, candidates: list[list[int]], need: list[int], free: lis
     return False
 
 
+def _as_float(v) -> float:
+    """v as a float; an int past the float range becomes the infinity of its sign."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf if v > 0 else -math.inf
+
+
 def _perfect_matching(gold: list[tuple], pred: list[tuple]) -> bool:
     """True when the tolerance parts of gold and pred (equally many, of one
     length) pair up one to one with every pair equal under cells_equal."""
@@ -276,10 +303,10 @@ def _perfect_matching(gold: list[tuple], pred: list[tuple]) -> bool:
     # node with a count: many equal REALs cost one node, not a quadratic graph.
     gold_runs = [list(run) for _, run in groupby(gold, key=_typed)]
     pred_runs = [list(run) for _, run in groupby(pred, key=_typed)]
-    firsts = [float(run[0][0]) for run in pred_runs]  # ascending, pred being sorted
+    firsts = [_as_float(run[0][0]) for run in pred_runs]  # ascending, pred being sorted
     candidates = []
     for run in gold_runs:
-        a = float(run[0][0])
+        a = _as_float(run[0][0])
         # cells_equal(a, b) implies |a - b| <= max(ABS_TOL, REL_TOL * |a| / (1 - REL_TOL));
         # an infinity equals only itself
         reach = 2 * max(ABS_TOL, REL_TOL * abs(a)) if math.isfinite(a) else 0.0
@@ -329,7 +356,9 @@ def compare_results(gold: ExecResult, pred: ExecResult) -> bool:
     if _EXACT_TYPES.issuperset(map(type, chain.from_iterable(chain(gold.rows, pred.rows)))):
         if in_order:
             return gold.rows == pred.rows
-        return Counter(gold.rows) == Counter(pred.rows)
+        # dict's == runs in C, Counter's in Python; the same here, as counts of
+        # rows are never zero
+        return dict.__eq__(Counter(gold.rows), Counter(pred.rows))
     if in_order:
         return all(map(_rows_equal, gold.rows, pred.rows))
     return _tolerant_multisets_equal(gold.rows, pred.rows)

@@ -9,6 +9,8 @@ Suites are cached under <cache>/<db_id>/<seed>/k<k>-v<generator version>-<first
 16 hex digits of the source file's sha256>. A suite is generated into a temporary
 directory and renamed into place, so a reader never sees a half-written one,
 and its manifest records a sha256 per variant that is checked on every reuse.
+Eval keeps the suite's gold results beside the variants, in gold.sqlite
+(store.py).
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ class TestSuite:
     variants: list[Path]  # variants[0] is the original database file
     source_sha256: str = ""
     content_hash: str = ""  # sha256 over the source and every variant file
+    directory: Path | None = None  # the cache directory holding the variants
 
 
 class _Unusable(Exception):
@@ -407,4 +410,4 @@ def build_test_suite(db_file, k: int, seed: int, cache_dir, db_id: str | None = 
             shutil.rmtree(built, ignore_errors=True)
     content_hash = hashlib.sha256("\n".join([source, *hashes]).encode()).hexdigest()
     return TestSuite(db_id=db_id, seed=seed, k=k, variants=variants, source_sha256=source,
-                     content_hash=content_hash)
+                     content_hash=content_hash, directory=suite_dir)

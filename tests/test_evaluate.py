@@ -1,13 +1,27 @@
 import json
+import math
+import os
+import re
 import sqlite3
+import subprocess
+import sys
+import tempfile
+from contextlib import closing
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import sqlbench
 from sqlbench import execution
 from sqlbench.backend import Prediction
+from sqlbench.cli import main
 from sqlbench.dataset import ExampleRecord, load_benchmark
 from sqlbench.evaluate import GoldBrokenError, evaluate, evaluate_benchmark
+from sqlbench.execution import Connections, ExecResult, execute_sql
 from sqlbench.fuzz import TestSuite, build_test_suite
+from sqlbench.store import GoldStore
 
 from conftest import FIXTURE_QUESTIONS, make_geo_db, make_network1_db
 
@@ -158,8 +172,12 @@ class TestEvaluateBenchmark:
         monkeypatch.setattr(sqlite3, "connect", counting_connect)
         result = evaluate_benchmark(bench, predictions, suites)
         assert [o.ts for o in result.outcomes] == [True, True, True]
+        suite = suites["network_1"]
+        variants = [d for d in opened if any(str(v) in str(d) for v in suite.variants)]
         # one connection per query would be 3 examples x (1 + 2) files x 2 queries = 18
-        assert len(opened) == len(set(opened)) == 3
+        assert len(variants) == len(set(variants)) == 3
+        # the gold store: once per database group
+        assert [d for d in opened if d not in variants] == [suite.directory / "gold.sqlite"]
 
     def test_interleaved_databases_keep_benchmark_order(self, tmp_path):
         root = tmp_path / "dbroot"
@@ -212,3 +230,156 @@ class TestEvaluateBenchmark:
                        prediction("SELECT name FROM Highschooler"), suite)
         assert not out.valid and not out.ex and not out.ts
         assert "more than 5 rows" in out.invalid_reason
+
+
+SPECIAL_CELLS = [1, 1.0, "1", b"1", None, -0.0, math.inf, -math.inf,
+                 2**63 - 1, -(2**63 - 1), "naïve ☃ 日本"]
+CELLS = st.one_of(st.sampled_from(SPECIAL_CELLS), st.integers(-2**63, 2**63 - 1),
+                  st.floats(allow_nan=False), st.text(max_size=6), st.binary(max_size=6))
+
+
+def round_trip(suite, sql, result):
+    """result put into the store of suite, then read back by a store opened anew."""
+    with closing(GoldStore(suite)) as store:
+        store.lookup(sql).put(0, result, volatile=False)
+    with closing(GoldStore(suite)) as store:
+        got = store.lookup(sql).get(0)
+        assert store.hits == 1 and store.warning is None
+    return got
+
+
+def network1_eval(db_root, tmp_path, golds, preds, **kwargs):
+    """evaluate_benchmark on network_1 examples with these golds and
+    predictions, against the k=2 suite cached under tmp_path."""
+    bench_file = tmp_path / "bench.json"
+    bench_file.write_text(json.dumps(
+        [{"db_id": "network_1", "question": "q", "query": gold} for gold in golds]))
+    bench = load_benchmark(bench_file, db_root)
+    predictions = {e.example_id: prediction(sql, e.example_id)
+                   for e, sql in zip(bench.examples, preds)}
+    suite = build_test_suite(db_root / "network_1" / "network_1.sqlite", 2, seed=1,
+                             cache_dir=tmp_path / "cache", db_id="network_1")
+    return evaluate_benchmark(bench, predictions, {"network_1": suite}, **kwargs), suite
+
+
+def scores(result):
+    return [(o.example_id, o.valid, o.invalid_reason, o.ex, o.ts) for o in result.outcomes]
+
+
+def without_timing(path) -> list[str]:
+    return [re.sub(r', "timing_ms": [-+.eE0-9]+', "", line)
+            for line in path.read_text().splitlines()]
+
+
+class TestGoldStore:
+    @settings(max_examples=60, deadline=None)
+    @given(width=st.integers(1, 4), data=st.data())
+    def test_round_trip(self, width, data):
+        rows = data.draw(st.lists(st.tuples(*[CELLS] * width), max_size=6))
+        columns = [f"c{j}" for j in range(width)]
+        with tempfile.TemporaryDirectory() as tmp:
+            db = Path(tmp) / "t.sqlite"
+            with closing(sqlite3.connect(db)) as conn:
+                conn.execute(f"CREATE TABLE t ({', '.join(columns)})")
+                conn.executemany(f"INSERT INTO t VALUES ({','.join('?' * width)})", rows)
+                conn.commit()
+            suite = TestSuite("t", 0, 1, [db], content_hash="c" * 64, directory=Path(tmp))
+            raw = ExecResult(columns, rows)
+            assert repr(round_trip(suite, "raw", raw)) == repr(raw)
+            for sql in ("SELECT * FROM t", "SELECT * FROM t ORDER BY 1",
+                        "SELECT * FROM t WHERE 0", "-- no statement", "SELECT nocol FROM t"):
+                executed = execute_sql(db, sql)
+                assert repr(round_trip(suite, sql, executed)) == repr(executed)
+
+    def test_volatile_golds_never_stored(self, db_root, tmp_path):
+        with closing(Connections()) as connections:
+            connections.execute(db_root / "network_1" / "network_1.sqlite",
+                                "SELECT random()", 1000)
+            assert connections.volatile
+            connections.execute(db_root / "network_1" / "network_1.sqlite", "SELECT 1", 1000)
+            assert not connections.volatile
+        golds = ["SELECT random()", "SELECT CURRENT_TIMESTAMP", "SELECT count(*) FROM Friend"]
+        invalid = ["SELECT nocol FROM Friend"] * 3  # only the gold on the original runs
+        first, suite = network1_eval(db_root, tmp_path, golds, invalid)
+        assert first.gold_store == {"hits": 0, "misses": 3}
+        again, _ = network1_eval(db_root, tmp_path, golds, invalid)
+        assert again.gold_store == {"hits": 1, "misses": 2}
+        with closing(sqlite3.connect(suite.directory / "gold.sqlite")) as conn:
+            assert conn.execute("SELECT count(*) FROM gold").fetchone() == (1,)
+
+    def test_timeout_never_stored(self, db_root, tmp_path):
+        slow = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c) "
+                "SELECT count(*) FROM (SELECT x FROM c LIMIT 1000000000)")
+        for _ in range(2):
+            result, suite = network1_eval(db_root, tmp_path, [slow], [slow], timeout_ms=50)
+            assert result.gold_broken == ["e0000"]
+            assert result.gold_store == {"hits": 0, "misses": 1}
+        with closing(sqlite3.connect(suite.directory / "gold.sqlite")) as conn:
+            assert conn.execute("SELECT count(*) FROM gold").fetchone() == (0,)
+
+    @pytest.mark.parametrize("damage", ["tampered", "retyped", "moved", "garbage", "unopenable"])
+    def test_damaged_store_falls_back(self, db_root, tmp_path, damage):
+        golds = [sql for _, sql in FIXTURE_QUESTIONS[:4]]
+        preds = [golds[0], golds[1], "SELECT name FROM Highschooler", "SELECT nocol FROM t"]
+        first, suite = network1_eval(db_root, tmp_path, golds, preds)
+        lookups = sum(first.gold_store.values())
+        assert first.gold_store["misses"] == lookups and not first.warnings
+        path = suite.directory / "gold.sqlite"
+        if damage in ("tampered", "retyped", "moved"):
+            changes = {
+                "tampered": ["payload = CAST(CAST(payload AS TEXT) || ' ' AS BLOB)"],  # valid JSON
+                "retyped": ["payload = CAST(payload AS TEXT)"],
+                # each row under the key of the next variant, as a damaged index could serve it
+                "moved": ["variant = variant + 10", "variant = (variant - 9) % 3"],
+            }[damage]
+            with closing(sqlite3.connect(path)) as conn:
+                for change in changes:
+                    conn.execute(f"UPDATE gold SET {change}")
+                conn.commit()
+        elif damage == "garbage":
+            path.write_bytes(b"not a database " * 300)
+        else:
+            path.unlink()
+            path.mkdir()
+        damaged, _ = network1_eval(db_root, tmp_path, golds, preds)
+        assert scores(damaged) == scores(first)
+        assert damaged.gold_store == {"hits": 0, "misses": lookups}
+        assert len(damaged.warnings) == 1
+        assert damaged.warnings[0].startswith(f"gold store {path}: ")
+        if damage in ("tampered", "retyped", "moved"):  # the rows run again were stored again
+            repaired, _ = network1_eval(db_root, tmp_path, golds, preds)
+            assert repaired.gold_store == {"hits": lookups, "misses": 0}
+            assert scores(repaired) == scores(first) and not repaired.warnings
+
+    def test_concurrent_evals_share_one_store(self, fixture_benchmark_path, db_root, tmp_path):
+        bench = load_benchmark(fixture_benchmark_path, db_root)
+        preds = tmp_path / "predictions.jsonl"
+        preds.write_text("".join(
+            json.dumps({"example_id": e.example_id, "raw_completion": "",
+                        "sql": e.gold_sql if i % 3 else "SELECT name FROM Highschooler"}) + "\n"
+            for i, e in enumerate(bench.examples)))
+        cache = tmp_path / "cache"
+        build_test_suite(db_root / "network_1" / "network_1.sqlite", 4, seed=7,
+                         cache_dir=cache, db_id="network_1")
+
+        def argv(out):
+            return [str(a) for a in ("eval", "--benchmark", fixture_benchmark_path,
+                                     "--db-root", db_root, "--predictions", preds,
+                                     "--suite-k", 4, "--suite-seed", 7, "--cache", cache,
+                                     "--out", tmp_path / out)]
+
+        env = {**os.environ, "PYTHONPATH": str(Path(sqlbench.__file__).parents[1])}
+        procs = [subprocess.Popen([sys.executable, "-m", "sqlbench.cli", *argv(f"{name}.jsonl")],
+                                  env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                                  text=True)
+                 for name in ("a", "b")]
+        for proc in procs:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            assert "gold store" not in err
+        assert main(argv("warm.jsonl")) == 0
+        a, b, warm = (without_timing(tmp_path / f"{n}.jsonl") for n in ("a", "b", "warm"))
+        assert a == b == warm and len(a) == len(bench.examples)
+        manifest = json.loads((tmp_path / "warm.jsonl.manifest.json").read_text())
+        assert manifest["gold_store"]["misses"] == 0
+        assert manifest["gold_store"]["hits"] > len(bench.examples)

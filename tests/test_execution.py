@@ -282,6 +282,16 @@ class TestCellsEqual:
         assert not cells_equal(math.inf, 1e308)
         assert not cells_equal(math.nan, math.nan)
 
+    def test_int_past_float_range_equals_no_float(self):
+        assert not cells_equal(10**400, 1.0)
+        assert not cells_equal(10**400, math.inf)
+        assert cells_equal(10**400, 10**400)
+
+    def test_int_past_float_range_in_multiset(self):
+        gold = ExecResult(["a"], [(10**400,), (2,)])
+        assert not compare_results(gold, ExecResult(["a"], [(1.0,), (2,)]))
+        assert compare_results(gold, ExecResult(["a"], [(2.0,), (10**400,)]))
+
 
 def reference_compare(gold: ExecResult, pred: ExecResult) -> bool:
     """Brute force: some order of the pred rows (only the given one when gold
