@@ -8,6 +8,7 @@ import glob as globmod
 import hashlib
 import json
 import sys
+from contextlib import closing
 from pathlib import Path
 from typing import NamedTuple
 
@@ -20,10 +21,11 @@ from .dataset import load_benchmark, select_support
 from .errors import annotation_skeleton, breakdown, load_annotations, sample_for_annotation
 from .evaluate import EvalOutcome, evaluate_benchmark
 from .fuzz import build_test_suite
-from .prompt import BudgetError, PromptBudget, fit_support, parse_style, render_prompt
+from .prompt import (BudgetError, PromptBudget, PromptStyle, SchemaSection, fit_support,
+                     parse_style, render_prompt, render_schema)
 from .report import (curve_csv, learning_curve, metrics_table, render_breakdown_markdown,
                      render_csv, render_json, render_markdown)
-from .schema import introspect, sample_rows
+from .schema import connect_ro, introspect, sample_rows
 
 
 class Option(NamedTuple):
@@ -173,6 +175,17 @@ def _read_jsonl(path):
                 yield json.loads(line)
 
 
+def _schema_section(db_file, style: PromptStyle) -> SchemaSection:
+    """Read a database's schema and row samples through one connection, and
+    render them once for style."""
+    with closing(connect_ro(db_file)) as conn:
+        schema = introspect(db_file, conn)
+        samples = None
+        if style.x is not None:
+            samples = [sample_rows(db_file, t.name, style.x, conn) for t in schema.tables]
+    return render_schema(style, schema, samples)
+
+
 def cmd_prompt(args) -> int:
     bench = load_benchmark(args.benchmark, args.db_root)
     for w in bench.warnings:
@@ -196,28 +209,19 @@ def cmd_prompt(args) -> int:
         support_out.parent.mkdir(parents=True, exist_ok=True)
         support_out.write_text(support.to_json())
 
-    schemas = {}
-    samples_cache = {}
+    sections = {}  # db_id -> the schema section of its prompts
     records = []
     skipped = []
     for rec in bench.examples:
-        db_file = bench.db_path(rec.db_id)
-        if rec.db_id not in schemas:
-            schemas[rec.db_id] = introspect(db_file)
-            if style.x is not None:
-                samples_cache[rec.db_id] = [
-                    sample_rows(db_file, t.name, style.x)
-                    for t in schemas[rec.db_id].tables
-                ]
-        schema = schemas[rec.db_id]
-        samples = samples_cache.get(rec.db_id)
+        section = sections.get(rec.db_id)
+        if section is None:
+            section = sections[rec.db_id] = _schema_section(bench.db_path(rec.db_id), style)
         try:
             if support is not None:
-                rendered, n_used = fit_support(budget, style, schema, samples,
+                rendered, n_used = fit_support(budget, style, section, None,
                                                rec.question, support)
             else:
-                rendered = render_prompt(style, schema, samples, rec.question,
-                                         budget=budget)
+                rendered = render_prompt(style, section, None, rec.question, budget=budget)
                 n_used = 0
                 if not rendered.fits_budget:
                     skipped.append(rec.example_id)

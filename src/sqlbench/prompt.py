@@ -6,6 +6,7 @@ import math
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .dataset import SupportSet
 from .schema import DatabaseSchema, RowSample
@@ -69,6 +70,10 @@ class PromptBudget:
         if self.completion_reserve >= self.context_tokens:
             raise ValueError("completion reserve must be smaller than the context window")
 
+    def admits(self, est_tokens: int) -> bool:
+        """A prompt of est_tokens leaves the completion reserve free."""
+        return est_tokens + self.completion_reserve <= self.context_tokens
+
 
 @dataclass
 class RenderedPrompt:
@@ -81,6 +86,11 @@ INSTRUCTION_PLAIN = "-- Using valid SQLite, answer the following questions."
 INSTRUCTION_TABLES = (
     "-- Using valid SQLite, answer the following questions for the tables provided above."
 )
+
+# A token estimate is ceil(TOKEN_INFLATION x the number of token runs): word
+# runs and single punctuation marks, never whitespace.
+TOKEN_INFLATION = 1.3
+_TOKEN_RUN = re.compile(r"\w+|[^\w\s]")
 
 
 def _cell_text(value) -> str:
@@ -129,30 +139,37 @@ def _select_section(sample: RowSample, with_table_header: bool) -> str:
     return "\n".join(lines)
 
 
-def _tail(question: str) -> str:
-    return f"-- {question}\nSELECT"
+def _count(text: str) -> int:
+    return len(_TOKEN_RUN.findall(text))
 
 
-def _support_block(support: SupportSet, question: str) -> str:
-    pairs = []
-    for rec in support.examples:
-        sql = rec.gold_sql.strip().rstrip(";").rstrip()
-        pairs.append(f"-- {rec.question}\n{sql} ;")
-    pairs.append(_tail(question))
-    return "\n".join(["\n\n".join(pairs)])
+_PLAIN_TOKENS = _count(INSTRUCTION_PLAIN)
+_TABLES_TOKENS = _count(INSTRUCTION_TABLES)
 
 
-def render_prompt(
-    style: PromptStyle,
-    schema: DatabaseSchema | None,
-    samples: list[RowSample] | None,
-    question: str,
-    support: SupportSet | None = None,
-    budget: PromptBudget | None = None,
-) -> RenderedPrompt:
-    """Produce the final prompt text for one style. Ends in the literal token
-    SELECT; the model completion is the query body. Given a support set, even
-    an empty one, the prompt takes the few-shot layout."""
+def _inflate(count: int) -> int:
+    return math.ceil(count * TOKEN_INFLATION)
+
+
+def estimate_tokens(text: str) -> int:
+    """Deterministic upper-bound token estimate: non-whitespace runs split on
+    punctuation boundaries, inflated and rounded up."""
+    return _inflate(_count(text))
+
+
+@dataclass(frozen=True)
+class SchemaSection:
+    """The schema part of one database's prompts in one style, rendered and
+    counted once. render_prompt and fit_support take it in place of a schema."""
+    style: PromptStyle
+    text: str  # empty for the question style, which shows no schema
+    tokens: int  # token runs, before inflation
+
+
+def render_schema(
+    style: PromptStyle, schema: DatabaseSchema | None, samples: list[RowSample] | None
+) -> SchemaSection:
+    """The schema part of style's prompts for one database, with its token runs."""
     kind = style.kind
     if style.x is not None and samples is None:
         raise PromptContractError(f"style {style.label} requires row samples")
@@ -160,58 +177,90 @@ def render_prompt(
         raise PromptContractError(f"style {style.label} requires a database schema")
 
     if kind is StyleKind.QUESTION:
-        schema_part = None
+        text = ""
     elif kind is StyleKind.API_DOCS:
         lines = ["### SQLite SQL tables, with their properties:", "#"]
         for t in schema.tables:
             lines.append(f"# {t.name}({', '.join(t.column_names)})")
         lines.append("#")
-        schema_part = "\n".join(lines)
+        text = "\n".join(lines)
     elif kind is StyleKind.SELECT_X:
         by_table = {s.table.lower(): s for s in samples}
         sections = [_select_section(by_table[t.name.lower()], True) for t in schema.tables]
-        schema_part = "\n\n".join(sections)
+        text = "\n\n".join(sections)
     elif kind is StyleKind.CREATE_TABLE:
-        schema_part = "\n\n".join(t.create_sql for t in schema.tables)
+        text = "\n\n".join(t.create_sql for t in schema.tables)
     else:  # CREATE_TABLE_SELECT_X
         by_table = {s.table.lower(): s for s in samples}
         sections = [
             t.create_sql + "\n" + _select_section(by_table[t.name.lower()], False)
             for t in schema.tables
         ]
-        schema_part = "\n\n".join(sections)
+        text = "\n\n".join(sections)
+    return SchemaSection(style, text, _count(text))
 
-    if support is not None:
-        if kind is StyleKind.QUESTION:
-            head = INSTRUCTION_PLAIN
-        else:
-            head = schema_part + "\n\n" + INSTRUCTION_TABLES
-        if support.examples:
-            text = head + "\n" + _support_block(support, question)
-        else:
-            text = head + "\n\n" + _tail(question)
-    elif kind is StyleKind.QUESTION:
-        text = INSTRUCTION_PLAIN + "\n\n" + _tail(question)
-    elif kind is StyleKind.API_DOCS:
-        text = schema_part + f"\n### {question}\nSELECT"
+
+def _section(style: PromptStyle, schema, samples) -> SchemaSection:
+    if not isinstance(schema, SchemaSection):
+        return render_schema(style, schema, samples)
+    if schema.style != style:
+        raise PromptContractError(
+            f"schema section rendered for {schema.style.label}, not {style.label}")
+    return schema
+
+
+@lru_cache(maxsize=4096)
+def _pair(question: str, gold_sql: str) -> tuple[str, int]:
+    """One support pair's text and token runs, counted once per process."""
+    sql = gold_sql.strip().rstrip(";").rstrip()
+    text = f"-- {question}\n{sql} ;"
+    return text, _count(text)
+
+
+def _pieces(section: SchemaSection, question: str, pairs: list[tuple[str, int]] | None):
+    """The prompt as strings to concatenate, and its token runs. pairs is
+    None for the zero-shot layout. Each piece meets the next at whitespace,
+    which no token run holds, so the prompt's runs are the pieces' runs."""
+    kind = section.style.kind
+    if kind is StyleKind.API_DOCS and pairs is None:
+        tail = f"### {question}\nSELECT"
+        return [section.text, "\n", tail], section.tokens + _count(tail)
+    tail = f"-- {question}\nSELECT"
+    if kind is StyleKind.QUESTION:
+        out = [INSTRUCTION_PLAIN]
+        tokens = _PLAIN_TOKENS
     else:
-        text = schema_part + "\n\n\n" + INSTRUCTION_TABLES + "\n\n" + _tail(question)
+        out = [section.text, "\n\n\n" if pairs is None else "\n\n", INSTRUCTION_TABLES]
+        tokens = section.tokens + _TABLES_TOKENS
+    sep = "\n" if pairs else "\n\n"
+    for text, n in pairs or ():
+        out += (sep, text)
+        tokens += n
+        sep = "\n\n"
+    out += (sep, tail)
+    return out, tokens + _count(tail)
 
-    est = estimate_tokens(text)
-    fits = True
-    if budget is not None:
-        fits = est + budget.completion_reserve <= budget.context_tokens
-    return RenderedPrompt(text=text, est_tokens=est, fits_budget=fits)
 
-
-_TOKEN_RUN = re.compile(r"\w+|[^\w\s]")
-
-
-def estimate_tokens(text: str, inflation: float = 1.3) -> int:
-    """Deterministic upper-bound token estimate: non-whitespace runs split on
-    punctuation boundaries, inflated and rounded up."""
-    count = len(_TOKEN_RUN.findall(text))
-    return math.ceil(count * inflation)
+def render_prompt(
+    style: PromptStyle,
+    schema: DatabaseSchema | SchemaSection | None,
+    samples: list[RowSample] | None,
+    question: str,
+    support: SupportSet | None = None,
+    budget: PromptBudget | None = None,
+) -> RenderedPrompt:
+    """Produce the final prompt text for one style. Ends in the literal token
+    SELECT; the model completion is the query body. Given a support set, even
+    an empty one, the prompt takes the few-shot layout. schema may be the
+    section render_schema made of it, and samples is then unused."""
+    section = _section(style, schema, samples)
+    pairs = None
+    if support is not None:
+        pairs = [_pair(rec.question, rec.gold_sql) for rec in support.examples]
+    pieces, tokens = _pieces(section, question, pairs)
+    est = _inflate(tokens)
+    fits = budget is None or budget.admits(est)
+    return RenderedPrompt(text="".join(pieces), est_tokens=est, fits_budget=fits)
 
 
 def fit_support(
@@ -224,12 +273,19 @@ def fit_support(
 ) -> tuple[RenderedPrompt, int]:
     """Render with the largest support prefix that fits the budget, dropping
     from the least-frequent-template end. Raises BudgetError when even the
-    zero-shot prompt is too large."""
-    for keep in range(len(support.examples), -1, -1):
-        trimmed = SupportSet(n=support.n, seed=support.seed, examples=support.examples[:keep])
-        rendered = render_prompt(style, schema, samples, question, trimmed, budget)
-        if rendered.fits_budget:
-            return rendered, keep
-    raise BudgetError(
-        f"prompt exceeds budget ({budget.context_tokens} tokens) even with no support examples"
-    )
+    zero-shot prompt is too large. Prefixes are measured by their counted
+    pieces; only the chosen one is rendered."""
+    section = _section(style, schema, samples)
+    pairs = [_pair(rec.question, rec.gold_sql) for rec in support.examples]
+    _, tokens = _pieces(section, question, pairs)
+    keep = len(pairs)
+    while not budget.admits(_inflate(tokens)):
+        if keep == 0:
+            raise BudgetError(
+                f"prompt exceeds budget ({budget.context_tokens} tokens) "
+                "even with no support examples"
+            )
+        keep -= 1
+        tokens -= pairs[keep][1]
+    trimmed = SupportSet(n=support.n, seed=support.seed, examples=support.examples[:keep])
+    return render_prompt(style, section, None, question, trimmed, budget), keep

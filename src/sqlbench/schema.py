@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import sqlite3
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,47 +57,55 @@ class RowSample:
     rows: list[tuple]
 
 
-def _connect_ro(db_file) -> sqlite3.Connection:
+def connect_ro(db_file) -> sqlite3.Connection:
+    """A read-only connection to db_file, which introspect and sample_rows
+    accept in place of opening their own."""
     path = Path(db_file)
     if not path.exists():
         raise IntrospectionError(f"database file not found: {path}")
-    return sqlite3.connect(f"file:{path}?mode=ro", uri=True)
-
-
-def introspect(db_file) -> DatabaseSchema:
-    """Read all user tables in catalog order, with columns, PKs, FKs, and the
-    original CREATE TABLE text. Dangling foreign keys become schema warnings."""
     try:
-        conn = _connect_ro(db_file)
-        cur = conn.execute(
-            "SELECT name, sql FROM sqlite_master "
-            "WHERE type = 'table' AND name NOT LIKE 'sqlite_%'"
-        )
-        master = cur.fetchall()
+        return sqlite3.connect(f"file:{path}?mode=ro", uri=True)
     except sqlite3.Error as e:
         raise IntrospectionError(f"cannot read database {db_file}: {e}") from e
 
+
+def _reading(db_file, conn: sqlite3.Connection | None):
+    """conn, left open, or else a read-only connection of db_file that closes
+    with the block."""
+    return nullcontext(conn) if conn is not None else closing(connect_ro(db_file))
+
+
+def introspect(db_file, conn: sqlite3.Connection | None = None) -> DatabaseSchema:
+    """Read all user tables in catalog order, with columns, PKs, FKs, and the
+    original CREATE TABLE text. Dangling foreign keys become schema warnings.
+    Reads through conn if given, else through a connection of its own."""
     tables = []
     warnings = []
-    try:
-        for name, create_sql in master:
-            cols = []
-            for _, cname, ctype, notnull, _, pk in conn.execute(
-                f'PRAGMA table_info("{name}")'
-            ):
-                cols.append(ColumnSchema(cname, ctype, pk > 0, bool(notnull)))
-            fks = []
-            for row in conn.execute(f'PRAGMA foreign_key_list("{name}")'):
-                # (id, seq, ref_table, from_col, to_col, ...)
-                ref_table, from_col, to_col = row[2], row[3], row[4]
-                if to_col is None:
-                    to_col = ""  # implicit reference to the parent PK
-                fks.append((from_col, ref_table, to_col))
-            tables.append(TableSchema(name, cols, fks, create_sql or ""))
-    except sqlite3.Error as e:
-        raise IntrospectionError(f"cannot introspect {db_file}: {e}") from e
-    finally:
-        conn.close()
+    with _reading(db_file, conn) as conn:
+        try:
+            master = conn.execute(
+                "SELECT name, sql FROM sqlite_master "
+                "WHERE type = 'table' AND name NOT LIKE 'sqlite_%'"
+            ).fetchall()
+        except sqlite3.Error as e:
+            raise IntrospectionError(f"cannot read database {db_file}: {e}") from e
+        try:
+            for name, create_sql in master:
+                cols = []
+                for _, cname, ctype, notnull, _, pk in conn.execute(
+                    f'PRAGMA table_info("{name}")'
+                ):
+                    cols.append(ColumnSchema(cname, ctype, pk > 0, bool(notnull)))
+                fks = []
+                for row in conn.execute(f'PRAGMA foreign_key_list("{name}")'):
+                    # (id, seq, ref_table, from_col, to_col, ...)
+                    ref_table, from_col, to_col = row[2], row[3], row[4]
+                    if to_col is None:
+                        to_col = ""  # implicit reference to the parent PK
+                    fks.append((from_col, ref_table, to_col))
+                tables.append(TableSchema(name, cols, fks, create_sql or ""))
+        except sqlite3.Error as e:
+            raise IntrospectionError(f"cannot introspect {db_file}: {e}") from e
 
     by_name = {t.name.lower(): t for t in tables}
     for t in tables:
@@ -123,18 +132,17 @@ def introspect(db_file) -> DatabaseSchema:
     return DatabaseSchema(db_file=Path(db_file), tables=tables, warnings=warnings)
 
 
-def sample_rows(db_file, table: str, x: int) -> RowSample:
-    """First x rows of a table in natural (rowid) order, typed values preserved."""
+def sample_rows(db_file, table: str, x: int,
+                conn: sqlite3.Connection | None = None) -> RowSample:
+    """First x rows of a table in natural (rowid) order, typed values preserved.
+    Reads through conn if given, else through a connection of its own."""
     if x < 1:
         raise ValueError("sample limit must be >= 1")
-    conn = _connect_ro(db_file)
-    try:
+    with _reading(db_file, conn) as conn:
         try:
             cur = conn.execute(f'SELECT * FROM "{table}" LIMIT {int(x)}')
         except sqlite3.Error as e:
             raise IntrospectionError(f"cannot sample table {table!r}: {e}") from e
         header = [d[0] for d in cur.description]
         rows = [tuple(r) for r in cur.fetchall()]
-    finally:
-        conn.close()
     return RowSample(table=table, limit=x, header=header, rows=rows)

@@ -18,13 +18,15 @@ committed by close(); the busy timeout and INSERT OR IGNORE let concurrent
 evals share a file. Commits are not synced to disk: the file is a cache, and
 what a crash of the machine may damage fails the checks above. A store that
 cannot be opened, read or written falls back to running the queries, and
-keeps one warning.
+keeps one warning. A file that is not a database at all is also swapped for
+an empty store, which this eval fills and the next one reads.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sqlite3
 
 from .execution import ExecError, ExecResult
@@ -37,6 +39,7 @@ BUSY_TIMEOUT_S = 30.0
 # a write transaction spills past it to the file instead of holding a whole
 # database group's results in memory.
 CACHE_KIB = 256
+SQLITE_HEADER = b"SQLite format 3\x00"
 
 _RESET = (
     "DROP TABLE IF EXISTS meta",
@@ -92,6 +95,28 @@ def _decode(payload: bytes) -> ExecResult | ExecError:
     return ExecResult(value[1], list(map(tuple, value[3])), value[2])
 
 
+def _not_a_database(path) -> bool:
+    """path is a file, not empty, that does not start with SQLite's header."""
+    try:
+        with open(path, "rb") as f:
+            head = f.read(len(SQLITE_HEADER))
+    except OSError:
+        return False
+    return bool(head) and head != SQLITE_HEADER
+
+
+def _replace_with_empty(path) -> None:
+    """Swap path for an empty file, which SQLite opens as an empty database:
+    made beside it and renamed into place, so no reader sees a partial file."""
+    tmp = path.with_name(f"{FILE_NAME}.{os.getpid()}.new")
+    tmp.write_bytes(b"")
+    try:
+        os.replace(tmp, path)
+    except OSError:
+        os.unlink(tmp)
+        raise
+
+
 class GoldStore:
     """The gold store of one suite, open from construction until close().
 
@@ -110,15 +135,25 @@ class GoldStore:
         if self.path is None or not suite.content_hash:
             return
         try:
-            self._conn = sqlite3.connect(self.path, timeout=BUSY_TIMEOUT_S,
-                                         isolation_level=None)
-            self._conn.execute(f"PRAGMA cache_size = -{CACHE_KIB}")
-            self._conn.execute("PRAGMA synchronous = OFF")
-            self._valid = self._read_header() == self._header
-            if not self._valid:  # a new or stale file: made ready now, not at the first miss
-                self._begin()
+            self._open()
         except sqlite3.Error as e:
             self._fail(str(e))
+            if _not_a_database(self.path):
+                try:
+                    _replace_with_empty(self.path)
+                    self._open()
+                except (OSError, sqlite3.Error) as e:
+                    self._fail(f"cannot replace: {e}")  # the first warning stays
+                else:
+                    self.warning += "; replaced by an empty store"
+
+    def _open(self) -> None:
+        self._conn = sqlite3.connect(self.path, timeout=BUSY_TIMEOUT_S, isolation_level=None)
+        self._conn.execute(f"PRAGMA cache_size = -{CACHE_KIB}")
+        self._conn.execute("PRAGMA synchronous = OFF")
+        self._valid = self._read_header() == self._header
+        if not self._valid:  # a new or stale file: made ready now, not at the first miss
+            self._begin()
 
     def _read_header(self) -> tuple | None:
         try:

@@ -17,7 +17,7 @@ from sqlbench.dataset import (Benchmark, ExampleRecord, canonical_template,
 from sqlbench.errors import (AnnotationRecord, ErrorCategory, breakdown,
                              classify_invalid, detect_extra_columns)
 from sqlbench.evaluate import evaluate, evaluate_benchmark
-from sqlbench.execution import compare_results, execute_sql
+from sqlbench.execution import ExecResult, compare_results, execute_sql
 from sqlbench.fuzz import build_test_suite
 from sqlbench.prompt import (PromptBudget, PromptStyle, StyleKind, fit_support,
                              render_prompt)
@@ -137,22 +137,28 @@ def _naive_cells_equal(a, b):
 
 
 def _naive_compare(gold, pred):
-    """Independent nested-loop reference: sequence when gold carries a
-    top-level ORDER BY, multiset matching with used-flags otherwise."""
+    """Independent brute-force reference: sequence when gold carries a
+    top-level ORDER BY, otherwise an exhaustive backtracking search for a
+    pairing of each gold row with its own equal pred row."""
     if len(gold.columns) != len(pred.columns) or len(gold.rows) != len(pred.rows):
         return False
     rows_equal = lambda r, s: all(_naive_cells_equal(a, b) for a, b in zip(r, s))
     if gold.order_sensitive:
         return all(rows_equal(r, s) for r, s in zip(gold.rows, pred.rows))
     used = [False] * len(pred.rows)
-    for r in gold.rows:
+
+    def match(i):
+        if i == len(gold.rows):
+            return True
         for j, s in enumerate(pred.rows):
-            if not used[j] and rows_equal(r, s):
+            if not used[j] and rows_equal(gold.rows[i], s):
                 used[j] = True
-                break
-        else:
-            return False
-    return True
+                if match(i + 1):
+                    return True
+                used[j] = False
+        return False
+
+    return match(0)
 
 
 def test_comparator_equivalence(tmp_path):
@@ -184,6 +190,11 @@ def test_comparator_equivalence(tmp_path):
         ]
         results = [execute_sql(db, q) for q in queries]
         pairs = list(product(results, repeat=2))
+        # a tolerance pairing that taking the first equal row misses
+        near = ExecResult(["x"], [(1.0,), (1.0 + 0.99e-6,)], False)
+        far = ExecResult(["x"], [(1.0,), (1.0 - 0.99e-6,)], False)
+        pairs += [(near, far), (far, near)]
+        assert compare_results(near, far) and compare_results(far, near)
         assert len(pairs) >= 50
         for gold, pred in pairs:
             assert compare_results(gold, pred) == _naive_compare(gold, pred)

@@ -346,7 +346,11 @@ class TestGoldStore:
         assert damaged.gold_store == {"hits": 0, "misses": lookups}
         assert len(damaged.warnings) == 1
         assert damaged.warnings[0].startswith(f"gold store {path}: ")
-        if damage in ("tampered", "retyped", "moved"):  # the rows run again were stored again
+        if damage == "garbage":  # swapped for an empty store, which this eval filled
+            assert damaged.warnings[0].endswith("replaced by an empty store")
+            assert path.read_bytes().startswith(b"SQLite format 3\x00")
+            assert [p.name for p in path.parent.glob("gold.sqlite*")] == ["gold.sqlite"]
+        if damage != "unopenable":  # the rows run again were stored again
             repaired, _ = network1_eval(db_root, tmp_path, golds, preds)
             assert repaired.gold_store == {"hits": lookups, "misses": 0}
             assert scores(repaired) == scores(first) and not repaired.warnings

@@ -1,9 +1,13 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqlbench.dataset import ExampleRecord, SupportSet
+import sqlbench.prompt
 from sqlbench.prompt import (
+    INSTRUCTION_PLAIN,
     INSTRUCTION_TABLES,
     BudgetError,
     PromptBudget,
@@ -15,6 +19,7 @@ from sqlbench.prompt import (
     format_row_block,
     parse_style,
     render_prompt,
+    render_schema,
 )
 from sqlbench.schema import RowSample, introspect, sample_rows
 
@@ -224,6 +229,143 @@ class TestFitSupport:
             assert f"-- {q}" in rendered.text
         for q, _ in GEO_SUPPORT_PAIRS[n:]:
             assert f"-- {q}" not in rendered.text
+
+
+def _reference_text(style, schema_text, question, support):
+    """The prompt built as one string, the brute-force way: nothing of it is
+    counted or reused."""
+    kind = style.kind
+    tail = f"-- {question}\nSELECT"
+    if support is not None:
+        if kind is StyleKind.QUESTION:
+            head = INSTRUCTION_PLAIN
+        else:
+            head = schema_text + "\n\n" + INSTRUCTION_TABLES
+        if not support.examples:
+            return head + "\n\n" + tail
+        pairs = [f"-- {rec.question}\n{rec.gold_sql.strip().rstrip(';').rstrip()} ;"
+                 for rec in support.examples]
+        return head + "\n" + "\n\n".join(pairs + [tail])
+    if kind is StyleKind.QUESTION:
+        return INSTRUCTION_PLAIN + "\n\n" + tail
+    if kind is StyleKind.API_DOCS:
+        return schema_text + f"\n### {question}\nSELECT"
+    return schema_text + "\n\n\n" + INSTRUCTION_TABLES + "\n\n" + tail
+
+
+def _reference_render(style, schema_text, question, support, budget):
+    text = _reference_text(style, schema_text, question, support)
+    est = estimate_tokens(text)
+    fits = budget is None or est + budget.completion_reserve <= budget.context_tokens
+    return text, est, fits
+
+
+def _reference_fit(budget, style, schema_text, question, support):
+    """Render every prefix of the support, longest first, and estimate each
+    whole text, until one fits."""
+    for keep in range(len(support.examples), -1, -1):
+        trimmed = SupportSet(n=support.n, seed=support.seed, examples=support.examples[:keep])
+        rendered = _reference_render(style, schema_text, question, trimmed, budget)
+        if rendered[2]:
+            return rendered, keep
+    raise BudgetError
+
+
+# Runs of whitespace, comment markers, punctuation and non-ASCII words, in
+# questions and in support SQL.
+_FRAGMENTS = st.sampled_from([
+    "how", "many", "--", "-- x", " ", "   ", "\t \n", "\n\n", "?", "'s", ";", ",", "*/", "/*",
+    "é", "naïve", "数据库", "Ωmega", "x\u00a0y", "\u2003", "ﬁ", "٣", "_", "a1", "",
+])
+_TEXT = st.lists(st.one_of(_FRAGMENTS, st.text(max_size=6)), max_size=8).map("".join)
+_SQL = st.tuples(
+    st.sampled_from(["SELECT count(*) FROM Highschooler", "SELECT name FROM t WHERE a = 'x;'",
+                     "select  a ,b from t", ""]),
+    st.sampled_from(["", ";", " ;", ";  ", "\n", " ;\n ;", "  \t"]),
+).map("".join)
+_SUPPORT = st.one_of(
+    st.none(),
+    st.lists(st.tuples(_TEXT, _SQL), max_size=6).map(lambda pairs: SupportSet(
+        n=len(pairs), seed=0,
+        examples=[ExampleRecord(f"s{i}", "db", q, sql) for i, (q, sql) in enumerate(pairs)])),
+)
+_STYLE = st.one_of(
+    st.sampled_from(["question", "apidocs", "create"]),
+    st.builds("{}:{}".format, st.sampled_from(["select", "create+select"]), st.integers(1, 3)),
+).map(parse_style)
+
+
+@pytest.fixture(scope="module")
+def databases(network1_db, geo_db):
+    """(schema, samples by x) of each fixture database."""
+    out = []
+    for db in (network1_db, geo_db):
+        schema = introspect(db)
+        out.append((schema, {x: [sample_rows(db, t.name, x) for t in schema.tables]
+                             for x in (1, 2, 3)}))
+    return out
+
+
+class TestFittingMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), style=_STYLE, db=st.integers(0, 1), question=_TEXT,
+           support=_SUPPORT, reserve=st.integers(1, 60), offset=st.integers(-2, 2))
+    def test_render_and_fit(self, databases, data, style, db, question, support,
+                            reserve, offset):
+        schema, samples_by_x = databases[db]
+        samples = samples_by_x.get(style.x)
+        section = render_schema(style, schema, samples)
+        # a budget at one prefix's edge: offset 0 fits it exactly, -1 just misses it
+        layouts = [None] if support is None else [
+            SupportSet(n=support.n, seed=0, examples=support.examples[:k])
+            for k in range(len(support.examples) + 1)]
+        edge = data.draw(st.sampled_from(layouts), label="edge")
+        est = _reference_render(style, section.text, question, edge, None)[1]
+        budget = PromptBudget(max(est + reserve + offset, reserve + 1), reserve)
+
+        want = _reference_render(style, section.text, question, support, budget)
+        for got in (render_prompt(style, schema, samples, question, support, budget),
+                    render_prompt(style, section, None, question, support, budget)):
+            assert (got.text, got.est_tokens, got.fits_budget) == want
+            assert got.est_tokens == estimate_tokens(got.text)
+
+        fit_with = support if support is not None else SupportSet(n=0, seed=0, examples=[])
+        try:
+            want_fit = _reference_fit(budget, style, section.text, question, fit_with)
+        except BudgetError:
+            with pytest.raises(BudgetError):
+                fit_support(budget, style, section, None, question, fit_with)
+            return
+        got, keep = fit_support(budget, style, section, None, question, fit_with)
+        assert ((got.text, got.est_tokens, got.fits_budget), keep) == want_fit
+        assert got.est_tokens == estimate_tokens(got.text)
+
+    def test_fit_renders_once_from_a_section(self, geo, monkeypatch):
+        schema, samples, support, style = geo
+        section = render_schema(style, schema, samples)
+        calls = []
+
+        def counted(name):
+            original = getattr(sqlbench.prompt, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in ("render_prompt", "render_schema"):
+            monkeypatch.setattr(sqlbench.prompt, name, counted(name))
+        full, _ = fit_support(PromptBudget(100000), style, section, None, "q", support)
+        budget = PromptBudget(full.est_tokens + 200 - 10, 200)
+        _, keep = fit_support(budget, style, section, None, "q", support)
+        assert keep < len(support.examples)
+        assert calls == ["render_prompt", "render_prompt"]
+
+    def test_section_of_another_style_refused(self, geo):
+        schema, samples, _, style = geo
+        section = render_schema(PromptStyle(StyleKind.CREATE_TABLE), schema, samples)
+        with pytest.raises(PromptContractError):
+            render_prompt(style, section, None, "q")
 
 
 class TestParseStyle:
