@@ -22,7 +22,7 @@ from .errors import annotation_skeleton, breakdown, load_annotations, sample_for
 from .evaluate import EvalOutcome, evaluate_benchmark
 from .fuzz import build_test_suite
 from .prompt import (BudgetError, PromptBudget, PromptStyle, SchemaSection, fit_support,
-                     parse_style, render_prompt, render_schema)
+                     parse_style, render_schema)
 from .report import (curve_csv, learning_curve, metrics_table, render_breakdown_markdown,
                      render_csv, render_json, render_markdown)
 from .schema import connect_ro, introspect, sample_rows
@@ -182,7 +182,7 @@ def _schema_section(db_file, style: PromptStyle) -> SchemaSection:
         schema = introspect(db_file, conn)
         samples = None
         if style.x is not None:
-            samples = [sample_rows(db_file, t.name, style.x, conn) for t in schema.tables]
+            samples = [sample_rows(conn, t.name, style.x) for t in schema.tables]
     return render_schema(style, schema, samples)
 
 
@@ -200,7 +200,7 @@ def cmd_prompt(args) -> int:
         if not args.train:
             print("error: --shots requires --train", file=sys.stderr)
             return 2
-        train = load_benchmark(args.train, args.db_root, split="train")
+        train = load_benchmark(args.train, args.db_root)
         support = select_support(train, args.shots, args.seed)
         for w in train.warnings:
             print(f"warning: train: {w}", file=sys.stderr)
@@ -217,17 +217,7 @@ def cmd_prompt(args) -> int:
         if section is None:
             section = sections[rec.db_id] = _schema_section(bench.db_path(rec.db_id), style)
         try:
-            if support is not None:
-                rendered, n_used = fit_support(budget, style, section, None,
-                                               rec.question, support)
-            else:
-                rendered = render_prompt(style, section, None, rec.question, budget=budget)
-                n_used = 0
-                if not rendered.fits_budget:
-                    skipped.append(rec.example_id)
-                    print(f"warning: {rec.example_id} exceeds the token budget; skipped",
-                          file=sys.stderr)
-                    continue
+            rendered, n_used = fit_support(budget, section, rec.question, support)
         except BudgetError as e:
             skipped.append(rec.example_id)
             print(f"warning: {rec.example_id}: {e}; skipped", file=sys.stderr)
@@ -347,8 +337,10 @@ def _load_outcomes(path) -> list[EvalOutcome]:
     ]
 
 
-def _run_label(path) -> str:
-    manifest = _read_manifest(path)
+def _load_run(path) -> tuple[str, list[EvalOutcome], dict]:
+    """One run's report label, outcomes and manifest ({} when it has none)."""
+    manifest = _read_manifest(path) or {}
+    label = Path(path).stem
     if manifest:
         cfg = manifest.get("prompt_config") or {}
         parts = [Path(manifest["config"].get("benchmark", "")).stem,
@@ -356,10 +348,8 @@ def _run_label(path) -> str:
         shots = cfg.get("shots")
         if shots:
             parts.append(f"{shots}-shot")
-        label = " / ".join(p for p in parts if p)
-        if label:
-            return label
-    return Path(path).stem
+        label = " / ".join(p for p in parts if p) or label
+    return label, _load_outcomes(path), manifest
 
 
 def cmd_report(args) -> int:
@@ -367,15 +357,11 @@ def cmd_report(args) -> int:
     if not paths:
         print("error: no outcome files match", file=sys.stderr)
         return 2
+    loaded = [_load_run(p) for p in paths]
     if args.report_kind == "metrics":
-        runs = []
-        broken = {}
-        for p in paths:
-            label = _run_label(p)
-            runs.append((label, _load_outcomes(p)))
-            manifest = _read_manifest(p)
-            if manifest:
-                broken[label] = len(manifest.get("gold_broken", []))
+        runs = [(label, outcomes) for label, outcomes, _ in loaded]
+        broken = {label: len(manifest.get("gold_broken", []))
+                  for label, _, manifest in loaded if manifest}
         rows = metrics_table(runs, broken)
         fmt = args.format
         if fmt == "markdown":
@@ -386,14 +372,13 @@ def cmd_report(args) -> int:
             text = render_json(rows)
     elif args.report_kind == "curve":
         by_shots = {}
-        for p in paths:
-            manifest = _read_manifest(p) or {}
+        for _, outcomes, manifest in loaded:
             cfg = manifest.get("prompt_config") or {}
             shots = int(cfg.get("shots", 0))
             if shots in by_shots and not args.average:
                 print(f"error: duplicate shot count {shots} (use --average)", file=sys.stderr)
                 return 2
-            by_shots.setdefault(shots, []).extend(_load_outcomes(p))
+            by_shots.setdefault(shots, []).extend(outcomes)
         try:
             curve = learning_curve(by_shots, args.reference)
         except ValueError as e:
@@ -403,11 +388,9 @@ def cmd_report(args) -> int:
     else:  # breakdown
         outcomes = []
         n_broken = 0
-        for p in paths:
-            outcomes.extend(_load_outcomes(p))
-            manifest = _read_manifest(p)
-            if manifest:
-                n_broken += len(manifest.get("gold_broken", []))
+        for _, run_outcomes, manifest in loaded:
+            outcomes.extend(run_outcomes)
+            n_broken += len(manifest.get("gold_broken", []))
         annotations = load_annotations(args.annotations) if args.annotations else []
         result = breakdown(outcomes, annotations, n_broken)
         text = render_breakdown_markdown(result)

@@ -29,8 +29,6 @@ class ExampleRecord:
 
 @dataclass
 class Benchmark:
-    name: str
-    split: str
     examples: list[ExampleRecord]
     db_root: Path
     warnings: list[str] = field(default_factory=list)
@@ -58,7 +56,7 @@ class SupportSet:
         return json.dumps(payload, indent=2)
 
 
-def load_benchmark(path, db_root, name: str | None = None, split: str = "dev") -> Benchmark:
+def load_benchmark(path, db_root) -> Benchmark:
     """Load a Spider-format JSON list of {db_id, question, query} items.
 
     Example order is preserved; example ids are zero-padded positional ids.
@@ -97,8 +95,7 @@ def load_benchmark(path, db_root, name: str | None = None, split: str = "dev") -
             seen_dbs.add(rec.db_id)
             if not (db_root / rec.db_id / f"{rec.db_id}.sqlite").exists():
                 warnings.append(f"database file not found for db_id {rec.db_id!r}")
-    return Benchmark(name=name or path.stem, split=split, examples=examples,
-                     db_root=db_root, warnings=warnings)
+    return Benchmark(examples=examples, db_root=db_root, warnings=warnings)
 
 
 def canonical_template(sql: str) -> str:

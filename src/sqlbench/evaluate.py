@@ -38,26 +38,24 @@ class EvalOutcome:
 
 
 def evaluate(example: ExampleRecord, prediction: Prediction, suite: TestSuite,
-             timeout_ms: int = 30000, warnings: list | None = None,
-             connections: Connections | None = None,
-             gold_store: GoldStore | None = None) -> EvalOutcome:
+             timeout_ms: int, warnings: list, connections: Connections,
+             gold_store: GoldStore) -> EvalOutcome:
     """Score one prediction. valid: executes on the original database;
     ex: matches gold there; ts: matches gold on every suite variant.
 
     Queries run on the connections `connections` holds for the suite's
-    files, or, without it, each on a connection of its own. Gold results
-    come from gold_store when it holds them, and go into it when it does not
-    (given connections, which tell whether a result may be stored)."""
+    files. Gold results come from gold_store when it holds them, and go into
+    it when it does not. Variants the gold query fails on are skipped, with a
+    note in warnings."""
     start = time.monotonic()
     original = suite.variants[0]
-    stored = gold_store.lookup(example.gold_sql) if gold_store is not None else None
+    stored = gold_store.lookup(example.gold_sql)
 
     def gold_on(i, db_file):
-        result = stored.get(i) if stored is not None else None
+        result = stored.get(i)
         if result is None:
             result = execute_sql(db_file, example.gold_sql, timeout_ms, connections)
-            if stored is not None:
-                stored.put(i, result, volatile=connections is None or connections.volatile)
+            stored.put(i, result, volatile=connections.volatile)
         return result
 
     gold_res = gold_on(0, original)
@@ -91,10 +89,7 @@ def evaluate(example: ExampleRecord, prediction: Prediction, suite: TestSuite,
     for i, variant in enumerate(suite.variants[1:], 1):
         gold_v = gold_on(i, variant)
         if isinstance(gold_v, ExecError):
-            if warnings is not None:
-                warnings.append(
-                    f"{example.example_id}: gold failed on variant {variant}; skipped"
-                )
+            warnings.append(f"{example.example_id}: gold failed on variant {variant}; skipped")
             continue
         pred_v = execute_sql(variant, prediction.sql, timeout_ms, connections)
         if isinstance(pred_v, ExecError) or not compare_results(gold_v, pred_v):

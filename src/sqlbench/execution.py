@@ -11,7 +11,8 @@ from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass
 from itertools import chain, groupby
-from pathlib import Path
+
+from .schema import read_only_uri
 
 REL_TOL = 1e-6
 ABS_TOL = 1e-9
@@ -136,8 +137,7 @@ class Connections:
         if conn is None:
             # Each query runs about once per connection, so a statement cache
             # would only hold memory.
-            conn = sqlite3.connect(f"file:{Path(db_file)}?mode=ro", uri=True,
-                                   cached_statements=0)
+            conn = sqlite3.connect(read_only_uri(db_file), uri=True, cached_statements=0)
             conn.set_authorizer(self._authorize)
             conn.set_progress_handler(self._progress, 10000)
             self._open[key] = conn

@@ -24,10 +24,11 @@ import shutil
 import sqlite3
 import string
 import uuid
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
-from .schema import DatabaseSchema, TableSchema, introspect
+from .schema import DatabaseSchema, TableSchema, connect_ro, introspect
 
 GENERATOR_VERSION = "1"
 MAX_ROWS = 64
@@ -45,9 +46,9 @@ class TestSuite:
     seed: int
     k: int
     variants: list[Path]  # variants[0] is the original database file
-    source_sha256: str = ""
-    content_hash: str = ""  # sha256 over the source and every variant file
-    directory: Path | None = None  # the cache directory holding the variants
+    source_sha256: str
+    content_hash: str  # sha256 over the source and every variant file
+    directory: Path  # the cache directory holding the variants
 
 
 class _Unusable(Exception):
@@ -313,15 +314,17 @@ def _cached_hashes(suite_dir: Path, header: dict) -> list[str]:
     return [hashes[name] for name in names]
 
 
-def _generate_suite(db_file: Path, header: dict, out_dir: Path) -> list[str]:
-    """Write the k variants and the manifest into out_dir; return the variant sha256s."""
+def _generate_suite(db_file: Path, header: dict, out_dir: Path, log) -> list[str]:
+    """Write the k variants and the manifest into out_dir; return the variant
+    sha256s. Each schema warning goes to log: a foreign key that references a
+    missing table or column finds no parent keys, so its table gets no rows."""
     seed, k = header["seed"], header["k"]
-    schema = introspect(db_file)
-    conn = sqlite3.connect(f"file:{db_file}?mode=ro", uri=True)
-    try:
+    with closing(connect_ro(db_file)) as conn:
+        schema = introspect(db_file, conn)
         orig_data = {t.name.lower(): _column_pools(conn, t) for t in schema.tables}
-    finally:
-        conn.close()
+    if log:
+        for warning in schema.warnings:
+            log(f"suite {header['db_id']}: {warning}; the table is empty in every variant")
 
     hashes = {}
     for i in range(1, k + 1):
@@ -404,7 +407,7 @@ def build_test_suite(db_file, k: int, seed: int, cache_dir, db_id: str | None = 
         # killed before the rename leaves nothing a later call returns
         built = _fresh_dir(suite_dir.parent, ".build-")
         try:
-            hashes = _generate_suite(db_file, header, built)
+            hashes = _generate_suite(db_file, header, built, log)
             _install(built, suite_dir, header)
         finally:
             shutil.rmtree(built, ignore_errors=True)

@@ -79,7 +79,6 @@ class PromptBudget:
 class RenderedPrompt:
     text: str
     est_tokens: int
-    fits_budget: bool
 
 
 INSTRUCTION_PLAIN = "-- Using valid SQLite, answer the following questions."
@@ -160,7 +159,7 @@ def estimate_tokens(text: str) -> int:
 @dataclass(frozen=True)
 class SchemaSection:
     """The schema part of one database's prompts in one style, rendered and
-    counted once. render_prompt and fit_support take it in place of a schema."""
+    counted once; render_prompt and fit_support build every prompt on it."""
     style: PromptStyle
     text: str  # empty for the question style, which shows no schema
     tokens: int  # token runs, before inflation
@@ -200,21 +199,18 @@ def render_schema(
     return SchemaSection(style, text, _count(text))
 
 
-def _section(style: PromptStyle, schema, samples) -> SchemaSection:
-    if not isinstance(schema, SchemaSection):
-        return render_schema(style, schema, samples)
-    if schema.style != style:
-        raise PromptContractError(
-            f"schema section rendered for {schema.style.label}, not {style.label}")
-    return schema
-
-
 @lru_cache(maxsize=4096)
 def _pair(question: str, gold_sql: str) -> tuple[str, int]:
     """One support pair's text and token runs, counted once per process."""
     sql = gold_sql.strip().rstrip(";").rstrip()
     text = f"-- {question}\n{sql} ;"
     return text, _count(text)
+
+
+def _pairs(support: SupportSet | None) -> list[tuple[str, int]] | None:
+    if support is None:
+        return None
+    return [_pair(rec.question, rec.gold_sql) for rec in support.examples]
 
 
 def _pieces(section: SchemaSection, question: str, pairs: list[tuple[str, int]] | None):
@@ -241,44 +237,25 @@ def _pieces(section: SchemaSection, question: str, pairs: list[tuple[str, int]] 
     return out, tokens + _count(tail)
 
 
-def render_prompt(
-    style: PromptStyle,
-    schema: DatabaseSchema | SchemaSection | None,
-    samples: list[RowSample] | None,
-    question: str,
-    support: SupportSet | None = None,
-    budget: PromptBudget | None = None,
-) -> RenderedPrompt:
-    """Produce the final prompt text for one style. Ends in the literal token
-    SELECT; the model completion is the query body. Given a support set, even
-    an empty one, the prompt takes the few-shot layout. schema may be the
-    section render_schema made of it, and samples is then unused."""
-    section = _section(style, schema, samples)
-    pairs = None
-    if support is not None:
-        pairs = [_pair(rec.question, rec.gold_sql) for rec in support.examples]
-    pieces, tokens = _pieces(section, question, pairs)
-    est = _inflate(tokens)
-    fits = budget is None or budget.admits(est)
-    return RenderedPrompt(text="".join(pieces), est_tokens=est, fits_budget=fits)
+def render_prompt(section: SchemaSection, question: str,
+                  support: SupportSet | None = None) -> RenderedPrompt:
+    """Produce the final prompt text in the section's style. Ends in the
+    literal token SELECT; the model completion is the query body. Given a
+    support set, even an empty one, the prompt takes the few-shot layout."""
+    pieces, tokens = _pieces(section, question, _pairs(support))
+    return RenderedPrompt(text="".join(pieces), est_tokens=_inflate(tokens))
 
 
-def fit_support(
-    budget: PromptBudget,
-    style: PromptStyle,
-    schema,
-    samples,
-    question: str,
-    support: SupportSet,
-) -> tuple[RenderedPrompt, int]:
+def fit_support(budget: PromptBudget, section: SchemaSection, question: str,
+                support: SupportSet | None) -> tuple[RenderedPrompt, int]:
     """Render with the largest support prefix that fits the budget, dropping
-    from the least-frequent-template end. Raises BudgetError when even the
-    zero-shot prompt is too large. Prefixes are measured by their counted
-    pieces; only the chosen one is rendered."""
-    section = _section(style, schema, samples)
-    pairs = [_pair(rec.question, rec.gold_sql) for rec in support.examples]
+    from the least-frequent-template end; support None is the zero-shot
+    prompt. Raises BudgetError when even the prompt with no support examples
+    is too large. Prefixes are measured by their counted pieces; only the
+    chosen one is rendered."""
+    pairs = _pairs(support)
     _, tokens = _pieces(section, question, pairs)
-    keep = len(pairs)
+    keep = len(pairs or ())
     while not budget.admits(_inflate(tokens)):
         if keep == 0:
             raise BudgetError(
@@ -287,5 +264,6 @@ def fit_support(
             )
         keep -= 1
         tokens -= pairs[keep][1]
-    trimmed = SupportSet(n=support.n, seed=support.seed, examples=support.examples[:keep])
-    return render_prompt(style, section, None, question, trimmed, budget), keep
+    if support is not None:
+        support = SupportSet(n=support.n, seed=support.seed, examples=support.examples[:keep])
+    return render_prompt(section, question, support), keep

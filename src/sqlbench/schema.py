@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import sqlite3
-from contextlib import closing, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
+from urllib.parse import quote
 
 
 class IntrospectionError(Exception):
@@ -38,15 +38,8 @@ class TableSchema:
 
 @dataclass
 class DatabaseSchema:
-    db_file: Path
     tables: list[TableSchema]
     warnings: list[str] = field(default_factory=list)
-
-    def table(self, name: str) -> TableSchema:
-        for t in self.tables:
-            if t.name.lower() == name.lower():
-                return t
-        raise KeyError(name)
 
 
 @dataclass
@@ -57,55 +50,51 @@ class RowSample:
     rows: list[tuple]
 
 
+def read_only_uri(db_file) -> str:
+    """The SQLite URI that opens db_file read-only. The path is percent-quoted,
+    so `#`, `?` and `%` in it stay part of the file name."""
+    return f"file:{quote(str(Path(db_file)))}?mode=ro"
+
+
 def connect_ro(db_file) -> sqlite3.Connection:
-    """A read-only connection to db_file, which introspect and sample_rows
-    accept in place of opening their own."""
+    """A read-only connection to db_file, for introspect and sample_rows."""
     path = Path(db_file)
     if not path.exists():
         raise IntrospectionError(f"database file not found: {path}")
     try:
-        return sqlite3.connect(f"file:{path}?mode=ro", uri=True)
+        return sqlite3.connect(read_only_uri(path), uri=True)
     except sqlite3.Error as e:
         raise IntrospectionError(f"cannot read database {db_file}: {e}") from e
 
 
-def _reading(db_file, conn: sqlite3.Connection | None):
-    """conn, left open, or else a read-only connection of db_file that closes
-    with the block."""
-    return nullcontext(conn) if conn is not None else closing(connect_ro(db_file))
-
-
-def introspect(db_file, conn: sqlite3.Connection | None = None) -> DatabaseSchema:
-    """Read all user tables in catalog order, with columns, PKs, FKs, and the
-    original CREATE TABLE text. Dangling foreign keys become schema warnings.
-    Reads through conn if given, else through a connection of its own."""
+def introspect(db_file, conn: sqlite3.Connection) -> DatabaseSchema:
+    """Read all user tables of db_file through conn, in catalog order, with
+    columns, PKs, FKs, and the original CREATE TABLE text. Dangling foreign
+    keys become schema warnings."""
     tables = []
     warnings = []
-    with _reading(db_file, conn) as conn:
-        try:
-            master = conn.execute(
-                "SELECT name, sql FROM sqlite_master "
-                "WHERE type = 'table' AND name NOT LIKE 'sqlite_%'"
-            ).fetchall()
-        except sqlite3.Error as e:
-            raise IntrospectionError(f"cannot read database {db_file}: {e}") from e
-        try:
-            for name, create_sql in master:
-                cols = []
-                for _, cname, ctype, notnull, _, pk in conn.execute(
-                    f'PRAGMA table_info("{name}")'
-                ):
-                    cols.append(ColumnSchema(cname, ctype, pk > 0, bool(notnull)))
-                fks = []
-                for row in conn.execute(f'PRAGMA foreign_key_list("{name}")'):
-                    # (id, seq, ref_table, from_col, to_col, ...)
-                    ref_table, from_col, to_col = row[2], row[3], row[4]
-                    if to_col is None:
-                        to_col = ""  # implicit reference to the parent PK
-                    fks.append((from_col, ref_table, to_col))
-                tables.append(TableSchema(name, cols, fks, create_sql or ""))
-        except sqlite3.Error as e:
-            raise IntrospectionError(f"cannot introspect {db_file}: {e}") from e
+    try:
+        master = conn.execute(
+            "SELECT name, sql FROM sqlite_master "
+            "WHERE type = 'table' AND name NOT LIKE 'sqlite_%'"
+        ).fetchall()
+    except sqlite3.Error as e:
+        raise IntrospectionError(f"cannot read database {db_file}: {e}") from e
+    try:
+        for name, create_sql in master:
+            cols = []
+            for _, cname, ctype, notnull, _, pk in conn.execute(f'PRAGMA table_info("{name}")'):
+                cols.append(ColumnSchema(cname, ctype, pk > 0, bool(notnull)))
+            fks = []
+            for row in conn.execute(f'PRAGMA foreign_key_list("{name}")'):
+                # (id, seq, ref_table, from_col, to_col, ...)
+                ref_table, from_col, to_col = row[2], row[3], row[4]
+                if to_col is None:
+                    to_col = ""  # implicit reference to the parent PK
+                fks.append((from_col, ref_table, to_col))
+            tables.append(TableSchema(name, cols, fks, create_sql or ""))
+    except sqlite3.Error as e:
+        raise IntrospectionError(f"cannot introspect {db_file}: {e}") from e
 
     by_name = {t.name.lower(): t for t in tables}
     for t in tables:
@@ -129,20 +118,18 @@ def introspect(db_file, conn: sqlite3.Connection | None = None) -> DatabaseSchem
                 )
             fixed.append((from_col, ref_table, to_col))
         t.foreign_keys = fixed
-    return DatabaseSchema(db_file=Path(db_file), tables=tables, warnings=warnings)
+    return DatabaseSchema(tables=tables, warnings=warnings)
 
 
-def sample_rows(db_file, table: str, x: int,
-                conn: sqlite3.Connection | None = None) -> RowSample:
-    """First x rows of a table in natural (rowid) order, typed values preserved.
-    Reads through conn if given, else through a connection of its own."""
+def sample_rows(conn: sqlite3.Connection, table: str, x: int) -> RowSample:
+    """First x rows of a table, read through conn in natural (rowid) order,
+    typed values preserved."""
     if x < 1:
         raise ValueError("sample limit must be >= 1")
-    with _reading(db_file, conn) as conn:
-        try:
-            cur = conn.execute(f'SELECT * FROM "{table}" LIMIT {int(x)}')
-        except sqlite3.Error as e:
-            raise IntrospectionError(f"cannot sample table {table!r}: {e}") from e
-        header = [d[0] for d in cur.description]
-        rows = [tuple(r) for r in cur.fetchall()]
+    try:
+        cur = conn.execute(f'SELECT * FROM "{table}" LIMIT {int(x)}')
+    except sqlite3.Error as e:
+        raise IntrospectionError(f"cannot sample table {table!r}: {e}") from e
+    header = [d[0] for d in cur.description]
+    rows = [tuple(r) for r in cur.fetchall()]
     return RowSample(table=table, limit=x, header=header, rows=rows)

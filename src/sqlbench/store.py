@@ -121,19 +121,16 @@ class GoldStore:
     """The gold store of one suite, open from construction until close().
 
     hits counts gold results served from the file, misses gold queries run.
-    warning holds the first fault met in the file, if any. A suite without a
-    cache directory (or content hash) has no store: every lookup is a miss."""
+    warning holds the first fault met in the file, if any."""
 
     def __init__(self, suite: TestSuite):
-        self.path = suite.directory / FILE_NAME if suite.directory else None
+        self.path = suite.directory / FILE_NAME
         self.hits = self.misses = 0
         self.warning: str | None = None
         self._header = (suite.content_hash, sqlite3.sqlite_version, FORMAT)
         self._conn: sqlite3.Connection | None = None
         self._valid = False  # the file's header is self._header
         self._writing = False
-        if self.path is None or not suite.content_hash:
-            return
         try:
             self._open()
         except sqlite3.Error as e:

@@ -1,8 +1,15 @@
 import json
 import sqlite3
+from contextlib import closing
 from pathlib import Path
 
 import pytest
+
+from sqlbench.evaluate import evaluate
+from sqlbench.execution import Connections
+from sqlbench.prompt import render_schema
+from sqlbench.schema import connect_ro, introspect, sample_rows
+from sqlbench.store import GoldStore
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -205,3 +212,28 @@ def fixture_benchmark_path(tmp_path_factory, db_root):
 
 def load_golden(name: str) -> str:
     return (GOLDEN_DIR / f"network1_{name}.txt").read_text()
+
+
+def read_schema(db_file):
+    """The schema of db_file, read through a connection of its own."""
+    with closing(connect_ro(db_file)) as conn:
+        return introspect(db_file, conn)
+
+
+def read_samples(db_file, x):
+    """The first x rows of every table of db_file, in catalog order."""
+    with closing(connect_ro(db_file)) as conn:
+        return [sample_rows(conn, t.name, x) for t in introspect(db_file, conn).tables]
+
+
+def read_section(db_file, style):
+    """The schema section of style's prompts for db_file."""
+    samples = read_samples(db_file, style.x) if style.x is not None else None
+    return render_schema(style, read_schema(db_file), samples)
+
+
+def evaluate_one(example, prediction, suite, warnings=None):
+    """evaluate on connections and a gold store opened for this one call."""
+    with closing(Connections()) as connections, closing(GoldStore(suite)) as store:
+        return evaluate(example, prediction, suite, 30000,
+                        [] if warnings is None else warnings, connections, store)

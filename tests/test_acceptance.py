@@ -16,15 +16,15 @@ from sqlbench.dataset import (Benchmark, ExampleRecord, canonical_template,
                               load_benchmark, select_support, template_groups)
 from sqlbench.errors import (AnnotationRecord, ErrorCategory, breakdown,
                              classify_invalid, detect_extra_columns)
-from sqlbench.evaluate import evaluate, evaluate_benchmark
+from sqlbench.evaluate import evaluate_benchmark
 from sqlbench.execution import ExecResult, compare_results, execute_sql
 from sqlbench.fuzz import build_test_suite
 from sqlbench.prompt import (PromptBudget, PromptStyle, StyleKind, fit_support,
                              render_prompt)
 from sqlbench.report import metrics_row
-from sqlbench.schema import introspect, sample_rows
 
-from conftest import FIXTURE_QUESTIONS, GEO_SUPPORT_PAIRS, GOLDEN_DIR, load_golden
+from conftest import (FIXTURE_QUESTIONS, GEO_SUPPORT_PAIRS, GOLDEN_DIR, evaluate_one,
+                      load_golden, read_section)
 from test_fuzz import check_integrity, make_item_db
 
 
@@ -51,8 +51,6 @@ def record(row):
 def test_golden_prompt_fixtures(network1_db, geo_db):
     with criterion("golden prompt fixtures byte-exact, < 1 s"):
         start = time.perf_counter()
-        schema = introspect(network1_db)
-        samples = [sample_rows(network1_db, t.name, 3) for t in schema.tables]
         styles = [
             ("question", PromptStyle(StyleKind.QUESTION)),
             ("apidocs", PromptStyle(StyleKind.API_DOCS)),
@@ -61,19 +59,17 @@ def test_golden_prompt_fixtures(network1_db, geo_db):
             ("create_table_select3", PromptStyle(StyleKind.CREATE_TABLE_SELECT_X, x=3)),
         ]
         for name, style in styles:
-            got = render_prompt(style, schema, samples, "What is Kyle's id?").text
+            got = render_prompt(read_section(network1_db, style), "What is Kyle's id?").text
             assert got == load_golden(name), f"{name} drifted from its golden fixture"
 
-        geo_schema = introspect(geo_db)
-        geo_samples = [sample_rows(geo_db, t.name, 3) for t in geo_schema.tables]
         support = Benchmark(
-            name="geo", split="train", db_root=".",
+            db_root=".",
             examples=[ExampleRecord(f"s{i}", "geography", q, sql.rstrip(" ;"))
                       for i, (q, sql) in enumerate(GEO_SUPPORT_PAIRS)],
         )
         five_shot = select_support(support, 5, seed=0)
         style = PromptStyle(StyleKind.CREATE_TABLE_SELECT_X, x=3)
-        text = render_prompt(style, geo_schema, geo_samples,
+        text = render_prompt(read_section(geo_db, style),
                              "what is the biggest city in arizona", five_shot).text
         lines = text.split("\n")
         instr = ("-- Using valid SQLite, answer the following questions "
@@ -117,8 +113,8 @@ def test_metric_properties(db_root, fixture_benchmark_path, tmp_path):
         cars_suite = build_test_suite(db, 8, seed=2, cache_dir=tmp_path / "cars-suites")
         gold = "select max(mpg) from cars_data where cylinders = 8 or year < 1980"
         mutated = gold.replace(" or ", " and ")
-        out = evaluate(ExampleRecord("m0", "cars", "q", gold),
-                       Prediction("m0", "", mutated), cars_suite)
+        out = evaluate_one(ExampleRecord("m0", "cars", "q", gold),
+                           Prediction("m0", "", mutated), cars_suite)
         mutation = record(metrics_row("mutation", [out]))
         assert mutation.ts_pct < mutation.ex_pct
 
@@ -241,7 +237,7 @@ def test_few_shot_protocol(geo_db):
             for j in range(freq):
                 examples.append(ExampleRecord(f"e{len(examples):04d}", "d",
                                               f"q{len(examples)}", shape.format(j + 1)))
-        train = Benchmark(name="train", split="train", examples=examples, db_root=".")
+        train = Benchmark(examples=examples, db_root=".")
         groups = template_groups(train)
         ranked = sorted(groups, key=lambda t: (-len(groups[t]), t))
         for n in range(4):
@@ -251,17 +247,15 @@ def test_few_shot_protocol(geo_db):
             for e in s.examples:
                 assert canonical_template(e.gold_sql) == e.template_id
 
-        schema = introspect(geo_db)
-        samples = [sample_rows(geo_db, t.name, 3) for t in schema.tables]
         support = Benchmark(
-            name="geo", split="train", db_root=".",
+            db_root=".",
             examples=[ExampleRecord(f"s{i}", "geography", q, sql.rstrip(" ;"))
                       for i, (q, sql) in enumerate(GEO_SUPPORT_PAIRS)],
         )
         five = select_support(support, 5, seed=0)
-        style = PromptStyle(StyleKind.CREATE_TABLE_SELECT_X, x=3)
-        _, n_2048 = fit_support(PromptBudget(2048), style, schema, samples, "q", five)
-        _, n_4096 = fit_support(PromptBudget(4096), style, schema, samples, "q", five)
+        section = read_section(geo_db, PromptStyle(StyleKind.CREATE_TABLE_SELECT_X, x=3))
+        _, n_2048 = fit_support(PromptBudget(2048), section, "q", five)
+        _, n_4096 = fit_support(PromptBudget(4096), section, "q", five)
         assert n_4096 >= n_2048
 
 

@@ -1,12 +1,14 @@
 import hashlib
 import json
+import sqlite3
+from contextlib import closing
 
 import pytest
 
 from sqlbench.cli import main
 from sqlbench.fuzz import build_test_suite
 
-from conftest import FIXTURE_QUESTIONS
+from conftest import FIXTURE_QUESTIONS, make_network1_db
 
 
 def read_jsonl(path):
@@ -440,6 +442,85 @@ class TestSuiteCommand:
         assert "3 variants" in capsys.readouterr().out
         made = list((workdir / "pregen" / "network_1" / "5").glob("*/variant_*.db"))
         assert len(made) == 3
+
+
+class TestDatabasePaths:
+    def test_uri_characters_in_db_root(self, tmp_path, monkeypatch, fixture_benchmark_path,
+                                       prompts_file):
+        """A db_root holding `#`, `?` and `%20`, given relative to the working
+        directory, names the same files as a plain path would."""
+        cwd = tmp_path / "cwd"
+        db_root = "run#1?x%20y/db"
+        (cwd / db_root / "network_1").mkdir(parents=True)
+        make_network1_db(cwd / db_root / "network_1" / "network_1.sqlite")
+        monkeypatch.chdir(cwd)
+        before = sorted(p.name for p in cwd.iterdir())
+        out = tmp_path / "out"
+        prompts, preds = out / "prompts.jsonl", out / "predictions.jsonl"
+        outcomes, report = out / "outcomes.jsonl", out / "report.json"
+        assert run("prompt", "--benchmark", fixture_benchmark_path, "--db-root", db_root,
+                   "--prompt", "create+select:3", "--out", prompts) == 0
+        assert run("predict", "--prompts", prompts, "--backend", "gold",
+                   "--benchmark", fixture_benchmark_path, "--db-root", db_root,
+                   "--out", preds) == 0
+        assert run("eval", "--benchmark", fixture_benchmark_path, "--db-root", db_root,
+                   "--predictions", preds, "--suite-k", "2", "--cache", out / "suites",
+                   "--out", outcomes) == 0
+        assert run("report", "metrics", "--runs", outcomes, "--format", "json",
+                   "--out", report) == 0
+        assert read_jsonl(prompts) == read_jsonl(prompts_file)
+        [row] = json.loads(report.read_text())
+        assert (row["va_pct"], row["ex_pct"], row["ts_pct"]) == (100.0, 100.0, 100.0)
+        assert row["n_evaluated"] == len(FIXTURE_QUESTIONS)
+        assert sorted(p.name for p in cwd.iterdir()) == before
+
+
+@pytest.fixture
+def dangling_fk_root(tmp_path):
+    """A database root whose one database has a 10-row table with a foreign
+    key to a missing table, and a benchmark of one example on it."""
+    db = tmp_path / "dbroot" / "dangling" / "dangling.sqlite"
+    db.parent.mkdir(parents=True)
+    with closing(sqlite3.connect(db)) as conn:
+        conn.execute("CREATE TABLE a (id int primary key, x int REFERENCES ghost(id))")
+        conn.executemany("INSERT INTO a VALUES (?, ?)", [(i, i) for i in range(10)])
+        conn.commit()
+    bench = tmp_path / "bench.json"
+    bench.write_text(json.dumps([{"db_id": "dangling", "question": "q",
+                                  "query": "SELECT count(*) FROM a"}]))
+    return tmp_path / "dbroot", bench
+
+
+DANGLING_WARNING = ("warning: suite dangling: table a: foreign key x references missing "
+                    "table ghost; the table is empty in every variant\n")
+
+
+class TestSuiteWarnings:
+    def test_suite_logs_schema_warnings_once(self, dangling_fk_root, tmp_path, capsys):
+        db_root, _ = dangling_fk_root
+        db = db_root / "dangling" / "dangling.sqlite"
+        argv = ("suite", "--db", db, "--suite-k", "4", "--cache", tmp_path / "cache")
+        assert run(*argv) == 0
+        assert capsys.readouterr().err == DANGLING_WARNING
+        suite = build_test_suite(db, 4, 0, tmp_path / "cache")
+        for variant in suite.variants[1:]:
+            with closing(sqlite3.connect(variant)) as conn:
+                assert conn.execute("SELECT count(*) FROM a").fetchone() == (0,)
+        assert run(*argv) == 0  # reused: no warning
+        assert capsys.readouterr().err == ""
+
+    def test_eval_logs_schema_warnings_once(self, dangling_fk_root, tmp_path, capsys):
+        db_root, bench = dangling_fk_root
+        preds = tmp_path / "predictions.jsonl"
+        preds.write_text(json.dumps({"example_id": "e0000", "sql": "SELECT count(*) FROM a"})
+                         + "\n")
+        errs = []
+        for name in ("cold", "warm"):
+            assert run("eval", "--benchmark", bench, "--db-root", db_root,
+                       "--predictions", preds, "--suite-k", "2", "--cache", tmp_path / "cache",
+                       "--out", tmp_path / f"{name}.jsonl") == 0
+            errs.append(capsys.readouterr().err)
+        assert errs == [DANGLING_WARNING, ""]
 
 
 class TestAnnotate:

@@ -117,7 +117,7 @@ def synthetic_train(freqs=(5, 3, 1)):
                 gold_sql=shape.format(j + 1),
             ))
             i += 1
-    return Benchmark(name="train", split="train", examples=examples, db_root=".")
+    return Benchmark(examples=examples, db_root=".")
 
 
 class TestSelectSupport:

@@ -18,12 +18,12 @@ from sqlbench import execution
 from sqlbench.backend import Prediction
 from sqlbench.cli import main
 from sqlbench.dataset import ExampleRecord, load_benchmark
-from sqlbench.evaluate import GoldBrokenError, evaluate, evaluate_benchmark
+from sqlbench.evaluate import GoldBrokenError, evaluate_benchmark
 from sqlbench.execution import Connections, ExecResult, execute_sql
 from sqlbench.fuzz import TestSuite, build_test_suite
 from sqlbench.store import GoldStore
 
-from conftest import FIXTURE_QUESTIONS, make_geo_db, make_network1_db
+from conftest import FIXTURE_QUESTIONS, evaluate_one, make_geo_db, make_network1_db
 
 
 def example(gold, eid="e0000", db_id="network_1"):
@@ -43,24 +43,24 @@ def suite(network1_db, tmp_path_factory):
 class TestEvaluate:
     def test_prediction_equal_to_gold(self, suite):
         gold = "SELECT name FROM Highschooler WHERE grade = 9"
-        out = evaluate(example(gold), prediction(gold), suite)
+        out = evaluate_one(example(gold), prediction(gold), suite)
         assert out.valid and out.ex and out.ts
         assert out.invalid_reason is None
         assert out.timing_ms >= 0
 
     def test_invalid_prediction(self, suite):
-        out = evaluate(example("SELECT name FROM Highschooler"),
-                       prediction("SELECT nocol FROM Highschooler"), suite)
+        out = evaluate_one(example("SELECT name FROM Highschooler"),
+                           prediction("SELECT nocol FROM Highschooler"), suite)
         assert not out.valid and not out.ex and not out.ts
         assert "no such column" in out.invalid_reason
 
     def test_valid_but_wrong(self, suite):
-        out = evaluate(example("SELECT name FROM Highschooler WHERE grade = 9"),
-                       prediction("SELECT name FROM Highschooler WHERE grade = 12"), suite)
+        out = evaluate_one(example("SELECT name FROM Highschooler WHERE grade = 9"),
+                           prediction("SELECT name FROM Highschooler WHERE grade = 12"), suite)
         assert out.valid and not out.ex and not out.ts
 
     def test_empty_prediction_marker(self, suite):
-        out = evaluate(example("SELECT name FROM Highschooler"), prediction(""), suite)
+        out = evaluate_one(example("SELECT name FROM Highschooler"), prediction(""), suite)
         assert not out.valid
         assert out.invalid_reason == "empty prediction"
 
@@ -74,33 +74,33 @@ class TestEvaluate:
         ]
         gold = "SELECT name FROM Highschooler"
         for sql in cases:
-            out = evaluate(example(gold), prediction(sql), suite)
+            out = evaluate_one(example(gold), prediction(sql), suite)
             assert (not out.ts or out.ex) and (not out.ex or out.valid)
 
     def test_gold_broken_raises(self, suite):
         with pytest.raises(GoldBrokenError):
-            evaluate(example("SELECT broken FROM nowhere"),
-                     prediction("SELECT name FROM Highschooler"), suite)
+            evaluate_one(example("SELECT broken FROM nowhere"),
+                         prediction("SELECT name FROM Highschooler"), suite)
 
     def test_max_vs_order_by_limit_separated_by_empty_variant(self, suite):
         # MAX over an empty table yields one NULL row; ORDER BY ... LIMIT 1 yields none
         gold = "SELECT max(grade) FROM Highschooler"
         pred = "SELECT grade FROM Highschooler ORDER BY grade DESC LIMIT 1"
-        out = evaluate(example(gold), prediction(pred), suite)
+        out = evaluate_one(example(gold), prediction(pred), suite)
         assert out.ex
         assert not out.ts
 
     def test_semantically_equal_written_differently(self, suite):
         gold = "SELECT name FROM Highschooler WHERE grade = 9"
         pred = "SELECT name FROM Highschooler WHERE grade < 10 AND grade > 8"
-        out = evaluate(example(gold), prediction(pred), suite)
+        out = evaluate_one(example(gold), prediction(pred), suite)
         assert out.ts
 
     def test_deterministic(self, suite):
         gold = "SELECT name FROM Highschooler WHERE grade = 9"
         pred = "SELECT name FROM Highschooler WHERE grade = 12"
-        a = evaluate(example(gold), prediction(pred), suite)
-        b = evaluate(example(gold), prediction(pred), suite)
+        a = evaluate_one(example(gold), prediction(pred), suite)
+        b = evaluate_one(example(gold), prediction(pred), suite)
         assert (a.valid, a.ex, a.ts) == (b.valid, b.ex, b.ts)
 
 
@@ -127,7 +127,7 @@ class TestPredicateSeparation:
         gold = "select max(mpg) from cars_data where cylinders = 8 or year < 1980"
         pred = "SELECT MAX(MPG) FROM cars_data WHERE Cylinders = 8 AND Year < 1980"
         ex_rec = ExampleRecord("e0000", "cars", "q", gold)
-        out = evaluate(ex_rec, prediction(pred), cars_suite)
+        out = evaluate_one(ex_rec, prediction(pred), cars_suite)
         assert out.ex, "predicates coincide on the original rows"
         assert not out.ts, "some fuzzed variant separates OR from AND"
 
@@ -206,12 +206,15 @@ class TestEvaluateBenchmark:
         predictions = {e.example_id: prediction(e.gold_sql, e.example_id)
                        for e in bench.examples if e.example_id != "e0005"}
         geo_suite = build_test_suite(geo_file, 2, seed=3, cache_dir=tmp_path / "cache")
+        mixed = tmp_path / "mixed-suite"
+        mixed.mkdir()
         suites = {
             "network_1": build_test_suite(root / "network_1" / "network_1.sqlite", 2,
                                           seed=3, cache_dir=tmp_path / "cache"),
             # the gold query on lake fails on the middle variant only
             "geography": TestSuite("geography", 3, 2,
-                                   [geo_file, no_lake, geo_suite.variants[1]]),
+                                   [geo_file, no_lake, geo_suite.variants[1]],
+                                   geo_suite.source_sha256, "mixed", mixed),
         }
         result = evaluate_benchmark(bench, predictions, suites)
         assert [o.example_id for o in result.outcomes] == [
@@ -226,8 +229,8 @@ class TestEvaluateBenchmark:
 
     def test_prediction_past_row_cap_is_invalid(self, suite, monkeypatch):
         monkeypatch.setattr(execution, "MAX_ROWS", 5)
-        out = evaluate(example("SELECT count(*) FROM Highschooler"),
-                       prediction("SELECT name FROM Highschooler"), suite)
+        out = evaluate_one(example("SELECT count(*) FROM Highschooler"),
+                           prediction("SELECT name FROM Highschooler"), suite)
         assert not out.valid and not out.ex and not out.ts
         assert "more than 5 rows" in out.invalid_reason
 
@@ -283,7 +286,7 @@ class TestGoldStore:
                 conn.execute(f"CREATE TABLE t ({', '.join(columns)})")
                 conn.executemany(f"INSERT INTO t VALUES ({','.join('?' * width)})", rows)
                 conn.commit()
-            suite = TestSuite("t", 0, 1, [db], content_hash="c" * 64, directory=Path(tmp))
+            suite = TestSuite("t", 0, 1, [db], "s" * 64, "c" * 64, Path(tmp))
             raw = ExecResult(columns, rows)
             assert repr(round_trip(suite, "raw", raw)) == repr(raw)
             for sql in ("SELECT * FROM t", "SELECT * FROM t ORDER BY 1",

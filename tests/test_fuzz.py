@@ -14,9 +14,9 @@ from hypothesis import given, settings, strategies as st
 import sqlbench
 from sqlbench import fuzz
 from sqlbench.fuzz import TestSuite, _column_pools, _key_pools, build_test_suite
-from sqlbench.schema import ColumnSchema, TableSchema, introspect
+from sqlbench.schema import ColumnSchema, TableSchema
 
-from conftest import make_network1_db
+from conftest import make_network1_db, read_schema
 
 # child interpreters import sqlbench from this checkout
 CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(sqlbench.__file__).resolve().parent.parent)}
@@ -32,7 +32,8 @@ def all_rows(db_file, table):
 
 def check_integrity(db_file):
     """PK uniqueness and FK referential integrity on one variant."""
-    schema = introspect(db_file)
+    schema = read_schema(db_file)
+    tables = {t.name.lower(): t for t in schema.tables}
     for t in schema.tables:
         rows = all_rows(db_file, t.name)
         pk = t.primary_key
@@ -42,7 +43,7 @@ def check_integrity(db_file):
             assert len(keys) == len(set(keys)), f"duplicate PK in {t.name}"
         for from_col, ref_table, ref_col in t.foreign_keys:
             j = [c.lower() for c in t.column_names].index(from_col.lower())
-            parent = schema.table(ref_table)
+            parent = tables[ref_table.lower()]
             pj = [c.lower() for c in parent.column_names].index(ref_col.lower())
             parent_vals = {r[pj] for r in all_rows(db_file, ref_table)}
             for r in rows:
@@ -149,9 +150,9 @@ class TestSuiteCache:
         conn.close()
         new = build_test_suite(db, 2, seed=1, cache_dir=tmp_path / "cache")
         for variant in new.variants[1:]:
-            got = introspect(variant)
-            assert "Club" in [t.name for t in got.tables]
-            assert "nickname" in got.table("Highschooler").column_names
+            tables = {t.name: t for t in read_schema(variant).tables}
+            assert "Club" in tables
+            assert "nickname" in tables["Highschooler"].column_names
         assert new.source_sha256 != old.source_sha256
         assert new.content_hash != old.content_hash
 
@@ -292,9 +293,9 @@ class TestBuildTestSuite:
 
     def test_schema_preserved(self, network1_db, tmp_path):
         suite = build_test_suite(network1_db, 3, seed=9, cache_dir=tmp_path)
-        orig = introspect(network1_db)
+        orig = read_schema(network1_db)
         for variant in suite.variants[1:]:
-            got = introspect(variant)
+            got = read_schema(variant)
             assert [t.name for t in got.tables] == [t.name for t in orig.tables]
             for to, tg in zip(orig.tables, got.tables):
                 assert to.columns == tg.columns

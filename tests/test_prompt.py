@@ -21,18 +21,16 @@ from sqlbench.prompt import (
     render_prompt,
     render_schema,
 )
-from sqlbench.schema import RowSample, introspect, sample_rows
+from sqlbench.schema import RowSample
 
-from conftest import GEO_SUPPORT_PAIRS, load_golden
+from conftest import GEO_SUPPORT_PAIRS, load_golden, read_samples, read_schema, read_section
 
 QUESTION = "What is Kyle's id?"
 
 
 @pytest.fixture(scope="module")
 def network1(network1_db):
-    schema = introspect(network1_db)
-    samples = [sample_rows(network1_db, t.name, 3) for t in schema.tables]
-    return schema, samples
+    return read_schema(network1_db), read_samples(network1_db, 3)
 
 
 GOLDEN_STYLES = [
@@ -48,21 +46,21 @@ class TestGoldenRendering:
     @pytest.mark.parametrize("name,style", GOLDEN_STYLES, ids=[n for n, _ in GOLDEN_STYLES])
     def test_byte_exact(self, network1, name, style):
         schema, samples = network1
-        got = render_prompt(style, schema, samples, QUESTION).text
+        got = render_prompt(render_schema(style, schema, samples), QUESTION).text
         assert got == load_golden(name)
 
     @pytest.mark.parametrize("name,style", GOLDEN_STYLES, ids=[n for n, _ in GOLDEN_STYLES])
     def test_ends_with_select(self, network1, name, style):
         schema, samples = network1
-        text = render_prompt(style, schema, samples, QUESTION).text
+        text = render_prompt(render_schema(style, schema, samples), QUESTION).text
         assert text.endswith("SELECT")
         assert not text.endswith("\n")
 
     def test_pure_function(self, network1):
         schema, samples = network1
         style = PromptStyle(StyleKind.CREATE_TABLE_SELECT_X, x=3)
-        a = render_prompt(style, schema, samples, QUESTION)
-        b = render_prompt(style, schema, samples, QUESTION)
+        a = render_prompt(render_schema(style, schema, samples), QUESTION)
+        b = render_prompt(render_schema(style, schema, samples), QUESTION)
         assert a == b
 
 
@@ -93,15 +91,12 @@ class TestRowBlock:
 
 class TestFewShot:
     def test_fig_layout_structure(self, geo_db):
-        schema = introspect(geo_db)
-        samples = [sample_rows(geo_db, t.name, 3) for t in schema.tables]
         support = SupportSet(n=5, seed=0, examples=[
             ExampleRecord(f"s{i}", "geography", q, sql, template_id=str(i))
             for i, (q, sql) in enumerate(GEO_SUPPORT_PAIRS)
         ])
-        style = PromptStyle(StyleKind.CREATE_TABLE_SELECT_X, x=3)
-        text = render_prompt(style, schema, samples,
-                             "what is the biggest city in arizona", support).text
+        section = read_section(geo_db, PromptStyle(StyleKind.CREATE_TABLE_SELECT_X, x=3))
+        text = render_prompt(section, "what is the biggest city in arizona", support).text
         lines = text.split("\n")
         instr = ("-- Using valid SQLite, answer the following questions "
                  "for the tables provided above.")
@@ -125,24 +120,23 @@ class TestFewShot:
             ExampleRecord("s0", "network_1", "How many students?",
                           "SELECT count(*) FROM Highschooler;", template_id="t"),
         ])
-        style = PromptStyle(StyleKind.CREATE_TABLE)
-        text = render_prompt(style, schema, None, QUESTION, support).text
+        section = render_schema(PromptStyle(StyleKind.CREATE_TABLE), schema, None)
+        text = render_prompt(section, QUESTION, support).text
         assert "-- How many students?\nSELECT count(*) FROM Highschooler ;" in text
 
     def test_support_set_selects_few_shot_layout(self, network1):
         schema, _ = network1
-        style = PromptStyle(StyleKind.CREATE_TABLE)
-        zero_shot = render_prompt(style, schema, None, QUESTION).text
+        section = render_schema(PromptStyle(StyleKind.CREATE_TABLE), schema, None)
+        zero_shot = render_prompt(section, QUESTION).text
         assert zero_shot == load_golden("create_table")
-        empty = render_prompt(style, schema, None, QUESTION,
-                              SupportSet(n=0, seed=0, examples=[])).text
+        empty = render_prompt(section, QUESTION, SupportSet(n=0, seed=0, examples=[])).text
         tables = "\n\n".join(t.create_sql for t in schema.tables)
         assert empty == f"{tables}\n\n{INSTRUCTION_TABLES}\n\n-- {QUESTION}\nSELECT"
 
     def test_missing_samples_contract_error(self, network1):
         schema, _ = network1
         with pytest.raises(PromptContractError):
-            render_prompt(PromptStyle(StyleKind.SELECT_X, x=3), schema, None, QUESTION)
+            render_schema(PromptStyle(StyleKind.SELECT_X, x=3), schema, None)
 
 
 class TestEstimateTokens:
@@ -158,72 +152,79 @@ class TestEstimateTokens:
 
     def test_monotone_in_text_growth(self, network1):
         schema, samples = network1
-        small = render_prompt(PromptStyle(StyleKind.QUESTION), None, None, QUESTION)
-        big = render_prompt(PromptStyle(StyleKind.CREATE_TABLE_SELECT_X, x=3),
-                            schema, samples, QUESTION)
+        small = render_prompt(render_schema(PromptStyle(StyleKind.QUESTION), None, None),
+                              QUESTION)
+        big = render_prompt(render_schema(PromptStyle(StyleKind.CREATE_TABLE_SELECT_X, x=3),
+                                          schema, samples), QUESTION)
         assert big.est_tokens > small.est_tokens
 
     def test_upper_bound_heuristic_on_full_prompt(self, network1):
         # sanity envelope: estimate lands between the whitespace word count
         # and 3x of it for a realistic schema prompt
         schema, samples = network1
-        text = render_prompt(PromptStyle(StyleKind.CREATE_TABLE_SELECT_X, x=3),
-                             schema, samples, QUESTION).text
+        section = render_schema(PromptStyle(StyleKind.CREATE_TABLE_SELECT_X, x=3),
+                                schema, samples)
+        text = render_prompt(section, QUESTION).text
         words = len(text.split())
         assert words <= estimate_tokens(text) <= 3 * words
 
 
 @pytest.fixture(scope="module")
 def geo(geo_db):
-    schema = introspect(geo_db)
-    samples = [sample_rows(geo_db, t.name, 3) for t in schema.tables]
+    style = PromptStyle(StyleKind.CREATE_TABLE_SELECT_X, x=3)
     support = SupportSet(n=5, seed=0, examples=[
         ExampleRecord(f"s{i}", "geography", q, sql, template_id=str(i))
         for i, (q, sql) in enumerate(GEO_SUPPORT_PAIRS)
     ])
-    style = PromptStyle(StyleKind.CREATE_TABLE_SELECT_X, x=3)
-    return schema, samples, support, style
+    return read_section(geo_db, style), support
 
 
 class TestFitSupport:
 
     def test_all_fit_under_large_budget(self, geo):
-        schema, samples, support, style = geo
-        _, n = fit_support(PromptBudget(100000), style, schema, samples, "target q", support)
+        section, support = geo
+        _, n = fit_support(PromptBudget(100000), section, "target q", support)
         assert n == 5
 
     def test_degenerate_budget_gives_zero_shot(self, geo):
-        schema, samples, support, style = geo
-        base = render_prompt(style, schema, samples, "target q",
-                             SupportSet(n=5, seed=0, examples=[]))
+        section, support = geo
+        base = render_prompt(section, "target q", SupportSet(n=5, seed=0, examples=[]))
         budget = PromptBudget(base.est_tokens + 201, 200)
-        rendered, n = fit_support(budget, style, schema, samples, "target q", support)
+        rendered, n = fit_support(budget, section, "target q", support)
         assert n == 0
         assert rendered.text.endswith("SELECT")
 
     def test_budget_error_when_schema_alone_overflows(self, geo):
-        schema, samples, support, style = geo
+        section, support = geo
         with pytest.raises(BudgetError):
-            fit_support(PromptBudget(300, 200), style, schema, samples, "target q", support)
+            fit_support(PromptBudget(300, 200), section, "target q", support)
+
+    def test_no_support_fits_the_zero_shot_prompt(self, geo):
+        section, _ = geo
+        zero_shot = render_prompt(section, "target q")
+        fitted = fit_support(PromptBudget(zero_shot.est_tokens + 200, 200), section,
+                             "target q", None)
+        assert fitted == (zero_shot, 0)
+        with pytest.raises(BudgetError):
+            fit_support(PromptBudget(zero_shot.est_tokens + 199, 200), section, "target q", None)
 
     def test_monotone_in_budget(self, geo):
-        schema, samples, support, style = geo
+        section, support = geo
         counts = []
         for ctx in (2048, 4096, 8192):
             try:
-                _, n = fit_support(PromptBudget(ctx), style, schema, samples,
-                                   "target q", support)
+                _, n = fit_support(PromptBudget(ctx), section, "target q", support)
             except BudgetError:
                 n = -1
             counts.append(n)
         assert counts == sorted(counts)
 
     def test_drops_from_low_ranked_end(self, geo):
-        schema, samples, support, style = geo
-        full, _ = fit_support(PromptBudget(100000), style, schema, samples, "q", support)
+        section, support = geo
+        full, _ = fit_support(PromptBudget(100000), section, "q", support)
         # shrink budget until exactly fewer fit, then the kept prefix must be rank-ordered
         budget = PromptBudget(full.est_tokens + 200 - 10, 200)
-        rendered, n = fit_support(budget, style, schema, samples, "q", support)
+        rendered, n = fit_support(budget, section, "q", support)
         assert n < 5
         for q, _ in GEO_SUPPORT_PAIRS[:n]:
             assert f"-- {q}" in rendered.text
@@ -253,21 +254,23 @@ def _reference_text(style, schema_text, question, support):
     return schema_text + "\n\n\n" + INSTRUCTION_TABLES + "\n\n" + tail
 
 
-def _reference_render(style, schema_text, question, support, budget):
+def _reference_render(style, schema_text, question, support):
     text = _reference_text(style, schema_text, question, support)
-    est = estimate_tokens(text)
-    fits = budget is None or est + budget.completion_reserve <= budget.context_tokens
-    return text, est, fits
+    return text, estimate_tokens(text)
 
 
 def _reference_fit(budget, style, schema_text, question, support):
     """Render every prefix of the support, longest first, and estimate each
-    whole text, until one fits."""
-    for keep in range(len(support.examples), -1, -1):
-        trimmed = SupportSet(n=support.n, seed=support.seed, examples=support.examples[:keep])
-        rendered = _reference_render(style, schema_text, question, trimmed, budget)
-        if rendered[2]:
-            return rendered, keep
+    whole text, until one fits; with no support, the zero-shot prompt only."""
+    if support is None:
+        layouts = [(None, 0)]
+    else:
+        layouts = [(SupportSet(n=support.n, seed=support.seed, examples=support.examples[:keep]),
+                    keep) for keep in range(len(support.examples), -1, -1)]
+    for layout, keep in layouts:
+        text, est = _reference_render(style, schema_text, question, layout)
+        if est + budget.completion_reserve <= budget.context_tokens:
+            return (text, est), keep
     raise BudgetError
 
 
@@ -298,12 +301,8 @@ _STYLE = st.one_of(
 @pytest.fixture(scope="module")
 def databases(network1_db, geo_db):
     """(schema, samples by x) of each fixture database."""
-    out = []
-    for db in (network1_db, geo_db):
-        schema = introspect(db)
-        out.append((schema, {x: [sample_rows(db, t.name, x) for t in schema.tables]
-                             for x in (1, 2, 3)}))
-    return out
+    return [(read_schema(db), {x: read_samples(db, x) for x in (1, 2, 3)})
+            for db in (network1_db, geo_db)]
 
 
 class TestFittingMatchesReference:
@@ -313,36 +312,32 @@ class TestFittingMatchesReference:
     def test_render_and_fit(self, databases, data, style, db, question, support,
                             reserve, offset):
         schema, samples_by_x = databases[db]
-        samples = samples_by_x.get(style.x)
-        section = render_schema(style, schema, samples)
+        section = render_schema(style, schema, samples_by_x.get(style.x))
         # a budget at one prefix's edge: offset 0 fits it exactly, -1 just misses it
         layouts = [None] if support is None else [
             SupportSet(n=support.n, seed=0, examples=support.examples[:k])
             for k in range(len(support.examples) + 1)]
         edge = data.draw(st.sampled_from(layouts), label="edge")
-        est = _reference_render(style, section.text, question, edge, None)[1]
+        est = _reference_render(style, section.text, question, edge)[1]
         budget = PromptBudget(max(est + reserve + offset, reserve + 1), reserve)
 
-        want = _reference_render(style, section.text, question, support, budget)
-        for got in (render_prompt(style, schema, samples, question, support, budget),
-                    render_prompt(style, section, None, question, support, budget)):
-            assert (got.text, got.est_tokens, got.fits_budget) == want
-            assert got.est_tokens == estimate_tokens(got.text)
+        got = render_prompt(section, question, support)
+        assert (got.text, got.est_tokens) == \
+            _reference_render(style, section.text, question, support)
+        assert got.est_tokens == estimate_tokens(got.text)
 
-        fit_with = support if support is not None else SupportSet(n=0, seed=0, examples=[])
         try:
-            want_fit = _reference_fit(budget, style, section.text, question, fit_with)
+            want_fit = _reference_fit(budget, style, section.text, question, support)
         except BudgetError:
             with pytest.raises(BudgetError):
-                fit_support(budget, style, section, None, question, fit_with)
+                fit_support(budget, section, question, support)
             return
-        got, keep = fit_support(budget, style, section, None, question, fit_with)
-        assert ((got.text, got.est_tokens, got.fits_budget), keep) == want_fit
+        got, keep = fit_support(budget, section, question, support)
+        assert ((got.text, got.est_tokens), keep) == want_fit
         assert got.est_tokens == estimate_tokens(got.text)
 
     def test_fit_renders_once_from_a_section(self, geo, monkeypatch):
-        schema, samples, support, style = geo
-        section = render_schema(style, schema, samples)
+        section, support = geo
         calls = []
 
         def counted(name):
@@ -355,17 +350,11 @@ class TestFittingMatchesReference:
 
         for name in ("render_prompt", "render_schema"):
             monkeypatch.setattr(sqlbench.prompt, name, counted(name))
-        full, _ = fit_support(PromptBudget(100000), style, section, None, "q", support)
+        full, _ = fit_support(PromptBudget(100000), section, "q", support)
         budget = PromptBudget(full.est_tokens + 200 - 10, 200)
-        _, keep = fit_support(budget, style, section, None, "q", support)
+        _, keep = fit_support(budget, section, "q", support)
         assert keep < len(support.examples)
         assert calls == ["render_prompt", "render_prompt"]
-
-    def test_section_of_another_style_refused(self, geo):
-        schema, samples, _, style = geo
-        section = render_schema(PromptStyle(StyleKind.CREATE_TABLE), schema, samples)
-        with pytest.raises(PromptContractError):
-            render_prompt(style, section, None, "q")
 
 
 class TestParseStyle:
