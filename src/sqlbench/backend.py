@@ -138,7 +138,10 @@ class HttpBackend:
             headers["Authorization"] = f"Bearer {self.api_key}"
         delay = 1.0
         last_error = None
-        for attempt in range(self.retries):
+        for attempt in range(1 + self.retries):  # one attempt, then the retries
+            if attempt:
+                time.sleep(min(delay, 30.0))
+                delay *= 2
             self._throttle()
             try:
                 resp = requests.post(self.base_url, json=payload, headers=headers,
@@ -150,12 +153,15 @@ class HttpBackend:
                         f"backend rejected {example_id}: HTTP {resp.status_code} {resp.text[:200]}"
                     )
                 else:
-                    data = resp.json()
-                    return data["choices"][0]["text"]
+                    try:
+                        text = resp.json()["choices"][0]["text"]
+                    except (ValueError, LookupError, TypeError):  # not JSON, or another shape
+                        text = None
+                    if not isinstance(text, str):
+                        raise BackendError(f"backend sent no choices[0].text for {example_id}")
+                    return text
             except requests.RequestException as e:
                 last_error = str(e)
-            time.sleep(min(delay, 30.0))
-            delay *= 2
         raise BackendError(f"backend failed for {example_id} after {self.retries} retries: {last_error}")
 
 

@@ -25,7 +25,7 @@ from .prompt import (BudgetError, PromptBudget, PromptStyle, SchemaSection, fit_
                      parse_style, render_schema)
 from .report import (curve_csv, learning_curve, metrics_table, render_breakdown_markdown,
                      render_csv, render_json, render_markdown)
-from .schema import connect_ro, introspect, sample_rows
+from .schema import IntrospectionError, connect_ro, introspect, sample_rows
 
 
 class Option(NamedTuple):
@@ -175,21 +175,30 @@ def _read_jsonl(path):
                 yield json.loads(line)
 
 
-def _schema_section(db_file, style: PromptStyle) -> SchemaSection:
+def _warn(message: str) -> None:
+    """The one way a stage reports a problem it goes on past. sys.stderr is
+    looked up on each call, so a redirect made after import still catches it."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
+def _skip_database(db_id: str, error: IntrospectionError) -> None:
+    """What prompt and eval do with a database they cannot open."""
+    _warn(f"{db_id}: {error}; its examples are skipped")
+
+
+def _schema_section(db_id: str, db_file, style: PromptStyle) -> SchemaSection:
     """Read a database's schema and row samples through one connection, and
     render them once for style."""
     with closing(connect_ro(db_file)) as conn:
-        schema = introspect(db_file, conn)
+        tables = introspect(db_file, conn, lambda message: _warn(f"{db_id}: {message}"))
         samples = None
         if style.x is not None:
-            samples = [sample_rows(conn, t.name, style.x) for t in schema.tables]
-    return render_schema(style, schema, samples)
+            samples = [sample_rows(conn, t.name, style.x) for t in tables]
+    return render_schema(style, tables, samples)
 
 
 def cmd_prompt(args) -> int:
     bench = load_benchmark(args.benchmark, args.db_root)
-    for w in bench.warnings:
-        print(f"warning: {w}", file=sys.stderr)
     style = parse_style(args.prompt)
     budget = PromptBudget(context_tokens=args.context_tokens,
                           completion_reserve=args.completion_reserve)
@@ -201,26 +210,35 @@ def cmd_prompt(args) -> int:
             print("error: --shots requires --train", file=sys.stderr)
             return 2
         train = load_benchmark(args.train, args.db_root)
-        support = select_support(train, args.shots, args.seed)
-        for w in train.warnings:
-            print(f"warning: train: {w}", file=sys.stderr)
+        try:
+            support = select_support(train, args.shots, args.seed,
+                                     lambda message: _warn(f"train: {message}"))
+        except ValueError as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 2
         recorded += ("train",)
         support_out = args.out.with_suffix(".support.json")
         support_out.parent.mkdir(parents=True, exist_ok=True)
         support_out.write_text(support.to_json())
 
-    sections = {}  # db_id -> the schema section of its prompts
+    sections = {}  # db_id -> the schema section of its prompts, None if it cannot be read
     records = []
     skipped = []
     for rec in bench.examples:
-        section = sections.get(rec.db_id)
+        if rec.db_id not in sections:
+            try:
+                sections[rec.db_id] = _schema_section(rec.db_id, bench.db_path(rec.db_id), style)
+            except IntrospectionError as e:
+                sections[rec.db_id] = None
+                _skip_database(rec.db_id, e)
+        section = sections[rec.db_id]
         if section is None:
-            section = sections[rec.db_id] = _schema_section(bench.db_path(rec.db_id), style)
+            continue
         try:
             rendered, n_used = fit_support(budget, section, rec.question, support)
         except BudgetError as e:
             skipped.append(rec.example_id)
-            print(f"warning: {rec.example_id}: {e}; skipped", file=sys.stderr)
+            _warn(f"{rec.example_id}: {e}; skipped")
             continue
         records.append({
             "example_id": rec.example_id,
@@ -301,19 +319,13 @@ def cmd_eval(args) -> int:
                                              rec["sql"])
     suites = {}
     for db_id in sorted({e.db_id for e in bench.examples}):
-        db_file = bench.db_path(db_id)
-        if not db_file.exists():
-            print(f"warning: missing database for {db_id}; its examples are skipped",
-                  file=sys.stderr)
-            continue
-        suites[db_id] = build_test_suite(
-            db_file, args.suite_k, args.suite_seed, args.cache, db_id=db_id,
-            log=lambda msg: print(f"warning: {msg}", file=sys.stderr),
-        )
+        try:
+            suites[db_id] = build_test_suite(bench.db_path(db_id), args.suite_k,
+                                             args.suite_seed, args.cache, _warn, db_id)
+        except IntrospectionError as e:
+            _skip_database(db_id, e)
 
-    result = evaluate_benchmark(bench, predictions, suites, args.timeout_ms)
-    for w in result.warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    result = evaluate_benchmark(bench, predictions, suites, _warn, args.timeout_ms)
     _write_jsonl(args.out, [o.to_dict() for o in result.outcomes])
     _write_manifest(args, RECORDED["eval"], {
         "gold_broken": result.gold_broken,
@@ -359,10 +371,8 @@ def cmd_report(args) -> int:
         return 2
     loaded = [_load_run(p) for p in paths]
     if args.report_kind == "metrics":
-        runs = [(label, outcomes) for label, outcomes, _ in loaded]
-        broken = {label: len(manifest.get("gold_broken", []))
-                  for label, _, manifest in loaded if manifest}
-        rows = metrics_table(runs, broken)
+        rows = metrics_table([(label, outcomes, len(manifest.get("gold_broken", [])))
+                              for label, outcomes, manifest in loaded])
         fmt = args.format
         if fmt == "markdown":
             text = render_markdown(rows)
@@ -404,18 +414,18 @@ def cmd_report(args) -> int:
 
 
 def cmd_suite(args) -> int:
-    suite = build_test_suite(args.db, args.suite_k, args.suite_seed, args.cache,
-                             log=lambda msg: print(f"warning: {msg}", file=sys.stderr))
+    try:
+        suite = build_test_suite(args.db, args.suite_k, args.suite_seed, args.cache, _warn)
+    except IntrospectionError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     print(f"suite for {suite.db_id}: {suite.k} variants under seed {suite.seed}")
     return 0
 
 
 def cmd_annotate(args) -> int:
     outcomes = _load_outcomes(args.outcomes)
-    warnings = []
-    ids = sample_for_annotation(outcomes, args.n, args.seed, warnings)
-    for w in warnings:
-        print(f"warning: {w}", file=sys.stderr)
+    ids = sample_for_annotation(outcomes, args.n, args.seed, _warn)
     text = annotation_skeleton(ids)
     Path(args.out).write_text(text)
     print(f"wrote annotation skeleton with {len(ids)} examples to {args.out}")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .execution import sql_tokens
@@ -31,7 +31,6 @@ class ExampleRecord:
 class Benchmark:
     examples: list[ExampleRecord]
     db_root: Path
-    warnings: list[str] = field(default_factory=list)
 
     def db_path(self, db_id: str) -> Path:
         """Spider layout: <db_root>/<db_id>/<db_id>.sqlite."""
@@ -60,10 +59,9 @@ def load_benchmark(path, db_root) -> Benchmark:
     """Load a Spider-format JSON list of {db_id, question, query} items.
 
     Example order is preserved; example ids are zero-padded positional ids.
-    Missing database files produce warnings, not errors (evaluation fails on use).
+    Database files are not opened here; a stage that cannot open one says so.
     """
     path = Path(path)
-    db_root = Path(db_root)
     try:
         with open(path) as f:
             items = json.load(f)
@@ -73,8 +71,6 @@ def load_benchmark(path, db_root) -> Benchmark:
         raise IngestionError(f"benchmark file {path} is not a JSON list")
 
     examples = []
-    warnings = []
-    seen_dbs = set()
     for i, item in enumerate(items):
         if not isinstance(item, dict):
             raise IngestionError(f"item at index {i} is not an object")
@@ -83,19 +79,14 @@ def load_benchmark(path, db_root) -> Benchmark:
                 raise IngestionError(f"item at index {i} is missing field {key!r}")
         if not str(item["query"]).strip():
             raise IngestionError(f"item at index {i} has an empty gold query")
-        rec = ExampleRecord(
+        examples.append(ExampleRecord(
             example_id=f"e{i:04d}",
             db_id=item["db_id"],
             question=item["question"],
             gold_sql=item["query"],
             template_id=item.get("template_id"),
-        )
-        examples.append(rec)
-        if rec.db_id not in seen_dbs:
-            seen_dbs.add(rec.db_id)
-            if not (db_root / rec.db_id / f"{rec.db_id}.sqlite").exists():
-                warnings.append(f"database file not found for db_id {rec.db_id!r}")
-    return Benchmark(examples=examples, db_root=db_root, warnings=warnings)
+        ))
+    return Benchmark(examples=examples, db_root=Path(db_root))
 
 
 def canonical_template(sql: str) -> str:
@@ -115,10 +106,10 @@ def canonical_template(sql: str) -> str:
     return out.replace("< STR >", "<str>").replace("< NUM >", "<num>")
 
 
-def template_groups(bench: Benchmark) -> dict[str, list[ExampleRecord]]:
+def template_groups(bench: Benchmark, warn) -> dict[str, list[ExampleRecord]]:
     """Group examples by template id, deriving one from the gold SQL when absent.
 
-    Unlexable golds are excluded from grouping with a warning on the benchmark.
+    Unlexable golds are excluded from grouping, each with a warning to warn.
     """
     groups: dict[str, list[ExampleRecord]] = {}
     for rec in bench.examples:
@@ -127,23 +118,23 @@ def template_groups(bench: Benchmark) -> dict[str, list[ExampleRecord]]:
             try:
                 tid = canonical_template(rec.gold_sql)
             except TemplateError as e:
-                bench.warnings.append(f"{rec.example_id}: excluded from templates ({e})")
+                warn(f"{rec.example_id}: excluded from templates ({e})")
                 continue
         groups.setdefault(tid, []).append(rec)
     return groups
 
 
-def select_support(train: Benchmark, n: int, seed: int) -> SupportSet:
+def select_support(train: Benchmark, n: int, seed: int, warn) -> SupportSet:
     """Pick one example from each of the n most frequent train templates, or
     from every template when there are fewer.
 
     Frequency ties break by ascending template string. The draw for each
     template is seeded by (seed, template string) so extending the pool never
-    perturbs draws for templates already present.
+    perturbs draws for templates already present. Unlexable golds go to warn.
     """
     if n == 0:
         return SupportSet(n=0, seed=seed, examples=[])
-    groups = template_groups(train)
+    groups = template_groups(train, warn)
     if not groups:
         raise ValueError("training split has no template groups")
     ranked = sorted(groups.items(), key=lambda kv: (-len(kv[1]), kv[0]))

@@ -57,18 +57,15 @@ def classify_invalid(error_message: str) -> ErrorCategory:
     return ErrorCategory.INVALID_OTHER
 
 
-def detect_extra_columns(gold: ExecResult, pred: ExecResult,
-                         warnings: list | None = None) -> bool:
+def detect_extra_columns(gold: ExecResult, pred: ExecResult, warn) -> bool:
     """True when the prediction is wider than gold and some order-preserving
-    projection of its columns reproduces the gold denotation."""
+    projection of its columns reproduces the gold denotation. A search skipped
+    for a gold wider than MAX_PROJECTION_ARITY goes to warn."""
     g, p = len(gold.columns), len(pred.columns)
     if p <= g:
         return False
     if g > MAX_PROJECTION_ARITY:
-        if warnings is not None:
-            warnings.append(
-                f"extra-column search skipped: gold arity {g} exceeds {MAX_PROJECTION_ARITY}"
-            )
+        warn(f"extra-column search skipped: gold arity {g} exceeds {MAX_PROJECTION_ARITY}")
         return False
     for positions in combinations(range(p), g):
         projected = ExecResult(
@@ -81,16 +78,14 @@ def detect_extra_columns(gold: ExecResult, pred: ExecResult,
     return False
 
 
-def sample_for_annotation(outcomes: list[EvalOutcome], n: int, seed: int,
-                          warnings: list | None = None) -> list[str]:
+def sample_for_annotation(outcomes: list[EvalOutcome], n: int, seed: int, warn) -> list[str]:
     """Deterministic uniform sample (without replacement) of valid-but-wrong
-    predictions for manual annotation."""
+    predictions for manual annotation. A request for more than there are goes
+    to warn."""
     population = [o.example_id for o in outcomes if o.valid and not o.ts]
     if n >= len(population):
-        if n > len(population) and warnings is not None:
-            warnings.append(
-                f"requested {n} annotations but only {len(population)} candidates exist"
-            )
+        if n > len(population):
+            warn(f"requested {n} annotations but only {len(population)} candidates exist")
         return list(population)
     rng = random.Random(seed)
     return rng.sample(population, n)

@@ -38,7 +38,7 @@ class EvalOutcome:
 
 
 def evaluate(example: ExampleRecord, prediction: Prediction, suite: TestSuite,
-             timeout_ms: int, warnings: list, connections: Connections,
+             timeout_ms: int, warn, connections: Connections,
              gold_store: GoldStore) -> EvalOutcome:
     """Score one prediction. valid: executes on the original database;
     ex: matches gold there; ts: matches gold on every suite variant.
@@ -46,7 +46,7 @@ def evaluate(example: ExampleRecord, prediction: Prediction, suite: TestSuite,
     Queries run on the connections `connections` holds for the suite's
     files. Gold results come from gold_store when it holds them, and go into
     it when it does not. Variants the gold query fails on are skipped, with a
-    note in warnings."""
+    note to warn."""
     start = time.monotonic()
     original = suite.variants[0]
     stored = gold_store.lookup(example.gold_sql)
@@ -89,7 +89,7 @@ def evaluate(example: ExampleRecord, prediction: Prediction, suite: TestSuite,
     for i, variant in enumerate(suite.variants[1:], 1):
         gold_v = gold_on(i, variant)
         if isinstance(gold_v, ExecError):
-            warnings.append(f"{example.example_id}: gold failed on variant {variant}; skipped")
+            warn(f"{example.example_id}: gold failed on variant {variant}; skipped")
             continue
         pred_v = execute_sql(variant, prediction.sql, timeout_ms, connections)
         if isinstance(pred_v, ExecError) or not compare_results(gold_v, pred_v):
@@ -102,20 +102,20 @@ def evaluate(example: ExampleRecord, prediction: Prediction, suite: TestSuite,
 class BenchmarkEvaluation:
     outcomes: list[EvalOutcome]
     gold_broken: list[str]
-    warnings: list[str] = field(default_factory=list)
     gold_store: dict[str, int] = field(default_factory=lambda: {"hits": 0, "misses": 0})
 
 
 def evaluate_benchmark(bench: Benchmark, predictions: dict[str, Prediction],
-                       suites: dict[str, TestSuite],
+                       suites: dict[str, TestSuite], warn,
                        timeout_ms: int = 30000) -> BenchmarkEvaluation:
     """Evaluate every benchmark example that has a prediction and a suite.
 
     Examples run grouped by database, so each suite file, and the suite's
     gold store, is opened once per group and at most one suite's connections
-    are open at a time. Outcomes, gold-broken ids and warnings still come out
-    in benchmark order, after one warning per gold store that failed.
-    Gold-broken examples are excluded from outcomes and listed separately.
+    are open at a time. Outcomes, gold-broken ids and the warnings sent to
+    warn still come out in benchmark order, after one warning per gold store
+    that failed. Gold-broken examples are excluded from outcomes and listed
+    separately.
     """
     groups: dict[str, list[int]] = {}
     for i, example in enumerate(bench.examples):
@@ -132,7 +132,7 @@ def evaluate_benchmark(bench: Benchmark, predictions: dict[str, Prediction],
                 notes: list[str] = []
                 try:
                     outcome = evaluate(example, predictions[example.example_id], suite,
-                                       timeout_ms, notes, connections, store)
+                                       timeout_ms, notes.append, connections, store)
                 except GoldBrokenError as e:
                     outcome = None
                     notes.append(str(e))
@@ -140,20 +140,18 @@ def evaluate_benchmark(bench: Benchmark, predictions: dict[str, Prediction],
         result.gold_store["hits"] += store.hits
         result.gold_store["misses"] += store.misses
         if store.warning:
-            result.warnings.append(f"gold store {store.path}: {store.warning}")
+            warn(f"gold store {store.path}: {store.warning}")
 
-    skipped = []
-    for i, example in enumerate(bench.examples):
-        if i in scored:
-            outcome, notes = scored[i]
-            result.warnings.extend(notes)
-            if outcome is None:
-                result.gold_broken.append(example.example_id)
-            else:
-                result.outcomes.append(outcome)
-        elif example.example_id not in predictions:
-            skipped.append(f"{example.example_id}: no prediction; skipped")
+    for i, (outcome, notes) in sorted(scored.items()):
+        for note in notes:
+            warn(note)
+        if outcome is None:
+            result.gold_broken.append(bench.examples[i].example_id)
         else:
-            skipped.append(f"{example.example_id}: no test suite for its database; skipped")
-    result.warnings.extend(skipped)
+            result.outcomes.append(outcome)
+    for i, example in enumerate(bench.examples):
+        if i not in scored:
+            reason = ("no prediction" if example.example_id not in predictions
+                      else "no test suite for its database")
+            warn(f"{example.example_id}: {reason}; skipped")
     return result

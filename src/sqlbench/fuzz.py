@@ -27,8 +27,9 @@ import uuid
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
+from warnings import warn as python_warn
 
-from .schema import DatabaseSchema, TableSchema, connect_ro, introspect
+from .schema import TableSchema, connect_ro, introspect
 
 GENERATOR_VERSION = "1"
 MAX_ROWS = 64
@@ -55,18 +56,18 @@ class _Unusable(Exception):
     """A cached suite that must not be reused; the message says why."""
 
 
-def _topo_order(schema: DatabaseSchema) -> tuple[list[TableSchema], list[TableSchema]]:
+def _topo_order(tables: list[TableSchema]) -> tuple[list[TableSchema], list[TableSchema]]:
     """Kahn topological sort over FK dependencies (parents first).
 
     Returns (ordered acyclic tables, tables stuck in FK cycles)."""
-    by_name = {t.name.lower(): t for t in schema.tables}
+    by_name = {t.name.lower(): t for t in tables}
     deps = {
         t.name.lower(): {
             ref.lower()
             for _, ref, _ in t.foreign_keys
             if ref.lower() in by_name and ref.lower() != t.name.lower()
         }
-        for t in schema.tables
+        for t in tables
     }
     position = {name: i for i, name in enumerate(by_name)}
     ordered = []
@@ -194,13 +195,13 @@ def _generate_table_rows(
 
 
 def _generate_variant(
-    schema: DatabaseSchema,
+    tables: list[TableSchema],
     orig_data: dict[str, tuple[list[tuple], list[list]]],
     rng: random.Random,
     out_file: Path,
     empty: bool,
 ) -> None:
-    ordered, cyclic = _topo_order(schema)
+    ordered, cyclic = _topo_order(tables)
     generated: dict[str, list[tuple]] = {}
     parent_keys: dict[str, dict[str, list]] = {}
 
@@ -262,9 +263,9 @@ def _generate_variant(
     conn = sqlite3.connect(out_file, isolation_level=None)
     try:
         conn.execute("BEGIN")
-        for table in schema.tables:
+        for table in tables:
             conn.execute(table.create_sql)
-        for table in schema.tables:
+        for table in tables:
             rows = generated[table.name.lower()]
             if rows:
                 marks = ",".join("?" * len(table.columns))
@@ -314,24 +315,30 @@ def _cached_hashes(suite_dir: Path, header: dict) -> list[str]:
     return [hashes[name] for name in names]
 
 
-def _generate_suite(db_file: Path, header: dict, out_dir: Path, log) -> list[str]:
-    """Write the k variants and the manifest into out_dir; return the variant
-    sha256s. Each schema warning goes to log: a foreign key that references a
-    missing table or column finds no parent keys, so its table gets no rows."""
+def _generate_suite(db_file: Path, conn: sqlite3.Connection, header: dict, out_dir: Path,
+                    warn) -> list[str]:
+    """Write the k variants of db_file, read through conn, and the manifest
+    into out_dir; return the variant sha256s. A foreign key that references a
+    missing table or column, or its own table outside an FK cycle, finds no
+    parent keys, so its table gets no rows; each one goes to warn."""
     seed, k = header["seed"], header["k"]
-    with closing(connect_ro(db_file)) as conn:
-        schema = introspect(db_file, conn)
-        orig_data = {t.name.lower(): _column_pools(conn, t) for t in schema.tables}
-    if log:
-        for warning in schema.warnings:
-            log(f"suite {header['db_id']}: {warning}; the table is empty in every variant")
+
+    def empty_table(message):
+        warn(f"suite {header['db_id']}: {message}; the table is empty in every variant")
+
+    tables = introspect(db_file, conn, empty_table)
+    for t in _topo_order(tables)[0]:
+        for from_col, ref_table, _ in t.foreign_keys:
+            if ref_table.lower() == t.name.lower():
+                empty_table(f"table {t.name}: foreign key {from_col} references its own table")
+    orig_data = {t.name.lower(): _column_pools(conn, t) for t in tables}
 
     hashes = {}
     for i in range(1, k + 1):
         rng = random.Random(f"{seed}:{i}")
         empty = i == k  # last variant probes empty-table semantics
         out_file = out_dir / f"variant_{i}.db"
-        _generate_variant(schema, orig_data, rng, out_file, empty)
+        _generate_variant(tables, orig_data, rng, out_file, empty)
         hashes[out_file.name] = _sha256(out_file)
     (out_dir / "manifest.json").write_text(json.dumps({**header, "variant_sha256": hashes}))
     return list(hashes.values())
@@ -375,42 +382,44 @@ def _install(built: Path, suite_dir: Path, header: dict) -> None:
             shutil.rmtree(aside, ignore_errors=True)
 
 
-def build_test_suite(db_file, k: int, seed: int, cache_dir, db_id: str | None = None,
-                     log=None) -> TestSuite:
+def build_test_suite(db_file, k: int, seed: int, cache_dir, warn=python_warn,
+                     db_id: str | None = None) -> TestSuite:
     """Create (or reuse) k fuzzed variants of db_file under cache_dir.
 
     Generation is a pure function of (original database content, seed, k). A
     cached suite is reused only when its manifest matches and every variant
-    matches its recorded sha256; otherwise it is regenerated and log is told.
+    matches its recorded sha256; otherwise it is regenerated and warn is told.
+    A missing or non-SQLite db_file raises IntrospectionError. warn defaults
+    to warnings.warn, for scripts that call this directly.
     """
     if k < 1:
         raise ValueError("suite size k must be >= 1")
     db_file = Path(db_file)
     if db_id is None:
         db_id = db_file.stem
-    source = _sha256(db_file)
-    header = {"db_id": db_id, "seed": seed, "k": k,
-              "generator_version": GENERATOR_VERSION, "source_sha256": source}
-    suite_dir = Path(cache_dir) / db_id / str(seed) / f"k{k}-v{GENERATOR_VERSION}-{source[:16]}"
+    with closing(connect_ro(db_file)) as conn:
+        source = _sha256(db_file)
+        header = {"db_id": db_id, "seed": seed, "k": k,
+                  "generator_version": GENERATOR_VERSION, "source_sha256": source}
+        suite_dir = (Path(cache_dir) / db_id / str(seed)
+                     / f"k{k}-v{GENERATOR_VERSION}-{source[:16]}")
+        hashes = None
+        if suite_dir.exists():
+            try:
+                hashes = _cached_hashes(suite_dir, header)
+            except _Unusable as e:
+                warn(f"suite {db_id}/{seed}/{suite_dir.name} {e}; regenerating")
+        if hashes is None:
+            suite_dir.parent.mkdir(parents=True, exist_ok=True)
+            # a dot-prefixed sibling: never a suite directory name, so a build
+            # killed before the rename leaves nothing a later call returns
+            built = _fresh_dir(suite_dir.parent, ".build-")
+            try:
+                hashes = _generate_suite(db_file, conn, header, built, warn)
+                _install(built, suite_dir, header)
+            finally:
+                shutil.rmtree(built, ignore_errors=True)
     variants = [db_file] + [suite_dir / f"variant_{i}.db" for i in range(1, k + 1)]
-
-    hashes = None
-    if suite_dir.exists():
-        try:
-            hashes = _cached_hashes(suite_dir, header)
-        except _Unusable as e:
-            if log:
-                log(f"suite {db_id}/{seed}/{suite_dir.name} {e}; regenerating")
-    if hashes is None:
-        suite_dir.parent.mkdir(parents=True, exist_ok=True)
-        # a dot-prefixed sibling: never a suite directory name, so a build
-        # killed before the rename leaves nothing a later call returns
-        built = _fresh_dir(suite_dir.parent, ".build-")
-        try:
-            hashes = _generate_suite(db_file, header, built, log)
-            _install(built, suite_dir, header)
-        finally:
-            shutil.rmtree(built, ignore_errors=True)
     content_hash = hashlib.sha256("\n".join([source, *hashes]).encode()).hexdigest()
     return TestSuite(db_id=db_id, seed=seed, k=k, variants=variants, source_sha256=source,
                      content_hash=content_hash, directory=suite_dir)

@@ -9,7 +9,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .dataset import SupportSet
-from .schema import DatabaseSchema, RowSample
+from .schema import RowSample, TableSchema
 
 
 class PromptContractError(Exception):
@@ -166,34 +166,34 @@ class SchemaSection:
 
 
 def render_schema(
-    style: PromptStyle, schema: DatabaseSchema | None, samples: list[RowSample] | None
+    style: PromptStyle, tables: list[TableSchema] | None, samples: list[RowSample] | None
 ) -> SchemaSection:
     """The schema part of style's prompts for one database, with its token runs."""
     kind = style.kind
     if style.x is not None and samples is None:
         raise PromptContractError(f"style {style.label} requires row samples")
-    if kind is not StyleKind.QUESTION and schema is None:
+    if kind is not StyleKind.QUESTION and tables is None:
         raise PromptContractError(f"style {style.label} requires a database schema")
 
     if kind is StyleKind.QUESTION:
         text = ""
     elif kind is StyleKind.API_DOCS:
         lines = ["### SQLite SQL tables, with their properties:", "#"]
-        for t in schema.tables:
+        for t in tables:
             lines.append(f"# {t.name}({', '.join(t.column_names)})")
         lines.append("#")
         text = "\n".join(lines)
     elif kind is StyleKind.SELECT_X:
         by_table = {s.table.lower(): s for s in samples}
-        sections = [_select_section(by_table[t.name.lower()], True) for t in schema.tables]
+        sections = [_select_section(by_table[t.name.lower()], True) for t in tables]
         text = "\n\n".join(sections)
     elif kind is StyleKind.CREATE_TABLE:
-        text = "\n\n".join(t.create_sql for t in schema.tables)
+        text = "\n\n".join(t.create_sql for t in tables)
     else:  # CREATE_TABLE_SELECT_X
         by_table = {s.table.lower(): s for s in samples}
         sections = [
             t.create_sql + "\n" + _select_section(by_table[t.name.lower()], False)
-            for t in schema.tables
+            for t in tables
         ]
         text = "\n\n".join(sections)
     return SchemaSection(style, text, _count(text))

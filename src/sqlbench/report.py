@@ -43,13 +43,10 @@ def metrics_row(label: str, outcomes: list[EvalOutcome],
     )
 
 
-def metrics_table(runs: list[tuple[str, list[EvalOutcome]]],
-                  gold_broken: dict[str, int] | None = None) -> list[MetricsRow]:
-    rows = []
-    for label, outcomes in runs:
-        broken = (gold_broken or {}).get(label, 0)
-        rows.append(metrics_row(label, outcomes, broken))
-    return rows
+def metrics_table(runs: list[tuple[str, list[EvalOutcome], int]]) -> list[MetricsRow]:
+    """One row per run of (label, outcomes, gold-broken count). Runs may share
+    a label; each keeps its own count."""
+    return [metrics_row(label, outcomes, n_broken) for label, outcomes, n_broken in runs]
 
 
 def render_markdown(rows: list[MetricsRow]) -> str:

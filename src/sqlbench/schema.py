@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import sqlite3
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from urllib.parse import quote
 
@@ -37,12 +37,6 @@ class TableSchema:
 
 
 @dataclass
-class DatabaseSchema:
-    tables: list[TableSchema]
-    warnings: list[str] = field(default_factory=list)
-
-
-@dataclass
 class RowSample:
     table: str
     limit: int
@@ -57,7 +51,8 @@ def read_only_uri(db_file) -> str:
 
 
 def connect_ro(db_file) -> sqlite3.Connection:
-    """A read-only connection to db_file, for introspect and sample_rows."""
+    """A read-only connection to db_file, for introspect and sample_rows. The
+    one check that db_file exists: stages report the IntrospectionError."""
     path = Path(db_file)
     if not path.exists():
         raise IntrospectionError(f"database file not found: {path}")
@@ -67,12 +62,11 @@ def connect_ro(db_file) -> sqlite3.Connection:
         raise IntrospectionError(f"cannot read database {db_file}: {e}") from e
 
 
-def introspect(db_file, conn: sqlite3.Connection) -> DatabaseSchema:
+def introspect(db_file, conn: sqlite3.Connection, warn) -> list[TableSchema]:
     """Read all user tables of db_file through conn, in catalog order, with
-    columns, PKs, FKs, and the original CREATE TABLE text. Dangling foreign
-    keys become schema warnings."""
+    columns, PKs, FKs, and the original CREATE TABLE text. Each dangling
+    foreign key goes to warn."""
     tables = []
-    warnings = []
     try:
         master = conn.execute(
             "SELECT name, sql FROM sqlite_master "
@@ -102,23 +96,19 @@ def introspect(db_file, conn: sqlite3.Connection) -> DatabaseSchema:
         for from_col, ref_table, to_col in t.foreign_keys:
             parent = by_name.get(ref_table.lower())
             if parent is None:
-                warnings.append(
-                    f"table {t.name}: foreign key {from_col} references "
-                    f"missing table {ref_table}"
-                )
+                warn(f"table {t.name}: foreign key {from_col} references "
+                     f"missing table {ref_table}")
                 fixed.append((from_col, ref_table, to_col))
                 continue
             if not to_col:
                 pk = parent.primary_key
                 to_col = pk[0] if len(pk) == 1 else ""
             if to_col and to_col.lower() not in {c.name.lower() for c in parent.columns}:
-                warnings.append(
-                    f"table {t.name}: foreign key {from_col} references "
-                    f"missing column {ref_table}.{to_col}"
-                )
+                warn(f"table {t.name}: foreign key {from_col} references "
+                     f"missing column {ref_table}.{to_col}")
             fixed.append((from_col, ref_table, to_col))
         t.foreign_keys = fixed
-    return DatabaseSchema(tables=tables, warnings=warnings)
+    return tables
 
 
 def sample_rows(conn: sqlite3.Connection, table: str, x: int) -> RowSample:

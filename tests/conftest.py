@@ -214,16 +214,18 @@ def load_golden(name: str) -> str:
     return (GOLDEN_DIR / f"network1_{name}.txt").read_text()
 
 
-def read_schema(db_file):
-    """The schema of db_file, read through a connection of its own."""
+def read_schema(db_file, warn=lambda message: None):
+    """The tables of db_file, read through a connection of its own. Schema
+    warnings go to warn."""
     with closing(connect_ro(db_file)) as conn:
-        return introspect(db_file, conn)
+        return introspect(db_file, conn, warn)
 
 
 def read_samples(db_file, x):
     """The first x rows of every table of db_file, in catalog order."""
     with closing(connect_ro(db_file)) as conn:
-        return [sample_rows(conn, t.name, x) for t in introspect(db_file, conn).tables]
+        return [sample_rows(conn, t.name, x)
+                for t in introspect(db_file, conn, lambda message: None)]
 
 
 def read_section(db_file, style):
@@ -232,8 +234,9 @@ def read_section(db_file, style):
     return render_schema(style, read_schema(db_file), samples)
 
 
-def evaluate_one(example, prediction, suite, warnings=None):
-    """evaluate on connections and a gold store opened for this one call."""
+def evaluate_one(example, prediction, suite):
+    """evaluate on connections and a gold store opened for this one call; its
+    notes are dropped."""
     with closing(Connections()) as connections, closing(GoldStore(suite)) as store:
-        return evaluate(example, prediction, suite, 30000,
-                        [] if warnings is None else warnings, connections, store)
+        return evaluate(example, prediction, suite, 30000, lambda message: None,
+                        connections, store)

@@ -67,7 +67,7 @@ def test_golden_prompt_fixtures(network1_db, geo_db):
             examples=[ExampleRecord(f"s{i}", "geography", q, sql.rstrip(" ;"))
                       for i, (q, sql) in enumerate(GEO_SUPPORT_PAIRS)],
         )
-        five_shot = select_support(support, 5, seed=0)
+        five_shot = select_support(support, 5, seed=0, warn=print)
         style = PromptStyle(StyleKind.CREATE_TABLE_SELECT_X, x=3)
         text = render_prompt(read_section(geo_db, style),
                              "what is the biggest city in arizona", five_shot).text
@@ -96,7 +96,7 @@ def test_metric_properties(db_root, fixture_benchmark_path, tmp_path):
             cache_dir=tmp_path / "suites")}
         oracle = {e.example_id: Prediction(e.example_id, "", e.gold_sql)
                   for e in bench.examples}
-        result = evaluate_benchmark(bench, oracle, suites)
+        result = evaluate_benchmark(bench, oracle, suites, print)
         row = record(metrics_row("oracle", result.outcomes))
         assert (row.va_pct, row.ex_pct, row.ts_pct) == (100.0, 100.0, 100.0)
 
@@ -238,12 +238,12 @@ def test_few_shot_protocol(geo_db):
                 examples.append(ExampleRecord(f"e{len(examples):04d}", "d",
                                               f"q{len(examples)}", shape.format(j + 1)))
         train = Benchmark(examples=examples, db_root=".")
-        groups = template_groups(train)
+        groups = template_groups(train, print)
         ranked = sorted(groups, key=lambda t: (-len(groups[t]), t))
         for n in range(4):
-            s = select_support(train, n, seed=7)
+            s = select_support(train, n, seed=7, warn=print)
             assert [e.template_id for e in s.examples] == ranked[:n]
-            assert select_support(train, n, seed=7) == s
+            assert select_support(train, n, seed=7, warn=print) == s
             for e in s.examples:
                 assert canonical_template(e.gold_sql) == e.template_id
 
@@ -252,7 +252,7 @@ def test_few_shot_protocol(geo_db):
             examples=[ExampleRecord(f"s{i}", "geography", q, sql.rstrip(" ;"))
                       for i, (q, sql) in enumerate(GEO_SUPPORT_PAIRS)],
         )
-        five = select_support(support, 5, seed=0)
+        five = select_support(support, 5, seed=0, warn=print)
         section = read_section(geo_db, PromptStyle(StyleKind.CREATE_TABLE_SELECT_X, x=3))
         _, n_2048 = fit_support(PromptBudget(2048), section, "q", five)
         _, n_4096 = fit_support(PromptBudget(4096), section, "q", five)
@@ -279,9 +279,9 @@ def test_error_triage(tmp_path):
         gold = execute_sql(db, "SELECT Name FROM conductor ORDER BY Year_of_Work DESC")
         pred = execute_sql(db, "SELECT Name, Year_of_Work FROM conductor "
                                "ORDER BY Year_of_Work DESC")
-        assert detect_extra_columns(gold, pred)
+        assert detect_extra_columns(gold, pred, print)
         wrong = execute_sql(db, "SELECT Conductor_ID FROM conductor")
-        assert not detect_extra_columns(gold, wrong)
+        assert not detect_extra_columns(gold, wrong, print)
 
         from sqlbench.evaluate import EvalOutcome
         outs = [

@@ -96,6 +96,7 @@ class TestGoldOracle:
 class _FlakyHandler(BaseHTTPRequestHandler):
     failures_left = 0
     requests_seen = 0
+    reply = None  # a 200 body to send instead of a completion
 
     def do_POST(self):
         cls = type(self)
@@ -107,8 +108,8 @@ class _FlakyHandler(BaseHTTPRequestHandler):
             self.send_response(503)
             self.end_headers()
             return
-        payload = json.dumps({"choices": [{"text": " 1 FROM t"}],
-                              "echo_model": body.get("model")})
+        payload = cls.reply or json.dumps({"choices": [{"text": " 1 FROM t"}],
+                                           "echo_model": body.get("model")})
         self.send_response(200)
         self.send_header("Content-Type", "application/json")
         self.end_headers()
@@ -119,35 +120,54 @@ class _FlakyHandler(BaseHTTPRequestHandler):
 
 
 @pytest.fixture
-def flaky_server():
+def flaky_server(monkeypatch):
+    """A local completion endpoint; the backend's backoff does not sleep."""
+    monkeypatch.setattr("sqlbench.backend.time.sleep", lambda seconds: None)
+    _FlakyHandler.failures_left = 0
+    _FlakyHandler.requests_seen = 0
+    _FlakyHandler.reply = None
     server = HTTPServer(("127.0.0.1", 0), _FlakyHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # a short poll, so that shutdown does not wait out the default half second
+    thread = threading.Thread(target=server.serve_forever, args=(0.01,), daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1/completions"
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpBackend:
     def test_retries_transient_failures(self, flaky_server):
         _FlakyHandler.failures_left = 2
-        _FlakyHandler.requests_seen = 0
         backend = HttpBackend(flaky_server, "m", rpm=0, retries=5)
         backend._throttle = lambda: None  # no pacing in tests
         out = backend.complete("e0", CompletionRequest(prompt="p"))
         assert out == " 1 FROM t"
         assert _FlakyHandler.requests_seen == 3
 
-    def test_unreachable_url_errors_after_retries(self):
+    def test_unreachable_url_errors_after_retries(self, monkeypatch):
+        monkeypatch.setattr("sqlbench.backend.time.sleep", lambda seconds: None)
         backend = HttpBackend("http://127.0.0.1:1/nope", "m", rpm=0, retries=2)
         backend._throttle = lambda: None
-        import time as _time
-        orig_sleep = _time.sleep
-        _time.sleep = lambda s: None
-        try:
-            with pytest.raises(BackendError, match="e9"):
-                backend.complete("e9", CompletionRequest(prompt="p"))
-        finally:
-            _time.sleep = orig_sleep
+        with pytest.raises(BackendError, match="e9"):
+            backend.complete("e9", CompletionRequest(prompt="p"))
+
+    def test_zero_retries_sends_one_request(self, flaky_server):
+        backend = HttpBackend(flaky_server, "m", rpm=0, retries=0)
+        assert backend.complete("e0", CompletionRequest(prompt="p")) == " 1 FROM t"
+        assert _FlakyHandler.requests_seen == 1
+        _FlakyHandler.failures_left = 1
+        with pytest.raises(BackendError, match="e1 after 0 retries: HTTP 503"):
+            backend.complete("e1", CompletionRequest(prompt="p"))
+        assert _FlakyHandler.requests_seen == 2
+
+    @pytest.mark.parametrize("reply", ["{}", '{"choices": []}', '{"choices": [{"text": null}]}',
+                                       "[1]", "not json"])
+    def test_malformed_reply_names_the_example(self, flaky_server, reply):
+        _FlakyHandler.reply = reply
+        backend = HttpBackend(flaky_server, "m", rpm=0, retries=3)
+        with pytest.raises(BackendError, match=r"no choices\[0\].text for e7"):
+            backend.complete("e7", CompletionRequest(prompt="p"))
+        assert _FlakyHandler.requests_seen == 1  # not retried
 
 
 class TestCompletionRequest:

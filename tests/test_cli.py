@@ -106,6 +106,25 @@ class TestPrompt:
         assert support["n"] == 1 and len(support["examples"]) == 1
         assert all(r["shots_used"] == 1 for r in read_jsonl(out))
 
+    def test_train_without_lexable_gold_refused(self, workdir, fixture_benchmark_path,
+                                                db_root, capsys):
+        train = workdir / "train_all_unlexable.json"
+        train.write_text(json.dumps([
+            {"db_id": "network_1", "question": "q0", "query": "SELECT a FROM t WHERE a = ?1"},
+            {"db_id": "network_1", "question": "q1", "query": "SELECT b FROM t WHERE b = ?2"},
+        ]))
+        out = workdir / "all-unlexable.jsonl"
+        rc = run("prompt", "--benchmark", fixture_benchmark_path, "--db-root", db_root,
+                 "--train", train, "--prompt", "question", "--shots", "2", "--out", out)
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.split(" (")[0] for line in lines] == [
+            "warning: train: e0000: excluded from templates",
+            "warning: train: e0001: excluded from templates",
+            "error: training split has no template groups",
+        ]
+        assert not out.exists()
+
     def test_config_file_supplies_defaults(self, workdir, fixture_benchmark_path, db_root):
         cfg = workdir / "run.yaml"
         cfg.write_text(
@@ -408,6 +427,22 @@ class TestReport:
         assert [r["label"] for r in json.loads(dest.read_text())] == [
             "fixture_dev / m / create / 4-shot"]
 
+    def test_runs_sharing_a_label_keep_their_gold_broken_counts(self, tmp_path):
+        for name, n_broken in (("run1", 3), ("run2", 0)):
+            outcomes = tmp_path / f"{name}.jsonl"
+            outcomes.write_text(json.dumps({"example_id": "e0", "valid": True, "ex": True,
+                                            "ts": True}) + "\n")
+            manifest = {"config": {"benchmark": "dev.json"}, "model": "m",
+                        "prompt_config": {"prompt": "create"},
+                        "gold_broken": [f"b{i}" for i in range(n_broken)]}
+            (tmp_path / f"{name}.jsonl.manifest.json").write_text(json.dumps(manifest))
+        dest = tmp_path / "metrics.json"
+        assert run("report", "metrics", "--runs", tmp_path / "run*.jsonl", "--format", "json",
+                   "--out", dest) == 0
+        rows = json.loads(dest.read_text())
+        assert [(r["label"], r["n_gold_broken"]) for r in rows] == [
+            ("dev / m / create", 3), ("dev / m / create", 0)]
+
     def test_zero_shot_label_omits_shots(self, workdir, outcomes_file):
         dest = workdir / "zero-shot.json"
         assert run("report", "metrics", "--runs", outcomes_file, "--format", "json",
@@ -521,6 +556,96 @@ class TestSuiteWarnings:
                        "--out", tmp_path / f"{name}.jsonl") == 0
             errs.append(capsys.readouterr().err)
         assert errs == [DANGLING_WARNING, ""]
+
+
+    def test_prompt_logs_schema_warnings(self, dangling_fk_root, tmp_path, capsys):
+        db_root, bench = dangling_fk_root
+        assert run("prompt", "--benchmark", bench, "--db-root", db_root,
+                   "--out", tmp_path / "prompts.jsonl") == 0
+        assert capsys.readouterr().err == (
+            "warning: dangling: table a: foreign key x references missing table ghost\n")
+
+    def test_self_reference_logged_once(self, tmp_path, capsys):
+        db = tmp_path / "emp.sqlite"
+        with closing(sqlite3.connect(db)) as conn:
+            conn.execute("CREATE TABLE emp (id int primary key, boss int REFERENCES emp(id))")
+            conn.executemany("INSERT INTO emp VALUES (?, ?)", [(i, i // 2) for i in range(20)])
+            conn.commit()
+        argv = ("suite", "--db", db, "--suite-k", "4", "--cache", tmp_path / "cache")
+        assert run(*argv) == 0
+        assert capsys.readouterr().err == (
+            "warning: suite emp: table emp: foreign key boss references its own table; "
+            "the table is empty in every variant\n")
+        suite = build_test_suite(db, 4, 0, tmp_path / "cache")
+        for variant in suite.variants[1:]:
+            with closing(sqlite3.connect(variant)) as conn:
+                assert conn.execute("SELECT count(*) FROM emp").fetchone() == (0,)
+        assert run(*argv) == 0  # reused: no warning
+        assert capsys.readouterr().err == ""
+
+
+@pytest.fixture
+def unusable_root(tmp_path):
+    """A database root holding network_1, no file for `gone` and a `junk` file
+    that is not SQLite, and a benchmark that interleaves examples on all three."""
+    root = tmp_path / "dbroot"
+    for db_id in ("network_1", "gone", "junk"):
+        (root / db_id).mkdir(parents=True)
+    make_network1_db(root / "network_1" / "network_1.sqlite")
+    (root / "junk" / "junk.sqlite").write_bytes(b"not a database " * 100)
+    items = []
+    for i, (question, sql) in enumerate(FIXTURE_QUESTIONS[:4]):
+        items.append({"db_id": "network_1", "question": question, "query": sql})
+        items.append({"db_id": ("gone", "junk")[i % 2], "question": question, "query": sql})
+    bench = tmp_path / "bench.json"
+    bench.write_text(json.dumps(items))
+    return root, bench
+
+
+def unusable_reason(root, db_id):
+    """Why the database db_id of unusable_root cannot be opened."""
+    db_file = root / db_id / f"{db_id}.sqlite"
+    return {"gone": f"database file not found: {db_file}",
+            "junk": f"cannot read database {db_file}: file is not a database"}[db_id]
+
+
+def skip_line(root, db_id):
+    """The warning prompt and eval print for a database they cannot open."""
+    return f"warning: {db_id}: {unusable_reason(root, db_id)}; its examples are skipped"
+
+
+class TestUnusableDatabases:
+    def test_every_stage_skips_them_and_goes_on(self, unusable_root, tmp_path, capsys):
+        root, bench = unusable_root
+        prompts, preds = tmp_path / "prompts.jsonl", tmp_path / "predictions.jsonl"
+        outcomes, report = tmp_path / "outcomes.jsonl", tmp_path / "report.json"
+        skips = [skip_line(root, "gone"), skip_line(root, "junk")]
+        assert run("prompt", "--benchmark", bench, "--db-root", root, "--out", prompts) == 0
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "its examples are skipped" in line] == skips
+        assert "Traceback" not in err
+        assert {r["db_id"] for r in read_jsonl(prompts)} == {"network_1"}
+        assert run("predict", "--prompts", prompts, "--backend", "gold",
+                   "--benchmark", bench, "--db-root", root, "--out", preds) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        assert run("eval", "--benchmark", bench, "--db-root", root, "--predictions", preds,
+                   "--suite-k", "2", "--cache", tmp_path / "cache", "--out", outcomes) == 0
+        err = capsys.readouterr().err
+        assert [line for line in err.splitlines() if "its examples are skipped" in line] == skips
+        assert "Traceback" not in err
+        assert run("report", "metrics", "--runs", outcomes, "--format", "json",
+                   "--out", report) == 0
+        [row] = json.loads(report.read_text())
+        assert (row["va_pct"], row["ex_pct"], row["ts_pct"]) == (100.0, 100.0, 100.0)
+        assert row["n_evaluated"] == 4
+
+    @pytest.mark.parametrize("db_id", ["gone", "junk"])
+    def test_suite_refuses_them(self, unusable_root, tmp_path, capsys, db_id):
+        root, _ = unusable_root
+        cache = tmp_path / "cache"
+        assert run("suite", "--db", root / db_id / f"{db_id}.sqlite", "--cache", cache) == 2
+        assert capsys.readouterr().err == f"error: {unusable_reason(root, db_id)}\n"
+        assert not list(cache.rglob(".build-*"))
 
 
 class TestAnnotate:

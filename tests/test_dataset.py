@@ -31,7 +31,6 @@ class TestLoadBenchmark:
         assert [e.question for e in bench.examples] == ["q1", "q2"]
         assert bench.examples[0].example_id == "e0000"
         assert bench.examples[1].example_id == "e0001"
-        assert bench.warnings == []
 
     def test_empty_list(self, tmp_path, db_root):
         bench = load_benchmark(write_bench(tmp_path, []), db_root)
@@ -42,13 +41,13 @@ class TestLoadBenchmark:
         with pytest.raises(IngestionError, match="index 0"):
             load_benchmark(path, db_root)
 
-    def test_missing_db_file_is_warning_not_error(self, tmp_path, db_root):
+    def test_missing_db_file_is_left_to_the_stages(self, tmp_path, db_root):
         path = write_bench(tmp_path, [
             {"db_id": "no_such_db", "question": "q", "query": "SELECT 1"},
         ])
         bench = load_benchmark(path, db_root)
-        assert len(bench.examples) == 1
-        assert any("no_such_db" in w for w in bench.warnings)
+        assert [e.db_id for e in bench.examples] == ["no_such_db"]
+        assert bench.db_path("no_such_db") == db_root / "no_such_db" / "no_such_db.sqlite"
 
     def test_unparseable_file(self, tmp_path, db_root):
         path = tmp_path / "bad.json"
@@ -122,39 +121,39 @@ def synthetic_train(freqs=(5, 3, 1)):
 
 class TestSelectSupport:
     def test_zero_shot(self):
-        s = select_support(synthetic_train(), 0, seed=7)
+        s = select_support(synthetic_train(), 0, seed=7, warn=print)
         assert s.examples == []
 
     def test_top_two_templates(self):
         train = synthetic_train((5, 3, 1))
-        s = select_support(train, 2, seed=7)
-        groups = template_groups(train)
+        s = select_support(train, 2, seed=7, warn=print)
+        groups = template_groups(train, print)
         ranked = sorted(groups, key=lambda t: (-len(groups[t]), t))
         assert [e.template_id for e in s.examples] == ranked[:2]
 
     def test_deterministic(self):
-        a = select_support(synthetic_train(), 3, seed=42)
-        b = select_support(synthetic_train(), 3, seed=42)
+        a = select_support(synthetic_train(), 3, seed=42, warn=print)
+        b = select_support(synthetic_train(), 3, seed=42, warn=print)
         assert a == b
 
     def test_n_exceeding_templates_covers_all_once(self):
-        s = select_support(synthetic_train(), 10, seed=1)
+        s = select_support(synthetic_train(), 10, seed=1, warn=print)
         assert len(s.examples) == 3
         assert len({e.template_id for e in s.examples}) == 3
 
     def test_adding_template_does_not_perturb_existing_draws(self):
-        small = select_support(synthetic_train((5, 3)), 2, seed=3)
-        big = select_support(synthetic_train((5, 3, 1)), 2, seed=3)
+        small = select_support(synthetic_train((5, 3)), 2, seed=3, warn=print)
+        big = select_support(synthetic_train((5, 3, 1)), 2, seed=3, warn=print)
         assert [e.gold_sql for e in small.examples] == [e.gold_sql for e in big.examples]
 
     def test_members_drawn_from_own_template(self):
         train = synthetic_train((4, 4, 4))
-        s = select_support(train, 3, seed=11)
+        s = select_support(train, 3, seed=11, warn=print)
         for rec in s.examples:
             assert canonical_template(rec.gold_sql) == rec.template_id
 
     def test_export_json_shape(self):
-        s = select_support(synthetic_train(), 2, seed=5)
+        s = select_support(synthetic_train(), 2, seed=5, warn=print)
         payload = json.loads(s.to_json())
         assert payload["n"] == 2 and payload["seed"] == 5
         assert len(payload["examples"]) == 2

@@ -67,17 +67,17 @@ class TestDetectExtraColumns:
                            "SELECT Name, Year_of_Work FROM conductor "
                            "ORDER BY Year_of_Work DESC")
         assert not compare_results(gold, pred)
-        assert detect_extra_columns(gold, pred)
+        assert detect_extra_columns(gold, pred, print)
 
     def test_equal_arity_never_fires(self, conductor_db):
         gold = execute_sql(conductor_db, "SELECT Name FROM conductor")
         pred = execute_sql(conductor_db, "SELECT Year_of_Work FROM conductor")
-        assert not detect_extra_columns(gold, pred)
+        assert not detect_extra_columns(gold, pred, print)
 
     def test_wider_but_no_matching_projection(self, conductor_db):
         gold = execute_sql(conductor_db, "SELECT Name FROM conductor WHERE Year_of_Work > 12")
         pred = execute_sql(conductor_db, "SELECT Conductor_ID, Year_of_Work FROM conductor")
-        assert not detect_extra_columns(gold, pred)
+        assert not detect_extra_columns(gold, pred, print)
 
     def test_agrees_with_projection_brute_force(self, conductor_db):
         queries = [
@@ -90,7 +90,7 @@ class TestDetectExtraColumns:
         results = [execute_sql(conductor_db, q) for q in queries]
         for gold in results:
             for pred in results:
-                got = detect_extra_columns(gold, pred)
+                got = detect_extra_columns(gold, pred, print)
                 g, p = len(gold.columns), len(pred.columns)
                 want = p > g and any(
                     compare_results(
@@ -107,7 +107,7 @@ class TestDetectExtraColumns:
         gold = ExecResult([f"g{i}" for i in range(7)], [])
         pred = ExecResult([f"p{i}" for i in range(9)], [])
         warnings = []
-        assert not detect_extra_columns(gold, pred, warnings)
+        assert not detect_extra_columns(gold, pred, warnings.append)
         assert warnings
 
 
@@ -120,20 +120,21 @@ class TestSampleForAnnotation:
 
     def test_capped_with_warning(self):
         warnings = []
-        ids = sample_for_annotation(self.population(), 100, seed=1, warnings=warnings)
+        ids = sample_for_annotation(self.population(), 100, seed=1, warn=warnings.append)
         assert len(ids) == 5
         assert warnings
 
     def test_deterministic(self):
-        a = sample_for_annotation(self.population(), 3, seed=9)
-        b = sample_for_annotation(self.population(), 3, seed=9)
+        a = sample_for_annotation(self.population(), 3, seed=9, warn=print)
+        b = sample_for_annotation(self.population(), 3, seed=9, warn=print)
         assert a == b
 
     def test_empty_population(self):
-        assert sample_for_annotation([outcome("ok", ts=True, ex=True)], 10, seed=0) == []
+        assert sample_for_annotation([outcome("ok", ts=True, ex=True)], 10, seed=0,
+                                     warn=print) == []
 
     def test_excludes_invalid_and_correct(self):
-        ids = sample_for_annotation(self.population(), 100, seed=0)
+        ids = sample_for_annotation(self.population(), 100, seed=0, warn=print)
         assert "good" not in ids and "bad" not in ids
 
     def test_skeleton_round_trip(self, tmp_path):

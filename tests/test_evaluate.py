@@ -146,7 +146,7 @@ class TestEvaluateBenchmark:
                        for e in bench.examples}
         suites = {"network_1": build_test_suite(db_root / "network_1" / "network_1.sqlite",
                                                 2, seed=1, cache_dir=tmp_path / "cache")}
-        result = evaluate_benchmark(bench, predictions, suites)
+        result = evaluate_benchmark(bench, predictions, suites, print)
         assert len(result.outcomes) == 2
         assert result.gold_broken == ["e0001"]
         assert all(o.ts for o in result.outcomes)
@@ -170,7 +170,7 @@ class TestEvaluateBenchmark:
             return connect(database, *args, **kwargs)
 
         monkeypatch.setattr(sqlite3, "connect", counting_connect)
-        result = evaluate_benchmark(bench, predictions, suites)
+        result = evaluate_benchmark(bench, predictions, suites, print)
         assert [o.ts for o in result.outcomes] == [True, True, True]
         suite = suites["network_1"]
         variants = [d for d in opened if any(str(v) in str(d) for v in suite.variants)]
@@ -216,12 +216,13 @@ class TestEvaluateBenchmark:
                                    [geo_file, no_lake, geo_suite.variants[1]],
                                    geo_suite.source_sha256, "mixed", mixed),
         }
-        result = evaluate_benchmark(bench, predictions, suites)
+        warnings = []
+        result = evaluate_benchmark(bench, predictions, suites, warnings.append)
         assert [o.example_id for o in result.outcomes] == [
             "e0000", "e0001", "e0002", "e0004", "e0006"]
         assert all(o.ts for o in result.outcomes)
         assert result.gold_broken == ["e0003"]
-        assert result.warnings == [
+        assert warnings == [
             "e0003: gold query failed on network_1: no such table: missing_table",
             f"e0004: gold failed on variant {no_lake}; skipped",
             "e0005: no prediction; skipped",
@@ -251,7 +252,7 @@ def round_trip(suite, sql, result):
     return got
 
 
-def network1_eval(db_root, tmp_path, golds, preds, **kwargs):
+def network1_eval(db_root, tmp_path, golds, preds, warn=print, **kwargs):
     """evaluate_benchmark on network_1 examples with these golds and
     predictions, against the k=2 suite cached under tmp_path."""
     bench_file = tmp_path / "bench.json"
@@ -262,7 +263,7 @@ def network1_eval(db_root, tmp_path, golds, preds, **kwargs):
                    for e, sql in zip(bench.examples, preds)}
     suite = build_test_suite(db_root / "network_1" / "network_1.sqlite", 2, seed=1,
                              cache_dir=tmp_path / "cache", db_id="network_1")
-    return evaluate_benchmark(bench, predictions, {"network_1": suite}, **kwargs), suite
+    return evaluate_benchmark(bench, predictions, {"network_1": suite}, warn, **kwargs), suite
 
 
 def scores(result):
@@ -324,9 +325,10 @@ class TestGoldStore:
     def test_damaged_store_falls_back(self, db_root, tmp_path, damage):
         golds = [sql for _, sql in FIXTURE_QUESTIONS[:4]]
         preds = [golds[0], golds[1], "SELECT name FROM Highschooler", "SELECT nocol FROM t"]
-        first, suite = network1_eval(db_root, tmp_path, golds, preds)
+        warned = {"first": [], "damaged": [], "repaired": []}
+        first, suite = network1_eval(db_root, tmp_path, golds, preds, warned["first"].append)
         lookups = sum(first.gold_store.values())
-        assert first.gold_store["misses"] == lookups and not first.warnings
+        assert first.gold_store["misses"] == lookups and not warned["first"]
         path = suite.directory / "gold.sqlite"
         if damage in ("tampered", "retyped", "moved"):
             changes = {
@@ -344,19 +346,20 @@ class TestGoldStore:
         else:
             path.unlink()
             path.mkdir()
-        damaged, _ = network1_eval(db_root, tmp_path, golds, preds)
+        damaged, _ = network1_eval(db_root, tmp_path, golds, preds, warned["damaged"].append)
         assert scores(damaged) == scores(first)
         assert damaged.gold_store == {"hits": 0, "misses": lookups}
-        assert len(damaged.warnings) == 1
-        assert damaged.warnings[0].startswith(f"gold store {path}: ")
+        assert len(warned["damaged"]) == 1
+        assert warned["damaged"][0].startswith(f"gold store {path}: ")
         if damage == "garbage":  # swapped for an empty store, which this eval filled
-            assert damaged.warnings[0].endswith("replaced by an empty store")
+            assert warned["damaged"][0].endswith("replaced by an empty store")
             assert path.read_bytes().startswith(b"SQLite format 3\x00")
             assert [p.name for p in path.parent.glob("gold.sqlite*")] == ["gold.sqlite"]
         if damage != "unopenable":  # the rows run again were stored again
-            repaired, _ = network1_eval(db_root, tmp_path, golds, preds)
+            repaired, _ = network1_eval(db_root, tmp_path, golds, preds,
+                                        warned["repaired"].append)
             assert repaired.gold_store == {"hits": lookups, "misses": 0}
-            assert scores(repaired) == scores(first) and not repaired.warnings
+            assert scores(repaired) == scores(first) and not warned["repaired"]
 
     def test_concurrent_evals_share_one_store(self, fixture_benchmark_path, db_root, tmp_path):
         bench = load_benchmark(fixture_benchmark_path, db_root)

@@ -358,7 +358,7 @@ class TestAgainstReference:
     @given(pair=result_pairs(max_rows=5, extra_columns=2))
     def test_detect_extra_columns(self, pair):
         gold, pred = pair
-        assert detect_extra_columns(gold, pred) is reference_extra_columns(gold, pred)
+        assert detect_extra_columns(gold, pred, print) is reference_extra_columns(gold, pred)
 
     def test_cell_pool(self):
         for v, t in ((V, T), (0.0, 1e-9)):

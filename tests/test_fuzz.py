@@ -33,8 +33,8 @@ def all_rows(db_file, table):
 def check_integrity(db_file):
     """PK uniqueness and FK referential integrity on one variant."""
     schema = read_schema(db_file)
-    tables = {t.name.lower(): t for t in schema.tables}
-    for t in schema.tables:
+    tables = {t.name.lower(): t for t in schema}
+    for t in schema:
         rows = all_rows(db_file, t.name)
         pk = t.primary_key
         if pk:
@@ -150,7 +150,7 @@ class TestSuiteCache:
         conn.close()
         new = build_test_suite(db, 2, seed=1, cache_dir=tmp_path / "cache")
         for variant in new.variants[1:]:
-            tables = {t.name: t for t in read_schema(variant).tables}
+            tables = {t.name: t for t in read_schema(variant)}
             assert "Club" in tables
             assert "nickname" in tables["Highschooler"].column_names
         assert new.source_sha256 != old.source_sha256
@@ -166,7 +166,7 @@ class TestSuiteCache:
         else:  # a well-formed database with other rows
             target.write_bytes(want[0])
         logs = []
-        again = build_test_suite(network1_db, 3, seed=2, cache_dir=tmp_path, log=logs.append)
+        again = build_test_suite(network1_db, 3, seed=2, cache_dir=tmp_path, warn=logs.append)
         assert [v.read_bytes() for v in again.variants[1:]] == want
         assert again.content_hash == suite.content_hash
         assert any("variant_2.db" in m and "regenerating" in m for m in logs)
@@ -296,8 +296,8 @@ class TestBuildTestSuite:
         orig = read_schema(network1_db)
         for variant in suite.variants[1:]:
             got = read_schema(variant)
-            assert [t.name for t in got.tables] == [t.name for t in orig.tables]
-            for to, tg in zip(orig.tables, got.tables):
+            assert [t.name for t in got] == [t.name for t in orig]
+            for to, tg in zip(orig, got):
                 assert to.columns == tg.columns
                 assert to.foreign_keys == tg.foreign_keys
 
@@ -333,7 +333,7 @@ class TestBuildTestSuite:
         suite = build_test_suite(network1_db, 2, seed=1, cache_dir=tmp_path)
         manifest = suite.variants[1].parent / "manifest.json"
         manifest.write_text("{corrupt")
-        build_test_suite(network1_db, 2, seed=1, cache_dir=tmp_path, log=logs.append)
+        build_test_suite(network1_db, 2, seed=1, cache_dir=tmp_path, warn=logs.append)
         assert any("regenerating" in m for m in logs)
 
     def test_k_zero_rejected(self, network1_db, tmp_path):

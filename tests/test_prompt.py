@@ -130,7 +130,7 @@ class TestFewShot:
         zero_shot = render_prompt(section, QUESTION).text
         assert zero_shot == load_golden("create_table")
         empty = render_prompt(section, QUESTION, SupportSet(n=0, seed=0, examples=[])).text
-        tables = "\n\n".join(t.create_sql for t in schema.tables)
+        tables = "\n\n".join(t.create_sql for t in schema)
         assert empty == f"{tables}\n\n{INSTRUCTION_TABLES}\n\n-- {QUESTION}\nSELECT"
 
     def test_missing_samples_contract_error(self, network1):

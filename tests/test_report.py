@@ -62,8 +62,8 @@ class TestMetricsRow:
 class TestRenderers:
     def rows(self):
         return metrics_table([
-            ("question", mixed_outcomes()),
-            ("create_table", [outcome(f"e{i}", ex=True, ts=True) for i in range(4)]),
+            ("question", mixed_outcomes(), 0),
+            ("create_table", [outcome(f"e{i}", ex=True, ts=True) for i in range(4)], 0),
         ])
 
     def test_markdown_shape(self):

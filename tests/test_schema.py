@@ -17,8 +17,8 @@ def sample(db_file, table, x):
 class TestIntrospect:
     def test_network1_tables_and_fks(self, network1_db):
         schema = read_schema(network1_db)
-        assert [t.name for t in schema.tables] == ["Highschooler", "Friend", "Likes"]
-        tables = {t.name: t for t in schema.tables}
+        assert [t.name for t in schema] == ["Highschooler", "Friend", "Likes"]
+        tables = {t.name: t for t in schema}
         friend = tables["Friend"]
         assert set(friend.foreign_keys) == {
             ("student_id", "Highschooler", "ID"),
@@ -33,16 +33,17 @@ class TestIntrospect:
     def test_empty_database(self, tmp_path):
         db = tmp_path / "empty.sqlite"
         sqlite3.connect(db).close()
-        assert read_schema(db).tables == []
+        assert read_schema(db) == []
 
     def test_fk_to_missing_table_warns_but_returns_table(self, tmp_path):
         db = tmp_path / "bad.sqlite"
         conn = sqlite3.connect(db)
         conn.execute("CREATE TABLE a(x int, FOREIGN KEY(x) REFERENCES ghost(id))")
         conn.close()
-        schema = read_schema(db)
-        assert [t.name for t in schema.tables] == ["a"]
-        assert any("ghost" in w for w in schema.warnings)
+        warnings = []
+        schema = read_schema(db, warnings.append)
+        assert [t.name for t in schema] == ["a"]
+        assert any("ghost" in w for w in warnings)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IntrospectionError, match="not found"):
@@ -52,11 +53,11 @@ class TestIntrospect:
         schema = read_schema(network1_db)
         clone = tmp_path / "clone.sqlite"
         conn = sqlite3.connect(clone)
-        for t in schema.tables:
+        for t in schema:
             conn.execute(t.create_sql)
         conn.close()
         reread = read_schema(clone)
-        for orig, new in zip(schema.tables, reread.tables):
+        for orig, new in zip(schema, reread):
             assert orig.name == new.name
             assert orig.columns == new.columns
             assert orig.foreign_keys == new.foreign_keys
@@ -69,7 +70,7 @@ class TestConnectRo:
         db.parent.mkdir()
         with closing(sqlite3.connect(db)) as conn:
             conn.execute("CREATE TABLE t(a int)")
-        assert [t.name for t in read_schema(db).tables] == ["t"]
+        assert [t.name for t in read_schema(db)] == ["t"]
         with closing(connect_ro(db)) as conn:
             with pytest.raises(sqlite3.OperationalError, match="readonly"):
                 conn.execute("CREATE TABLE u(b int)")
