@@ -21,8 +21,8 @@ from .dataset import load_benchmark, select_support
 from .errors import annotation_skeleton, breakdown, load_annotations, sample_for_annotation
 from .evaluate import EvalOutcome, evaluate_benchmark
 from .fuzz import build_test_suite
-from .prompt import (BudgetError, PromptBudget, PromptStyle, SchemaSection, fit_support,
-                     parse_style, render_schema)
+from .prompt import (BudgetError, PromptBudget, PromptStyle, SchemaSection, StyleKind,
+                     fit_support, parse_style, render_schema)
 from .report import (curve_csv, learning_curve, metrics_table, render_breakdown_markdown,
                      render_csv, render_json, render_markdown)
 from .schema import IntrospectionError, connect_ro, introspect, sample_rows
@@ -188,7 +188,10 @@ def _skip_database(db_id: str, error: IntrospectionError) -> None:
 
 def _schema_section(db_id: str, db_file, style: PromptStyle) -> SchemaSection:
     """Read a database's schema and row samples through one connection, and
-    render them once for style."""
+    render them once for style. The question style shows no schema, so it
+    opens no database."""
+    if style.kind is StyleKind.QUESTION:
+        return render_schema(style, None, None)
     with closing(connect_ro(db_file)) as conn:
         tables = introspect(db_file, conn, lambda message: _warn(f"{db_id}: {message}"))
         samples = None

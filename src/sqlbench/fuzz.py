@@ -9,6 +9,9 @@ Suites are cached under <cache>/<db_id>/<seed>/k<k>-v<generator version>-<first
 16 hex digits of the source file's sha256>. A suite is generated into a temporary
 directory and renamed into place, so a reader never sees a half-written one,
 and its manifest records a sha256 per variant that is checked on every reuse.
+Variants are written with no journal and no fsync: a crash leaves at worst a
+damaged file in a build directory that is never returned, or a variant whose
+sha256 check fails on reuse and is regenerated.
 Eval keeps the suite's gold results beside the variants, in gold.sqlite
 (store.py).
 """
@@ -83,18 +86,29 @@ def _topo_order(tables: list[TableSchema]) -> tuple[list[TableSchema], list[Tabl
     return ordered, cyclic
 
 
-def _fresh_value(rng: random.Random, declared_type: str):
+def _value_kind(declared_type: str) -> str:
+    """What a column of declared_type is given when a fresh value is drawn:
+    "int", "real" or "text"."""
     t = (declared_type or "").upper()
     if "INT" in t:
-        return rng.randint(0, 100000)
+        return "int"
     if any(k in t for k in ("REAL", "FLOA", "DOUB", "DEC", "NUM")):
+        return "real"
+    return "text"
+
+
+def _fresh_value(rng: random.Random, kind: str):
+    if kind == "int":
+        return rng.randint(0, 100000)
+    if kind == "real":
         return round(rng.uniform(0, 10000), 3)
-    return "".join(rng.choice(string.ascii_lowercase) for _ in range(6))
+    choice = rng.choice
+    return "".join([choice(string.ascii_lowercase) for _ in range(6)])
 
 
-def _mutate_value(rng: random.Random, value, declared_type: str):
+def _mutate_value(rng: random.Random, value, kind: str):
     if value is None:
-        return _fresh_value(rng, declared_type)
+        return _fresh_value(rng, kind)
     if isinstance(value, bool):
         return not value
     if isinstance(value, int):
@@ -144,52 +158,59 @@ def _generate_table_rows(
     lo = max(1, n_orig // 2)
     hi = min(2 * n_orig, MAX_ROWS)
     n_new = rng.randint(lo, max(lo, hi))
+    choice, random_ = rng.choice, rng.random
 
-    fk_by_col = {}
-    for from_col, ref_table, ref_col in table.foreign_keys:
-        fk_by_col[from_col.lower()] = (ref_table, ref_col)
+    def draw(plan) -> tuple:
+        row = []
+        for candidates, pool, kind, required in plan:
+            if candidates is not None:
+                row.append(choice(candidates))
+                continue
+            r = random_()
+            if pool and r < 0.6:
+                v = choice(pool)
+            elif pool and r < 0.8:
+                v = _mutate_value(rng, choice(pool), kind)
+            else:
+                v = _fresh_value(rng, kind)
+            if v is None and required:
+                v = _fresh_value(rng, kind)
+            row.append(v)
+        return tuple(row)
+
+    # one plan per table, resolved before any row: per column, its FK
+    # candidates (None for a column that is no FK), its pool, its value kind,
+    # and whether it needs a non-NULL value
+    fk_by_col = {fc.lower(): (rt.lower(), rc.lower()) for fc, rt, rc in table.foreign_keys}
+    plan = []
+    for col, pool in zip(table.columns, pools):
+        fk = fk_by_col.get(col.name.lower())
+        if fk is None:
+            plan.append((None, pool, _value_kind(col.declared_type),
+                         col.not_null or col.is_primary_key))
+            continue
+        candidates = parent_keys.get(fk[0], {}).get(fk[1], [])
+        if not candidates:
+            # the first row draws up to this column before the table is given up
+            draw(plan)
+            return []
+        plan.append((candidates, None, None, False))
 
     pk_cols = [i for i, c in enumerate(table.columns) if c.is_primary_key]
     rows = []
     seen_pk = set()
     for _ in range(n_new):
         for attempt in range(200):
-            row = []
-            feasible = True
-            for j, col in enumerate(table.columns):
-                fk = fk_by_col.get(col.name.lower())
-                if fk is not None:
-                    ref_table, ref_col = fk
-                    candidates = parent_keys.get(ref_table.lower(), {}).get(ref_col.lower(), [])
-                    if not candidates:
-                        feasible = False
-                        break
-                    row.append(rng.choice(candidates))
-                    continue
-                pool = pools[j]
-                r = rng.random()
-                if pool and r < 0.6:
-                    v = rng.choice(pool)
-                elif pool and r < 0.8:
-                    v = _mutate_value(rng, rng.choice(pool), col.declared_type)
-                else:
-                    v = _fresh_value(rng, col.declared_type)
-                if v is None and (col.not_null or col.is_primary_key):
-                    v = _fresh_value(rng, col.declared_type)
-                row.append(v)
-            if not feasible:
-                break
+            row = draw(plan)
             if pk_cols:
                 key = tuple(row[i] for i in pk_cols)
                 if key in seen_pk:
                     continue
                 seen_pk.add(key)
-            rows.append(tuple(row))
+            rows.append(row)
             break
         else:
             # PK exhaustion under a small candidate space: stop adding rows
-            break
-        if not feasible:
             break
     return rows
 
@@ -203,11 +224,13 @@ def _generate_variant(
 ) -> None:
     ordered, cyclic = _topo_order(tables)
     generated: dict[str, list[tuple]] = {}
-    parent_keys: dict[str, dict[str, list]] = {}
+    parent_keys: dict[str, dict[str, list]] = {}  # only tables a foreign key references
+    referenced = {rt.lower() for t in tables for _, rt, _ in t.foreign_keys}
 
     def register(table: TableSchema, rows: list[tuple]):
         generated[table.name.lower()] = rows
-        parent_keys[table.name.lower()] = _key_pools(table, rows)
+        if table.name.lower() in referenced:
+            parent_keys[table.name.lower()] = _key_pools(table, rows)
 
     for table in ordered:
         orig_rows, pools = orig_data[table.name.lower()]
@@ -258,10 +281,13 @@ def _generate_variant(
                             f"cannot satisfy cyclic foreign keys for table {table.name}"
                         )
 
-    # one transaction for the whole variant: one journal write and sync, not
-    # one per CREATE TABLE
+    # no journal and no fsync: out_file lives in the private build directory
+    # until _install renames it, and every reuse checks its sha256, so a crash
+    # mid-write costs a rebuild, never a damaged suite
     conn = sqlite3.connect(out_file, isolation_level=None)
     try:
+        conn.execute("PRAGMA journal_mode = OFF")
+        conn.execute("PRAGMA synchronous = OFF")
         conn.execute("BEGIN")
         for table in tables:
             conn.execute(table.create_sql)
@@ -315,23 +341,56 @@ def _cached_hashes(suite_dir: Path, header: dict) -> list[str]:
     return [hashes[name] for name in names]
 
 
+def _report_empty_tables(tables: list[TableSchema], orig_data: dict, empty_table) -> None:
+    """Tell empty_table about each table that its foreign keys leave empty in
+    every variant, beyond the dangling ones introspect reported: one that
+    references its own table outside an FK cycle, and one that references a
+    table empty in every variant. A table with no source rows is empty by
+    design and not reported, but its children are."""
+    by_name = {t.name.lower(): t for t in tables}
+    ordered, cyclic = _topo_order(tables)
+    empty = {name for name, (rows, _) in orig_data.items() if not rows}
+    for t in tables:
+        for _, ref_table, ref_col in t.foreign_keys:
+            parent = by_name.get(ref_table.lower())
+            if parent is None or ref_col.lower() not in {c.name.lower() for c in parent.columns}:
+                empty.add(t.name.lower())
+    for t in ordered:
+        for from_col, ref_table, _ in t.foreign_keys:
+            if ref_table.lower() == t.name.lower():
+                empty_table(f"table {t.name}: foreign key {from_col} references its own table")
+                empty.add(t.name.lower())
+    # emptiness passes from parent to child; the acyclic tables come parents
+    # first, and the loop repeats for the tables in or below an FK cycle
+    changed = True
+    while changed:
+        changed = False
+        for t in ordered + cyclic:
+            if t.name.lower() in empty:
+                continue
+            for from_col, ref_table, _ in t.foreign_keys:
+                if ref_table.lower() in empty:
+                    empty_table(f"table {t.name}: foreign key {from_col} references "
+                                f"{ref_table}, which is empty in every variant")
+                    empty.add(t.name.lower())
+                    changed = True
+                    break
+
+
 def _generate_suite(db_file: Path, conn: sqlite3.Connection, header: dict, out_dir: Path,
                     warn) -> list[str]:
     """Write the k variants of db_file, read through conn, and the manifest
-    into out_dir; return the variant sha256s. A foreign key that references a
-    missing table or column, or its own table outside an FK cycle, finds no
-    parent keys, so its table gets no rows; each one goes to warn."""
+    into out_dir; return the variant sha256s. A foreign key that finds no
+    parent keys in any variant leaves its table with no rows; each such table
+    goes to warn."""
     seed, k = header["seed"], header["k"]
 
     def empty_table(message):
         warn(f"suite {header['db_id']}: {message}; the table is empty in every variant")
 
     tables = introspect(db_file, conn, empty_table)
-    for t in _topo_order(tables)[0]:
-        for from_col, ref_table, _ in t.foreign_keys:
-            if ref_table.lower() == t.name.lower():
-                empty_table(f"table {t.name}: foreign key {from_col} references its own table")
     orig_data = {t.name.lower(): _column_pools(conn, t) for t in tables}
+    _report_empty_tables(tables, orig_data, empty_table)
 
     hashes = {}
     for i in range(1, k + 1):

@@ -583,6 +583,29 @@ class TestSuiteWarnings:
         assert run(*argv) == 0  # reused: no warning
         assert capsys.readouterr().err == ""
 
+    def test_inherited_emptiness_logged_once(self, tmp_path, capsys):
+        db = tmp_path / "emp.sqlite"
+        with closing(sqlite3.connect(db)) as conn:
+            conn.execute("CREATE TABLE emp (id int primary key, boss int REFERENCES emp(id))")
+            conn.execute("CREATE TABLE task (id int primary key, owner int REFERENCES emp(id))")
+            conn.executemany("INSERT INTO emp VALUES (?, ?)", [(i, i // 2) for i in range(20)])
+            conn.executemany("INSERT INTO task VALUES (?, ?)", [(i, i % 20) for i in range(30)])
+            conn.commit()
+        argv = ("suite", "--db", db, "--suite-k", "3", "--cache", tmp_path / "cache")
+        assert run(*argv) == 0
+        assert capsys.readouterr().err == (
+            "warning: suite emp: table emp: foreign key boss references its own table; "
+            "the table is empty in every variant\n"
+            "warning: suite emp: table task: foreign key owner references emp, which is "
+            "empty in every variant; the table is empty in every variant\n")
+        suite = build_test_suite(db, 3, 0, tmp_path / "cache")
+        for variant in suite.variants[1:]:
+            with closing(sqlite3.connect(variant)) as conn:
+                for table in ("emp", "task"):
+                    assert conn.execute(f"SELECT count(*) FROM {table}").fetchone() == (0,)
+        assert run(*argv) == 0  # reused: no warning
+        assert capsys.readouterr().err == ""
+
 
 @pytest.fixture
 def unusable_root(tmp_path):
@@ -638,6 +661,23 @@ class TestUnusableDatabases:
         [row] = json.loads(report.read_text())
         assert (row["va_pct"], row["ex_pct"], row["ts_pct"]) == (100.0, 100.0, 100.0)
         assert row["n_evaluated"] == 4
+
+    @pytest.mark.parametrize("style", ["question", "apidocs", "create", "select:1"])
+    def test_only_question_prompts_need_no_database(self, unusable_root, tmp_path, capsys,
+                                                    style):
+        root, bench = unusable_root
+        prompts = tmp_path / "prompts.jsonl"
+        assert run("prompt", "--benchmark", bench, "--db-root", root, "--prompt", style,
+                   "--out", prompts) == 0
+        skips = [line for line in capsys.readouterr().err.splitlines()
+                 if "its examples are skipped" in line]
+        db_ids = [r["db_id"] for r in read_jsonl(prompts)]
+        if style == "question":  # shows no schema, so it opens no database
+            assert skips == []
+            assert db_ids == [r["db_id"] for r in json.loads(bench.read_text())]
+        else:
+            assert skips == [skip_line(root, "gone"), skip_line(root, "junk")]
+            assert set(db_ids) == {"network_1"}
 
     @pytest.mark.parametrize("db_id", ["gone", "junk"])
     def test_suite_refuses_them(self, unusable_root, tmp_path, capsys, db_id):

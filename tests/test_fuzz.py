@@ -3,20 +3,24 @@ import json
 import os
 import random
 import sqlite3
+import string
 import subprocess
 import sys
 import time
+from contextlib import closing
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sqlbench
 from sqlbench import fuzz
-from sqlbench.fuzz import TestSuite, _column_pools, _key_pools, build_test_suite
+from sqlbench.fuzz import (MAX_ROWS, TestSuite, _column_pools, _generate_table_rows, _key_pools,
+                           build_test_suite)
 from sqlbench.schema import ColumnSchema, TableSchema
 
 from conftest import make_network1_db, read_schema
+from pinned_suite import PINNED, pinned_suite_hashes
 
 # child interpreters import sqlbench from this checkout
 CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(sqlbench.__file__).resolve().parent.parent)}
@@ -91,6 +95,93 @@ def reference_distinct(rows, width, skip_none=False):
     return pools
 
 
+def reference_fresh_value(rng, declared_type):
+    t = (declared_type or "").upper()
+    if "INT" in t:
+        return rng.randint(0, 100000)
+    if any(k in t for k in ("REAL", "FLOA", "DOUB", "DEC", "NUM")):
+        return round(rng.uniform(0, 10000), 3)
+    return "".join(rng.choice(string.ascii_lowercase) for _ in range(6))
+
+
+def reference_mutate_value(rng, value, declared_type):
+    if value is None:
+        return reference_fresh_value(rng, declared_type)
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + rng.choice((-1, 1))
+    if isinstance(value, float):
+        return value + rng.choice((-1.0, 1.0))
+    if isinstance(value, str):
+        choice = rng.randrange(3)
+        if choice == 0:
+            return ""
+        if choice == 1 and value:
+            return value.swapcase()
+        return value + rng.choice(string.ascii_lowercase)
+    return value
+
+
+def reference_generate_table_rows(rng, table, orig_rows, pools, parent_keys, empty):
+    """The generator as it was before it planned each table once: every draw
+    a variant's bytes depend on, in its order."""
+    n_orig = len(orig_rows)
+    if empty or n_orig == 0:
+        return []
+    lo = max(1, n_orig // 2)
+    hi = min(2 * n_orig, MAX_ROWS)
+    n_new = rng.randint(lo, max(lo, hi))
+
+    fk_by_col = {}
+    for from_col, ref_table, ref_col in table.foreign_keys:
+        fk_by_col[from_col.lower()] = (ref_table, ref_col)
+
+    pk_cols = [i for i, c in enumerate(table.columns) if c.is_primary_key]
+    rows = []
+    seen_pk = set()
+    for _ in range(n_new):
+        for attempt in range(200):
+            row = []
+            feasible = True
+            for j, col in enumerate(table.columns):
+                fk = fk_by_col.get(col.name.lower())
+                if fk is not None:
+                    ref_table, ref_col = fk
+                    candidates = parent_keys.get(ref_table.lower(), {}).get(ref_col.lower(), [])
+                    if not candidates:
+                        feasible = False
+                        break
+                    row.append(rng.choice(candidates))
+                    continue
+                pool = pools[j]
+                r = rng.random()
+                if pool and r < 0.6:
+                    v = rng.choice(pool)
+                elif pool and r < 0.8:
+                    v = reference_mutate_value(rng, rng.choice(pool), col.declared_type)
+                else:
+                    v = reference_fresh_value(rng, col.declared_type)
+                if v is None and (col.not_null or col.is_primary_key):
+                    v = reference_fresh_value(rng, col.declared_type)
+                row.append(v)
+            if not feasible:
+                break
+            if pk_cols:
+                key = tuple(row[i] for i in pk_cols)
+                if key in seen_pk:
+                    continue
+                seen_pk.add(key)
+            rows.append(tuple(row))
+            break
+        else:
+            # PK exhaustion under a small candidate space: stop adding rows
+            break
+        if not feasible:
+            break
+    return rows
+
+
 def typed(values):
     # repr tells 1, 1.0 and True apart, and 0.0 from -0.0, where == does not
     return [repr(v) for v in values]
@@ -136,6 +227,89 @@ class TestDedupe:
             conn.close()
         assert len(stored) == len(rows)
         assert [typed(p) for p in pools] == [typed(p) for p in reference_distinct(stored, width)]
+
+
+CELL = st.one_of(st.none(), st.booleans(), st.integers(-3, 3),
+                 st.floats(-2, 2, allow_nan=False), st.text("aB", max_size=3),
+                 st.binary(max_size=2))
+
+
+@st.composite
+def generator_inputs(draw):
+    """A table for _generate_table_rows: columns of each declared type kind,
+    NOT NULL or not, no, a single or a composite PK, pools that hold None, and
+    FK columns anywhere whose parent keys are there, empty or missing."""
+    width = draw(st.integers(1, 5))
+    pk_size = draw(st.sampled_from([0, 1, width]))
+    pk_cols = set(draw(st.permutations(range(width)))[:pk_size])
+    columns, fks, parent_keys = [], [], {}
+    for j in range(width):
+        columns.append(ColumnSchema(f"c{j}", draw(st.sampled_from(["INT", "REAL", "TEXT", ""])),
+                                    j in pk_cols, draw(st.booleans())))
+        if draw(st.integers(0, 2)) == 0:
+            # names as SQLite reports them; the parent keys are kept lower case
+            fks.append((f"C{j}", f"P{j}", "ID"))
+            parent = draw(st.sampled_from(["keys", "empty", "missing table", "missing column"]))
+            if parent == "keys":
+                parent_keys[f"p{j}"] = {"id": draw(st.lists(CELL.filter(
+                    lambda v: v is not None), min_size=1, max_size=4))}
+            elif parent != "missing table":
+                parent_keys[f"p{j}"] = {"id" if parent == "empty" else "other": []}
+    pools = [draw(st.lists(CELL, max_size=5)) for _ in range(width)]
+    n_orig = draw(st.integers(0, MAX_ROWS + 6))
+    return TableSchema("t", columns, fks, ""), [()] * n_orig, pools, parent_keys
+
+
+class TestGenerator:
+    @settings(max_examples=400, deadline=None)
+    @given(generator_inputs(), st.sampled_from([False, False, False, True]),
+           st.integers(0, 2 ** 32))
+    # a PK whose only values are two parent keys: every row after the second
+    # spends all its attempts
+    @example((TableSchema("t", [ColumnSchema("c0", "INT", True, False)], [("c0", "p", "id")], ""),
+              [()] * 10, [[]], {"p": {"id": [1, 2]}}), False, 0)
+    def test_rows_and_draws_match_reference(self, inputs, empty, seed):
+        table, orig_rows, pools, parent_keys = inputs
+        want_rng, got_rng = random.Random(seed), random.Random(seed)
+        want = reference_generate_table_rows(want_rng, table, orig_rows, pools, parent_keys,
+                                             empty)
+        got = _generate_table_rows(got_rng, table, orig_rows, pools, parent_keys, empty)
+        assert [typed(r) for r in got] == [typed(r) for r in want]
+        assert got_rng.getstate() == want_rng.getstate()
+
+    def test_suite_contents_pinned(self, tmp_path):
+        # the reference generator's suite; only a GENERATOR_VERSION bump may re-pin
+        logs = []
+        assert pinned_suite_hashes(tmp_path, warn=logs.append) == PINNED
+        assert logs == [
+            "suite pinned: table orphan: foreign key ghost_id references missing table ghost; "
+            "the table is empty in every variant",
+            "suite pinned: table emp: foreign key boss references its own table; "
+            "the table is empty in every variant",
+            "suite pinned: table task: foreign key owner references emp, which is empty in "
+            "every variant; the table is empty in every variant",
+        ]
+
+    def test_emptiness_passes_down_foreign_keys(self, tmp_path):
+        db = tmp_path / "chain.sqlite"
+        with closing(sqlite3.connect(db)) as conn:
+            conn.executescript("""
+                CREATE TABLE parent (id int primary key);
+                CREATE TABLE child (id int primary key, p int REFERENCES parent(id));
+                CREATE TABLE grandchild (id int primary key, c int REFERENCES child(id));
+                CREATE TABLE bystander (id int primary key, c int REFERENCES child(id));
+                INSERT INTO child VALUES (1, 1), (2, 2);
+                INSERT INTO grandchild VALUES (1, 1), (2, 2);
+            """)
+        logs = []
+        suite = build_test_suite(db, 3, seed=1, cache_dir=tmp_path / "cache", warn=logs.append)
+        # parent has no source rows and bystander none either: neither is reported
+        assert logs == [
+            f"suite chain: table {t}: foreign key {c} references {p}, which is empty in every "
+            "variant; the table is empty in every variant"
+            for t, c, p in [("child", "p", "parent"), ("grandchild", "c", "child")]]
+        for variant in suite.variants[1:]:
+            assert all_rows(variant, "child") == all_rows(variant, "grandchild") == []
 
 
 class TestSuiteCache:
