@@ -1,4 +1,5 @@
-"""Completion backends (http, replay, gold-oracle) and SQL post-processing."""
+"""Completion backends (http, and replay of stored completions, which also
+serves the gold oracle) and SQL post-processing."""
 
 from __future__ import annotations
 
@@ -9,7 +10,10 @@ import time
 from dataclasses import dataclass
 
 
+# sent to the http backend, and applied again by finalize_sql to every completion
 DEFAULT_STOP = ("--", "\n\n", ";", "#")
+REQUEST_TIMEOUT_S = 60.0
+RETRY_STATUSES = (429, 500, 502, 503, 504)
 
 # marker for completions that truncate to nothing; evaluated as invalid SQL
 EMPTY_PREDICTION = ""
@@ -21,20 +25,6 @@ class BackendError(Exception):
 
 class MissingFixtureError(BackendError):
     pass
-
-
-@dataclass
-class CompletionRequest:
-    prompt: str
-    max_tokens: int = 200
-    temperature: float = 0.0
-    stop: tuple[str, ...] = DEFAULT_STOP
-
-    def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if not self.stop:
-            raise ValueError("stop list must be non-empty")
 
 
 @dataclass
@@ -60,40 +50,26 @@ def finalize_sql(raw_completion: str) -> str:
     return "SELECT " + body
 
 
+def gold_completion(gold_sql: str) -> str:
+    """The completion that finalize_sql turns back into gold_sql: the query
+    body after its leading SELECT."""
+    gold = gold_sql.strip()
+    if gold.lower().startswith("select"):
+        gold = gold[len("select"):]
+    return gold.strip()
+
+
 class ReplayBackend:
-    """Deterministic backend fed from a JSONL file of example_id -> completion."""
+    """Deterministic backend that returns stored completions by example id:
+    a replay file's, or the gold queries' bodies."""
 
-    def __init__(self, path):
-        self.completions = {}
-        with open(path) as f:
-            for line in f:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                self.completions[rec["example_id"]] = rec.get(
-                    "raw_completion", rec.get("completion", "")
-                )
+    def __init__(self, completions: dict[str, str]):
+        self.completions = completions
 
-    def complete(self, example_id: str, request: CompletionRequest) -> str:
+    def complete(self, example_id: str, prompt: str, max_tokens: int, temperature: float) -> str:
         if example_id not in self.completions:
-            raise MissingFixtureError(f"no replay completion for {example_id}")
+            raise MissingFixtureError(f"no stored completion for {example_id}")
         return self.completions[example_id]
-
-
-class GoldOracleBackend:
-    """Test backend that returns the gold SQL body (without its SELECT prefix)."""
-
-    def __init__(self, gold_by_id: dict[str, str]):
-        self.gold_by_id = dict(gold_by_id)
-
-    def complete(self, example_id: str, request: CompletionRequest) -> str:
-        if example_id not in self.gold_by_id:
-            raise MissingFixtureError(f"no gold SQL for {example_id}")
-        gold = self.gold_by_id[example_id].strip()
-        if gold.lower().startswith("select"):
-            gold = gold[len("select"):]
-        return gold.strip()
 
 
 class HttpBackend:
@@ -104,13 +80,11 @@ class HttpBackend:
     SQLBENCH_API_KEY or OPENAI_API_KEY environment variable.
     """
 
-    def __init__(self, base_url: str, model: str, rpm: int = 20, retries: int = 5,
-                 request_timeout: float = 60.0):
+    def __init__(self, base_url: str, model: str, rpm: int, retries: int):
         self.base_url = base_url
         self.model = model
         self.rpm = rpm
         self.retries = retries
-        self.request_timeout = request_timeout
         self._last_request = 0.0
         self.api_key = os.environ.get("SQLBENCH_API_KEY") or os.environ.get("OPENAI_API_KEY")
 
@@ -123,16 +97,19 @@ class HttpBackend:
             time.sleep(wait)
         self._last_request = time.monotonic()
 
-    def complete(self, example_id: str, request: CompletionRequest) -> str:
-        import requests
+    def complete(self, example_id: str, prompt: str, max_tokens: int, temperature: float) -> str:
+        # imported here, so that a replay or gold run does not load them
+        import http.client
+        import urllib.error
+        import urllib.request
 
-        payload = {
+        body = json.dumps({
             "model": self.model,
-            "prompt": request.prompt,
-            "max_tokens": request.max_tokens,
-            "temperature": request.temperature,
-            "stop": list(request.stop),
-        }
+            "prompt": prompt,
+            "max_tokens": max_tokens,
+            "temperature": temperature,
+            "stop": list(DEFAULT_STOP),
+        }).encode()
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
@@ -143,31 +120,34 @@ class HttpBackend:
                 time.sleep(min(delay, 30.0))
                 delay *= 2
             self._throttle()
+            request = urllib.request.Request(self.base_url, body, headers, method="POST")
             try:
-                resp = requests.post(self.base_url, json=payload, headers=headers,
-                                     timeout=self.request_timeout)
-                if resp.status_code in (429, 500, 502, 503, 504):
-                    last_error = f"HTTP {resp.status_code}"
-                elif resp.status_code != 200:
-                    raise BackendError(
-                        f"backend rejected {example_id}: HTTP {resp.status_code} {resp.text[:200]}"
-                    )
-                else:
-                    try:
-                        text = resp.json()["choices"][0]["text"]
-                    except (ValueError, LookupError, TypeError):  # not JSON, or another shape
-                        text = None
-                    if not isinstance(text, str):
-                        raise BackendError(f"backend sent no choices[0].text for {example_id}")
-                    return text
-            except requests.RequestException as e:
+                with urllib.request.urlopen(request, timeout=REQUEST_TIMEOUT_S) as resp:
+                    reply = resp.read()
+            except urllib.error.HTTPError as e:  # a status other than 2xx
+                with e:
+                    if e.code not in RETRY_STATUSES:
+                        detail = e.read(200).decode(errors="replace")
+                        raise BackendError(
+                            f"backend rejected {example_id}: HTTP {e.code} {detail}") from e
+                last_error = f"HTTP {e.code}"
+                continue
+            except (OSError, http.client.HTTPException) as e:
                 last_error = str(e)
+                continue
+            try:
+                text = json.loads(reply)["choices"][0]["text"]
+            except (ValueError, LookupError, TypeError):  # not JSON, or another shape
+                text = None
+            if not isinstance(text, str):
+                raise BackendError(f"backend sent no choices[0].text for {example_id}")
+            return text
         raise BackendError(f"backend failed for {example_id} after {self.retries} retries: {last_error}")
 
 
-def predict(example_id: str, prompt_text: str, backend,
-            max_tokens: int = 200, temperature: float = 0.0) -> Prediction:
-    request = CompletionRequest(prompt=prompt_text, max_tokens=max_tokens,
-                                temperature=temperature)
-    raw = backend.complete(example_id, request)
+def predict(example_id: str, prompt_text: str, backend, max_tokens: int,
+            temperature: float) -> Prediction:
+    if temperature < 0:
+        raise ValueError(f"temperature must be >= 0, not {temperature}")
+    raw = backend.complete(example_id, prompt_text, max_tokens, temperature)
     return Prediction(example_id=example_id, raw_completion=raw, sql=finalize_sql(raw))

@@ -15,9 +15,9 @@ from typing import NamedTuple
 import yaml
 
 from . import __version__
-from .backend import (BackendError, GoldOracleBackend, HttpBackend, Prediction,
-                      ReplayBackend, predict)
-from .dataset import load_benchmark, select_support
+from .backend import (BackendError, HttpBackend, Prediction, ReplayBackend, gold_completion,
+                      predict)
+from .dataset import IngestionError, load_benchmark, read_jsonl, select_support
 from .errors import annotation_skeleton, breakdown, load_annotations, sample_for_annotation
 from .evaluate import EvalOutcome, evaluate_benchmark
 from .fuzz import build_test_suite
@@ -28,93 +28,92 @@ from .report import (curve_csv, learning_curve, metrics_table, render_breakdown_
 from .schema import IntrospectionError, connect_ro, introspect, sample_rows
 
 
+class UsageError(Exception):
+    """A setting, or a combination of settings, a command cannot run with."""
+
+
 class Option(NamedTuple):
     """One setting of a stage that takes --config. Its flag is the name with
-    `-` for `_`; its config key is the name itself."""
+    `-` for `_`; its config key is the name itself. A required option must be
+    set for the stage to run. A recorded option goes into the config of the
+    stage's manifest, in table order, unless it is unset."""
     name: str
     type: type = str
     default: object = None
     help: str | None = None
     choices: tuple[str, ...] | None = None
+    required: bool = False
+    recorded: bool = False
 
 
-BENCHMARK = Option("benchmark")
-DB_ROOT = Option("db_root")
-PROMPTS = Option("prompts", Path, "prompts.jsonl")
-PREDICTIONS = Option("predictions", Path, "predictions.jsonl")
-SUITE_K = Option("suite_k", int, 32)
-SUITE_SEED = Option("suite_seed", int, 0)
+BENCHMARK = Option("benchmark", required=True, recorded=True)
+DB_ROOT = Option("db_root", required=True, recorded=True)
+PROMPTS = Option("prompts", Path, "prompts.jsonl", recorded=True)
+PREDICTIONS = Option("predictions", Path, "predictions.jsonl", recorded=True)
+SUITE_K = Option("suite_k", int, 32, recorded=True)
+SUITE_SEED = Option("suite_seed", int, 0, recorded=True)
 CACHE = Option("cache", Path, ".sqlbench-suites")
 
 # Each stage writes by default where the next one reads by default.
 STAGE_OPTIONS = {
     "prompt": (
         BENCHMARK, DB_ROOT,
-        Option("prompt", default="create+select:3",
+        Option("prompt", default="create+select:3", recorded=True,
                help="question|apidocs|select:<X>|create|create+select:<X>"),
-        Option("shots", int, 0),
-        Option("train", help="training split for few-shot support selection"),
-        Option("seed", int, 0),
-        Option("context_tokens", int, 4096),
-        Option("completion_reserve", int, 200),
+        Option("shots", int, 0, recorded=True),
+        Option("seed", int, 0, recorded=True),
+        Option("context_tokens", int, 4096, recorded=True),
+        Option("completion_reserve", int, 200, recorded=True),
+        Option("train", recorded=True, help="training split for few-shot support selection"),
         Option("out", Path, PROMPTS.default),
     ),
     "predict": (
         PROMPTS,
-        Option("backend", default="replay", choices=("replay", "gold", "http")),
+        Option("backend", default="replay", choices=("replay", "gold", "http"), recorded=True),
         Option("replay_file"),
-        BENCHMARK, DB_ROOT._replace(default="."),
+        Option("benchmark"),
+        Option("db_root", default="."),
         Option("base_url"),
-        Option("model", default=""),
+        Option("model", default="", recorded=True),
         Option("rpm", int, 20),
         Option("retries", int, 5),
-        Option("max_tokens", int, 200),
-        Option("temperature", float, 0.0),
+        Option("max_tokens", int, 200, recorded=True),
+        Option("temperature", float, 0.0, recorded=True),
         Option("sql_out", help="also write one SQL per line in benchmark order"),
         Option("out", Path, PREDICTIONS.default),
     ),
     "eval": (
         BENCHMARK, DB_ROOT, PREDICTIONS, SUITE_K, SUITE_SEED,
-        Option("timeout_ms", int, 30000),
+        Option("timeout_ms", int, 30000, recorded=True),
         CACHE,
         Option("out", Path, "outcomes.jsonl"),
     ),
     "suite": (
-        Option("db", Path, help="path to the original database file"),
+        Option("db", Path, required=True, help="path to the original database file"),
         SUITE_K, SUITE_SEED, CACHE,
     ),
 }
 CONFIG_KEYS = {opt.name for options in STAGE_OPTIONS.values() for opt in options}
 
-# The options each stage records, in this order, in its manifest's config.
-RECORDED = {
-    "prompt": ("benchmark", "db_root", "prompt", "shots", "seed", "context_tokens",
-               "completion_reserve"),
-    "predict": ("prompts", "backend", "model", "max_tokens", "temperature"),
-    "eval": ("benchmark", "db_root", "predictions", "suite_k", "suite_seed", "timeout_ms"),
-}
-# The options a stage cannot run without.
-REQUIRED = {"prompt": ("benchmark", "db_root"), "eval": ("benchmark", "db_root"),
-            "suite": ("db",)}
 
-
-def _resolve(args) -> str | None:
+def _resolve(args) -> None:
     """Set each option of the stage to its flag, else its --config key, else its
-    default, converted to the option's type. Returns what is wrong with the
-    config file or what is missing, if anything."""
+    default. A value from the file is converted as the same text given to the
+    flag would be. Raises UsageError for an unusable config file or value, or
+    a missing required option."""
     config = {}
     if args.config:
         try:
             with open(args.config, "rb") as f:  # yaml reports undecodable bytes
                 config = yaml.safe_load(f) or {}
         except (OSError, yaml.YAMLError) as e:
-            return f"cannot read config file {args.config}: {e}"
+            raise UsageError(f"cannot read config file {args.config}: {e}") from e
         if not isinstance(config, dict):
-            return f"{args.config} does not map option names to values"
+            raise UsageError(f"{args.config} does not map option names to values")
         unknown = [key for key in config if key not in CONFIG_KEYS]
         if unknown:
-            return (f"unknown key {unknown[0]!r} in {args.config} "
-                    "(a config key is a flag name with '_' for '-')")
+            raise UsageError(f"unknown key {unknown[0]!r} in {args.config} "
+                             "(a config key is a flag name with '_' for '-')")
     for opt in STAGE_OPTIONS[args.command]:
         value = getattr(args, opt.name)
         if value is None:
@@ -122,27 +121,29 @@ def _resolve(args) -> str | None:
         if value is None:  # an empty key in the file is the same as no key
             value = opt.default
         if value is not None:
+            bad = f"{opt.name} {value!r} in {args.config} is not a {opt.type.__name__}"
+            if isinstance(value, (list, dict)):
+                raise UsageError(bad)
             try:
-                value = opt.type(value)
-            except (TypeError, ValueError):
-                return f"{opt.name} {value!r} in {args.config} is not a {opt.type.__name__}"
+                value = opt.type(str(value))
+            except ValueError as e:
+                raise UsageError(bad) from e
         if opt.choices and value not in opt.choices:
-            return f"{opt.name} {value!r} in {args.config} is not one of {opt.choices}"
+            raise UsageError(f"{opt.name} {value!r} in {args.config} is not one of {opt.choices}")
+        if opt.required and value is None:
+            raise UsageError(f"{args.command} needs --{opt.name.replace('_', '-')} "
+                             f"or the config key {opt.name}")
         setattr(args, opt.name, value)
-    for name in REQUIRED.get(args.command, ()):
-        if getattr(args, name) is None:
-            return (f"{args.command} needs --{name.replace('_', '-')} "
-                    f"or the config key {name}")
-    return None
 
 
-def _write_manifest(args, recorded: tuple[str, ...], extra: dict):
-    """Write <out>.manifest.json. Its config holds the recorded options: numbers
-    as resolved, every other value as a string."""
+def _write_manifest(args, extra: dict):
+    """Write <out>.manifest.json. Its config holds the stage's recorded options
+    that are set: numbers as resolved, every other value as a string."""
     config = {"stage": args.command}
-    for name in recorded:
-        value = getattr(args, name)
-        config[name] = value if isinstance(value, (int, float)) else str(value)
+    for opt in STAGE_OPTIONS[args.command]:
+        value = getattr(args, opt.name)
+        if opt.recorded and value is not None:
+            config[opt.name] = value if isinstance(value, (int, float)) else str(value)
     canonical = json.dumps(config, sort_keys=True)
     manifest = {
         "config": config,
@@ -157,7 +158,10 @@ def _read_manifest(artifact_path) -> dict | None:
     p = Path(str(artifact_path) + ".manifest.json")
     if not p.exists():
         return None
-    return json.loads(p.read_text())
+    try:
+        return json.loads(p.read_text())
+    except ValueError as e:
+        raise IngestionError(f"{p} is not JSON") from e
 
 
 def _write_jsonl(path: Path, records):
@@ -165,14 +169,6 @@ def _write_jsonl(path: Path, records):
     with open(path, "w") as f:
         for rec in records:
             f.write(json.dumps(rec) + "\n")
-
-
-def _read_jsonl(path):
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
 
 
 def _warn(message: str) -> None:
@@ -200,29 +196,23 @@ def _schema_section(db_id: str, db_file, style: PromptStyle) -> SchemaSection:
     return render_schema(style, tables, samples)
 
 
-def cmd_prompt(args) -> int:
+def cmd_prompt(args) -> None:
     bench = load_benchmark(args.benchmark, args.db_root)
     style = parse_style(args.prompt)
-    budget = PromptBudget(context_tokens=args.context_tokens,
-                          completion_reserve=args.completion_reserve)
+    budget = PromptBudget(args.context_tokens, args.completion_reserve)
 
     support = None
-    recorded = RECORDED["prompt"]
     if args.shots > 0:
         if not args.train:
-            print("error: --shots requires --train", file=sys.stderr)
-            return 2
+            raise UsageError("--shots requires --train")
         train = load_benchmark(args.train, args.db_root)
-        try:
-            support = select_support(train, args.shots, args.seed,
-                                     lambda message: _warn(f"train: {message}"))
-        except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-        recorded += ("train",)
+        support = select_support(train, args.shots, args.seed,
+                                 lambda message: _warn(f"train: {message}"))
         support_out = args.out.with_suffix(".support.json")
         support_out.parent.mkdir(parents=True, exist_ok=True)
         support_out.write_text(support.to_json())
+    else:  # a zero-shot run reads no training split, so its manifest names none
+        args.train = None
 
     sections = {}  # db_id -> the schema section of its prompts, None if it cannot be read
     records = []
@@ -251,39 +241,33 @@ def cmd_prompt(args) -> int:
             "shots_used": n_used,
         })
     _write_jsonl(args.out, records)
-    _write_manifest(args, recorded, {"skipped": skipped, "n_prompts": len(records)})
+    _write_manifest(args, {"skipped": skipped, "n_prompts": len(records)})
     print(f"wrote {len(records)} prompts to {args.out} ({len(skipped)} over budget)")
-    return 0
 
 
-def cmd_predict(args) -> int:
+def cmd_predict(args) -> None:
     if args.backend == "replay":
         if not args.replay_file:
-            print("error: replay backend requires --replay-file", file=sys.stderr)
-            return 2
-        backend = ReplayBackend(args.replay_file)
+            raise UsageError("replay backend requires --replay-file")
+        replay = read_jsonl(args.replay_file, {"example_id": str, "raw_completion": str})
+        backend = ReplayBackend({r["example_id"]: r["raw_completion"] for r in replay})
     elif args.backend == "gold":
         if not args.benchmark:
-            print("error: gold backend requires --benchmark", file=sys.stderr)
-            return 2
+            raise UsageError("gold backend requires --benchmark")
         bench = load_benchmark(args.benchmark, args.db_root)
-        backend = GoldOracleBackend({e.example_id: e.gold_sql for e in bench.examples})
+        backend = ReplayBackend({e.example_id: gold_completion(e.gold_sql)
+                                 for e in bench.examples})
     else:
         if not args.base_url:
-            print("error: http backend requires --base-url", file=sys.stderr)
-            return 2
-        backend = HttpBackend(args.base_url, args.model, rpm=args.rpm, retries=args.retries)
+            raise UsageError("http backend requires --base-url")
+        backend = HttpBackend(args.base_url, args.model, args.rpm, args.retries)
 
     records = []
-    try:
-        for rec in _read_jsonl(args.prompts):
-            p = predict(rec["example_id"], rec["prompt"], backend,
-                        max_tokens=args.max_tokens, temperature=args.temperature)
-            records.append({"example_id": p.example_id,
-                            "raw_completion": p.raw_completion, "sql": p.sql})
-    except BackendError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+    for rec in read_jsonl(args.prompts, {"example_id": str, "prompt": str}):
+        p = predict(rec["example_id"], rec["prompt"], backend, args.max_tokens,
+                    args.temperature)
+        records.append({"example_id": p.example_id,
+                        "raw_completion": p.raw_completion, "sql": p.sql})
 
     _write_jsonl(args.out, records)
     prompt_manifest = _read_manifest(args.prompts)
@@ -291,33 +275,27 @@ def cmd_predict(args) -> int:
     if prompt_manifest:
         extra["prompt_config_hash"] = prompt_manifest.get("config_hash")
         extra["prompt_config"] = prompt_manifest.get("config")
-    _write_manifest(args, RECORDED["predict"], extra)
+    _write_manifest(args, extra)
     if args.sql_out:
         Path(args.sql_out).write_text("".join(r["sql"] + "\n" for r in records))
     print(f"wrote {len(records)} predictions to {args.out}")
-    return 0
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> None:
     pred_manifest = _read_manifest(args.predictions)
     if pred_manifest and pred_manifest.get("prompt_config"):
         prompt_bench = pred_manifest["prompt_config"].get("benchmark")
         if prompt_bench and str(args.benchmark) != prompt_bench and not args.allow_mismatch:
-            print(
-                f"error: predictions were made for benchmark {prompt_bench!r}, "
-                f"not {args.benchmark!r} (use --allow-mismatch to override)",
-                file=sys.stderr,
-            )
-            return 2
+            raise UsageError(f"predictions were made for benchmark {prompt_bench!r}, "
+                             f"not {args.benchmark!r} (use --allow-mismatch to override)")
 
     bench = load_benchmark(args.benchmark, args.db_root)
     predictions = {}
-    for rec in _read_jsonl(args.predictions):
+    for rec in read_jsonl(args.predictions, {"example_id": str, "sql": str}):
         example_id = rec["example_id"]
         if example_id in predictions:
-            print(f"error: {args.predictions} has more than one prediction for "
-                  f"{example_id!r}", file=sys.stderr)
-            return 2
+            raise IngestionError(f"{args.predictions} has more than one prediction for "
+                                 f"{example_id!r}")
         predictions[example_id] = Prediction(example_id, rec.get("raw_completion", ""),
                                              rec["sql"])
     suites = {}
@@ -330,7 +308,7 @@ def cmd_eval(args) -> int:
 
     result = evaluate_benchmark(bench, predictions, suites, _warn, args.timeout_ms)
     _write_jsonl(args.out, [o.to_dict() for o in result.outcomes])
-    _write_manifest(args, RECORDED["eval"], {
+    _write_manifest(args, {
         "gold_broken": result.gold_broken,
         "n_outcomes": len(result.outcomes),
         "prompt_config": (pred_manifest or {}).get("prompt_config"),
@@ -341,15 +319,16 @@ def cmd_eval(args) -> int:
     })
     print(f"wrote {len(result.outcomes)} outcomes to {args.out} "
           f"({len(result.gold_broken)} gold-broken excluded)")
-    return 0
+
+
+def _outcome(rec: dict) -> EvalOutcome:
+    return EvalOutcome(rec["example_id"], rec["valid"], rec.get("invalid_reason"),
+                       rec["ex"], rec["ts"], rec.get("timing_ms", 0.0))
 
 
 def _load_outcomes(path) -> list[EvalOutcome]:
-    return [
-        EvalOutcome(r["example_id"], r["valid"], r.get("invalid_reason"),
-                    r["ex"], r["ts"], r.get("timing_ms", 0.0))
-        for r in _read_jsonl(path)
-    ]
+    return list(read_jsonl(path, {"example_id": str, "valid": bool, "ex": bool, "ts": bool},
+                           _outcome))
 
 
 def _load_run(path) -> tuple[str, list[EvalOutcome], dict]:
@@ -367,13 +346,15 @@ def _load_run(path) -> tuple[str, list[EvalOutcome], dict]:
     return label, _load_outcomes(path), manifest
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> None:
     paths = sorted(p for pattern in args.runs for p in globmod.glob(pattern))
     if not paths:
-        print("error: no outcome files match", file=sys.stderr)
-        return 2
+        raise UsageError("no outcome files match")
     loaded = [_load_run(p) for p in paths]
     if args.report_kind == "metrics":
+        for path, (_, outcomes, _) in zip(paths, loaded):
+            if not outcomes:
+                raise IngestionError(f"{path} holds no outcomes")
         rows = metrics_table([(label, outcomes, len(manifest.get("gold_broken", [])))
                               for label, outcomes, manifest in loaded])
         fmt = args.format
@@ -389,15 +370,9 @@ def cmd_report(args) -> int:
             cfg = manifest.get("prompt_config") or {}
             shots = int(cfg.get("shots", 0))
             if shots in by_shots and not args.average:
-                print(f"error: duplicate shot count {shots} (use --average)", file=sys.stderr)
-                return 2
+                raise UsageError(f"duplicate shot count {shots} (use --average)")
             by_shots.setdefault(shots, []).extend(outcomes)
-        try:
-            curve = learning_curve(by_shots, args.reference)
-        except ValueError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-        text = curve_csv(curve)
+        text = curve_csv(learning_curve(by_shots, args.reference))
     else:  # breakdown
         outcomes = []
         n_broken = 0
@@ -413,26 +388,19 @@ def cmd_report(args) -> int:
         print(f"wrote {args.out}")
     else:
         print(text)
-    return 0
 
 
-def cmd_suite(args) -> int:
-    try:
-        suite = build_test_suite(args.db, args.suite_k, args.suite_seed, args.cache, _warn)
-    except IntrospectionError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+def cmd_suite(args) -> None:
+    suite = build_test_suite(args.db, args.suite_k, args.suite_seed, args.cache, _warn)
     print(f"suite for {suite.db_id}: {suite.k} variants under seed {suite.seed}")
-    return 0
 
 
-def cmd_annotate(args) -> int:
+def cmd_annotate(args) -> None:
     outcomes = _load_outcomes(args.outcomes)
     ids = sample_for_annotation(outcomes, args.n, args.seed, _warn)
     text = annotation_skeleton(ids)
     Path(args.out).write_text(text)
     print(f"wrote annotation skeleton with {len(ids)} examples to {args.out}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -483,12 +451,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code: 0 on success, 1 when the
+    completion backend fails (BackendError), and 2 when an input or a setting
+    is unusable: the library's input errors (IngestionError,
+    IntrospectionError), the CLI's UsageError, and ValueError. Every
+    ValueError raised in sqlbench is a deliberate check on a value from
+    outside the program. Each failure prints one `error: <message>` line;
+    anything else is a bug and ends in a traceback."""
     args = build_parser().parse_args(argv)
-    error = _resolve(args) if args.command in STAGE_OPTIONS else None
-    if error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    return args.func(args)
+    try:
+        if args.command in STAGE_OPTIONS:
+            _resolve(args)
+        args.func(args)
+    except (BackendError, UsageError, IngestionError, IntrospectionError, ValueError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1 if isinstance(e, BackendError) else 2
+    return 0
 
 
 if __name__ == "__main__":

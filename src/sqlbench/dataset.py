@@ -65,7 +65,7 @@ def load_benchmark(path, db_root) -> Benchmark:
     try:
         with open(path) as f:
             items = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: not JSON, or not text
         raise IngestionError(f"cannot parse benchmark file {path}: {e}") from e
     if not isinstance(items, list):
         raise IngestionError(f"benchmark file {path} is not a JSON list")
@@ -73,12 +73,12 @@ def load_benchmark(path, db_root) -> Benchmark:
     examples = []
     for i, item in enumerate(items):
         if not isinstance(item, dict):
-            raise IngestionError(f"item at index {i} is not an object")
+            raise IngestionError(f"{path}: item at index {i} is not an object")
         for key in ("db_id", "question", "query"):
             if key not in item:
-                raise IngestionError(f"item at index {i} is missing field {key!r}")
+                raise IngestionError(f"{path}: item at index {i} is missing field {key!r}")
         if not str(item["query"]).strip():
-            raise IngestionError(f"item at index {i} has an empty gold query")
+            raise IngestionError(f"{path}: item at index {i} has an empty gold query")
         examples.append(ExampleRecord(
             example_id=f"e{i:04d}",
             db_id=item["db_id"],
@@ -87,6 +87,43 @@ def load_benchmark(path, db_root) -> Benchmark:
             template_id=item.get("template_id"),
         ))
     return Benchmark(examples=examples, db_root=Path(db_root))
+
+
+def read_jsonl(path, fields: dict[str, type], make=None):
+    """Read a JSON-lines input file: one JSON object per non-blank line, each
+    holding every key of fields with a value of that key's type. Yields the
+    records in file order, each passed through make when it is given; the
+    file is read as it is consumed.
+
+    A file that cannot be opened, a line that is not such an object, or a
+    ValueError from make raises one IngestionError that names path:line.
+    """
+    try:
+        f = open(path, "rb")
+    except OSError as e:
+        raise IngestionError(f"cannot read {path}: {e.strerror}") from e
+    with f:
+        for lineno, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                rec = json.loads(line)
+            except ValueError as e:  # not JSON, or not UTF-8
+                raise IngestionError(f"{where}: not JSON") from e
+            if not isinstance(rec, dict):
+                raise IngestionError(f"{where}: not a JSON object")
+            for key, kind in fields.items():
+                if key not in rec:
+                    raise IngestionError(f"{where}: missing field {key!r}")
+                if not isinstance(rec[key], kind):
+                    raise IngestionError(f"{where}: field {key!r} is not a {kind.__name__}")
+            if make is not None:
+                try:
+                    rec = make(rec)
+                except ValueError as e:
+                    raise IngestionError(f"{where}: {e}") from e
+            yield rec
 
 
 def canonical_template(sql: str) -> str:

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
+from .dataset import read_jsonl
 from .execution import ExecResult, compare_results
 from .evaluate import EvalOutcome
 
@@ -99,22 +100,18 @@ def annotation_skeleton(example_ids: list[str]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _annotation(rec: dict) -> AnnotationRecord | None:
+    if not rec.get("category"):  # an empty category is a draft
+        return None
+    return AnnotationRecord(rec["example_id"], ErrorCategory(rec["category"]),
+                            rec.get("note", ""))
+
+
 def load_annotations(path) -> list[AnnotationRecord]:
-    records = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            if not rec.get("category"):
-                continue
-            records.append(AnnotationRecord(
-                example_id=rec["example_id"],
-                category=ErrorCategory(rec["category"]),
-                note=rec.get("note", ""),
-            ))
-    return records
+    """The labelled records of an annotation file. An unknown category raises
+    IngestionError naming its line."""
+    records = read_jsonl(path, {"example_id": str}, _annotation)
+    return [rec for rec in records if rec is not None]
 
 
 # Display order mirrors the published error-analysis table.

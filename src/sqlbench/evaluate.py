@@ -107,7 +107,7 @@ class BenchmarkEvaluation:
 
 def evaluate_benchmark(bench: Benchmark, predictions: dict[str, Prediction],
                        suites: dict[str, TestSuite], warn,
-                       timeout_ms: int = 30000) -> BenchmarkEvaluation:
+                       timeout_ms: int) -> BenchmarkEvaluation:
     """Evaluate every benchmark example that has a prediction and a suite.
 
     Examples run grouped by database, so each suite file, and the suite's

@@ -175,7 +175,7 @@ class Connections:
         self._open.clear()
 
 
-def execute_sql(db_file, sql: str, timeout_ms: int = 30000,
+def execute_sql(db_file, sql: str, timeout_ms: int,
                 connections: Connections | None = None) -> ExecResult | ExecError:
     """Run arbitrary SQL read-only with a wall-clock timeout.
 

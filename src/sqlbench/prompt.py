@@ -37,6 +37,8 @@ class PromptStyle:
         needs_x = self.kind in (StyleKind.SELECT_X, StyleKind.CREATE_TABLE_SELECT_X)
         if needs_x != (self.x is not None):
             raise ValueError(f"row count x must be set iff style samples rows ({self.kind})")
+        if needs_x and self.x < 1:
+            raise ValueError(f"prompt style {self.label} samples no rows; x must be >= 1")
 
     @property
     def label(self) -> str:
@@ -64,11 +66,12 @@ def parse_style(text: str) -> PromptStyle:
 @dataclass(frozen=True)
 class PromptBudget:
     context_tokens: int
-    completion_reserve: int = 200
+    completion_reserve: int
 
     def __post_init__(self):
         if self.completion_reserve >= self.context_tokens:
-            raise ValueError("completion reserve must be smaller than the context window")
+            raise ValueError(f"completion_reserve {self.completion_reserve} must be smaller "
+                             f"than context_tokens {self.context_tokens}")
 
     def admits(self, est_tokens: int) -> bool:
         """A prompt of est_tokens leaves the completion reserve free."""

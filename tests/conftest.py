@@ -12,6 +12,7 @@ from sqlbench.schema import connect_ro, introspect, sample_rows
 from sqlbench.store import GoldStore
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+TIMEOUT_MS = 30000  # the CLI's default --timeout-ms
 
 NETWORK1_CREATES = [
     """CREATE TABLE Highschooler(
@@ -238,5 +239,5 @@ def evaluate_one(example, prediction, suite):
     """evaluate on connections and a gold store opened for this one call; its
     notes are dropped."""
     with closing(Connections()) as connections, closing(GoldStore(suite)) as store:
-        return evaluate(example, prediction, suite, 30000, lambda message: None,
+        return evaluate(example, prediction, suite, TIMEOUT_MS, lambda message: None,
                         connections, store)

@@ -23,8 +23,8 @@ from sqlbench.prompt import (PromptBudget, PromptStyle, StyleKind, fit_support,
                              render_prompt)
 from sqlbench.report import metrics_row
 
-from conftest import (FIXTURE_QUESTIONS, GEO_SUPPORT_PAIRS, GOLDEN_DIR, evaluate_one,
-                      load_golden, read_section)
+from conftest import (FIXTURE_QUESTIONS, GEO_SUPPORT_PAIRS, GOLDEN_DIR, TIMEOUT_MS,
+                      evaluate_one, load_golden, read_section)
 from test_fuzz import check_integrity, make_item_db
 
 
@@ -96,7 +96,7 @@ def test_metric_properties(db_root, fixture_benchmark_path, tmp_path):
             cache_dir=tmp_path / "suites")}
         oracle = {e.example_id: Prediction(e.example_id, "", e.gold_sql)
                   for e in bench.examples}
-        result = evaluate_benchmark(bench, oracle, suites, print)
+        result = evaluate_benchmark(bench, oracle, suites, print, TIMEOUT_MS)
         row = record(metrics_row("oracle", result.outcomes))
         assert (row.va_pct, row.ex_pct, row.ts_pct) == (100.0, 100.0, 100.0)
 
@@ -184,7 +184,7 @@ def test_comparator_equivalence(tmp_path):
             "SELECT max(e) FROM empty_t",
             "SELECT e FROM empty_t ORDER BY e DESC LIMIT 1",
         ]
-        results = [execute_sql(db, q) for q in queries]
+        results = [execute_sql(db, q, TIMEOUT_MS) for q in queries]
         pairs = list(product(results, repeat=2))
         # a tolerance pairing that taking the first equal row misses
         near = ExecResult(["x"], [(1.0,), (1.0 + 0.99e-6,)], False)
@@ -254,8 +254,8 @@ def test_few_shot_protocol(geo_db):
         )
         five = select_support(support, 5, seed=0, warn=print)
         section = read_section(geo_db, PromptStyle(StyleKind.CREATE_TABLE_SELECT_X, x=3))
-        _, n_2048 = fit_support(PromptBudget(2048), section, "q", five)
-        _, n_4096 = fit_support(PromptBudget(4096), section, "q", five)
+        _, n_2048 = fit_support(PromptBudget(2048, 200), section, "q", five)
+        _, n_4096 = fit_support(PromptBudget(4096, 200), section, "q", five)
         assert n_4096 >= n_2048
 
 
@@ -276,11 +276,11 @@ def test_error_triage(tmp_path):
                 (3, 'Robert Waters', 15), (4, 'Michael Morgan', 10);
         """)
         conn.close()
-        gold = execute_sql(db, "SELECT Name FROM conductor ORDER BY Year_of_Work DESC")
+        gold = execute_sql(db, "SELECT Name FROM conductor ORDER BY Year_of_Work DESC", TIMEOUT_MS)
         pred = execute_sql(db, "SELECT Name, Year_of_Work FROM conductor "
-                               "ORDER BY Year_of_Work DESC")
+                               "ORDER BY Year_of_Work DESC", TIMEOUT_MS)
         assert detect_extra_columns(gold, pred, print)
-        wrong = execute_sql(db, "SELECT Conductor_ID FROM conductor")
+        wrong = execute_sql(db, "SELECT Conductor_ID FROM conductor", TIMEOUT_MS)
         assert not detect_extra_columns(gold, wrong, print)
 
         from sqlbench.evaluate import EvalOutcome

@@ -6,15 +6,16 @@ import pytest
 
 from sqlbench.backend import (
     BackendError,
-    CompletionRequest,
     EMPTY_PREDICTION,
-    GoldOracleBackend,
     HttpBackend,
     MissingFixtureError,
     ReplayBackend,
     finalize_sql,
+    gold_completion,
     predict,
 )
+
+STOP = ["--", "\n\n", ";", "#"]
 
 
 class TestFinalizeSql:
@@ -43,41 +44,36 @@ class TestFinalizeSql:
     ])
     def test_output_never_contains_stop_strings(self, raw):
         out = finalize_sql(raw)
-        for stop in ("--", "\n\n", ";", "#"):
+        for stop in STOP:
             assert stop not in out
 
 
 class TestReplayBackend:
-    def test_fixture_echo(self, tmp_path):
-        path = tmp_path / "replay.jsonl"
-        path.write_text(json.dumps({"example_id": "e0007",
-                                    "raw_completion": "name FROM singer"}) + "\n")
-        backend = ReplayBackend(path)
-        req = CompletionRequest(prompt="...")
-        assert backend.complete("e0007", req) == "name FROM singer"
+    def test_fixture_echo(self):
+        backend = ReplayBackend({"e0007": "name FROM singer"})
+        assert backend.complete("e0007", "...", 200, 0.0) == "name FROM singer"
 
-    def test_missing_key(self, tmp_path):
-        path = tmp_path / "replay.jsonl"
-        path.write_text("")
+    def test_missing_key(self):
         with pytest.raises(MissingFixtureError, match="e0001"):
-            ReplayBackend(path).complete("e0001", CompletionRequest(prompt="x"))
+            ReplayBackend({}).complete("e0001", "x", 200, 0.0)
 
-    def test_deterministic(self, tmp_path):
-        path = tmp_path / "replay.jsonl"
-        path.write_text(json.dumps({"example_id": "a", "raw_completion": "x"}) + "\n")
-        b = ReplayBackend(path)
-        req = CompletionRequest(prompt="p")
-        assert b.complete("a", req) == b.complete("a", req)
+    def test_deterministic(self):
+        b = ReplayBackend({"a": "x"})
+        assert b.complete("a", "p", 200, 0.0) == b.complete("a", "p", 200, 0.0)
+
+
+class TestPredict:
+    def test_negative_temperature_refused(self):
+        with pytest.raises(ValueError, match="temperature"):
+            predict("a", "p", ReplayBackend({"a": "x"}), 200, -1.0)
 
 
 class TestGoldOracle:
     def test_returns_body_without_select(self):
-        backend = GoldOracleBackend({"e1": "SELECT Name FROM conductor"})
-        assert backend.complete("e1", CompletionRequest(prompt="p")) == "Name FROM conductor"
+        assert gold_completion("SELECT Name FROM conductor") == "Name FROM conductor"
 
     def test_lowercase_gold(self):
-        backend = GoldOracleBackend({"e1": "select max(mpg) from cars_data"})
-        assert backend.complete("e1", CompletionRequest(prompt="p")) == "max(mpg) from cars_data"
+        assert gold_completion("select max(mpg) from cars_data") == "max(mpg) from cars_data"
 
     def test_round_trip_through_finalize(self):
         golds = [
@@ -85,9 +81,9 @@ class TestGoldOracle:
             "SELECT a ,  b FROM t WHERE x = 'y';",
             "select count(*) from t",
         ]
-        backend = GoldOracleBackend({f"e{i}": g for i, g in enumerate(golds)})
+        backend = ReplayBackend({f"e{i}": gold_completion(g) for i, g in enumerate(golds)})
         for i, gold in enumerate(golds):
-            p = predict(f"e{i}", "prompt", backend)
+            p = predict(f"e{i}", "prompt", backend, 200, 0.0)
             want = " ".join(gold.rstrip("; ").split())
             got = " ".join(p.sql.split())
             assert got.lower() == want.lower()
@@ -95,7 +91,9 @@ class TestGoldOracle:
 
 class _FlakyHandler(BaseHTTPRequestHandler):
     failures_left = 0
+    failure_status = 503
     requests_seen = 0
+    received = []  # (headers, body) of each request
     reply = None  # a 200 body to send instead of a completion
 
     def do_POST(self):
@@ -103,10 +101,12 @@ class _FlakyHandler(BaseHTTPRequestHandler):
         cls.requests_seen += 1
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
+        cls.received.append((dict(self.headers), body))
         if cls.failures_left > 0:
             cls.failures_left -= 1
-            self.send_response(503)
+            self.send_response(cls.failure_status)
             self.end_headers()
+            self.wfile.write(b"go away")
             return
         payload = cls.reply or json.dumps({"choices": [{"text": " 1 FROM t"}],
                                            "echo_model": body.get("model")})
@@ -124,7 +124,9 @@ def flaky_server(monkeypatch):
     """A local completion endpoint; the backend's backoff does not sleep."""
     monkeypatch.setattr("sqlbench.backend.time.sleep", lambda seconds: None)
     _FlakyHandler.failures_left = 0
+    _FlakyHandler.failure_status = 503
     _FlakyHandler.requests_seen = 0
+    _FlakyHandler.received = []
     _FlakyHandler.reply = None
     server = HTTPServer(("127.0.0.1", 0), _FlakyHandler)
     # a short poll, so that shutdown does not wait out the default half second
@@ -140,7 +142,7 @@ class TestHttpBackend:
         _FlakyHandler.failures_left = 2
         backend = HttpBackend(flaky_server, "m", rpm=0, retries=5)
         backend._throttle = lambda: None  # no pacing in tests
-        out = backend.complete("e0", CompletionRequest(prompt="p"))
+        out = backend.complete("e0", "p", 200, 0.0)
         assert out == " 1 FROM t"
         assert _FlakyHandler.requests_seen == 3
 
@@ -149,15 +151,15 @@ class TestHttpBackend:
         backend = HttpBackend("http://127.0.0.1:1/nope", "m", rpm=0, retries=2)
         backend._throttle = lambda: None
         with pytest.raises(BackendError, match="e9"):
-            backend.complete("e9", CompletionRequest(prompt="p"))
+            backend.complete("e9", "p", 200, 0.0)
 
     def test_zero_retries_sends_one_request(self, flaky_server):
         backend = HttpBackend(flaky_server, "m", rpm=0, retries=0)
-        assert backend.complete("e0", CompletionRequest(prompt="p")) == " 1 FROM t"
+        assert backend.complete("e0", "p", 200, 0.0) == " 1 FROM t"
         assert _FlakyHandler.requests_seen == 1
         _FlakyHandler.failures_left = 1
         with pytest.raises(BackendError, match="e1 after 0 retries: HTTP 503"):
-            backend.complete("e1", CompletionRequest(prompt="p"))
+            backend.complete("e1", "p", 200, 0.0)
         assert _FlakyHandler.requests_seen == 2
 
     @pytest.mark.parametrize("reply", ["{}", '{"choices": []}', '{"choices": [{"text": null}]}',
@@ -166,19 +168,23 @@ class TestHttpBackend:
         _FlakyHandler.reply = reply
         backend = HttpBackend(flaky_server, "m", rpm=0, retries=3)
         with pytest.raises(BackendError, match=r"no choices\[0\].text for e7"):
-            backend.complete("e7", CompletionRequest(prompt="p"))
+            backend.complete("e7", "p", 200, 0.0)
         assert _FlakyHandler.requests_seen == 1  # not retried
 
 
-class TestCompletionRequest:
-    def test_defaults_match_decoding_setup(self):
-        req = CompletionRequest(prompt="p")
-        assert req.max_tokens == 200
-        assert req.temperature == 0.0
-        assert req.stop == ("--", "\n\n", ";", "#")
+    def test_request_body_and_key(self, flaky_server, monkeypatch):
+        monkeypatch.setenv("SQLBENCH_API_KEY", "sk-test")
+        backend = HttpBackend(flaky_server, "m", rpm=0, retries=0)
+        assert backend.complete("e0", "the prompt", 64, 0.5) == " 1 FROM t"
+        [(headers, body)] = _FlakyHandler.received
+        assert body == {"model": "m", "prompt": "the prompt", "max_tokens": 64,
+                        "temperature": 0.5, "stop": STOP}
+        assert headers["Authorization"] == "Bearer sk-test"
 
-    def test_invariants(self):
-        with pytest.raises(ValueError):
-            CompletionRequest(prompt="p", temperature=-1)
-        with pytest.raises(ValueError):
-            CompletionRequest(prompt="p", stop=())
+    def test_client_error_not_retried(self, flaky_server):
+        _FlakyHandler.failures_left = 1
+        _FlakyHandler.failure_status = 400
+        backend = HttpBackend(flaky_server, "m", rpm=0, retries=5)
+        with pytest.raises(BackendError, match="rejected e3: HTTP 400 go away"):
+            backend.complete("e3", "p", 200, 0.0)
+        assert _FlakyHandler.requests_seen == 1

@@ -236,14 +236,21 @@ class TestConfig:
         config = json.loads((workdir / "empty-key.jsonl.manifest.json").read_text())["config"]
         assert (config["shots"], config["seed"]) == (0, 0)
 
-    def test_value_of_wrong_type_refused(self, workdir, db_root, capsys):
-        cfg = workdir / "bad-value.yaml"
-        cfg.write_text("suite_k: many\n")
+    @pytest.mark.parametrize("line,shown", [
+        ("suite_k: many", "suite_k 'many'"),
+        ("suite_k: 4.7", "suite_k 4.7"),
+        ("suite_seed: true", "suite_seed True"),
+        ("suite_k: [4]", "suite_k [4]"),
+        ("suite_seed: {seed: 1}", "suite_seed {'seed': 1}"),
+    ], ids=["text", "float", "bool", "list", "mapping"])
+    def test_value_of_wrong_type_refused(self, tmp_path, db_root, capsys, line, shown):
+        cfg = tmp_path / "bad-value.yaml"
+        cfg.write_text(line + "\n")
         rc = run("suite", "--config", cfg, "--db", db_root / "network_1" / "network_1.sqlite",
-                 "--cache", workdir / "bad-value-suites")
+                 "--cache", tmp_path / "bad-value-suites")
         assert rc == 2
-        assert "suite_k 'many'" in capsys.readouterr().err
-        assert not (workdir / "bad-value-suites").exists()
+        assert f"error: {shown} in {cfg}" in capsys.readouterr().err
+        assert not (tmp_path / "bad-value-suites").exists()
 
 
 class TestPredict:
@@ -251,6 +258,11 @@ class TestPredict:
         records = read_jsonl(gold_predictions)
         by_id = {r["example_id"]: r["sql"] for r in records}
         assert by_id["e0001"] == "SELECT name FROM Highschooler"
+
+    def test_defaults_match_decoding_setup(self, gold_predictions):
+        config = json.loads(
+            (gold_predictions.parent / "predictions.jsonl.manifest.json").read_text())["config"]
+        assert (config["max_tokens"], config["temperature"]) == (200, 0.0)
 
     def test_manifest_carries_prompt_provenance(self, gold_predictions):
         manifest = json.loads(
@@ -703,6 +715,87 @@ class TestAnnotate:
         records = read_jsonl(dest)
         assert len(records) == 4
         assert all(r["category"] == "" for r in records)
+
+
+@pytest.fixture
+def bad_input_files(tmp_path, fixture_benchmark_path, db_root, prompts_file,
+                    gold_predictions):
+    """The names the bad-input table's command lines are formatted with."""
+    files = {"missing": tmp_path / "missing.jsonl", "notjson": tmp_path / "notjson.jsonl",
+             "empty": tmp_path / "empty.jsonl", "outcomes": tmp_path / "outcomes.jsonl",
+             "annotations": tmp_path / "annotations.jsonl",
+             "oldreplay": tmp_path / "old-replay.jsonl"}
+    files["notjson"].write_text("not json\n")
+    files["empty"].write_text("")
+    files["outcomes"].write_text(json.dumps({"example_id": "e0000", "valid": True,
+                                             "invalid_reason": None, "ex": False,
+                                             "ts": False}) + "\n")
+    files["annotations"].write_text("\n" + json.dumps({"example_id": "e0000",
+                                                        "category": "Bogus"}) + "\n")
+    files["oldreplay"].write_text(json.dumps({"example_id": "e0000", "completion": "1"})
+                                  + "\n")
+    return {**files, "bench": fixture_benchmark_path, "db_root": db_root,
+            "db": db_root / "network_1" / "network_1.sqlite", "prompts": prompts_file,
+            "predictions": gold_predictions, "cache": tmp_path / "cache",
+            "out": tmp_path / "out.jsonl"}
+
+
+# (command line, what its one error line names); each exited 1 with a traceback
+BAD_INPUTS = {
+    "prompt-missing-benchmark": (
+        "prompt --benchmark {missing} --db-root {db_root} --out {out}", "{missing}"),
+    "prompt-unknown-style": (
+        "prompt --benchmark {bench} --db-root {db_root} --prompt bogus --out {out}",
+        "prompt style 'bogus'"),
+    "prompt-zero-rows": (
+        "prompt --benchmark {bench} --db-root {db_root} --prompt select:0 --out {out}",
+        "prompt style select:0"),
+    "prompt-reserve-over-context": (
+        "prompt --benchmark {bench} --db-root {db_root} --context-tokens 100 "
+        "--completion-reserve 200 --out {out}", "completion_reserve 200"),
+    "predict-missing-prompts": (
+        "predict --prompts {missing} --backend gold --benchmark {bench} --out {out}",
+        "{missing}"),
+    "predict-missing-replay": (
+        "predict --prompts {prompts} --replay-file {missing} --out {out}", "{missing}"),
+    "predict-replay-not-json": (
+        "predict --prompts {prompts} --replay-file {notjson} --out {out}", "{notjson}:1"),
+    "predict-replay-without-raw-completion": (
+        "predict --prompts {prompts} --replay-file {oldreplay} --out {out}",
+        "{oldreplay}:1: missing field 'raw_completion'"),
+    "predict-negative-temperature": (
+        "predict --prompts {prompts} --backend gold --benchmark {bench} --temperature -1 "
+        "--out {out}", "temperature"),
+    "eval-missing-predictions": (
+        "eval --benchmark {bench} --db-root {db_root} --predictions {missing} --out {out}",
+        "{missing}"),
+    "eval-predictions-not-json": (
+        "eval --benchmark {bench} --db-root {db_root} --predictions {notjson} --out {out}",
+        "{notjson}:1"),
+    "eval-zero-suite": (
+        "eval --benchmark {bench} --db-root {db_root} --predictions {predictions} "
+        "--suite-k 0 --cache {cache} --out {out}", "suite size k"),
+    "suite-zero-suite": ("suite --db {db} --suite-k 0 --cache {cache}", "suite size k"),
+    "report-empty-outcomes": ("report metrics --runs {empty} --out {out}", "{empty}"),
+    "report-missing-annotations": (
+        "report breakdown --runs {outcomes} --annotations {missing} --out {out}", "{missing}"),
+    "report-unknown-category": (
+        "report breakdown --runs {outcomes} --annotations {annotations} --out {out}",
+        "{annotations}:2: 'Bogus'"),
+    "annotate-missing-outcomes": ("annotate --outcomes {missing} --out {out}", "{missing}"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_exits_2_with_one_error_line(bad_input_files, capsys, case):
+    argv, names = BAD_INPUTS[case]
+    assert main(argv.format(**bad_input_files).split()) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and names.format(**bad_input_files) in errors[0]
+    assert "Traceback" not in err
+    assert not bad_input_files["out"].exists()
+    assert not bad_input_files["cache"].exists()
 
 
 class TestVersion:

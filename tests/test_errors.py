@@ -16,6 +16,8 @@ from sqlbench.errors import (
 from sqlbench.evaluate import EvalOutcome
 from sqlbench.execution import ExecResult, compare_results, execute_sql
 
+from conftest import TIMEOUT_MS
+
 
 def outcome(eid, valid=True, reason=None, ex=False, ts=False):
     return EvalOutcome(eid, valid, reason, ex, ts, 1.0)
@@ -62,21 +64,23 @@ def conductor_db(tmp_path_factory):
 class TestDetectExtraColumns:
     def test_conductor_example(self, conductor_db):
         gold = execute_sql(conductor_db,
-                           "SELECT Name FROM conductor ORDER BY Year_of_Work DESC")
+                           "SELECT Name FROM conductor ORDER BY Year_of_Work DESC", TIMEOUT_MS)
         pred = execute_sql(conductor_db,
                            "SELECT Name, Year_of_Work FROM conductor "
-                           "ORDER BY Year_of_Work DESC")
+                           "ORDER BY Year_of_Work DESC", TIMEOUT_MS)
         assert not compare_results(gold, pred)
         assert detect_extra_columns(gold, pred, print)
 
     def test_equal_arity_never_fires(self, conductor_db):
-        gold = execute_sql(conductor_db, "SELECT Name FROM conductor")
-        pred = execute_sql(conductor_db, "SELECT Year_of_Work FROM conductor")
+        gold = execute_sql(conductor_db, "SELECT Name FROM conductor", TIMEOUT_MS)
+        pred = execute_sql(conductor_db, "SELECT Year_of_Work FROM conductor", TIMEOUT_MS)
         assert not detect_extra_columns(gold, pred, print)
 
     def test_wider_but_no_matching_projection(self, conductor_db):
-        gold = execute_sql(conductor_db, "SELECT Name FROM conductor WHERE Year_of_Work > 12")
-        pred = execute_sql(conductor_db, "SELECT Conductor_ID, Year_of_Work FROM conductor")
+        gold = execute_sql(conductor_db, "SELECT Name FROM conductor WHERE Year_of_Work > 12",
+                           TIMEOUT_MS)
+        pred = execute_sql(conductor_db, "SELECT Conductor_ID, Year_of_Work FROM conductor",
+                           TIMEOUT_MS)
         assert not detect_extra_columns(gold, pred, print)
 
     def test_agrees_with_projection_brute_force(self, conductor_db):
@@ -87,7 +91,7 @@ class TestDetectExtraColumns:
             "SELECT Year_of_Work, Name FROM conductor",
             "SELECT Name FROM conductor ORDER BY Year_of_Work DESC",
         ]
-        results = [execute_sql(conductor_db, q) for q in queries]
+        results = [execute_sql(conductor_db, q, TIMEOUT_MS) for q in queries]
         for gold in results:
             for pred in results:
                 got = detect_extra_columns(gold, pred, print)

@@ -23,7 +23,8 @@ from sqlbench.execution import Connections, ExecResult, execute_sql
 from sqlbench.fuzz import TestSuite, build_test_suite
 from sqlbench.store import GoldStore
 
-from conftest import FIXTURE_QUESTIONS, evaluate_one, make_geo_db, make_network1_db
+from conftest import (FIXTURE_QUESTIONS, TIMEOUT_MS, evaluate_one, make_geo_db,
+                      make_network1_db)
 
 
 def example(gold, eid="e0000", db_id="network_1"):
@@ -146,7 +147,7 @@ class TestEvaluateBenchmark:
                        for e in bench.examples}
         suites = {"network_1": build_test_suite(db_root / "network_1" / "network_1.sqlite",
                                                 2, seed=1, cache_dir=tmp_path / "cache")}
-        result = evaluate_benchmark(bench, predictions, suites, print)
+        result = evaluate_benchmark(bench, predictions, suites, print, TIMEOUT_MS)
         assert len(result.outcomes) == 2
         assert result.gold_broken == ["e0001"]
         assert all(o.ts for o in result.outcomes)
@@ -170,7 +171,7 @@ class TestEvaluateBenchmark:
             return connect(database, *args, **kwargs)
 
         monkeypatch.setattr(sqlite3, "connect", counting_connect)
-        result = evaluate_benchmark(bench, predictions, suites, print)
+        result = evaluate_benchmark(bench, predictions, suites, print, TIMEOUT_MS)
         assert [o.ts for o in result.outcomes] == [True, True, True]
         suite = suites["network_1"]
         variants = [d for d in opened if any(str(v) in str(d) for v in suite.variants)]
@@ -217,7 +218,7 @@ class TestEvaluateBenchmark:
                                    geo_suite.source_sha256, "mixed", mixed),
         }
         warnings = []
-        result = evaluate_benchmark(bench, predictions, suites, warnings.append)
+        result = evaluate_benchmark(bench, predictions, suites, warnings.append, TIMEOUT_MS)
         assert [o.example_id for o in result.outcomes] == [
             "e0000", "e0001", "e0002", "e0004", "e0006"]
         assert all(o.ts for o in result.outcomes)
@@ -252,7 +253,7 @@ def round_trip(suite, sql, result):
     return got
 
 
-def network1_eval(db_root, tmp_path, golds, preds, warn=print, **kwargs):
+def network1_eval(db_root, tmp_path, golds, preds, warn=print, timeout_ms=TIMEOUT_MS):
     """evaluate_benchmark on network_1 examples with these golds and
     predictions, against the k=2 suite cached under tmp_path."""
     bench_file = tmp_path / "bench.json"
@@ -263,7 +264,7 @@ def network1_eval(db_root, tmp_path, golds, preds, warn=print, **kwargs):
                    for e, sql in zip(bench.examples, preds)}
     suite = build_test_suite(db_root / "network_1" / "network_1.sqlite", 2, seed=1,
                              cache_dir=tmp_path / "cache", db_id="network_1")
-    return evaluate_benchmark(bench, predictions, {"network_1": suite}, warn, **kwargs), suite
+    return evaluate_benchmark(bench, predictions, {"network_1": suite}, warn, timeout_ms), suite
 
 
 def scores(result):
@@ -292,7 +293,7 @@ class TestGoldStore:
             assert repr(round_trip(suite, "raw", raw)) == repr(raw)
             for sql in ("SELECT * FROM t", "SELECT * FROM t ORDER BY 1",
                         "SELECT * FROM t WHERE 0", "-- no statement", "SELECT nocol FROM t"):
-                executed = execute_sql(db, sql)
+                executed = execute_sql(db, sql, TIMEOUT_MS)
                 assert repr(round_trip(suite, sql, executed)) == repr(executed)
 
     def test_volatile_golds_never_stored(self, db_root, tmp_path):

@@ -19,16 +19,19 @@ from sqlbench.execution import (
 )
 from sqlbench.errors import detect_extra_columns
 
+from conftest import TIMEOUT_MS
+
 
 class TestExecuteSql:
     def test_valid_query_returns_stored_rows(self, network1_db):
-        res = execute_sql(network1_db, "SELECT ID, name FROM Highschooler WHERE grade = 12")
+        res = execute_sql(network1_db, "SELECT ID, name FROM Highschooler WHERE grade = 12",
+                          TIMEOUT_MS)
         assert isinstance(res, ExecResult)
         assert set(res.rows) == {(1934, "Kyle"), (1661, "Logan")}
         assert res.columns == ["ID", "name"]
 
     def test_no_such_column(self, network1_db):
-        res = execute_sql(network1_db, "SELECT nocol FROM Highschooler")
+        res = execute_sql(network1_db, "SELECT nocol FROM Highschooler", TIMEOUT_MS)
         assert isinstance(res, ExecError)
         assert res.kind == "engine"
         assert "no such column" in res.message
@@ -37,12 +40,13 @@ class TestExecuteSql:
         res = execute_sql(
             network1_db,
             "SELECT student_id FROM Friend JOIN Likes ON Friend.friend_id = Likes.liked_id",
+            TIMEOUT_MS,
         )
         assert isinstance(res, ExecError)
         assert "ambiguous column name" in res.message
 
     def test_syntax_error_message_verbatim(self, network1_db):
-        res = execute_sql(network1_db, "SELECT * FORM Highschooler")
+        res = execute_sql(network1_db, "SELECT * FORM Highschooler", TIMEOUT_MS)
         assert isinstance(res, ExecError)
         assert "syntax error" in res.message
 
@@ -54,26 +58,27 @@ class TestExecuteSql:
         assert res.kind == "timeout"
 
     def test_write_rejected(self, network1_db):
-        res = execute_sql(network1_db, "DELETE FROM Likes")
+        res = execute_sql(network1_db, "DELETE FROM Likes", TIMEOUT_MS)
         assert isinstance(res, ExecError)
         assert res.kind == "forbidden"
         # and the file is untouched
-        ok = execute_sql(network1_db, "SELECT count(*) FROM Likes")
+        ok = execute_sql(network1_db, "SELECT count(*) FROM Likes", TIMEOUT_MS)
         assert ok.rows == [(3,)]
 
     def test_order_sensitivity_from_query(self, network1_db):
-        ordered = execute_sql(network1_db, "SELECT name FROM Highschooler ORDER BY name")
-        unordered = execute_sql(network1_db, "SELECT name FROM Highschooler")
+        ordered = execute_sql(network1_db, "SELECT name FROM Highschooler ORDER BY name",
+                              TIMEOUT_MS)
+        unordered = execute_sql(network1_db, "SELECT name FROM Highschooler", TIMEOUT_MS)
         assert ordered.order_sensitive and not unordered.order_sensitive
 
     def test_row_cap(self, network1_db, monkeypatch):
         monkeypatch.setattr(execution, "MAX_ROWS", 5)
         count_to = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c "
                     "WHERE x < {}) SELECT x FROM c")
-        res = execute_sql(network1_db, count_to.format(6))
+        res = execute_sql(network1_db, count_to.format(6), TIMEOUT_MS)
         assert isinstance(res, ExecError)
         assert res.kind == "too_many_rows"
-        assert len(execute_sql(network1_db, count_to.format(5)).rows) == 5
+        assert len(execute_sql(network1_db, count_to.format(5), TIMEOUT_MS).rows) == 5
 
 
 # (sql, timeout_ms): one query of each outcome a reused connection must isolate
@@ -256,11 +261,11 @@ class TestCompareResults:
         assert not compare_results(rs(gold), rs(pred[:-1] + [(0.0, 3.5)]))
 
     def test_infinity_from_sqlite(self, network1_db):
-        res = execute_sql(network1_db, "SELECT 1e999, -1e999")
+        res = execute_sql(network1_db, "SELECT 1e999, -1e999", TIMEOUT_MS)
         assert res.rows == [(math.inf, -math.inf)]
-        assert compare_results(res, execute_sql(network1_db, "SELECT 1e999, -1e999"))
-        assert not compare_results(res, execute_sql(network1_db, "SELECT 1e999, 1e999"))
-        assert not compare_results(res, execute_sql(network1_db, "SELECT 1e999, -1e300"))
+        assert compare_results(res, execute_sql(network1_db, "SELECT 1e999, -1e999", TIMEOUT_MS))
+        for other in ("SELECT 1e999, 1e999", "SELECT 1e999, -1e300"):
+            assert not compare_results(res, execute_sql(network1_db, other, TIMEOUT_MS))
 
     def test_reflexive_and_symmetric(self):
         a = rs([(1, "x"), (2, None), (2, None)])

@@ -183,7 +183,7 @@ class TestFitSupport:
 
     def test_all_fit_under_large_budget(self, geo):
         section, support = geo
-        _, n = fit_support(PromptBudget(100000), section, "target q", support)
+        _, n = fit_support(PromptBudget(100000, 200), section, "target q", support)
         assert n == 5
 
     def test_degenerate_budget_gives_zero_shot(self, geo):
@@ -213,7 +213,7 @@ class TestFitSupport:
         counts = []
         for ctx in (2048, 4096, 8192):
             try:
-                _, n = fit_support(PromptBudget(ctx), section, "target q", support)
+                _, n = fit_support(PromptBudget(ctx, 200), section, "target q", support)
             except BudgetError:
                 n = -1
             counts.append(n)
@@ -221,7 +221,7 @@ class TestFitSupport:
 
     def test_drops_from_low_ranked_end(self, geo):
         section, support = geo
-        full, _ = fit_support(PromptBudget(100000), section, "q", support)
+        full, _ = fit_support(PromptBudget(100000, 200), section, "q", support)
         # shrink budget until exactly fewer fit, then the kept prefix must be rank-ordered
         budget = PromptBudget(full.est_tokens + 200 - 10, 200)
         rendered, n = fit_support(budget, section, "q", support)
@@ -350,7 +350,7 @@ class TestFittingMatchesReference:
 
         for name in ("render_prompt", "render_schema"):
             monkeypatch.setattr(sqlbench.prompt, name, counted(name))
-        full, _ = fit_support(PromptBudget(100000), section, "q", support)
+        full, _ = fit_support(PromptBudget(100000, 200), section, "q", support)
         budget = PromptBudget(full.est_tokens + 200 - 10, 200)
         _, keep = fit_support(budget, section, "q", support)
         assert keep < len(support.examples)

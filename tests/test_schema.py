@@ -6,7 +6,7 @@ import pytest
 from sqlbench.execution import ExecResult, execute_sql
 from sqlbench.schema import IntrospectionError, connect_ro, sample_rows
 
-from conftest import read_schema
+from conftest import TIMEOUT_MS, read_schema
 
 
 def sample(db_file, table, x):
@@ -74,7 +74,8 @@ class TestConnectRo:
         with closing(connect_ro(db)) as conn:
             with pytest.raises(sqlite3.OperationalError, match="readonly"):
                 conn.execute("CREATE TABLE u(b int)")
-        assert execute_sql(db, "SELECT count(*) FROM t") == ExecResult(["count(*)"], [(0,)])
+        result = execute_sql(db, "SELECT count(*) FROM t", TIMEOUT_MS)
+        assert result == ExecResult(["count(*)"], [(0,)])
         assert [p.name for p in tmp_path.iterdir()] == ["run#1?x%20y"]
         assert [p.name for p in db.parent.iterdir()] == ["a b.sqlite"]
 
