@@ -17,10 +17,11 @@ import yaml
 from . import __version__
 from .backend import (BackendError, HttpBackend, Prediction, ReplayBackend, gold_completion,
                       predict)
-from .dataset import IngestionError, load_benchmark, read_jsonl, select_support
+from .dataset import (IngestionError, check_fields, db_path, load_benchmark, read_jsonl,
+                      select_support)
 from .errors import annotation_skeleton, breakdown, load_annotations, sample_for_annotation
 from .evaluate import EvalOutcome, evaluate_benchmark
-from .fuzz import build_test_suite
+from .fuzz import SuiteError, build_test_suite
 from .prompt import (BudgetError, PromptBudget, PromptStyle, SchemaSection, StyleKind,
                      fit_support, parse_style, render_schema)
 from .report import (curve_csv, learning_curve, metrics_table, render_breakdown_markdown,
@@ -72,14 +73,14 @@ STAGE_OPTIONS = {
         Option("backend", default="replay", choices=("replay", "gold", "http"), recorded=True),
         Option("replay_file"),
         Option("benchmark"),
-        Option("db_root", default="."),
         Option("base_url"),
         Option("model", default="", recorded=True),
         Option("rpm", int, 20),
         Option("retries", int, 5),
         Option("max_tokens", int, 200, recorded=True),
         Option("temperature", float, 0.0, recorded=True),
-        Option("sql_out", help="also write one SQL per line in benchmark order"),
+        Option("sql_out", help="also write one SQL per line in the order of the prompt "
+               "manifest's benchmark, an empty line for an example with no prompt"),
         Option("out", Path, PREDICTIONS.default),
     ),
     "eval": (
@@ -154,14 +155,50 @@ def _write_manifest(args, extra: dict):
     Path(str(args.out) + ".manifest.json").write_text(json.dumps(manifest, indent=2, default=str))
 
 
-def _read_manifest(artifact_path) -> dict | None:
+class RunConfig(NamedTuple):
+    """A config a manifest records: the mapping, which later manifests copy
+    whole, and the keys later stages read ("" or 0 when unset)."""
+    values: dict | None = None
+    benchmark: str = ""
+    model: str = ""
+    prompt: str = ""
+    shots: int = 0
+
+
+class Manifest(NamedTuple):
+    """What later stages read of a .manifest.json; Manifest() when there is none."""
+    config: RunConfig = RunConfig()
+    config_hash: str | None = None
+    prompt_config: RunConfig = RunConfig()
+    model: str = ""
+    n_gold_broken: int = 0
+
+
+def _read_manifest(artifact_path) -> Manifest:
+    """The manifest beside artifact_path; no other code reads a manifest's JSON.
+    A file that is not a JSON object, or a field a stage reads that is missing
+    or of the wrong type, raises IngestionError naming the file and the field.
+    A null field counts as absent."""
     p = Path(str(artifact_path) + ".manifest.json")
     if not p.exists():
-        return None
+        return Manifest()
     try:
-        return json.loads(p.read_text())
-    except ValueError as e:
-        raise IngestionError(f"{p} is not JSON") from e
+        raw = json.loads(p.read_text())
+    except (OSError, ValueError) as e:  # ValueError: not JSON, or not UTF-8
+        raise IngestionError(f"cannot read {p} as JSON: {e}") from e
+    check_fields(str(p), raw, {"config": dict})
+    check_fields(str(p), raw, {"config_hash": str, "prompt_config": dict, "model": str,
+                               "gold_broken": list}, optional=True)
+    if not all(isinstance(example_id, str) for example_id in raw.get("gold_broken") or []):
+        raise IngestionError(f"{p}: field 'gold_broken' is not a list of strings")
+
+    def config(key) -> RunConfig:
+        values = raw.get(key) or {}
+        read = {"benchmark": str, "model": str, "prompt": str, "shots": int}
+        check_fields(f"{p}: {key}", values, read, optional=True)
+        return RunConfig(raw.get(key), *(values.get(f) or kind() for f, kind in read.items()))
+    return Manifest(config("config"), raw.get("config_hash"), config("prompt_config"),
+                    raw.get("model") or "", len(raw.get("gold_broken") or []))
 
 
 def _write_jsonl(path: Path, records):
@@ -177,8 +214,9 @@ def _warn(message: str) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _skip_database(db_id: str, error: IntrospectionError) -> None:
-    """What prompt and eval do with a database they cannot open."""
+def _skip_database(db_id: str, error: IntrospectionError | SuiteError) -> None:
+    """What prompt and eval do with a database they cannot open, and eval with
+    one whose suite cannot be generated."""
     _warn(f"{db_id}: {error}; its examples are skipped")
 
 
@@ -197,7 +235,7 @@ def _schema_section(db_id: str, db_file, style: PromptStyle) -> SchemaSection:
 
 
 def cmd_prompt(args) -> None:
-    bench = load_benchmark(args.benchmark, args.db_root)
+    examples = load_benchmark(args.benchmark)
     style = parse_style(args.prompt)
     budget = PromptBudget(args.context_tokens, args.completion_reserve)
 
@@ -205,7 +243,7 @@ def cmd_prompt(args) -> None:
     if args.shots > 0:
         if not args.train:
             raise UsageError("--shots requires --train")
-        train = load_benchmark(args.train, args.db_root)
+        train = load_benchmark(args.train)
         support = select_support(train, args.shots, args.seed,
                                  lambda message: _warn(f"train: {message}"))
         support_out = args.out.with_suffix(".support.json")
@@ -217,10 +255,11 @@ def cmd_prompt(args) -> None:
     sections = {}  # db_id -> the schema section of its prompts, None if it cannot be read
     records = []
     skipped = []
-    for rec in bench.examples:
+    for rec in examples:
         if rec.db_id not in sections:
             try:
-                sections[rec.db_id] = _schema_section(rec.db_id, bench.db_path(rec.db_id), style)
+                sections[rec.db_id] = _schema_section(rec.db_id, db_path(args.db_root, rec.db_id),
+                                                      style)
             except IntrospectionError as e:
                 sections[rec.db_id] = None
                 _skip_database(rec.db_id, e)
@@ -246,6 +285,10 @@ def cmd_prompt(args) -> None:
 
 
 def cmd_predict(args) -> None:
+    prompt_manifest = _read_manifest(args.prompts)
+    if args.sql_out and not prompt_manifest.config.benchmark:
+        raise UsageError(f"--sql-out needs the benchmark that {args.prompts}.manifest.json "
+                         "names in config.benchmark")
     if args.backend == "replay":
         if not args.replay_file:
             raise UsageError("replay backend requires --replay-file")
@@ -254,13 +297,13 @@ def cmd_predict(args) -> None:
     elif args.backend == "gold":
         if not args.benchmark:
             raise UsageError("gold backend requires --benchmark")
-        bench = load_benchmark(args.benchmark, args.db_root)
         backend = ReplayBackend({e.example_id: gold_completion(e.gold_sql)
-                                 for e in bench.examples})
+                                 for e in load_benchmark(args.benchmark)})
     else:
         if not args.base_url:
             raise UsageError("http backend requires --base-url")
         backend = HttpBackend(args.base_url, args.model, args.rpm, args.retries)
+    sql_order = load_benchmark(prompt_manifest.config.benchmark) if args.sql_out else []
 
     records = []
     for rec in read_jsonl(args.prompts, {"example_id": str, "prompt": str}):
@@ -270,26 +313,24 @@ def cmd_predict(args) -> None:
                         "raw_completion": p.raw_completion, "sql": p.sql})
 
     _write_jsonl(args.out, records)
-    prompt_manifest = _read_manifest(args.prompts)
-    extra = {}
-    if prompt_manifest:
-        extra["prompt_config_hash"] = prompt_manifest.get("config_hash")
-        extra["prompt_config"] = prompt_manifest.get("config")
-    _write_manifest(args, extra)
+    _write_manifest(args, {} if prompt_manifest.config.values is None else {
+        "prompt_config_hash": prompt_manifest.config_hash,
+        "prompt_config": prompt_manifest.config.values})
     if args.sql_out:
-        Path(args.sql_out).write_text("".join(r["sql"] + "\n" for r in records))
+        sql = {r["example_id"]: r["sql"] for r in records}
+        Path(args.sql_out).write_text("".join(sql.get(e.example_id, "") + "\n"
+                                              for e in sql_order))
     print(f"wrote {len(records)} predictions to {args.out}")
 
 
 def cmd_eval(args) -> None:
     pred_manifest = _read_manifest(args.predictions)
-    if pred_manifest and pred_manifest.get("prompt_config"):
-        prompt_bench = pred_manifest["prompt_config"].get("benchmark")
-        if prompt_bench and str(args.benchmark) != prompt_bench and not args.allow_mismatch:
-            raise UsageError(f"predictions were made for benchmark {prompt_bench!r}, "
-                             f"not {args.benchmark!r} (use --allow-mismatch to override)")
+    prompt_bench = pred_manifest.prompt_config.benchmark
+    if prompt_bench and str(args.benchmark) != prompt_bench and not args.allow_mismatch:
+        raise UsageError(f"predictions were made for benchmark {prompt_bench!r}, "
+                         f"not {args.benchmark!r} (use --allow-mismatch to override)")
 
-    bench = load_benchmark(args.benchmark, args.db_root)
+    examples = load_benchmark(args.benchmark)
     predictions = {}
     for rec in read_jsonl(args.predictions, {"example_id": str, "sql": str}):
         example_id = rec["example_id"]
@@ -299,20 +340,20 @@ def cmd_eval(args) -> None:
         predictions[example_id] = Prediction(example_id, rec.get("raw_completion", ""),
                                              rec["sql"])
     suites = {}
-    for db_id in sorted({e.db_id for e in bench.examples}):
+    for db_id in sorted({e.db_id for e in examples}):
         try:
-            suites[db_id] = build_test_suite(bench.db_path(db_id), args.suite_k,
+            suites[db_id] = build_test_suite(db_path(args.db_root, db_id), args.suite_k,
                                              args.suite_seed, args.cache, _warn, db_id)
-        except IntrospectionError as e:
+        except (IntrospectionError, SuiteError) as e:
             _skip_database(db_id, e)
 
-    result = evaluate_benchmark(bench, predictions, suites, _warn, args.timeout_ms)
+    result = evaluate_benchmark(examples, predictions, suites, _warn, args.timeout_ms)
     _write_jsonl(args.out, [o.to_dict() for o in result.outcomes])
     _write_manifest(args, {
         "gold_broken": result.gold_broken,
         "n_outcomes": len(result.outcomes),
-        "prompt_config": (pred_manifest or {}).get("prompt_config"),
-        "model": (pred_manifest or {}).get("config", {}).get("model", ""),
+        "prompt_config": pred_manifest.prompt_config.values,
+        "model": pred_manifest.config.model,
         "suites": {db_id: {"source_sha256": s.source_sha256, "suite_hash": s.content_hash}
                    for db_id, s in suites.items()},
         "gold_store": result.gold_store,
@@ -321,67 +362,45 @@ def cmd_eval(args) -> None:
           f"({len(result.gold_broken)} gold-broken excluded)")
 
 
-def _outcome(rec: dict) -> EvalOutcome:
-    return EvalOutcome(rec["example_id"], rec["valid"], rec.get("invalid_reason"),
-                       rec["ex"], rec["ts"], rec.get("timing_ms", 0.0))
-
-
-def _load_outcomes(path) -> list[EvalOutcome]:
-    return list(read_jsonl(path, {"example_id": str, "valid": bool, "ex": bool, "ts": bool},
-                           _outcome))
-
-
-def _load_run(path) -> tuple[str, list[EvalOutcome], dict]:
-    """One run's report label, outcomes and manifest ({} when it has none)."""
-    manifest = _read_manifest(path) or {}
-    label = Path(path).stem
-    if manifest:
-        cfg = manifest.get("prompt_config") or {}
-        parts = [Path(manifest["config"].get("benchmark", "")).stem,
-                 manifest.get("model", ""), cfg.get("prompt", "")]
-        shots = cfg.get("shots")
-        if shots:
-            parts.append(f"{shots}-shot")
-        label = " / ".join(p for p in parts if p) or label
-    return label, _load_outcomes(path), manifest
+def _load_run(path) -> tuple[str, list[EvalOutcome], int, int]:
+    """One run's report label, outcomes, gold-broken count and shot count. The
+    label joins the benchmark, model, prompt style and shot count its manifest
+    sets, or is the file's stem when it sets none."""
+    manifest = _read_manifest(path)
+    prompt_config = manifest.prompt_config
+    parts = [Path(manifest.config.benchmark).stem, manifest.model, prompt_config.prompt]
+    if prompt_config.shots:
+        parts.append(f"{prompt_config.shots}-shot")
+    label = " / ".join(p for p in parts if p) or Path(path).stem
+    return label, EvalOutcome.load(path), manifest.n_gold_broken, prompt_config.shots
 
 
 def cmd_report(args) -> None:
     paths = sorted(p for pattern in args.runs for p in globmod.glob(pattern))
     if not paths:
         raise UsageError("no outcome files match")
-    loaded = [_load_run(p) for p in paths]
+    runs = [_load_run(p) for p in paths]
     if args.report_kind == "metrics":
-        for path, (_, outcomes, _) in zip(paths, loaded):
+        for path, (_, outcomes, _, _) in zip(paths, runs):
             if not outcomes:
                 raise IngestionError(f"{path} holds no outcomes")
-        rows = metrics_table([(label, outcomes, len(manifest.get("gold_broken", [])))
-                              for label, outcomes, manifest in loaded])
-        fmt = args.format
-        if fmt == "markdown":
-            text = render_markdown(rows)
-        elif fmt == "csv":
-            text = render_csv(rows)
-        else:
-            text = render_json(rows)
+        rows = metrics_table([(label, outcomes, n_broken)
+                              for label, outcomes, n_broken, _ in runs])
+        render = {"markdown": render_markdown, "csv": render_csv, "json": render_json}
+        text = render[args.format](rows)
     elif args.report_kind == "curve":
         by_shots = {}
-        for _, outcomes, manifest in loaded:
-            cfg = manifest.get("prompt_config") or {}
-            shots = int(cfg.get("shots", 0))
+        for _, outcomes, _, shots in runs:
             if shots in by_shots and not args.average:
                 raise UsageError(f"duplicate shot count {shots} (use --average)")
             by_shots.setdefault(shots, []).extend(outcomes)
         text = curve_csv(learning_curve(by_shots, args.reference))
     else:  # breakdown
-        outcomes = []
-        n_broken = 0
-        for _, run_outcomes, manifest in loaded:
-            outcomes.extend(run_outcomes)
-            n_broken += len(manifest.get("gold_broken", []))
-        annotations = load_annotations(args.annotations) if args.annotations else []
-        result = breakdown(outcomes, annotations, n_broken)
-        text = render_breakdown_markdown(result)
+        outcomes = [o for _, run_outcomes, _, _ in runs for o in run_outcomes]
+        known_ids = {o.example_id for o in outcomes}
+        annotations = load_annotations(args.annotations, known_ids) if args.annotations else []
+        text = render_breakdown_markdown(
+            breakdown(outcomes, annotations, sum(n_broken for _, _, n_broken, _ in runs)))
 
     if args.out:
         Path(args.out).write_text(text if text.endswith("\n") else text + "\n")
@@ -396,7 +415,7 @@ def cmd_suite(args) -> None:
 
 
 def cmd_annotate(args) -> None:
-    outcomes = _load_outcomes(args.outcomes)
+    outcomes = EvalOutcome.load(args.outcomes)
     ids = sample_for_annotation(outcomes, args.n, args.seed, _warn)
     text = annotation_skeleton(ids)
     Path(args.out).write_text(text)
@@ -454,7 +473,7 @@ def main(argv=None) -> int:
     """Run one command and return its exit code: 0 on success, 1 when the
     completion backend fails (BackendError), and 2 when an input or a setting
     is unusable: the library's input errors (IngestionError,
-    IntrospectionError), the CLI's UsageError, and ValueError. Every
+    IntrospectionError, SuiteError), the CLI's UsageError, and ValueError. Every
     ValueError raised in sqlbench is a deliberate check on a value from
     outside the program. Each failure prints one `error: <message>` line;
     anything else is a bug and ends in a traceback."""
@@ -463,7 +482,8 @@ def main(argv=None) -> int:
         if args.command in STAGE_OPTIONS:
             _resolve(args)
         args.func(args)
-    except (BackendError, UsageError, IngestionError, IntrospectionError, ValueError) as e:
+    except (BackendError, UsageError, IngestionError, IntrospectionError, SuiteError,
+            ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1 if isinstance(e, BackendError) else 2
     return 0

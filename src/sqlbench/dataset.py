@@ -28,16 +28,6 @@ class ExampleRecord:
 
 
 @dataclass
-class Benchmark:
-    examples: list[ExampleRecord]
-    db_root: Path
-
-    def db_path(self, db_id: str) -> Path:
-        """Spider layout: <db_root>/<db_id>/<db_id>.sqlite."""
-        return Path(self.db_root) / db_id / f"{db_id}.sqlite"
-
-
-@dataclass
 class SupportSet:
     n: int
     seed: int
@@ -55,11 +45,17 @@ class SupportSet:
         return json.dumps(payload, indent=2)
 
 
-def load_benchmark(path, db_root) -> Benchmark:
+def db_path(db_root, db_id: str) -> Path:
+    """Spider layout: <db_root>/<db_id>/<db_id>.sqlite."""
+    return Path(db_root) / db_id / f"{db_id}.sqlite"
+
+
+def load_benchmark(path) -> list[ExampleRecord]:
     """Load a Spider-format JSON list of {db_id, question, query} items.
 
     Example order is preserved; example ids are zero-padded positional ids.
-    Database files are not opened here; a stage that cannot open one says so.
+    Database files are not opened here (see db_path); a stage that cannot
+    open one says so.
     """
     path = Path(path)
     try:
@@ -72,12 +68,9 @@ def load_benchmark(path, db_root) -> Benchmark:
 
     examples = []
     for i, item in enumerate(items):
-        if not isinstance(item, dict):
-            raise IngestionError(f"{path}: item at index {i} is not an object")
-        for key in ("db_id", "question", "query"):
-            if key not in item:
-                raise IngestionError(f"{path}: item at index {i} is missing field {key!r}")
-        if not str(item["query"]).strip():
+        check_fields(f"{path}: item at index {i}", item,
+                     {"db_id": str, "question": str, "query": str})
+        if not item["query"].strip():
             raise IngestionError(f"{path}: item at index {i} has an empty gold query")
         examples.append(ExampleRecord(
             example_id=f"e{i:04d}",
@@ -86,7 +79,22 @@ def load_benchmark(path, db_root) -> Benchmark:
             gold_sql=item["query"],
             template_id=item.get("template_id"),
         ))
-    return Benchmark(examples=examples, db_root=Path(db_root))
+    return examples
+
+
+def check_fields(where: str, rec, fields: dict[str, type], optional: bool = False) -> None:
+    """Raise IngestionError, naming where and the field, unless rec is a JSON
+    object holding each key of fields with a value of exactly that key's type
+    (so true is no int). With optional, a key may be absent or null."""
+    if not isinstance(rec, dict):
+        raise IngestionError(f"{where}: not a JSON object")
+    for key, kind in fields.items():
+        if optional and rec.get(key) is None:
+            continue
+        if key not in rec:
+            raise IngestionError(f"{where}: missing field {key!r}")
+        if type(rec[key]) is not kind:
+            raise IngestionError(f"{where}: field {key!r} is not a {kind.__name__}")
 
 
 def read_jsonl(path, fields: dict[str, type], make=None):
@@ -111,13 +119,7 @@ def read_jsonl(path, fields: dict[str, type], make=None):
                 rec = json.loads(line)
             except ValueError as e:  # not JSON, or not UTF-8
                 raise IngestionError(f"{where}: not JSON") from e
-            if not isinstance(rec, dict):
-                raise IngestionError(f"{where}: not a JSON object")
-            for key, kind in fields.items():
-                if key not in rec:
-                    raise IngestionError(f"{where}: missing field {key!r}")
-                if not isinstance(rec[key], kind):
-                    raise IngestionError(f"{where}: field {key!r} is not a {kind.__name__}")
+            check_fields(where, rec, fields)
             if make is not None:
                 try:
                     rec = make(rec)
@@ -143,13 +145,13 @@ def canonical_template(sql: str) -> str:
     return out.replace("< STR >", "<str>").replace("< NUM >", "<num>")
 
 
-def template_groups(bench: Benchmark, warn) -> dict[str, list[ExampleRecord]]:
+def template_groups(examples: list[ExampleRecord], warn) -> dict[str, list[ExampleRecord]]:
     """Group examples by template id, deriving one from the gold SQL when absent.
 
     Unlexable golds are excluded from grouping, each with a warning to warn.
     """
     groups: dict[str, list[ExampleRecord]] = {}
-    for rec in bench.examples:
+    for rec in examples:
         tid = rec.template_id
         if tid is None:
             try:
@@ -161,7 +163,7 @@ def template_groups(bench: Benchmark, warn) -> dict[str, list[ExampleRecord]]:
     return groups
 
 
-def select_support(train: Benchmark, n: int, seed: int, warn) -> SupportSet:
+def select_support(train: list[ExampleRecord], n: int, seed: int, warn) -> SupportSet:
     """Pick one example from each of the n most frequent train templates, or
     from every template when there are fewer.
 

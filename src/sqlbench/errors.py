@@ -17,28 +17,31 @@ MAX_PROJECTION_ARITY = 6
 
 
 class ErrorCategory(Enum):
-    TEST_SUITE_CORRECT = "TestSuiteCorrect"
-    SHORTCUTS = "Shortcuts"
-    GROUP_BY_CONVENTION = "GroupByConvention"
-    OTHER_SEMANTIC_INCORRECT = "OtherSemanticIncorrect"
-    SELECT_EXTRA_COLUMNS = "SelectExtraColumns"
-    SELECT_CONVENTION = "SelectConvention"
-    ARGMAX = "Argmax"
-    OTHER_AMBIGUOUS_CORRECT = "OtherAmbiguousCorrect"
-    INVALID_AMBIGUOUS_COLUMN = "InvalidAmbiguousColumn"
-    INVALID_NO_SUCH_COLUMN = "InvalidNoSuchColumn"
-    INVALID_OTHER = "InvalidOther"
+    """Each category once, in the row order of the published error-analysis
+    table: its value in an annotation file, its table label, and whether it
+    comes from manual annotation."""
+    TEST_SUITE_CORRECT = ("TestSuiteCorrect", "Test-Suite Correct", False)
+    SHORTCUTS = ("Shortcuts", "Shortcuts", True)
+    GROUP_BY_CONVENTION = ("GroupByConvention", "GROUP BY Convention", True)
+    OTHER_SEMANTIC_INCORRECT = ("OtherSemanticIncorrect", "Other Semantic Incorrect", True)
+    SELECT_EXTRA_COLUMNS = ("SelectExtraColumns", "SELECT Extra Columns", True)
+    SELECT_CONVENTION = ("SelectConvention", "SELECT Convention", True)
+    ARGMAX = ("Argmax", "Argmax", True)
+    OTHER_AMBIGUOUS_CORRECT = ("OtherAmbiguousCorrect", "Other Ambiguous Correct", True)
+    INVALID_AMBIGUOUS_COLUMN = ("InvalidAmbiguousColumn", "Ambiguous column name", False)
+    INVALID_NO_SUCH_COLUMN = ("InvalidNoSuchColumn", "No such column", False)
+    INVALID_OTHER = ("InvalidOther", "Other Invalid", False)
+
+    def __new__(cls, value: str, label: str, manual: bool):
+        member = object.__new__(cls)
+        member._value_ = value
+        member.label = label
+        member.manual = manual
+        return member
 
 
-MANUAL_CATEGORIES = {
-    ErrorCategory.SHORTCUTS,
-    ErrorCategory.GROUP_BY_CONVENTION,
-    ErrorCategory.OTHER_SEMANTIC_INCORRECT,
-    ErrorCategory.SELECT_EXTRA_COLUMNS,
-    ErrorCategory.SELECT_CONVENTION,
-    ErrorCategory.ARGMAX,
-    ErrorCategory.OTHER_AMBIGUOUS_CORRECT,
-}
+MANUAL_CATEGORIES = {cat for cat in ErrorCategory if cat.manual}
+BREAKDOWN_ROWS = [(cat.label, cat) for cat in ErrorCategory]
 
 
 @dataclass
@@ -93,63 +96,38 @@ def sample_for_annotation(outcomes: list[EvalOutcome], n: int, seed: int, warn) 
 
 
 def annotation_skeleton(example_ids: list[str]) -> str:
-    lines = [
-        json.dumps({"example_id": eid, "category": "", "note": ""})
-        for eid in example_ids
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(json.dumps({"example_id": eid, "category": "", "note": ""}) + "\n"
+                   for eid in example_ids)
 
 
-def _annotation(rec: dict) -> AnnotationRecord | None:
-    if not rec.get("category"):  # an empty category is a draft
-        return None
-    return AnnotationRecord(rec["example_id"], ErrorCategory(rec["category"]),
-                            rec.get("note", ""))
+def load_annotations(path, known_ids) -> list[AnnotationRecord]:
+    """The labelled records of an annotation file; an empty category is a
+    draft and is left out. An unknown category, an example not in known_ids,
+    or a second label for one example raises IngestionError naming its line."""
+    labelled = set()
 
+    def annotation(rec: dict) -> AnnotationRecord | None:
+        example_id = rec["example_id"]
+        if not rec.get("category"):
+            return None
+        if example_id not in known_ids:
+            raise ValueError(f"annotation references unknown example {example_id}")
+        if example_id in labelled:
+            raise ValueError(f"conflicting annotations for example {example_id!r}")
+        labelled.add(example_id)
+        return AnnotationRecord(example_id, ErrorCategory(rec["category"]), rec.get("note", ""))
 
-def load_annotations(path) -> list[AnnotationRecord]:
-    """The labelled records of an annotation file. An unknown category raises
-    IngestionError naming its line."""
-    records = read_jsonl(path, {"example_id": str}, _annotation)
+    records = read_jsonl(path, {"example_id": str}, annotation)
     return [rec for rec in records if rec is not None]
-
-
-# Display order mirrors the published error-analysis table.
-BREAKDOWN_ROWS = [
-    ("Test-Suite Correct", ErrorCategory.TEST_SUITE_CORRECT),
-    ("Shortcuts", ErrorCategory.SHORTCUTS),
-    ("GROUP BY Convention", ErrorCategory.GROUP_BY_CONVENTION),
-    ("Other Semantic Incorrect", ErrorCategory.OTHER_SEMANTIC_INCORRECT),
-    ("SELECT Extra Columns", ErrorCategory.SELECT_EXTRA_COLUMNS),
-    ("SELECT Convention", ErrorCategory.SELECT_CONVENTION),
-    ("Argmax", ErrorCategory.ARGMAX),
-    ("Other Ambiguous Correct", ErrorCategory.OTHER_AMBIGUOUS_CORRECT),
-    ("Ambiguous column name", ErrorCategory.INVALID_AMBIGUOUS_COLUMN),
-    ("No such column", ErrorCategory.INVALID_NO_SUCH_COLUMN),
-    ("Other Invalid", ErrorCategory.INVALID_OTHER),
-]
 
 
 def breakdown(outcomes: list[EvalOutcome], annotations: list[AnnotationRecord],
               n_gold_broken: int = 0) -> dict:
     """Category table with two percentage columns: share of all predictions
     (%) and share of annotated errors (E%). Unannotated valid-but-wrong
-    predictions count as Other Semantic Incorrect."""
-    by_example = {}
-    for a in annotations:
-        if a.example_id in by_example:
-            dupes = sorted({a.example_id} | {
-                b.example_id for b in annotations
-                if sum(c.example_id == b.example_id for c in annotations) > 1
-            })
-            raise ValueError(f"conflicting annotations for examples: {dupes}")
-        by_example[a.example_id] = a
-
-    known_ids = {o.example_id for o in outcomes}
-    for a in annotations:
-        if a.example_id not in known_ids:
-            raise ValueError(f"annotation references unknown example {a.example_id}")
-
+    predictions count as Other Semantic Incorrect. annotations are as
+    load_annotations returns them: one per example, each in outcomes."""
+    by_example = {a.example_id: a for a in annotations}
     counts = {cat: 0 for _, cat in BREAKDOWN_ROWS}
     error_counts = {cat: 0 for _, cat in BREAKDOWN_ROWS}
     n_annotated = 0
@@ -174,10 +152,6 @@ def breakdown(outcomes: list[EvalOutcome], annotations: list[AnnotationRecord],
                 if n_annotated and cat in MANUAL_CATEGORIES else None)
         rows.append({"category": label, "count": counts[cat], "pct": pct, "e_pct": epct})
     if n_gold_broken:
-        rows.append({
-            "category": "Gold Broken",
-            "count": n_gold_broken,
-            "pct": 100.0 * n_gold_broken / total,
-            "e_pct": None,
-        })
+        rows.append({"category": "Gold Broken", "count": n_gold_broken,
+                     "pct": 100.0 * n_gold_broken / total, "e_pct": None})
     return {"total": total, "annotated": n_annotated, "rows": rows}

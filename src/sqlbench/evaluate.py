@@ -7,7 +7,7 @@ from contextlib import closing
 from dataclasses import dataclass, field
 
 from .backend import EMPTY_PREDICTION, Prediction
-from .dataset import Benchmark, ExampleRecord
+from .dataset import ExampleRecord, read_jsonl
 from .execution import Connections, ExecError, compare_results, execute_sql
 from .fuzz import TestSuite
 from .store import GoldStore
@@ -19,6 +19,7 @@ class GoldBrokenError(Exception):
 
 @dataclass
 class EvalOutcome:
+    """One line of an outcomes file, which to_dict writes and load reads."""
     example_id: str
     valid: bool
     invalid_reason: str | None
@@ -35,6 +36,14 @@ class EvalOutcome:
             "ts": self.ts,
             "timing_ms": round(self.timing_ms, 3),
         }
+
+    @classmethod
+    def load(cls, path) -> list[EvalOutcome]:
+        """The outcomes of a file of to_dict records, in which invalid_reason and
+        timing_ms may be absent (older files); a bad line raises IngestionError."""
+        fields = {"example_id": str, "valid": bool, "ex": bool, "ts": bool}
+        return [cls(r["example_id"], r["valid"], r.get("invalid_reason"), r["ex"], r["ts"],
+                    r.get("timing_ms", 0.0)) for r in read_jsonl(path, fields)]
 
 
 def evaluate(example: ExampleRecord, prediction: Prediction, suite: TestSuite,
@@ -105,7 +114,7 @@ class BenchmarkEvaluation:
     gold_store: dict[str, int] = field(default_factory=lambda: {"hits": 0, "misses": 0})
 
 
-def evaluate_benchmark(bench: Benchmark, predictions: dict[str, Prediction],
+def evaluate_benchmark(examples: list[ExampleRecord], predictions: dict[str, Prediction],
                        suites: dict[str, TestSuite], warn,
                        timeout_ms: int) -> BenchmarkEvaluation:
     """Evaluate every benchmark example that has a prediction and a suite.
@@ -118,7 +127,7 @@ def evaluate_benchmark(bench: Benchmark, predictions: dict[str, Prediction],
     separately.
     """
     groups: dict[str, list[int]] = {}
-    for i, example in enumerate(bench.examples):
+    for i, example in enumerate(examples):
         if example.example_id in predictions and example.db_id in suites:
             groups.setdefault(example.db_id, []).append(i)
 
@@ -128,7 +137,7 @@ def evaluate_benchmark(bench: Benchmark, predictions: dict[str, Prediction],
         suite = suites[db_id]
         with closing(Connections()) as connections, closing(GoldStore(suite)) as store:
             for i in indices:
-                example = bench.examples[i]
+                example = examples[i]
                 notes: list[str] = []
                 try:
                     outcome = evaluate(example, predictions[example.example_id], suite,
@@ -146,10 +155,10 @@ def evaluate_benchmark(bench: Benchmark, predictions: dict[str, Prediction],
         for note in notes:
             warn(note)
         if outcome is None:
-            result.gold_broken.append(bench.examples[i].example_id)
+            result.gold_broken.append(examples[i].example_id)
         else:
             result.outcomes.append(outcome)
-    for i, example in enumerate(bench.examples):
+    for i, example in enumerate(examples):
         if i not in scored:
             reason = ("no prediction" if example.example_id not in predictions
                       else "no test suite for its database")

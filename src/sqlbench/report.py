@@ -33,14 +33,9 @@ def metrics_row(label: str, outcomes: list[EvalOutcome],
     if not outcomes:
         raise ValueError(f"run {label!r} has no outcomes")
     n = len(outcomes)
-    return MetricsRow(
-        label=label,
-        va_pct=_pct(sum(o.valid for o in outcomes), n),
-        ex_pct=_pct(sum(o.ex for o in outcomes), n),
-        ts_pct=_pct(sum(o.ts for o in outcomes), n),
-        n_evaluated=n,
-        n_gold_broken=n_gold_broken,
-    )
+    return MetricsRow(label, _pct(sum(o.valid for o in outcomes), n),
+                      _pct(sum(o.ex for o in outcomes), n), _pct(sum(o.ts for o in outcomes), n),
+                      n, n_gold_broken)
 
 
 def metrics_table(runs: list[tuple[str, list[EvalOutcome], int]]) -> list[MetricsRow]:
@@ -49,27 +44,35 @@ def metrics_table(runs: list[tuple[str, list[EvalOutcome], int]]) -> list[Metric
     return [metrics_row(label, outcomes, n_broken) for label, outcomes, n_broken in runs]
 
 
-def render_markdown(rows: list[MetricsRow]) -> str:
-    headers = ["Prompt", "VA", "EX", "TS", "N", "Gold-broken"]
-    table = [[r.label, f"{r.va_pct:.1f}", f"{r.ex_pct:.1f}", f"{r.ts_pct:.1f}",
-              str(r.n_evaluated), str(r.n_gold_broken)] for r in rows]
-    widths = [max(len(h), *(len(row[i]) for row in table)) if table else len(h)
-              for i, h in enumerate(headers)]
+def _markdown_table(headers: list[str], rows: list[list[str]]) -> str:
+    """A markdown table, each column padded to its widest cell."""
+    widths = [max([len(h), *(len(row[i]) for row in rows)]) for i, h in enumerate(headers)]
+
     def line(cells):
         return "| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |"
-    out = [line(headers), "|" + "|".join("-" * (w + 2) for w in widths) + "|"]
-    out.extend(line(row) for row in table)
-    return "\n".join(out)
+    return "\n".join([line(headers), "|" + "|".join("-" * (w + 2) for w in widths) + "|",
+                      *map(line, rows)])
+
+
+def _csv_table(headers: list[str], rows: list[list]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows([headers, *rows])
+    return buf.getvalue()
+
+
+def _metrics_cells(rows: list[MetricsRow]) -> list[list[str]]:
+    return [[r.label, f"{r.va_pct:.1f}", f"{r.ex_pct:.1f}", f"{r.ts_pct:.1f}",
+             str(r.n_evaluated), str(r.n_gold_broken)] for r in rows]
+
+
+def render_markdown(rows: list[MetricsRow]) -> str:
+    return _markdown_table(["Prompt", "VA", "EX", "TS", "N", "Gold-broken"],
+                           _metrics_cells(rows))
 
 
 def render_csv(rows: list[MetricsRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["label", "va_pct", "ex_pct", "ts_pct", "n_evaluated", "n_gold_broken"])
-    for r in rows:
-        writer.writerow([r.label, f"{r.va_pct:.1f}", f"{r.ex_pct:.1f}", f"{r.ts_pct:.1f}",
-                         r.n_evaluated, r.n_gold_broken])
-    return buf.getvalue()
+    return _csv_table(["label", "va_pct", "ex_pct", "ts_pct", "n_evaluated", "n_gold_broken"],
+                      _metrics_cells(rows))
 
 
 def render_json(rows: list[MetricsRow]) -> str:
@@ -91,25 +94,14 @@ def learning_curve(runs_by_shots: dict[int, list[EvalOutcome]],
 
 
 def curve_csv(curve: dict) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["shots", "ts_pct"])
-    for n, ts in curve["series"]:
-        writer.writerow([n, f"{ts:.1f}"])
+    rows = [[n, f"{ts:.1f}"] for n, ts in curve["series"]]
     if curve.get("reference") is not None:
-        writer.writerow(["reference", f"{curve['reference']:.1f}"])
-    return buf.getvalue()
+        rows.append(["reference", f"{curve['reference']:.1f}"])
+    return _csv_table(["shots", "ts_pct"], rows)
 
 
 def render_breakdown_markdown(result: dict) -> str:
-    headers = ["Annotation", "%", "E%"]
-    table = []
-    for row in result["rows"]:
-        epct = f"{row['e_pct']:.0f}" if row["e_pct"] is not None else "--"
-        table.append([row["category"], f"{row['pct']:.1f}", epct])
-    widths = [max(len(h), *(len(r[i]) for r in table)) for i, h in enumerate(headers)]
-    def line(cells):
-        return "| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |"
-    out = [line(headers), "|" + "|".join("-" * (w + 2) for w in widths) + "|"]
-    out.extend(line(r) for r in table)
-    return "\n".join(out)
+    return _markdown_table(["Annotation", "%", "E%"], [
+        [row["category"], f"{row['pct']:.1f}",
+         f"{row['e_pct']:.0f}" if row["e_pct"] is not None else "--"]
+        for row in result["rows"]])

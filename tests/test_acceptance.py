@@ -12,7 +12,7 @@ import pytest
 
 from sqlbench.backend import Prediction
 from sqlbench.cli import main
-from sqlbench.dataset import (Benchmark, ExampleRecord, canonical_template,
+from sqlbench.dataset import (ExampleRecord, canonical_template,
                               load_benchmark, select_support, template_groups)
 from sqlbench.errors import (AnnotationRecord, ErrorCategory, breakdown,
                              classify_invalid, detect_extra_columns)
@@ -62,11 +62,8 @@ def test_golden_prompt_fixtures(network1_db, geo_db):
             got = render_prompt(read_section(network1_db, style), "What is Kyle's id?").text
             assert got == load_golden(name), f"{name} drifted from its golden fixture"
 
-        support = Benchmark(
-            db_root=".",
-            examples=[ExampleRecord(f"s{i}", "geography", q, sql.rstrip(" ;"))
-                      for i, (q, sql) in enumerate(GEO_SUPPORT_PAIRS)],
-        )
+        support = [ExampleRecord(f"s{i}", "geography", q, sql.rstrip(" ;"))
+                   for i, (q, sql) in enumerate(GEO_SUPPORT_PAIRS)]
         five_shot = select_support(support, 5, seed=0, warn=print)
         style = PromptStyle(StyleKind.CREATE_TABLE_SELECT_X, x=3)
         text = render_prompt(read_section(geo_db, style),
@@ -89,13 +86,13 @@ def test_golden_prompt_fixtures(network1_db, geo_db):
 
 def test_metric_properties(db_root, fixture_benchmark_path, tmp_path):
     with criterion("oracle run 100/100/100; AND-OR mutation TS < EX; TS <= EX <= VA"):
-        bench = load_benchmark(fixture_benchmark_path, db_root)
-        assert len(bench.examples) == 20
+        bench = load_benchmark(fixture_benchmark_path)
+        assert len(bench) == 20
         suites = {"network_1": build_test_suite(
             db_root / "network_1" / "network_1.sqlite", 8, seed=7,
             cache_dir=tmp_path / "suites")}
         oracle = {e.example_id: Prediction(e.example_id, "", e.gold_sql)
-                  for e in bench.examples}
+                  for e in bench}
         result = evaluate_benchmark(bench, oracle, suites, print, TIMEOUT_MS)
         row = record(metrics_row("oracle", result.outcomes))
         assert (row.va_pct, row.ex_pct, row.ts_pct) == (100.0, 100.0, 100.0)
@@ -232,12 +229,11 @@ def test_few_shot_protocol(geo_db):
             "SELECT count(*) FROM t WHERE y = {}",
             "SELECT a, b FROM t ORDER BY a LIMIT {}",
         ]
-        examples = []
+        train = []
         for shape, freq in zip(shapes, (5, 3, 1)):
             for j in range(freq):
-                examples.append(ExampleRecord(f"e{len(examples):04d}", "d",
-                                              f"q{len(examples)}", shape.format(j + 1)))
-        train = Benchmark(examples=examples, db_root=".")
+                train.append(ExampleRecord(f"e{len(train):04d}", "d",
+                                           f"q{len(train)}", shape.format(j + 1)))
         groups = template_groups(train, print)
         ranked = sorted(groups, key=lambda t: (-len(groups[t]), t))
         for n in range(4):
@@ -247,11 +243,8 @@ def test_few_shot_protocol(geo_db):
             for e in s.examples:
                 assert canonical_template(e.gold_sql) == e.template_id
 
-        support = Benchmark(
-            db_root=".",
-            examples=[ExampleRecord(f"s{i}", "geography", q, sql.rstrip(" ;"))
-                      for i, (q, sql) in enumerate(GEO_SUPPORT_PAIRS)],
-        )
+        support = [ExampleRecord(f"s{i}", "geography", q, sql.rstrip(" ;"))
+                   for i, (q, sql) in enumerate(GEO_SUPPORT_PAIRS)]
         five = select_support(support, 5, seed=0, warn=print)
         section = read_section(geo_db, PromptStyle(StyleKind.CREATE_TABLE_SELECT_X, x=3))
         _, n_2048 = fit_support(PromptBudget(2048, 200), section, "q", five)
@@ -308,12 +301,12 @@ def test_end_to_end_offline(db_root, fixture_benchmark_path, tmp_path, capsys):
                    "--out", str(prompts)])
         assert rc == 0
 
-        bench = load_benchmark(fixture_benchmark_path, db_root)
+        bench = load_benchmark(fixture_benchmark_path)
         replay = tmp_path / "replay.jsonl"
         replay.write_text("".join(
             json.dumps({"example_id": e.example_id,
                         "raw_completion": e.gold_sql[len("SELECT "):] + ";"}) + "\n"
-            for e in bench.examples))
+            for e in bench))
         predictions = tmp_path / "predictions.jsonl"
         rc = main(["predict", "--prompts", str(prompts), "--backend", "replay",
                    "--replay-file", str(replay), "--out", str(predictions)])

@@ -34,10 +34,10 @@ def prompts_file(workdir, fixture_benchmark_path, db_root):
 
 
 @pytest.fixture(scope="module")
-def gold_predictions(workdir, prompts_file, fixture_benchmark_path, db_root):
+def gold_predictions(workdir, prompts_file, fixture_benchmark_path):
     out = workdir / "predictions.jsonl"
     rc = run("predict", "--prompts", prompts_file, "--backend", "gold",
-             "--benchmark", fixture_benchmark_path, "--db-root", db_root, "--out", out)
+             "--benchmark", fixture_benchmark_path, "--out", out)
     assert rc == 0
     return out
 
@@ -293,16 +293,34 @@ class TestPredict:
         assert rc == 1
         assert "error" in capsys.readouterr().err
 
-    def test_sql_out_plain_lines(self, workdir, prompts_file, fixture_benchmark_path,
-                                 db_root):
-        sql_out = workdir / "pred.sql"
-        rc = run("predict", "--prompts", prompts_file, "--backend", "gold",
-                 "--benchmark", fixture_benchmark_path, "--db-root", db_root,
-                 "--out", workdir / "p2.jsonl", "--sql-out", sql_out)
-        assert rc == 0
-        lines = sql_out.read_text().splitlines()
-        assert len(lines) == len(FIXTURE_QUESTIONS)
-        assert lines[1] == "SELECT name FROM Highschooler"
+    def test_sql_out_plain_lines(self, workdir, fixture_benchmark_path, db_root):
+        """One line per benchmark example, in benchmark order, empty for the
+        examples the prompt stage skipped."""
+        prompts, sql_out = workdir / "budget.prompts.jsonl", workdir / "budget.sql"
+        assert run("prompt", "--benchmark", fixture_benchmark_path, "--db-root", db_root,
+                   "--context-tokens", "264", "--completion-reserve", "10",
+                   "--out", prompts) == 0
+        skipped = json.loads((workdir / "budget.prompts.jsonl.manifest.json").read_text())[
+            "skipped"]
+        assert len(skipped) == 4
+        assert run("predict", "--prompts", prompts, "--backend", "gold",
+                   "--benchmark", fixture_benchmark_path, "--out", workdir / "p2.jsonl",
+                   "--sql-out", sql_out) == 0
+        golds = [sql for _, sql in FIXTURE_QUESTIONS]
+        assert sql_out.read_text().splitlines() == [
+            "" if f"e{i:04d}" in skipped else sql for i, sql in enumerate(golds)]
+
+    def test_sql_out_needs_prompt_manifest(self, workdir, prompts_file, capsys):
+        """Refused before any completion is asked for: the empty replay file
+        would fail the first one with exit 1."""
+        bare, replay = workdir / "bare.prompts.jsonl", workdir / "empty-replay.jsonl"
+        bare.write_text(prompts_file.read_text())
+        replay.write_text("")
+        out = workdir / "bare.predictions.jsonl"
+        assert run("predict", "--prompts", bare, "--replay-file", replay, "--out", out,
+                   "--sql-out", workdir / "bare.sql") == 2
+        assert f"{bare}.manifest.json" in capsys.readouterr().err
+        assert not out.exists() and not (workdir / "bare.sql").exists()
 
     def test_replay_without_replay_file_errors(self, workdir, prompts_file, capsys):
         rc = run("predict", "--prompts", prompts_file, "--backend", "replay",
@@ -428,8 +446,7 @@ class TestReport:
                    "--train", fixture_benchmark_path, "--prompt", "create", "--shots", "4",
                    "--out", prompts) == 0
         assert run("predict", "--prompts", prompts, "--backend", "gold", "--model", "m",
-                   "--benchmark", fixture_benchmark_path, "--db-root", db_root,
-                   "--out", preds) == 0
+                   "--benchmark", fixture_benchmark_path, "--out", preds) == 0
         assert run("eval", "--benchmark", fixture_benchmark_path, "--db-root", db_root,
                    "--predictions", preds, "--suite-k", "2", "--cache", workdir / "suites",
                    "--out", out) == 0
@@ -508,8 +525,7 @@ class TestDatabasePaths:
         assert run("prompt", "--benchmark", fixture_benchmark_path, "--db-root", db_root,
                    "--prompt", "create+select:3", "--out", prompts) == 0
         assert run("predict", "--prompts", prompts, "--backend", "gold",
-                   "--benchmark", fixture_benchmark_path, "--db-root", db_root,
-                   "--out", preds) == 0
+                   "--benchmark", fixture_benchmark_path, "--out", preds) == 0
         assert run("eval", "--benchmark", fixture_benchmark_path, "--db-root", db_root,
                    "--predictions", preds, "--suite-k", "2", "--cache", out / "suites",
                    "--out", outcomes) == 0
@@ -661,7 +677,7 @@ class TestUnusableDatabases:
         assert "Traceback" not in err
         assert {r["db_id"] for r in read_jsonl(prompts)} == {"network_1"}
         assert run("predict", "--prompts", prompts, "--backend", "gold",
-                   "--benchmark", bench, "--db-root", root, "--out", preds) == 0
+                   "--benchmark", bench, "--out", preds) == 0
         assert "Traceback" not in capsys.readouterr().err
         assert run("eval", "--benchmark", bench, "--db-root", root, "--predictions", preds,
                    "--suite-k", "2", "--cache", tmp_path / "cache", "--out", outcomes) == 0
@@ -700,6 +716,55 @@ class TestUnusableDatabases:
         assert not list(cache.rglob(".build-*"))
 
 
+@pytest.fixture
+def cyclic_root(tmp_path):
+    """A database root holding network_1 and `cyclic`, whose two 20-row tables
+    reference each other in a way no fuzzed variant can satisfy, and a
+    benchmark with one example on each."""
+    root = tmp_path / "dbroot"
+    for db_id in ("network_1", "cyclic"):
+        (root / db_id).mkdir(parents=True)
+    make_network1_db(root / "network_1" / "network_1.sqlite")
+    with closing(sqlite3.connect(root / "cyclic" / "cyclic.sqlite")) as conn:
+        conn.execute("CREATE TABLE a (id INTEGER PRIMARY KEY, b_id INTEGER REFERENCES b(id))")
+        conn.execute("CREATE TABLE b (id INTEGER PRIMARY KEY REFERENCES a(id), name TEXT)")
+        conn.executemany("INSERT INTO a VALUES (?, ?)", [(i, i) for i in range(1, 21)])
+        conn.executemany("INSERT INTO b VALUES (?, ?)", [(i, f"n{i}") for i in range(1, 21)])
+        conn.commit()
+    bench = tmp_path / "bench.json"
+    bench.write_text(json.dumps([
+        {"db_id": "cyclic", "question": "q", "query": "SELECT count(*) FROM a"},
+        {"db_id": "network_1", "question": "q", "query": "SELECT count(*) FROM Likes"}]))
+    return root, bench
+
+
+CYCLIC_REASON = "cannot satisfy cyclic foreign keys for table a"
+
+
+class TestUnbuildableSuites:
+    def test_suite_refuses_them(self, cyclic_root, tmp_path, capsys):
+        root, _ = cyclic_root
+        cache = tmp_path / "cache"
+        assert run("suite", "--db", root / "cyclic" / "cyclic.sqlite", "--suite-k", "4",
+                   "--cache", cache) == 2
+        assert capsys.readouterr().err == f"error: {CYCLIC_REASON}\n"
+        assert not list(cache.rglob(".build-*"))
+
+    def test_eval_skips_them_and_goes_on(self, cyclic_root, tmp_path, capsys):
+        root, bench = cyclic_root
+        preds, outcomes = tmp_path / "predictions.jsonl", tmp_path / "outcomes.jsonl"
+        preds.write_text("".join(json.dumps({"example_id": example_id, "sql": sql}) + "\n"
+                                 for example_id, sql in (("e0000", "SELECT count(*) FROM a"),
+                                                         ("e0001", "SELECT count(*) FROM Likes"))))
+        assert run("eval", "--benchmark", bench, "--db-root", root, "--predictions", preds,
+                   "--suite-k", "4", "--cache", tmp_path / "cache", "--out", outcomes) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: cyclic: {CYCLIC_REASON}; its examples are skipped",
+            "warning: e0000: no test suite for its database; skipped"]
+        [outcome] = read_jsonl(outcomes)
+        assert (outcome["example_id"], outcome["ts"]) == ("e0001", True)
+
+
 class TestAnnotate:
     def test_skeleton_from_outcomes(self, workdir, tmp_path_factory):
         outdir = tmp_path_factory.mktemp("ann")
@@ -734,13 +799,25 @@ def bad_input_files(tmp_path, fixture_benchmark_path, db_root, prompts_file,
                                                         "category": "Bogus"}) + "\n")
     files["oldreplay"].write_text(json.dumps({"example_id": "e0000", "completion": "1"})
                                   + "\n")
+    for name, artifact, manifest in (
+            ("run_no_config", files["outcomes"], {"model": "m"}),
+            ("run_list", files["outcomes"], [1]),
+            ("run_prompt_config_text", files["outcomes"], {"config": {}, "prompt_config": "x"}),
+            ("run_gold_broken_number", files["outcomes"], {"config": {}, "gold_broken": 5}),
+            ("run_shots_bool", files["outcomes"], {"config": {}, "prompt_config": {"shots": True}}),
+            ("preds_list", gold_predictions, [1]),
+            ("preds_prompt_config_text", gold_predictions, {"config": {}, "prompt_config": "x"}),
+            ("prompts_text", prompts_file, "s")):
+        files[name] = tmp_path / f"{name}.jsonl"
+        files[name].write_text(artifact.read_text())
+        (tmp_path / f"{name}.jsonl.manifest.json").write_text(json.dumps(manifest))
     return {**files, "bench": fixture_benchmark_path, "db_root": db_root,
             "db": db_root / "network_1" / "network_1.sqlite", "prompts": prompts_file,
             "predictions": gold_predictions, "cache": tmp_path / "cache",
             "out": tmp_path / "out.jsonl"}
 
 
-# (command line, what its one error line names); each exited 1 with a traceback
+# (command line, what its one error line names)
 BAD_INPUTS = {
     "prompt-missing-benchmark": (
         "prompt --benchmark {missing} --db-root {db_root} --out {out}", "{missing}"),
@@ -783,6 +860,31 @@ BAD_INPUTS = {
         "report breakdown --runs {outcomes} --annotations {annotations} --out {out}",
         "{annotations}:2: 'Bogus'"),
     "annotate-missing-outcomes": ("annotate --outcomes {missing} --out {out}", "{missing}"),
+    "report-manifest-without-config": (
+        "report metrics --runs {run_no_config} --out {out}",
+        "{run_no_config}.manifest.json: missing field 'config'"),
+    "report-manifest-not-object": (
+        "report metrics --runs {run_list} --out {out}",
+        "{run_list}.manifest.json: not a JSON object"),
+    "report-prompt-config-not-object": (
+        "report metrics --runs {run_prompt_config_text} --out {out}",
+        "{run_prompt_config_text}.manifest.json: field 'prompt_config'"),
+    "report-gold-broken-not-list": (
+        "report metrics --runs {run_gold_broken_number} --out {out}",
+        "{run_gold_broken_number}.manifest.json: field 'gold_broken'"),
+    "report-shots-not-int": (
+        "report metrics --runs {run_shots_bool} --out {out}",
+        "{run_shots_bool}.manifest.json: prompt_config: field 'shots' is not a int"),
+    "eval-manifest-not-object": (
+        "eval --benchmark {bench} --db-root {db_root} --predictions {preds_list} "
+        "--cache {cache} --out {out}", "{preds_list}.manifest.json: not a JSON object"),
+    "eval-prompt-config-not-object": (
+        "eval --benchmark {bench} --db-root {db_root} --predictions {preds_prompt_config_text} "
+        "--cache {cache} --out {out}",
+        "{preds_prompt_config_text}.manifest.json: field 'prompt_config'"),
+    "predict-manifest-not-object": (
+        "predict --prompts {prompts_text} --backend gold --benchmark {bench} --out {out}",
+        "{prompts_text}.manifest.json: not a JSON object"),
 }
 
 

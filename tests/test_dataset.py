@@ -4,11 +4,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sqlbench.dataset import (
-    Benchmark,
     ExampleRecord,
     IngestionError,
     TemplateError,
     canonical_template,
+    db_path,
     load_benchmark,
     select_support,
     template_groups,
@@ -27,33 +27,33 @@ class TestLoadBenchmark:
             {"db_id": "network_1", "question": "q1", "query": "SELECT 1"},
             {"db_id": "network_1", "question": "q2", "query": "SELECT 2"},
         ])
-        bench = load_benchmark(path, db_root)
-        assert [e.question for e in bench.examples] == ["q1", "q2"]
-        assert bench.examples[0].example_id == "e0000"
-        assert bench.examples[1].example_id == "e0001"
+        bench = load_benchmark(path)
+        assert [e.question for e in bench] == ["q1", "q2"]
+        assert bench[0].example_id == "e0000"
+        assert bench[1].example_id == "e0001"
 
     def test_empty_list(self, tmp_path, db_root):
-        bench = load_benchmark(write_bench(tmp_path, []), db_root)
-        assert bench.examples == []
+        bench = load_benchmark(write_bench(tmp_path, []))
+        assert bench == []
 
     def test_missing_query_field_names_index(self, tmp_path, db_root):
         path = write_bench(tmp_path, [{"db_id": "d", "question": "q"}])
         with pytest.raises(IngestionError, match="index 0"):
-            load_benchmark(path, db_root)
+            load_benchmark(path)
 
     def test_missing_db_file_is_left_to_the_stages(self, tmp_path, db_root):
         path = write_bench(tmp_path, [
             {"db_id": "no_such_db", "question": "q", "query": "SELECT 1"},
         ])
-        bench = load_benchmark(path, db_root)
-        assert [e.db_id for e in bench.examples] == ["no_such_db"]
-        assert bench.db_path("no_such_db") == db_root / "no_such_db" / "no_such_db.sqlite"
+        bench = load_benchmark(path)
+        assert [e.db_id for e in bench] == ["no_such_db"]
+        assert db_path(db_root, "no_such_db") == db_root / "no_such_db" / "no_such_db.sqlite"
 
     def test_unparseable_file(self, tmp_path, db_root):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         with pytest.raises(IngestionError):
-            load_benchmark(path, db_root)
+            load_benchmark(path)
 
 
 class TestCanonicalTemplate:
@@ -116,7 +116,7 @@ def synthetic_train(freqs=(5, 3, 1)):
                 gold_sql=shape.format(j + 1),
             ))
             i += 1
-    return Benchmark(examples=examples, db_root=".")
+    return examples
 
 
 class TestSelectSupport:

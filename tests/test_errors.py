@@ -1,8 +1,10 @@
+import re
 import sqlite3
 from itertools import combinations
 
 import pytest
 
+from sqlbench.dataset import IngestionError
 from sqlbench.errors import (
     AnnotationRecord,
     ErrorCategory,
@@ -145,11 +147,11 @@ class TestSampleForAnnotation:
         text = annotation_skeleton(["e0001", "e0002"])
         path = tmp_path / "ann.jsonl"
         path.write_text(text)
-        assert load_annotations(path) == []  # empty categories are drafts
+        assert load_annotations(path, set()) == []  # empty categories are drafts
         path.write_text(
             '{"example_id": "e0001", "category": "Shortcuts", "note": "used literal"}\n'
         )
-        (rec,) = load_annotations(path)
+        (rec,) = load_annotations(path, {"e0001"})
         assert rec.category is ErrorCategory.SHORTCUTS
 
 
@@ -190,17 +192,22 @@ class TestBreakdown:
         assert by_cat["Shortcuts"]["e_pct"] == pytest.approx(50.0)
         assert sum(r["e_pct"] or 0 for r in result["rows"]) == pytest.approx(100.0, abs=0.1)
 
-    def test_conflicting_annotations_rejected(self):
-        outs = [outcome("e0", ex=True, ts=False)]
-        anns = [AnnotationRecord("e0", ErrorCategory.SHORTCUTS),
-                AnnotationRecord("e0", ErrorCategory.ARGMAX)]
-        with pytest.raises(ValueError, match="e0"):
-            breakdown(outs, anns)
+    def test_conflicting_annotations_rejected(self, tmp_path):
+        path = tmp_path / "ann.jsonl"
+        path.write_text('{"example_id": "e0", "category": "Shortcuts"}\n'
+                        '{"example_id": "e0", "category": ""}\n'
+                        '{"example_id": "e0", "category": "Argmax"}\n')
+        message = f"{path}:3: conflicting annotations for example 'e0'"
+        with pytest.raises(IngestionError, match=re.escape(message)):
+            load_annotations(path, {"e0"})
 
-    def test_unknown_example_rejected(self):
-        with pytest.raises(ValueError, match="ghost"):
-            breakdown([outcome("e0", ts=True, ex=True)],
-                      [AnnotationRecord("ghost", ErrorCategory.ARGMAX)])
+    def test_unknown_example_rejected(self, tmp_path):
+        path = tmp_path / "ann.jsonl"
+        path.write_text('{"example_id": "ghost", "category": ""}\n'
+                        '{"example_id": "ghost", "category": "Argmax"}\n')
+        message = f"{path}:2: annotation references unknown example ghost"
+        with pytest.raises(IngestionError, match=re.escape(message)):
+            load_annotations(path, {"e0"})
 
     def test_unannotated_errors_fall_into_other(self):
         outs = [outcome("e0", ex=True, ts=False)]

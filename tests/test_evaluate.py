@@ -142,9 +142,9 @@ class TestEvaluateBenchmark:
         ]
         bench_file = tmp_path / "bench.json"
         bench_file.write_text(json.dumps(items))
-        bench = load_benchmark(bench_file, db_root)
+        bench = load_benchmark(bench_file)
         predictions = {e.example_id: prediction(e.gold_sql, e.example_id)
-                       for e in bench.examples}
+                       for e in bench}
         suites = {"network_1": build_test_suite(db_root / "network_1" / "network_1.sqlite",
                                                 2, seed=1, cache_dir=tmp_path / "cache")}
         result = evaluate_benchmark(bench, predictions, suites, print, TIMEOUT_MS)
@@ -158,9 +158,9 @@ class TestEvaluateBenchmark:
                  for q, sql in FIXTURE_QUESTIONS[:3]]
         bench_file = tmp_path / "bench.json"
         bench_file.write_text(json.dumps(items))
-        bench = load_benchmark(bench_file, db_root)
+        bench = load_benchmark(bench_file)
         predictions = {e.example_id: prediction(e.gold_sql, e.example_id)
-                       for e in bench.examples}
+                       for e in bench}
         suites = {"network_1": build_test_suite(db_file, 2, seed=1,
                                                 cache_dir=tmp_path / "cache")}
         opened = []
@@ -203,9 +203,9 @@ class TestEvaluateBenchmark:
         bench_file = tmp_path / "bench.json"
         bench_file.write_text(json.dumps(
             [{"db_id": db, "question": "q", "query": sql} for db, sql in items]))
-        bench = load_benchmark(bench_file, root)
+        bench = load_benchmark(bench_file)
         predictions = {e.example_id: prediction(e.gold_sql, e.example_id)
-                       for e in bench.examples if e.example_id != "e0005"}
+                       for e in bench if e.example_id != "e0005"}
         geo_suite = build_test_suite(geo_file, 2, seed=3, cache_dir=tmp_path / "cache")
         mixed = tmp_path / "mixed-suite"
         mixed.mkdir()
@@ -259,9 +259,9 @@ def network1_eval(db_root, tmp_path, golds, preds, warn=print, timeout_ms=TIMEOU
     bench_file = tmp_path / "bench.json"
     bench_file.write_text(json.dumps(
         [{"db_id": "network_1", "question": "q", "query": gold} for gold in golds]))
-    bench = load_benchmark(bench_file, db_root)
+    bench = load_benchmark(bench_file)
     predictions = {e.example_id: prediction(sql, e.example_id)
-                   for e, sql in zip(bench.examples, preds)}
+                   for e, sql in zip(bench, preds)}
     suite = build_test_suite(db_root / "network_1" / "network_1.sqlite", 2, seed=1,
                              cache_dir=tmp_path / "cache", db_id="network_1")
     return evaluate_benchmark(bench, predictions, {"network_1": suite}, warn, timeout_ms), suite
@@ -363,12 +363,12 @@ class TestGoldStore:
             assert scores(repaired) == scores(first) and not warned["repaired"]
 
     def test_concurrent_evals_share_one_store(self, fixture_benchmark_path, db_root, tmp_path):
-        bench = load_benchmark(fixture_benchmark_path, db_root)
+        bench = load_benchmark(fixture_benchmark_path)
         preds = tmp_path / "predictions.jsonl"
         preds.write_text("".join(
             json.dumps({"example_id": e.example_id, "raw_completion": "",
                         "sql": e.gold_sql if i % 3 else "SELECT name FROM Highschooler"}) + "\n"
-            for i, e in enumerate(bench.examples)))
+            for i, e in enumerate(bench)))
         cache = tmp_path / "cache"
         build_test_suite(db_root / "network_1" / "network_1.sqlite", 4, seed=7,
                          cache_dir=cache, db_id="network_1")
@@ -390,7 +390,7 @@ class TestGoldStore:
             assert "gold store" not in err
         assert main(argv("warm.jsonl")) == 0
         a, b, warm = (without_timing(tmp_path / f"{n}.jsonl") for n in ("a", "b", "warm"))
-        assert a == b == warm and len(a) == len(bench.examples)
+        assert a == b == warm and len(a) == len(bench)
         manifest = json.loads((tmp_path / "warm.jsonl.manifest.json").read_text())
         assert manifest["gold_store"]["misses"] == 0
-        assert manifest["gold_store"]["hits"] > len(bench.examples)
+        assert manifest["gold_store"]["hits"] > len(bench)
