@@ -68,8 +68,9 @@ def load_benchmark(path) -> list[ExampleRecord]:
 
     examples = []
     for i, item in enumerate(items):
-        check_fields(f"{path}: item at index {i}", item,
-                     {"db_id": str, "question": str, "query": str})
+        where = f"{path}: item at index {i}"
+        check_fields(where, item, {"db_id": str, "question": str, "query": str})
+        check_fields(where, item, {"template_id": str}, optional=True)
         if not item["query"].strip():
             raise IngestionError(f"{path}: item at index {i} has an empty gold query")
         examples.append(ExampleRecord(

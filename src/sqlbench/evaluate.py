@@ -135,7 +135,9 @@ def evaluate_benchmark(examples: list[ExampleRecord], predictions: dict[str, Pre
     scored: dict[int, tuple[EvalOutcome | None, list[str]]] = {}
     for db_id, indices in groups.items():
         suite = suites[db_id]
-        with closing(Connections()) as connections, closing(GoldStore(suite)) as store:
+        # the fuzzed variants are cache files never rewritten in place
+        with closing(Connections(immutable=suite.variants[1:])) as connections, \
+                closing(GoldStore(suite)) as store:
             for i in indices:
                 example = examples[i]
                 notes: list[str] = []

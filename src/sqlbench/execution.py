@@ -107,9 +107,19 @@ class Connections:
     After a query, `volatile` tells whether it called one of
     VOLATILE_FUNCTIONS, so that its result may not repeat.
     SQLite connections belong to the thread that opened them, so one holder
-    serves one thread."""
+    serves one thread.
 
-    def __init__(self):
+    The files named in `immutable` are opened with SQLite's immutable flag:
+    no file lock and no change-counter read per statement. Only files that no
+    process rewrites belong there, such as a test suite's fuzzed variants,
+    which are built in a private directory, renamed into place and never
+    written again. Every other file, the user's original database among
+    them, keeps SQLite's locking and change detection. A variant edited by
+    hand during an eval may be read stale or as corrupt; that is unsupported,
+    and the suite's sha256 check catches the edit on the next reuse."""
+
+    def __init__(self, immutable=()):
+        self._immutable = frozenset(map(str, immutable))
         self._open: dict[str, sqlite3.Connection] = {}
         self._order_sensitive: dict[str, bool] = {}
         self._deadline = 0.0
@@ -137,7 +147,8 @@ class Connections:
         if conn is None:
             # Each query runs about once per connection, so a statement cache
             # would only hold memory.
-            conn = sqlite3.connect(read_only_uri(db_file), uri=True, cached_statements=0)
+            conn = sqlite3.connect(read_only_uri(db_file, key in self._immutable), uri=True,
+                                   cached_statements=0)
             conn.set_authorizer(self._authorize)
             conn.set_progress_handler(self._progress, 10000)
             self._open[key] = conn
@@ -353,12 +364,18 @@ def compare_results(gold: ExecResult, pred: ExecResult) -> bool:
     if len(gold.rows) != len(pred.rows):
         return False
     in_order = gold.order_sensitive or len(gold.rows) < 2  # one row is a sequence too
+    # Rows equal in the order given are equal as a multiset too: the common
+    # case, checked first, before any Counter or matching is built.
     if _EXACT_TYPES.issuperset(map(type, chain.from_iterable(chain(gold.rows, pred.rows)))):
-        if in_order:
-            return gold.rows == pred.rows
+        # list == is cells_equal only here: True == 1, and list == calls one
+        # NaN object equal to itself
+        same = gold.rows == pred.rows
+        if same or in_order:
+            return same
         # dict's == runs in C, Counter's in Python; the same here, as counts of
         # rows are never zero
         return dict.__eq__(Counter(gold.rows), Counter(pred.rows))
-    if in_order:
-        return all(map(_rows_equal, gold.rows, pred.rows))
+    same = all(map(_rows_equal, gold.rows, pred.rows))
+    if same or in_order:
+        return same
     return _tolerant_multisets_equal(gold.rows, pred.rows)

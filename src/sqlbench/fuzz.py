@@ -12,6 +12,10 @@ and its manifest records a sha256 per variant that is checked on every reuse.
 Variants are written with no journal and no fsync: a crash leaves at worst a
 damaged file in a build directory that is never returned, or a variant whose
 sha256 check fails on reuse and is regenerated.
+A variant is never written again once renamed into place, so eval opens it
+immutable (execution.Connections): no lock and no change-counter read per
+query. Editing one by hand during an eval is unsupported; the next reuse's
+sha256 check catches the edit.
 Eval keeps the suite's gold results beside the variants, in gold.sqlite
 (store.py).
 """

@@ -44,10 +44,12 @@ class RowSample:
     rows: list[tuple]
 
 
-def read_only_uri(db_file) -> str:
+def read_only_uri(db_file, immutable: bool = False) -> str:
     """The SQLite URI that opens db_file read-only. The path is percent-quoted,
-    so `#`, `?` and `%` in it stay part of the file name."""
-    return f"file:{quote(str(Path(db_file)))}?mode=ro"
+    so `#`, `?` and `%` in it stay part of the file name. immutable tells SQLite
+    that no process changes the file while it is open, so it takes no lock and
+    reads no change counter per statement."""
+    return f"file:{quote(str(Path(db_file)))}?mode=ro{'&immutable=1' if immutable else ''}"
 
 
 def connect_ro(db_file) -> sqlite3.Connection:

@@ -238,6 +238,7 @@ def read_section(db_file, style):
 def evaluate_one(example, prediction, suite):
     """evaluate on connections and a gold store opened for this one call; its
     notes are dropped."""
-    with closing(Connections()) as connections, closing(GoldStore(suite)) as store:
+    with closing(Connections(immutable=suite.variants[1:])) as connections, \
+            closing(GoldStore(suite)) as store:
         return evaluate(example, prediction, suite, TIMEOUT_MS, lambda message: None,
                         connections, store)

@@ -799,6 +799,10 @@ def bad_input_files(tmp_path, fixture_benchmark_path, db_root, prompts_file,
                                                         "category": "Bogus"}) + "\n")
     files["oldreplay"].write_text(json.dumps({"example_id": "e0000", "completion": "1"})
                                   + "\n")
+    files["mixed_train"] = tmp_path / "mixed-train.json"
+    files["mixed_train"].write_text(json.dumps([
+        {"db_id": "network_1", "question": "q", "query": "SELECT 1", "template_id": tid}
+        for tid in (1, "T")]))
     for name, artifact, manifest in (
             ("run_no_config", files["outcomes"], {"model": "m"}),
             ("run_list", files["outcomes"], [1]),
@@ -827,6 +831,9 @@ BAD_INPUTS = {
     "prompt-zero-rows": (
         "prompt --benchmark {bench} --db-root {db_root} --prompt select:0 --out {out}",
         "prompt style select:0"),
+    "prompt-train-template-id-not-text": (
+        "prompt --benchmark {bench} --db-root {db_root} --shots 1 --train {mixed_train} "
+        "--out {out}", "{mixed_train}: item at index 0: field 'template_id' is not a str"),
     "prompt-reserve-over-context": (
         "prompt --benchmark {bench} --db-root {db_root} --context-tokens 100 "
         "--completion-reserve 200 --out {out}", "completion_reserve 200"),

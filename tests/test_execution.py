@@ -1,5 +1,7 @@
 import math
 import random
+import shutil
+import sqlite3
 from contextlib import closing
 from itertools import combinations, permutations
 
@@ -18,6 +20,7 @@ from sqlbench.execution import (
     has_top_level_order_by,
 )
 from sqlbench.errors import detect_extra_columns
+from sqlbench.fuzz import build_test_suite
 
 from conftest import TIMEOUT_MS
 
@@ -106,10 +109,35 @@ class TestReusedConnection:
     @settings(max_examples=40, deadline=None)
     @given(sequence=st.lists(st.integers(0, len(REUSE_POOL) - 1), min_size=1, max_size=8))
     def test_matches_one_shot_in_any_sequence(self, network1_db, one_shot, sequence):
+        for immutable in ((), [network1_db]):
+            with closing(Connections(immutable=immutable)) as connections:
+                for i in sequence:
+                    sql, timeout_ms = REUSE_POOL[i]
+                    assert execute_sql(network1_db, sql, timeout_ms, connections) == one_shot[i]
+
+    def test_plain_file_sees_a_change_between_queries(self, network1_db, tmp_path):
+        db = tmp_path / "copy.sqlite"
+        shutil.copy(network1_db, db)
+        count = "SELECT count(*) FROM Likes"
         with closing(Connections()) as connections:
-            for i in sequence:
-                sql, timeout_ms = REUSE_POOL[i]
-                assert execute_sql(network1_db, sql, timeout_ms, connections) == one_shot[i]
+            assert execute_sql(db, count, TIMEOUT_MS, connections).rows == [(3,)]
+            with closing(sqlite3.connect(db)) as writer:
+                writer.execute("INSERT INTO Likes VALUES (1510, 1934)")
+                writer.commit()
+            assert execute_sql(db, count, TIMEOUT_MS, connections).rows == [(4,)]
+
+    def test_immutable_file_is_read_under_an_exclusive_lock(self, network1_db, tmp_path):
+        suite = build_test_suite(network1_db, 2, seed=3, cache_dir=tmp_path / "cache")
+        variant = tmp_path / "variant.db"
+        shutil.copy(suite.variants[1], variant)
+        sql = "SELECT count(*) FROM Highschooler"
+        expected = execute_sql(variant, sql, TIMEOUT_MS)
+        assert expected.rows != [(0,)]  # the last variant is the empty one
+        with closing(sqlite3.connect(variant, isolation_level=None)) as holder, \
+                closing(Connections(immutable=[variant])) as connections:
+            holder.execute("BEGIN EXCLUSIVE")
+            assert execute_sql(variant, sql, TIMEOUT_MS, connections) == expected
+            holder.execute("ROLLBACK")
 
 
 # Separators, select items and table aliases that must never be read as SQL:
@@ -174,7 +202,7 @@ class TestTopLevelOrderBy:
 # cells_equal(V - T, V + T); likewise for 0.0 and +-1e-9.
 V, T = 1.0, 0.99e-6
 CELLS = [None, 0, 1, 2, 1.0, "1", b"1", True, False, "a", b"a", math.inf, -math.inf,
-         V + T, V - T, 1.0 + 1e-9, 0.0, 1e-9, -1e-9]
+         math.nan, V + T, V - T, 1.0 + 1e-9, 0.0, 1e-9, -1e-9]
 
 
 def rs(rows, cols=None, ordered=False):
@@ -223,6 +251,15 @@ class TestCompareResults:
         assert not compare_results(rs([(True,)]), rs([(1,)]))
         assert not compare_results(rs([("1",)]), rs([(b"1",)]))
         assert not compare_results(rs([(1, "a"), (2, "b")]), rs([(1, "b"), (2, "a")]))
+        assert not compare_results(rs([(True,), (2,)]), rs([(1,), (2,)]))
+
+    def test_nan_equals_nothing(self):
+        # list == would call a row equal to itself through the NaN object it holds
+        for rows in ([(math.nan,)], [(1, math.nan), (2, 0.5)], [(0.5,), (math.nan,)]):
+            for ordered in (False, True):
+                r = rs(rows, ordered=ordered)
+                assert not compare_results(r, r)
+                assert not compare_results(r, rs(list(rows), ordered=ordered))
 
     def test_multiset_within_tolerance(self):
         # sorting pairs (1.0, 'b') with (1.0, 'a'): a row-by-row check after a
