@@ -58,13 +58,12 @@ def evaluate(example: ExampleRecord, prediction: Prediction, suite: TestSuite,
     note to warn."""
     start = time.monotonic()
     original = suite.variants[0]
-    stored = gold_store.lookup(example.gold_sql)
 
     def gold_on(i, db_file):
-        result = stored.get(i)
+        result = gold_store.get(example.gold_sql, i)
         if result is None:
             result = execute_sql(db_file, example.gold_sql, timeout_ms, connections)
-            stored.put(i, result, volatile=connections.volatile)
+            gold_store.put(example.gold_sql, i, result, volatile=connections.volatile)
         return result
 
     gold_res = gold_on(0, original)
@@ -119,12 +118,12 @@ def evaluate_benchmark(examples: list[ExampleRecord], predictions: dict[str, Pre
                        timeout_ms: int) -> BenchmarkEvaluation:
     """Evaluate every benchmark example that has a prediction and a suite.
 
-    Examples run grouped by database, so each suite file, and the suite's
-    gold store, is opened once per group and at most one suite's connections
-    are open at a time. Outcomes, gold-broken ids and the warnings sent to
-    warn still come out in benchmark order, after one warning per gold store
-    that failed. Gold-broken examples are excluded from outcomes and listed
-    separately.
+    Examples run grouped by database, so each suite file is opened once per
+    group, the suite's gold store is read once per group and written at most
+    once, and at most one suite's connections are open at a time. Outcomes,
+    gold-broken ids and the warnings sent to warn still come out in benchmark
+    order, after one warning per gold store that failed. Gold-broken examples
+    are excluded from outcomes and listed separately.
     """
     groups: dict[str, list[int]] = {}
     for i, example in enumerate(examples):

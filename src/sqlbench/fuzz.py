@@ -16,7 +16,7 @@ A variant is never written again once renamed into place, so eval opens it
 immutable (execution.Connections): no lock and no change-counter read per
 query. Editing one by hand during an eval is unsupported; the next reuse's
 sha256 check catches the edit.
-Eval keeps the suite's gold results beside the variants, in gold.sqlite
+Eval keeps the suite's gold results beside the variants, in gold.marshal
 (store.py).
 """
 

@@ -66,8 +66,8 @@ def connect_ro(db_file) -> sqlite3.Connection:
 
 def introspect(db_file, conn: sqlite3.Connection, warn) -> list[TableSchema]:
     """Read all user tables of db_file through conn, in catalog order, with
-    columns, PKs, FKs, and the original CREATE TABLE text. Each dangling
-    foreign key goes to warn."""
+    columns, PKs, FKs, and the original CREATE TABLE text. Each foreign key
+    that resolves to no parent column goes to warn."""
     tables = []
     try:
         master = conn.execute(
@@ -104,7 +104,11 @@ def introspect(db_file, conn: sqlite3.Connection, warn) -> list[TableSchema]:
                 continue
             if not to_col:
                 pk = parent.primary_key
-                to_col = pk[0] if len(pk) == 1 else ""
+                if len(pk) == 1:
+                    to_col = pk[0]
+                else:
+                    warn(f"table {t.name}: foreign key {from_col} references "
+                         f"{ref_table}, whose primary key is not one column")
             if to_col and to_col.lower() not in {c.name.lower() for c in parent.columns}:
                 warn(f"table {t.name}: foreign key {from_col} references "
                      f"missing column {ref_table}.{to_col}")

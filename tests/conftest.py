@@ -64,6 +64,13 @@ def make_network1_db(db_file: Path, include_bad_fk: bool = False):
     return db_file
 
 
+@pytest.fixture(scope="session", autouse=True)
+def no_gold_store_temp_files(tmp_path_factory):
+    """No gold store write, failed or not, leaves its temporary file behind."""
+    yield
+    assert not list(tmp_path_factory.getbasetemp().rglob("gold.marshal.*.new"))
+
+
 @pytest.fixture(scope="session")
 def network1_db(tmp_path_factory):
     root = tmp_path_factory.mktemp("network1")

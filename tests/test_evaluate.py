@@ -14,12 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sqlbench
-from sqlbench import execution
+from sqlbench import execution, store
 from sqlbench.backend import Prediction
 from sqlbench.cli import main
 from sqlbench.dataset import ExampleRecord, load_benchmark
 from sqlbench.evaluate import GoldBrokenError, evaluate_benchmark
-from sqlbench.execution import Connections, ExecResult, execute_sql
+from sqlbench.execution import Connections, ExecError, ExecResult, execute_sql
 from sqlbench.fuzz import TestSuite, build_test_suite
 from sqlbench.store import GoldStore
 
@@ -161,24 +161,37 @@ class TestEvaluateBenchmark:
         bench = load_benchmark(bench_file)
         predictions = {e.example_id: prediction(e.gold_sql, e.example_id)
                        for e in bench}
-        suites = {"network_1": build_test_suite(db_file, 2, seed=1,
-                                                cache_dir=tmp_path / "cache")}
-        opened = []
+        suite = build_test_suite(db_file, 2, seed=1, cache_dir=tmp_path / "cache")
+        opened, store_files = [], []
         connect = sqlite3.connect
 
         def counting_connect(database, *args, **kwargs):
             opened.append(database)
             return connect(database, *args, **kwargs)
 
+        def counting_open(file, mode="r", *args, **kwargs):
+            store_files.append((Path(file).name, mode))
+            return open(file, mode, *args, **kwargs)
+
         monkeypatch.setattr(sqlite3, "connect", counting_connect)
-        result = evaluate_benchmark(bench, predictions, suites, print, TIMEOUT_MS)
-        assert [o.ts for o in result.outcomes] == [True, True, True]
-        suite = suites["network_1"]
-        variants = [d for d in opened if any(str(v) in str(d) for v in suite.variants)]
-        # one connection per query would be 3 examples x (1 + 2) files x 2 queries = 18
-        assert len(variants) == len(set(variants)) == 3
-        # the gold store: once per database group
-        assert [d for d in opened if d not in variants] == [suite.directory / "gold.sqlite"]
+        monkeypatch.setattr(store, "open", counting_open, raising=False)
+        for pass_store_files in (
+                # read when made and again at close(), then written once
+                [("gold.marshal", "rb"), ("gold.marshal", "rb"),
+                 (f"gold.marshal.{os.getpid()}.new", "wb")],
+                [("gold.marshal", "rb")]):  # all hits: read once, not written
+            opened.clear()
+            store_files.clear()
+            result = evaluate_benchmark(bench, predictions, {"network_1": suite}, print,
+                                        TIMEOUT_MS)
+            assert [o.ts for o in result.outcomes] == [True, True, True]
+            variants = [d for d in opened if any(str(v) in str(d) for v in suite.variants)]
+            # one connection per query would be 3 examples x (1 + 2) files x 2 queries = 18
+            assert len(variants) == len(set(variants)) == 3
+            assert opened == variants  # the gold store opens no connection
+            # and opens its file once per database group
+            assert store_files == pass_store_files
+        assert result.gold_store["misses"] == 0
 
     def test_interleaved_databases_keep_benchmark_order(self, tmp_path):
         root = tmp_path / "dbroot"
@@ -237,20 +250,29 @@ class TestEvaluateBenchmark:
         assert "more than 5 rows" in out.invalid_reason
 
 
-SPECIAL_CELLS = [1, 1.0, "1", b"1", None, -0.0, math.inf, -math.inf,
+SPECIAL_CELLS = [1, 1.0, "1", b"1", None, -0.0, math.inf, -math.inf, math.nan,
                  2**63 - 1, -(2**63 - 1), "naïve ☃ 日本"]
 CELLS = st.one_of(st.sampled_from(SPECIAL_CELLS), st.integers(-2**63, 2**63 - 1),
-                  st.floats(allow_nan=False), st.text(max_size=6), st.binary(max_size=6))
+                  st.floats(), st.text(max_size=6), st.binary(max_size=6))
+# every kind of error the store keeps; a timeout is never stored
+STORED_ERRORS = st.builds(ExecError, st.sampled_from(["engine", "forbidden", "too_many_rows"]),
+                          st.text(max_size=12))
 
 
 def round_trip(suite, sql, result):
     """result put into the store of suite, then read back by a store opened anew."""
-    with closing(GoldStore(suite)) as store:
-        store.lookup(sql).put(0, result, volatile=False)
-    with closing(GoldStore(suite)) as store:
-        got = store.lookup(sql).get(0)
-        assert store.hits == 1 and store.warning is None
+    with closing(GoldStore(suite)) as gold:
+        gold.put(sql, 0, result, volatile=False)
+    with closing(GoldStore(suite)) as gold:
+        got = gold.get(sql, 0)
+        assert gold.hits == 1 and gold.warning is None
     return got
+
+
+def stored(suite, sql, variant=0):
+    """The result of sql on variant in the gold store of suite, opened anew."""
+    with closing(GoldStore(suite)) as gold:
+        return gold.get(sql, variant)
 
 
 def network1_eval(db_root, tmp_path, golds, preds, warn=print, timeout_ms=TIMEOUT_MS):
@@ -291,6 +313,8 @@ class TestGoldStore:
             suite = TestSuite("t", 0, 1, [db], "s" * 64, "c" * 64, Path(tmp))
             raw = ExecResult(columns, rows)
             assert repr(round_trip(suite, "raw", raw)) == repr(raw)
+            error = data.draw(STORED_ERRORS)
+            assert repr(round_trip(suite, "error", error)) == repr(error)
             for sql in ("SELECT * FROM t", "SELECT * FROM t ORDER BY 1",
                         "SELECT * FROM t WHERE 0", "-- no statement", "SELECT nocol FROM t"):
                 executed = execute_sql(db, sql, TIMEOUT_MS)
@@ -309,8 +333,8 @@ class TestGoldStore:
         assert first.gold_store == {"hits": 0, "misses": 3}
         again, _ = network1_eval(db_root, tmp_path, golds, invalid)
         assert again.gold_store == {"hits": 1, "misses": 2}
-        with closing(sqlite3.connect(suite.directory / "gold.sqlite")) as conn:
-            assert conn.execute("SELECT count(*) FROM gold").fetchone() == (1,)
+        assert [stored(suite, gold) for gold in golds] == [
+            None, None, execute_sql(suite.variants[0], golds[2], TIMEOUT_MS)]
 
     def test_timeout_never_stored(self, db_root, tmp_path):
         slow = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c) "
@@ -319,48 +343,60 @@ class TestGoldStore:
             result, suite = network1_eval(db_root, tmp_path, [slow], [slow], timeout_ms=50)
             assert result.gold_broken == ["e0000"]
             assert result.gold_store == {"hits": 0, "misses": 1}
-        with closing(sqlite3.connect(suite.directory / "gold.sqlite")) as conn:
-            assert conn.execute("SELECT count(*) FROM gold").fetchone() == (0,)
+        assert stored(suite, slow) is None
+        assert not list(suite.directory.glob("gold.*"))  # nothing stored, nothing written
 
-    @pytest.mark.parametrize("damage", ["tampered", "retyped", "moved", "garbage", "unopenable"])
+    @pytest.mark.parametrize("damage", ["tampered", "truncated", "garbage", "unopenable"])
     def test_damaged_store_falls_back(self, db_root, tmp_path, damage):
         golds = [sql for _, sql in FIXTURE_QUESTIONS[:4]]
         preds = [golds[0], golds[1], "SELECT name FROM Highschooler", "SELECT nocol FROM t"]
-        warned = {"first": [], "damaged": [], "repaired": []}
+        warned = {"first": [], "damaged": [], "next": []}
         first, suite = network1_eval(db_root, tmp_path, golds, preds, warned["first"].append)
         lookups = sum(first.gold_store.values())
         assert first.gold_store["misses"] == lookups and not warned["first"]
-        path = suite.directory / "gold.sqlite"
-        if damage in ("tampered", "retyped", "moved"):
-            changes = {
-                "tampered": ["payload = CAST(CAST(payload AS TEXT) || ' ' AS BLOB)"],  # valid JSON
-                "retyped": ["payload = CAST(payload AS TEXT)"],
-                # each row under the key of the next variant, as a damaged index could serve it
-                "moved": ["variant = variant + 10", "variant = (variant - 9) % 3"],
-            }[damage]
-            with closing(sqlite3.connect(path)) as conn:
-                for change in changes:
-                    conn.execute(f"UPDATE gold SET {change}")
-                conn.commit()
+        path = suite.directory / "gold.marshal"
+        data = path.read_bytes()
+        if damage == "tampered":  # one bit
+            path.write_bytes(data[:-9] + bytes([data[-9] ^ 1]) + data[-8:])
+        elif damage == "truncated":
+            path.write_bytes(data[:len(data) // 2])
         elif damage == "garbage":
-            path.write_bytes(b"not a database " * 300)
+            path.write_bytes(b"not a store " * 300)
         else:
             path.unlink()
             path.mkdir()
-        damaged, _ = network1_eval(db_root, tmp_path, golds, preds, warned["damaged"].append)
-        assert scores(damaged) == scores(first)
-        assert damaged.gold_store == {"hits": 0, "misses": lookups}
-        assert len(warned["damaged"]) == 1
-        assert warned["damaged"][0].startswith(f"gold store {path}: ")
-        if damage == "garbage":  # swapped for an empty store, which this eval filled
-            assert warned["damaged"][0].endswith("replaced by an empty store")
-            assert path.read_bytes().startswith(b"SQLite format 3\x00")
-            assert [p.name for p in path.parent.glob("gold.sqlite*")] == ["gold.sqlite"]
-        if damage != "unopenable":  # the rows run again were stored again
-            repaired, _ = network1_eval(db_root, tmp_path, golds, preds,
-                                        warned["repaired"].append)
-            assert repaired.gold_store == {"hits": lookups, "misses": 0}
-            assert scores(repaired) == scores(first) and not warned["repaired"]
+        for run in ("damaged", "next"):
+            result, _ = network1_eval(db_root, tmp_path, golds, preds, warned[run].append)
+            assert scores(result) == scores(first)
+            if run == "damaged" or damage == "unopenable":  # a directory is never replaced
+                assert result.gold_store == {"hits": 0, "misses": lookups}
+                assert len(warned[run]) == 1
+                assert warned[run][0].startswith(f"gold store {path}: ")
+            else:  # replaced by the damaged run's results
+                assert result.gold_store == {"hits": lookups, "misses": 0}
+                assert not warned[run]
+            assert [p.name for p in suite.directory.glob("gold.*")] == ["gold.marshal"]
+
+    def test_foreign_header_is_silently_empty(self, db_root, tmp_path, monkeypatch):
+        golds = [sql for _, sql in FIXTURE_QUESTIONS[:3]]
+        warned = []
+        first, suite = network1_eval(db_root, tmp_path, golds, golds, warned.append)
+        lookups = first.gold_store["misses"]
+        monkeypatch.setattr(store, "FORMAT", "other")
+        for expected in ({"hits": 0, "misses": lookups}, {"hits": lookups, "misses": 0}):
+            result, _ = network1_eval(db_root, tmp_path, golds, golds, warned.append)
+            assert result.gold_store == expected
+            assert scores(result) == scores(first)
+        assert not warned
+
+    def test_first_write_deletes_legacy_sqlite_store(self, db_root, tmp_path):
+        golds = [sql for _, sql in FIXTURE_QUESTIONS[:2]]
+        suite = build_test_suite(db_root / "network_1" / "network_1.sqlite", 2, seed=1,
+                                 cache_dir=tmp_path / "cache", db_id="network_1")
+        with closing(sqlite3.connect(suite.directory / "gold.sqlite")) as conn:
+            conn.execute("CREATE TABLE gold (sql_sha BLOB, variant INTEGER, payload BLOB)")
+        network1_eval(db_root, tmp_path, golds, golds)
+        assert [p.name for p in suite.directory.glob("gold.*")] == ["gold.marshal"]
 
     def test_concurrent_evals_share_one_store(self, fixture_benchmark_path, db_root, tmp_path):
         bench = load_benchmark(fixture_benchmark_path)

@@ -39,11 +39,18 @@ class TestIntrospect:
         db = tmp_path / "bad.sqlite"
         conn = sqlite3.connect(db)
         conn.execute("CREATE TABLE a(x int, FOREIGN KEY(x) REFERENCES ghost(id))")
+        # no parent column named, and a parent key of two columns to stand for
+        conn.execute("CREATE TABLE pair(x int, y int, PRIMARY KEY (x, y))")
+        conn.execute("CREATE TABLE ref(x int, y int, FOREIGN KEY (x, y) REFERENCES pair)")
         conn.close()
         warnings = []
         schema = read_schema(db, warnings.append)
-        assert [t.name for t in schema] == ["a"]
-        assert any("ghost" in w for w in warnings)
+        assert [t.name for t in schema] == ["a", "pair", "ref"]
+        assert warnings == [
+            "table a: foreign key x references missing table ghost",
+            "table ref: foreign key x references pair, whose primary key is not one column",
+            "table ref: foreign key y references pair, whose primary key is not one column",
+        ]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IntrospectionError, match="not found"):
