@@ -357,6 +357,7 @@ def cmd_eval(args) -> None:
         "suites": {db_id: {"source_sha256": s.source_sha256, "suite_hash": s.content_hash}
                    for db_id, s in suites.items()},
         "gold_store": result.gold_store,
+        "queries": result.queries,
     })
     print(f"wrote {len(result.outcomes)} outcomes to {args.out} "
           f"({len(result.gold_broken)} gold-broken excluded)")

@@ -55,18 +55,30 @@ def evaluate(example: ExampleRecord, prediction: Prediction, suite: TestSuite,
     Queries run on the connections `connections` holds for the suite's
     files. Gold results come from gold_store when it holds them, and go into
     it when it does not. Variants the gold query fails on are skipped, with a
-    note to warn."""
+    note to warn.
+
+    A prediction whose text is exactly the gold query runs no query: on each
+    file it takes the gold's result as its own, stored or just run, and is
+    compared with it as any other prediction is. So it never races the
+    timeout a second time, and a stored result serves it under any
+    timeout_ms. The exception is a gold query run in this call that called a
+    volatile function: its result may not repeat, so the prediction runs as
+    well."""
     start = time.monotonic()
     original = suite.variants[0]
+    is_gold = prediction.sql == example.gold_sql
 
     def gold_on(i, db_file):
+        """The gold's result on suite file i, and whether the prediction
+        takes it as its own. A stored result never came from a volatile query."""
         result = gold_store.get(example.gold_sql, i)
-        if result is None:
-            result = execute_sql(db_file, example.gold_sql, timeout_ms, connections)
-            gold_store.put(example.gold_sql, i, result, volatile=connections.volatile)
-        return result
+        if result is not None:
+            return result, is_gold
+        result = execute_sql(db_file, example.gold_sql, timeout_ms, connections)
+        gold_store.put(example.gold_sql, i, result, volatile=connections.volatile)
+        return result, is_gold and not connections.volatile
 
-    gold_res = gold_on(0, original)
+    gold_res, shared = gold_on(0, original)
     if isinstance(gold_res, ExecError):
         raise GoldBrokenError(
             f"{example.example_id}: gold query failed on {suite.db_id}: {gold_res.message}"
@@ -85,7 +97,8 @@ def evaluate(example: ExampleRecord, prediction: Prediction, suite: TestSuite,
     if prediction.sql == EMPTY_PREDICTION:
         return done(False, "empty prediction", False, False)
 
-    pred_res = execute_sql(original, prediction.sql, timeout_ms, connections)
+    pred_res = gold_res if shared else execute_sql(original, prediction.sql, timeout_ms,
+                                                   connections)
     if isinstance(pred_res, ExecError):
         return done(False, pred_res.message, False, False)
 
@@ -95,11 +108,12 @@ def evaluate(example: ExampleRecord, prediction: Prediction, suite: TestSuite,
 
     ts = True
     for i, variant in enumerate(suite.variants[1:], 1):
-        gold_v = gold_on(i, variant)
+        gold_v, shared = gold_on(i, variant)
         if isinstance(gold_v, ExecError):
             warn(f"{example.example_id}: gold failed on variant {variant}; skipped")
             continue
-        pred_v = execute_sql(variant, prediction.sql, timeout_ms, connections)
+        pred_v = gold_v if shared else execute_sql(variant, prediction.sql, timeout_ms,
+                                                   connections)
         if isinstance(pred_v, ExecError) or not compare_results(gold_v, pred_v):
             ts = False
             break
@@ -111,6 +125,7 @@ class BenchmarkEvaluation:
     outcomes: list[EvalOutcome]
     gold_broken: list[str]
     gold_store: dict[str, int] = field(default_factory=lambda: {"hits": 0, "misses": 0})
+    queries: int = 0  # SQL queries run, gold and prediction alike
 
 
 def evaluate_benchmark(examples: list[ExampleRecord], predictions: dict[str, Prediction],
@@ -147,6 +162,7 @@ def evaluate_benchmark(examples: list[ExampleRecord], predictions: dict[str, Pre
                     outcome = None
                     notes.append(str(e))
                 scored[i] = (outcome, notes)
+        result.queries += connections.queries
         result.gold_store["hits"] += store.hits
         result.gold_store["misses"] += store.misses
         if store.warning:

@@ -102,10 +102,12 @@ class Connections:
     and reused for every later query on that file until close().
 
     The authorizer and progress handler are installed once per connection;
-    every query resets the deadline and the denied/timed-out flags they set,
-    so a rejected, timed-out or failed query never affects the next one.
+    every query resets the denied/timed-out/volatile flags they set before it
+    opens its file, and the deadline after, so a rejected, timed-out or
+    failed query never affects the next one.
     After a query, `volatile` tells whether it called one of
-    VOLATILE_FUNCTIONS, so that its result may not repeat.
+    VOLATILE_FUNCTIONS, so that its result may not repeat. `queries` counts
+    the queries run, those that failed included.
     SQLite connections belong to the thread that opened them, so one holder
     serves one thread.
 
@@ -126,6 +128,7 @@ class Connections:
         self._denied = False
         self._timed_out = False
         self.volatile = False
+        self.queries = 0
 
     def _authorize(self, action, arg1, arg2, *rest):
         if action in _ALLOWED_ACTIONS:
@@ -155,11 +158,12 @@ class Connections:
         return conn
 
     def execute(self, db_file, sql: str, timeout_ms: int) -> ExecResult | ExecError:
+        self.queries += 1
+        self._denied = self._timed_out = self.volatile = False
         try:
             conn = self._connection(db_file)
         except sqlite3.Error as e:
             return ExecError("engine", str(e))
-        self._denied = self._timed_out = self.volatile = False
         self._deadline = time.monotonic() + timeout_ms / 1000.0
         try:
             with closing(conn.execute(sql)) as cur:

@@ -91,11 +91,14 @@ def test_metric_properties(db_root, fixture_benchmark_path, tmp_path):
         suites = {"network_1": build_test_suite(
             db_root / "network_1" / "network_1.sqlite", 8, seed=7,
             cache_dir=tmp_path / "suites")}
-        oracle = {e.example_id: Prediction(e.example_id, "", e.gold_sql)
-                  for e in bench}
-        result = evaluate_benchmark(bench, oracle, suites, print, TIMEOUT_MS)
-        row = record(metrics_row("oracle", result.outcomes))
-        assert (row.va_pct, row.ex_pct, row.ts_pct) == (100.0, 100.0, 100.0)
+        # verbatim, the oracle takes its gold's results; with a space added it
+        # is the same query to SQLite, but runs as a query of its own
+        for label, suffix in (("oracle", ""), ("oracle, respaced", " ")):
+            oracle = {e.example_id: Prediction(e.example_id, "", e.gold_sql + suffix)
+                      for e in bench}
+            result = evaluate_benchmark(bench, oracle, suites, print, TIMEOUT_MS)
+            row = record(metrics_row(label, result.outcomes))
+            assert (row.va_pct, row.ex_pct, row.ts_pct) == (100.0, 100.0, 100.0), label
 
         # predicate flip that coincides with gold on the original rows only
         db = tmp_path / "cars.sqlite"

@@ -5,6 +5,7 @@ from contextlib import closing
 
 import pytest
 
+from sqlbench import evaluate
 from sqlbench.cli import main
 from sqlbench.fuzz import build_test_suite
 
@@ -357,6 +358,34 @@ class TestEval:
             "suite_hash": suite.content_hash}}
         assert "suites" not in manifest["config"]
         assert manifest["model"] == ""
+
+    def test_manifest_counts_queries(self, workdir, fixture_benchmark_path, db_root,
+                                     monkeypatch):
+        golds = [sql for _, sql in FIXTURE_QUESTIONS]
+        # verbatim gold, the same query respaced, and an invalid one, in turn
+        sqls = [(gold, gold + " ", "SELECT nocol FROM Friend")[i % 3]
+                for i, gold in enumerate(golds)]
+        preds = workdir / "mixed.predictions.jsonl"
+        preds.write_text("".join(json.dumps({"example_id": f"e{i:04d}", "sql": sql}) + "\n"
+                                 for i, sql in enumerate(sqls)))
+        calls = []
+        execute_sql = evaluate.execute_sql
+
+        def counting_execute_sql(*args):
+            calls.append(args[1])
+            return execute_sql(*args)
+
+        monkeypatch.setattr(evaluate, "execute_sql", counting_execute_sql)
+        counts = []
+        for out in ("cold.jsonl", "warm.jsonl"):
+            calls.clear()
+            assert run("eval", "--benchmark", fixture_benchmark_path, "--db-root", db_root,
+                       "--predictions", preds, "--suite-k", "4", "--suite-seed", "7",
+                       "--cache", workdir / "queries-suites", "--out", workdir / out) == 0
+            manifest = json.loads((workdir / f"{out}.manifest.json").read_text())
+            assert manifest["queries"] == len(calls)
+            counts.append(len(calls))
+        assert counts[0] > counts[1] > 0
 
     def test_without_db_root_refused(self, workdir, gold_predictions,
                                      fixture_benchmark_path, capsys):

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import shutil
 import sqlite3
 import subprocess
 import sys
@@ -19,7 +20,8 @@ from sqlbench.backend import Prediction
 from sqlbench.cli import main
 from sqlbench.dataset import ExampleRecord, load_benchmark
 from sqlbench.evaluate import GoldBrokenError, evaluate_benchmark
-from sqlbench.execution import Connections, ExecError, ExecResult, execute_sql
+from sqlbench.execution import (Connections, ExecError, ExecResult, compare_results,
+                                execute_sql)
 from sqlbench.fuzz import TestSuite, build_test_suite
 from sqlbench.store import GoldStore
 
@@ -133,6 +135,20 @@ class TestPredicateSeparation:
         assert not out.ts, "some fuzzed variant separates OR from AND"
 
 
+@pytest.fixture
+def opened(monkeypatch):
+    """The database argument of every sqlite3.connect call from here on."""
+    databases = []
+    connect = sqlite3.connect
+
+    def counting_connect(database, *args, **kwargs):
+        databases.append(database)
+        return connect(database, *args, **kwargs)
+
+    monkeypatch.setattr(sqlite3, "connect", counting_connect)
+    return databases
+
+
 class TestEvaluateBenchmark:
     def test_oracle_run_and_gold_broken_exclusion(self, db_root, tmp_path):
         items = [
@@ -152,28 +168,24 @@ class TestEvaluateBenchmark:
         assert result.gold_broken == ["e0001"]
         assert all(o.ts for o in result.outcomes)
 
-    def test_one_connection_per_variant_file(self, db_root, tmp_path, monkeypatch):
+    def test_one_connection_per_variant_file(self, db_root, tmp_path, monkeypatch, opened):
         db_file = db_root / "network_1" / "network_1.sqlite"
         items = [{"db_id": "network_1", "question": q, "query": sql}
                  for q, sql in FIXTURE_QUESTIONS[:3]]
         bench_file = tmp_path / "bench.json"
         bench_file.write_text(json.dumps(items))
         bench = load_benchmark(bench_file)
-        predictions = {e.example_id: prediction(e.gold_sql, e.example_id)
+        # the gold query to SQLite, but not its text: a prediction that is its
+        # gold's text runs no query, and so would open no connection
+        predictions = {e.example_id: prediction(e.gold_sql + " ", e.example_id)
                        for e in bench}
         suite = build_test_suite(db_file, 2, seed=1, cache_dir=tmp_path / "cache")
-        opened, store_files = [], []
-        connect = sqlite3.connect
-
-        def counting_connect(database, *args, **kwargs):
-            opened.append(database)
-            return connect(database, *args, **kwargs)
+        store_files = []
 
         def counting_open(file, mode="r", *args, **kwargs):
             store_files.append((Path(file).name, mode))
             return open(file, mode, *args, **kwargs)
 
-        monkeypatch.setattr(sqlite3, "connect", counting_connect)
         monkeypatch.setattr(store, "open", counting_open, raising=False)
         for pass_store_files in (
                 # read when made and again at close(), then written once
@@ -192,6 +204,29 @@ class TestEvaluateBenchmark:
             # and opens its file once per database group
             assert store_files == pass_store_files
         assert result.gold_store["misses"] == 0
+
+    def test_gold_prediction_runs_only_the_gold(self, db_root, tmp_path, opened):
+        bench = [example(sql, f"e{i:04d}") for i, (_, sql) in enumerate(FIXTURE_QUESTIONS[:3])]
+        predictions = {e.example_id: prediction(e.gold_sql, e.example_id) for e in bench}
+        suites = {"network_1": build_test_suite(db_root / "network_1" / "network_1.sqlite", 2,
+                                                seed=1, cache_dir=tmp_path / "cache")}
+        opened.clear()
+        cold = evaluate_benchmark(bench, predictions, suites, print, TIMEOUT_MS)
+        assert all(o.ts for o in cold.outcomes)
+        assert cold.queries == cold.gold_store["misses"] == 3 * (1 + 2)  # each gold's k+1
+        assert len(opened) == 3
+        opened.clear()
+        warm = evaluate_benchmark(bench, predictions, suites, print, TIMEOUT_MS)
+        assert scores(warm) == scores(cold)
+        assert warm.gold_store == {"hits": 9, "misses": 0}
+        assert warm.queries == 0 and not opened
+
+    def test_volatile_gold_prediction_still_runs(self, db_root, tmp_path):
+        for _ in range(2):  # never stored, so the second eval runs it again
+            result, _ = network1_eval(db_root, tmp_path, ["SELECT random()"],
+                                      ["SELECT random()"])
+            assert scores(result) == [("e0000", True, None, False, False)]
+            assert result.queries == 2  # the gold and the prediction, on the original
 
     def test_interleaved_databases_keep_benchmark_order(self, tmp_path):
         root = tmp_path / "dbroot"
@@ -248,6 +283,85 @@ class TestEvaluateBenchmark:
                            prediction("SELECT name FROM Highschooler"), suite)
         assert not out.valid and not out.ex and not out.ts
         assert "more than 5 rows" in out.invalid_reason
+
+
+# golds for the reference check: the fixture's (three of them read Likes, which
+# the mixed suite's second variant lacks), one more ordered gold, one broken
+# on the original, and two that call a volatile function
+REFERENCE_GOLDS = [sql for _, sql in FIXTURE_QUESTIONS] + [
+    "SELECT name, grade FROM Highschooler ORDER BY grade DESC, name",
+    "SELECT x FROM missing_table",
+    "SELECT random()",
+    "SELECT count(*) FROM Highschooler WHERE random() IS NOT NULL",
+]
+
+
+def reference_outcome(example, prediction, suite):
+    """The (valid, invalid_reason, ex, ts) of one prediction, or None when its
+    gold fails on the original, and the notes evaluate sends, worked out by
+    brute force: both queries run on one-shot connections on every suite
+    file, and the files the gold fails on are skipped."""
+    runs = [(execute_sql(f, example.gold_sql, TIMEOUT_MS),
+             execute_sql(f, prediction.sql, TIMEOUT_MS)) for f in suite.variants]
+    (gold, pred), *variants = runs
+    if isinstance(gold, ExecError):
+        return None, [f"{example.example_id}: gold query failed on {suite.db_id}: "
+                      f"{gold.message}"]
+    if isinstance(pred, ExecError):
+        return (False, pred.message, False, False), []
+    if not compare_results(gold, pred):
+        return (True, None, False, False), []
+    notes = []
+    for variant, (gold, pred) in zip(suite.variants[1:], variants):
+        if isinstance(gold, ExecError):
+            notes.append(f"{example.example_id}: gold failed on variant {variant}; skipped")
+        elif isinstance(pred, ExecError) or not compare_results(gold, pred):
+            return (True, None, True, False), notes
+    return (True, None, True, True), notes
+
+
+@pytest.fixture(scope="module")
+def mixed_suite(network1_db, tmp_path_factory):
+    """A k=3 suite of network_1 whose second variant has no Likes table."""
+    root = tmp_path_factory.mktemp("mixed")
+    built = build_test_suite(network1_db, 2, seed=5, cache_dir=root / "cache")
+    no_likes = root / "no_likes.sqlite"
+    shutil.copy(built.variants[1], no_likes)
+    with closing(sqlite3.connect(no_likes)) as conn:
+        conn.execute("DROP TABLE Likes")
+    variants = [built.variants[0], built.variants[1], no_likes, built.variants[2]]
+    (root / "store").mkdir()
+    return TestSuite("network_1", 5, 3, variants, built.source_sha256, "mixed", root / "store")
+
+
+class TestGoldPredictionAgainstReference:
+    @settings(max_examples=30, deadline=None)
+    @given(golds=st.lists(st.sampled_from(REFERENCE_GOLDS), min_size=1, max_size=6))
+    def test_scores_and_notes(self, mixed_suite, golds):
+        bench = [example(gold, f"e{i:04d}") for i, gold in enumerate(golds)]
+        predictions = {e.example_id: prediction(e.gold_sql, e.example_id) for e in bench}
+        expected, expected_notes = [], []
+        for e in bench:
+            scored, notes = reference_outcome(e, predictions[e.example_id], mixed_suite)
+            if scored is not None:
+                expected.append((e.example_id, *scored))
+            expected_notes += notes
+        (mixed_suite.directory / "gold.marshal").unlink(missing_ok=True)
+        for store_state in ("cold", "warm"):
+            notes = []
+            result = evaluate_benchmark(bench, predictions, {"network_1": mixed_suite},
+                                        notes.append, TIMEOUT_MS)
+            assert scores(result) == expected, store_state
+            assert notes == expected_notes, store_state
+
+    def test_reference_golds_cover_each_case(self, mixed_suite):
+        outcomes = [reference_outcome(example(gold), prediction(gold), mixed_suite)
+                    for gold in REFERENCE_GOLDS]
+        assert (None, ["e0000: gold query failed on network_1: no such table: missing_table"]
+                ) in outcomes
+        assert sum(bool(notes) for _, notes in outcomes) == 4  # three Likes golds + broken
+        assert ((True, None, False, False), []) in outcomes  # SELECT random()
+        assert ((True, None, True, True), []) in outcomes
 
 
 SPECIAL_CELLS = [1, 1.0, "1", b"1", None, -0.0, math.inf, -math.inf, math.nan,

@@ -115,6 +115,16 @@ class TestReusedConnection:
                     sql, timeout_ms = REUSE_POOL[i]
                     assert execute_sql(network1_db, sql, timeout_ms, connections) == one_shot[i]
 
+    def test_unopenable_file_leaves_no_flag_of_the_last_query(self, network1_db, tmp_path):
+        with closing(Connections()) as connections:
+            execute_sql(network1_db, "SELECT random()", TIMEOUT_MS, connections)
+            assert connections.volatile
+            missing = execute_sql(tmp_path / "missing.sqlite", "SELECT 1", TIMEOUT_MS,
+                                  connections)
+            assert missing == ExecError("engine", "unable to open database file")
+            assert not connections.volatile
+            assert connections.queries == 2
+
     def test_plain_file_sees_a_change_between_queries(self, network1_db, tmp_path):
         db = tmp_path / "copy.sqlite"
         shutil.copy(network1_db, db)
