@@ -1,13 +1,16 @@
+import errno
 import hashlib
 import json
 import os
 import random
+import signal
 import sqlite3
 import string
 import subprocess
 import sys
+import threading
 import time
-from contextlib import closing
+from contextlib import closing, contextmanager
 from pathlib import Path
 
 import pytest
@@ -20,7 +23,7 @@ from sqlbench.fuzz import (MAX_ROWS, TestSuite, _column_pools, _generate_table_r
 from sqlbench.schema import ColumnSchema, TableSchema
 
 from conftest import make_network1_db, read_schema
-from pinned_suite import PINNED, pinned_suite_hashes
+from pinned_suite import PINNED, make_pinned_db, pinned_suite_hashes
 
 # child interpreters import sqlbench from this checkout
 CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(sqlbench.__file__).resolve().parent.parent)}
@@ -78,9 +81,39 @@ def sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def run_python(code, *args, timeout=120):
-    return subprocess.run([sys.executable, "-c", code, *map(str, args)], env=CHILD_ENV,
+def run_python(code, *args, timeout=120, flags=()):
+    return subprocess.run([sys.executable, *flags, "-c", code, *map(str, args)], env=CHILD_ENV,
                           capture_output=True, text=True, timeout=timeout)
+
+
+# suite_files for a child interpreter: the sha256 of every file of a suite, by name
+SUITE_FILES = (
+    "def suite_files(suite):\n"
+    "    import hashlib\n"
+    "    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest()\n"
+    "            for p in sorted(suite.directory.iterdir())}\n")
+
+
+def suite_files(suite):
+    return {p.name: sha256(p) for p in sorted(suite.directory.iterdir())}
+
+
+# a build forks only where it finds a second usable CPU
+ONE_CPU = not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
+needs_fork = pytest.mark.skipif(ONE_CPU or not hasattr(os, "fork"),
+                                reason="a build forks only with two usable CPUs")
+
+
+@contextmanager
+def live_thread():
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join(10)
 
 
 def reference_distinct(rows, width, skip_none=False):
@@ -349,15 +382,16 @@ class TestSuiteCache:
         ref = build_test_suite(network1_db, 3, seed=4, cache_dir=tmp_path / "ref")
         suite_rel = ref.variants[1].parent.relative_to(tmp_path / "ref")
         cache = tmp_path / "cache"
-        # the build dies once the first variant is written and the second is due
+        # the building process dies once it has written its first variant,
+        # whatever share of the others forked children write
         proc = run_python(
             "import os, sys\n"
             "from sqlbench import fuzz\n"
-            "real, calls = fuzz._generate_variant, []\n"
+            "real, builder = fuzz._generate_variant, os.getpid()\n"
             "def dying(*args):\n"
-            "    if calls:\n"
+            "    real(*args)\n"
+            "    if os.getpid() == builder:\n"
             "        os._exit(3)\n"
-            "    calls.append(real(*args))\n"
             "fuzz._generate_variant = dying\n"
             "fuzz.build_test_suite(sys.argv[1], 3, 4, sys.argv[2])\n",
             network1_db, cache)
@@ -549,3 +583,184 @@ class TestBuildTestSuite:
         b = build_test_suite(db2, 2, seed=6, cache_dir=tmp_path / "b")
         for va, vb in zip(a.variants[1:], b.variants[1:]):
             assert va.read_bytes() == vb.read_bytes()
+
+
+def running(pid) -> bool:
+    """Whether pid is a process that has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat[stat.rindex(")") + 2] != "Z"
+
+
+class TestForkedBuild:
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or ONE_CPU,
+                        reason="needs sched_setaffinity and two usable CPUs")
+    def test_same_bytes_as_one_process(self, tmp_path):
+        db = make_pinned_db(tmp_path / "pinned.sqlite")
+        # k=5 and k=32 give uneven shares; the last variant is the empty one
+        code = (
+            "import json, os, sys\n"
+            "from sqlbench.fuzz import build_test_suite\n"
+            + SUITE_FILES +
+            "db, cache, pin = sys.argv[1:]\n"
+            "if pin == 'one':\n"
+            "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+            "print(json.dumps({k: suite_files(build_test_suite(db, k, 3, cache, warn=print))\n"
+            "                  for k in (1, 2, 5, 32)}))\n")
+        got = {}
+        for cpus in ("one", "all"):
+            proc = run_python(code, db, tmp_path / cpus, cpus)
+            assert proc.returncode == 0, proc.stderr
+            got[cpus] = proc.stdout
+        assert got["all"] == got["one"]
+        *_, files = got["one"].splitlines()  # after the warnings
+        for k, names in json.loads(files).items():
+            assert sorted(names) == sorted([f"variant_{i}.db" for i in range(1, int(k) + 1)]
+                                           + ["manifest.json"])
+
+    @needs_fork
+    def test_child_that_dies_fails_the_build(self, network1_db, tmp_path, monkeypatch):
+        ref = build_test_suite(network1_db, 4, seed=4, cache_dir=tmp_path / "ref")
+        suite_rel = ref.directory.relative_to(tmp_path / "ref")
+        builder, real = os.getpid(), fuzz._generate_variant
+
+        def dying(*args):
+            if os.getpid() != builder:
+                os._exit(7)
+            real(*args)
+
+        monkeypatch.setattr(fuzz, "_generate_variant", dying)
+        cache = tmp_path / "cache"
+        start = time.monotonic()
+        with pytest.raises(fuzz.SuiteError, match="exited with code 7 before it reported"):
+            build_test_suite(network1_db, 4, seed=4, cache_dir=cache)
+        assert time.monotonic() - start < 10
+        assert not (cache / suite_rel).exists()
+        assert not list(cache.rglob(".build-*"))
+        monkeypatch.undo()
+        suite = build_test_suite(network1_db, 4, seed=4, cache_dir=cache)
+        assert suite_files(suite) == suite_files(ref)
+
+    @needs_fork
+    @pytest.mark.parametrize("failing", [{2}, {2, 3}, {3, 4}])
+    def test_child_error_reaches_the_caller(self, network1_db, tmp_path, monkeypatch, failing):
+        real = fuzz._generate_variant
+
+        def failing_variants(tables, orig_data, rng, out_file, empty):
+            if int(out_file.stem.removeprefix("variant_")) in failing:
+                raise fuzz.SuiteError(f"{out_file.name} cannot be written")
+            real(tables, orig_data, rng, out_file, empty)
+
+        monkeypatch.setattr(fuzz, "_generate_variant", failing_variants)
+        with live_thread():  # one process: the reference
+            with pytest.raises(fuzz.SuiteError) as one:
+                build_test_suite(network1_db, 4, seed=4, cache_dir=tmp_path / "one")
+        with pytest.raises(fuzz.SuiteError) as forked:
+            build_test_suite(network1_db, 4, seed=4, cache_dir=tmp_path / "forked")
+        assert str(forked.value) == str(one.value) == f"variant_{min(failing)}.db cannot be written"
+        assert not list(tmp_path.rglob("variant_*.db"))
+
+    @needs_fork
+    def test_failed_fork_writes_the_share_here(self, network1_db, tmp_path, monkeypatch):
+        ref = build_test_suite(network1_db, 5, seed=4, cache_dir=tmp_path / "ref")
+        real, pids = fuzz._generate_variant, []
+
+        def no_fork():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        def recorded(*args):
+            pids.append(os.getpid())
+            real(*args)
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(fuzz, "_generate_variant", recorded)
+        suite = build_test_suite(network1_db, 5, seed=4, cache_dir=tmp_path / "cache")
+        assert pids == [os.getpid()] * 5
+        assert suite_files(suite) == suite_files(ref)
+
+    @needs_fork
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+    def test_killed_builder_leaves_no_child(self, network1_db, tmp_path):
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        # the builder stops in its first variant; each child marks itself and
+        # takes a while over each of its variants
+        code = (
+            "import os, sys, time\n"
+            "from pathlib import Path\n"
+            "from sqlbench import fuzz\n"
+            "db, cache, marks = sys.argv[1:]\n"
+            "builder, real = os.getpid(), fuzz._generate_variant\n"
+            "def slow(*args):\n"
+            "    if os.getpid() == builder:\n"
+            "        Path(marks, 'builder').touch()\n"
+            "        time.sleep(60)\n"
+            "    Path(marks, f'child-{os.getpid()}').touch()\n"
+            "    time.sleep(0.3)\n"
+            "    real(*args)\n"
+            "fuzz._generate_variant = slow\n"
+            "fuzz.build_test_suite(db, 8, 4, cache)\n")
+        builder = subprocess.Popen([sys.executable, "-c", code, str(network1_db),
+                                    str(tmp_path / "cache"), str(marks)], env=CHILD_ENV,
+                                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        n_children = fuzz._processes(8) - 1
+        children = set()
+        try:
+            deadline = time.monotonic() + 30
+            while (not (marks / "builder").exists() or len(children) < n_children) \
+                    and time.monotonic() < deadline:
+                time.sleep(0.01)
+                children = {int(p.name.removeprefix("child-")) for p in marks.glob("child-*")}
+            assert len(children) == n_children
+            assert any(running(pid) for pid in children)  # killed mid-build
+        finally:
+            builder.kill()
+            builder.wait(10)
+        deadline = time.monotonic() + 15
+        while any(running(pid) for pid in children) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(running(pid) for pid in children)
+        assert not list((tmp_path / "cache").rglob("manifest.json"))
+
+    def test_a_live_thread_means_one_process(self, network1_db, tmp_path):
+        ref = build_test_suite(network1_db, 5, seed=4, cache_dir=tmp_path / "ref")
+        # -W error: a fork with a thread running warns from Python 3.12
+        code = (
+            "import json, os, sys, threading\n"
+            "from sqlbench import fuzz\n"
+            + SUITE_FILES +
+            "stop = threading.Event()\n"
+            "thread = threading.Thread(target=stop.wait)\n"
+            "thread.start()\n"
+            "real, pids = fuzz._generate_variant, []\n"
+            "def recorded(*args):\n"
+            "    pids.append(os.getpid())\n"
+            "    real(*args)\n"
+            "fuzz._generate_variant = recorded\n"
+            "suite = fuzz.build_test_suite(sys.argv[1], 5, 4, sys.argv[2])\n"
+            "stop.set()\n"
+            "thread.join()\n"
+            "print(json.dumps({'pids': pids == [os.getpid()] * 5,\n"
+            "                  'multiprocessing': 'multiprocessing' in sys.modules,\n"
+            "                  'files': suite_files(suite)}))\n")
+        proc = run_python(code, network1_db, tmp_path / "cache", flags=("-W", "error"))
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"pids": True, "multiprocessing": False,
+                                           "files": suite_files(ref)}
+
+    @needs_fork
+    def test_pool_worker_builds_in_one_process(self, network1_db, tmp_path):
+        ref = build_test_suite(network1_db, 5, seed=4, cache_dir=tmp_path / "ref")
+        # a pool worker is a daemonic process, which may start no child
+        code = (
+            "import json, multiprocessing, sys\n"
+            "from sqlbench.fuzz import build_test_suite\n"
+            + SUITE_FILES +
+            "with multiprocessing.get_context('spawn').Pool(1) as pool:\n"
+            "    suite = pool.apply(build_test_suite, (sys.argv[1], 5, 4, sys.argv[2]))\n"
+            "print(json.dumps(suite_files(suite)))\n")
+        proc = run_python(code, network1_db, tmp_path / "cache")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == suite_files(ref)
