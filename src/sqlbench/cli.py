@@ -152,7 +152,7 @@ def _write_manifest(args, extra: dict):
         "code_version": __version__,
     }
     manifest.update(extra)
-    Path(str(args.out) + ".manifest.json").write_text(json.dumps(manifest, indent=2, default=str))
+    _write(str(args.out) + ".manifest.json", [json.dumps(manifest, indent=2, default=str)])
 
 
 class RunConfig(NamedTuple):
@@ -201,11 +201,17 @@ def _read_manifest(artifact_path) -> Manifest:
                     raw.get("model") or "", len(raw.get("gold_broken") or []))
 
 
-def _write_jsonl(path: Path, records):
+def _write(path, chunks) -> None:
+    """Write the strings of chunks, in order, to the file path, making its
+    directory first. Every file a command writes is written here."""
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as f:
-        for rec in records:
-            f.write(json.dumps(rec) + "\n")
+        f.writelines(chunks)
+
+
+def _write_jsonl(path, records) -> None:
+    _write(path, (json.dumps(rec) + "\n" for rec in records))
 
 
 def _warn(message: str) -> None:
@@ -246,9 +252,7 @@ def cmd_prompt(args) -> None:
         train = load_benchmark(args.train)
         support = select_support(train, args.shots, args.seed,
                                  lambda message: _warn(f"train: {message}"))
-        support_out = args.out.with_suffix(".support.json")
-        support_out.parent.mkdir(parents=True, exist_ok=True)
-        support_out.write_text(support.to_json())
+        _write(args.out.with_suffix(".support.json"), [support.to_json()])
     else:  # a zero-shot run reads no training split, so its manifest names none
         args.train = None
 
@@ -318,8 +322,7 @@ def cmd_predict(args) -> None:
         "prompt_config": prompt_manifest.config.values})
     if args.sql_out:
         sql = {r["example_id"]: r["sql"] for r in records}
-        Path(args.sql_out).write_text("".join(sql.get(e.example_id, "") + "\n"
-                                              for e in sql_order))
+        _write(args.sql_out, (sql.get(e.example_id, "") + "\n" for e in sql_order))
     print(f"wrote {len(records)} predictions to {args.out}")
 
 
@@ -404,7 +407,7 @@ def cmd_report(args) -> None:
             breakdown(outcomes, annotations, sum(n_broken for _, _, n_broken, _ in runs)))
 
     if args.out:
-        Path(args.out).write_text(text if text.endswith("\n") else text + "\n")
+        _write(args.out, [text, "" if text.endswith("\n") else "\n"])
         print(f"wrote {args.out}")
     else:
         print(text)
@@ -418,8 +421,7 @@ def cmd_suite(args) -> None:
 def cmd_annotate(args) -> None:
     outcomes = EvalOutcome.load(args.outcomes)
     ids = sample_for_annotation(outcomes, args.n, args.seed, _warn)
-    text = annotation_skeleton(ids)
-    Path(args.out).write_text(text)
+    _write(args.out, [annotation_skeleton(ids)])
     print(f"wrote annotation skeleton with {len(ids)} examples to {args.out}")
 
 

@@ -40,10 +40,6 @@ class ErrorCategory(Enum):
         return member
 
 
-MANUAL_CATEGORIES = {cat for cat in ErrorCategory if cat.manual}
-BREAKDOWN_ROWS = [(cat.label, cat) for cat in ErrorCategory]
-
-
 @dataclass
 class AnnotationRecord:
     example_id: str
@@ -128,8 +124,8 @@ def breakdown(outcomes: list[EvalOutcome], annotations: list[AnnotationRecord],
     predictions count as Other Semantic Incorrect. annotations are as
     load_annotations returns them: one per example, each in outcomes."""
     by_example = {a.example_id: a for a in annotations}
-    counts = {cat: 0 for _, cat in BREAKDOWN_ROWS}
-    error_counts = {cat: 0 for _, cat in BREAKDOWN_ROWS}
+    counts = dict.fromkeys(ErrorCategory, 0)
+    error_counts = dict.fromkeys(ErrorCategory, 0)
     n_annotated = 0
     for o in outcomes:
         if o.ts:
@@ -146,11 +142,10 @@ def breakdown(outcomes: list[EvalOutcome], annotations: list[AnnotationRecord],
 
     total = len(outcomes) + n_gold_broken
     rows = []
-    for label, cat in BREAKDOWN_ROWS:
+    for cat in ErrorCategory:
         pct = 100.0 * counts[cat] / total if total else 0.0
-        epct = (100.0 * error_counts[cat] / n_annotated
-                if n_annotated and cat in MANUAL_CATEGORIES else None)
-        rows.append({"category": label, "count": counts[cat], "pct": pct, "e_pct": epct})
+        epct = 100.0 * error_counts[cat] / n_annotated if n_annotated and cat.manual else None
+        rows.append({"category": cat.label, "count": counts[cat], "pct": pct, "e_pct": epct})
     if n_gold_broken:
         rows.append({"category": "Gold Broken", "count": n_gold_broken,
                      "pct": 100.0 * n_gold_broken / total, "e_pct": None})

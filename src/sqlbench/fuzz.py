@@ -15,11 +15,12 @@ sha256 check fails on reuse and is regenerated.
 A cold build writes its variants from one process per usable CPU, at most
 k: the caller writes one fixed share and forked children the others. It
 stays in one process where there is one usable CPU, where the platform cannot
-fork, where another thread runs, or in a daemonic process such as a pool
-worker. No option sets this, and the variants do not depend on it: each
-draws from its own generator, seeded by (seed, variant number), so a variant
-is a pure function of (source content, seed, k). A builder that is killed, or
-a child that dies, leaves at most its build directory, never returned.
+fork, or where another thread runs. No option sets this, and the variants do
+not depend on it: each draws from its own generator, seeded by (seed, variant
+number), so a variant is a pure function of (source content, seed, k). A
+child is a plain os.fork that reports only by its exit code, and the caller
+writes again any share whose child did not exit 0. A builder that is killed
+leaves at most its build directory, never returned.
 A variant is never written again once renamed into place, so eval opens it
 immutable (execution.Connections): no lock and no change-counter read per
 query. Editing one by hand during an eval is unsupported; the next reuse's
@@ -36,9 +37,9 @@ import json
 import os
 import random
 import shutil
+import signal
 import sqlite3
 import string
-import sys
 import threading
 import uuid
 from contextlib import closing
@@ -392,27 +393,21 @@ def _report_empty_tables(tables: list[TableSchema], orig_data: dict, empty_table
 
 
 def _write_share(tables: list[TableSchema], orig_data: dict, header: dict, out_dir: Path,
-                 share: range) -> tuple[dict[int, str], tuple[int, Exception] | None]:
-    """Write the variants numbered in share into out_dir, in order. Returns
-    their sha256s by number, and the number and exception of the first
-    variant that fails, which ends the share (None when every one is written)."""
+                 share: range) -> tuple[int, Exception] | None:
+    """Write the variants numbered in share into out_dir, in order, each in
+    place of any file a process that died left there. Returns the number and
+    exception of the first variant that fails, which ends the share, or None
+    when every one is written."""
     seed, k = header["seed"], header["k"]
-    hashes = {}
     for i in share:
         rng = random.Random(f"{seed}:{i}")  # each variant draws from its own generator
         out_file = out_dir / f"variant_{i}.db"
         try:
+            out_file.unlink(missing_ok=True)
             _generate_variant(tables, orig_data, rng, out_file, i == k)  # last one: empty
-            hashes[i] = _sha256(out_file)
-        except Exception as e:  # reported, and raised by _write_variants
-            return hashes, (i, e)
-    return hashes, None
-
-
-def _share_child(writer, *share_args) -> None:
-    """A forked child's whole work: one share, whose result goes to writer."""
-    with writer:
-        writer.send(_write_share(*share_args))
+        except Exception as e:  # raised by _write_variants
+            return i, e
+    return None
 
 
 def _processes(k: int) -> int:
@@ -421,9 +416,6 @@ def _processes(k: int) -> int:
     a thread holding a lock at the fork would leave it held in the child."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    multiprocessing = sys.modules.get("multiprocessing")
-    if multiprocessing is not None and multiprocessing.current_process().daemon:
-        return 1  # a daemonic process, such as a pool worker, may start no child
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -432,61 +424,48 @@ def _processes(k: int) -> int:
 
 
 def _write_variants(tables: list[TableSchema], orig_data: dict, header: dict,
-                    out_dir: Path) -> dict[int, str]:
-    """Write variants 1..k into out_dir; return their sha256s by number.
-
-    The variants are split into fixed strided shares, one per process: the
-    calling process writes the first and forked children the others, each
-    given its whole share up front. A child reports through a pipe and leaves
-    only by os._exit, so it never runs a caller's cleanup. Every child is
-    joined before anything is raised; then the exception of the lowest
-    failing variant is raised, the one a single process would raise first."""
+                    out_dir: Path) -> None:
+    """Write variants 1..k into out_dir, in fixed strided shares, one per
+    process: the calling process writes the first and forked children the
+    others. A child leaves only by os._exit, so it never runs a caller's
+    cleanup, and with code 0 only once its whole share is written. The caller
+    waits for each child in turn and itself writes again every share whose
+    child did not exit 0 or could not be forked. So whatever is raised here is
+    raised in the calling process: the exception of the lowest failing
+    variant, the one a single process would raise first."""
     k = header["k"]
     n = _processes(k)
     shares = [range(1 + j, k + 1, n) for j in range(n)]
-    if n == 1:
-        results = [_write_share(tables, orig_data, header, out_dir, shares[0])]
-    else:
-        # fork, not spawn: a child starts with the source rows already read,
-        # and nothing is pickled on the way in
-        import multiprocessing
-        context = multiprocessing.get_context("fork")
-        own, children = [shares[0]], []
-        try:
-            for share in shares[1:]:
-                reader, writer = context.Pipe(duplex=False)
-                child = context.Process(target=_share_child,
-                                        args=(writer, tables, orig_data, header, out_dir, share))
+    own, children = [shares[0]], []
+    try:
+        for share in shares[1:]:
+            try:
+                pid = os.fork()
+            except OSError:  # no process to be had: this one writes the share
+                own.append(share)
+                continue
+            if pid == 0:
                 try:
-                    child.start()
-                except OSError:  # no process to be had: this one writes the share
-                    own.append(share)
-                    reader.close()
-                    continue
+                    os._exit(1 if _write_share(tables, orig_data, header, out_dir, share) else 0)
                 finally:
-                    writer.close()  # else a later child holds it and recv never sees EOF
-                children.append((child, reader, share))
-            results = [_write_share(tables, orig_data, header, out_dir, share) for share in own]
-            for child, reader, share in children:
-                try:
-                    results.append(reader.recv())
-                except EOFError:  # it died somewhere in its share: at its first, say
-                    child.join()
-                    results.append(({}, (share[0], SuiteError(
-                        f"a process writing suite variants exited with code "
-                        f"{child.exitcode} before it reported"))))
-        except BaseException:
-            for child, _, _ in children:
-                child.terminate()
-            raise
-        finally:
-            for child, reader, _ in children:
-                child.join()
-                reader.close()
-    failures = [failure for _, failure in results if failure is not None]
+                    os._exit(1)
+            children.append((pid, share))
+        failures = [_write_share(tables, orig_data, header, out_dir, share) for share in own]
+        while children:
+            pid, share = children[0]
+            _, status = os.waitpid(pid, 0)
+            del children[0]
+            if status != 0:  # it failed or died somewhere in its share
+                failures.append(_write_share(tables, orig_data, header, out_dir, share))
+    except BaseException:
+        # SIGKILL: a child may have inherited an ignored SIGTERM
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    failures = [failure for failure in failures if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
-    return {i: sha for done, _ in results for i, sha in done.items()}
 
 
 def _generate_suite(db_file: Path, conn: sqlite3.Connection, header: dict, out_dir: Path,
@@ -503,8 +482,9 @@ def _generate_suite(db_file: Path, conn: sqlite3.Connection, header: dict, out_d
     orig_data = {t.name.lower(): _column_pools(conn, t) for t in tables}
     _report_empty_tables(tables, orig_data, empty_table)
 
-    by_number = _write_variants(tables, orig_data, header, out_dir)
-    hashes = {f"variant_{i}.db": by_number[i] for i in range(1, header["k"] + 1)}
+    _write_variants(tables, orig_data, header, out_dir)
+    names = [f"variant_{i}.db" for i in range(1, header["k"] + 1)]
+    hashes = {name: _sha256(out_dir / name) for name in names}
     (out_dir / "manifest.json").write_text(json.dumps({**header, "variant_sha256": hashes}))
     return list(hashes.values())
 

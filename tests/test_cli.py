@@ -304,12 +304,14 @@ class TestPredict:
         skipped = json.loads((workdir / "budget.prompts.jsonl.manifest.json").read_text())[
             "skipped"]
         assert len(skipped) == 4
-        assert run("predict", "--prompts", prompts, "--backend", "gold",
-                   "--benchmark", fixture_benchmark_path, "--out", workdir / "p2.jsonl",
-                   "--sql-out", sql_out) == 0
         golds = [sql for _, sql in FIXTURE_QUESTIONS]
-        assert sql_out.read_text().splitlines() == [
-            "" if f"e{i:04d}" in skipped else sql for i, sql in enumerate(golds)]
+        # the second into a directory that does not exist yet
+        for sql_out in (sql_out, workdir / "sql-dir" / "budget.sql"):
+            assert run("predict", "--prompts", prompts, "--backend", "gold",
+                       "--benchmark", fixture_benchmark_path, "--out", workdir / "p2.jsonl",
+                       "--sql-out", sql_out) == 0
+            assert sql_out.read_text().splitlines() == [
+                "" if f"e{i:04d}" in skipped else sql for i, sql in enumerate(golds)]
 
     def test_sql_out_needs_prompt_manifest(self, workdir, prompts_file, capsys):
         """Refused before any completion is asked for: the empty replay file
@@ -438,11 +440,12 @@ class TestReport:
         assert "100.0" in out and "VA" in out
 
     def test_metrics_csv_to_file(self, workdir, outcomes_file):
-        dest = workdir / "metrics.csv"
-        rc = run("report", "metrics", "--runs", outcomes_file, "--format", "csv",
-                 "--out", dest)
-        assert rc == 0
-        assert "va_pct" in dest.read_text()
+        # the second into a directory that does not exist yet
+        for dest in (workdir / "metrics.csv", workdir / "metrics-dir" / "metrics.csv"):
+            rc = run("report", "metrics", "--runs", outcomes_file, "--format", "csv",
+                     "--out", dest)
+            assert rc == 0
+            assert "va_pct" in dest.read_text()
 
     def test_runs_differing_by_model_get_their_own_rows(
             self, workdir, prompts_file, outcomes_file, fixture_benchmark_path, db_root):
@@ -802,13 +805,14 @@ class TestAnnotate:
             json.dumps({"example_id": f"e{i}", "valid": True, "invalid_reason": None,
                         "ex": False, "ts": False, "timing_ms": 1.0}) + "\n"
             for i in range(6)))
-        dest = outdir / "skeleton.jsonl"
-        rc = run("annotate", "--outcomes", outcomes, "--n", "4", "--seed", "3",
-                 "--out", dest)
-        assert rc == 0
-        records = read_jsonl(dest)
-        assert len(records) == 4
-        assert all(r["category"] == "" for r in records)
+        # the second into a directory that does not exist yet
+        for dest in (outdir / "skeleton.jsonl", outdir / "new" / "skeleton.jsonl"):
+            rc = run("annotate", "--outcomes", outcomes, "--n", "4", "--seed", "3",
+                     "--out", dest)
+            assert rc == 0
+            records = read_jsonl(dest)
+            assert len(records) == 4
+            assert all(r["category"] == "" for r in records)
 
 
 @pytest.fixture
