@@ -46,13 +46,19 @@ def finalize_sql(raw_completion: str) -> str:
     body = raw_completion[:cut].strip()
     if not body:
         return EMPTY_PREDICTION
-    body = re.sub(r"[ \t]*\n[ \t]*", " ", body)
-    return "SELECT " + body
+    return "SELECT " + one_line(body)
+
+
+def one_line(sql: str) -> str:
+    """sql with each line break, and the blanks around it, made one space."""
+    return re.sub(r"[ \t]*\n[ \t]*", " ", sql)
 
 
 def gold_completion(gold_sql: str) -> str:
-    """The completion that finalize_sql turns back into gold_sql: the query
-    body after its leading SELECT."""
+    """The completion the gold backend records: the query body after its
+    leading SELECT. finalize_sql does not always turn it back into gold_sql,
+    since a stop string inside a literal cuts it, so the gold backend's SQL
+    is gold_sql itself."""
     gold = gold_sql.strip()
     if gold.lower().startswith("select"):
         gold = gold[len("select"):]

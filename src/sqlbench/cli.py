@@ -16,7 +16,7 @@ import yaml
 
 from . import __version__
 from .backend import (BackendError, HttpBackend, Prediction, ReplayBackend, gold_completion,
-                      predict)
+                      one_line, predict)
 from .dataset import (IngestionError, check_fields, db_path, load_benchmark, read_jsonl,
                       select_support)
 from .errors import annotation_skeleton, breakdown, load_annotations, sample_for_annotation
@@ -293,6 +293,7 @@ def cmd_predict(args) -> None:
     if args.sql_out and not prompt_manifest.config.benchmark:
         raise UsageError(f"--sql-out needs the benchmark that {args.prompts}.manifest.json "
                          "names in config.benchmark")
+    golds = {}  # the gold backend's SQL: each gold query as it is, never cut at a stop string
     if args.backend == "replay":
         if not args.replay_file:
             raise UsageError("replay backend requires --replay-file")
@@ -301,8 +302,9 @@ def cmd_predict(args) -> None:
     elif args.backend == "gold":
         if not args.benchmark:
             raise UsageError("gold backend requires --benchmark")
-        backend = ReplayBackend({e.example_id: gold_completion(e.gold_sql)
-                                 for e in load_benchmark(args.benchmark)})
+        golds = {e.example_id: e.gold_sql for e in load_benchmark(args.benchmark)}
+        backend = ReplayBackend({example_id: gold_completion(gold)
+                                 for example_id, gold in golds.items()})
     else:
         if not args.base_url:
             raise UsageError("http backend requires --base-url")
@@ -313,8 +315,8 @@ def cmd_predict(args) -> None:
     for rec in read_jsonl(args.prompts, {"example_id": str, "prompt": str}):
         p = predict(rec["example_id"], rec["prompt"], backend, args.max_tokens,
                     args.temperature)
-        records.append({"example_id": p.example_id,
-                        "raw_completion": p.raw_completion, "sql": p.sql})
+        records.append({"example_id": p.example_id, "raw_completion": p.raw_completion,
+                        "sql": golds.get(p.example_id, p.sql)})
 
     _write_jsonl(args.out, records)
     _write_manifest(args, {} if prompt_manifest.config.values is None else {
@@ -322,7 +324,7 @@ def cmd_predict(args) -> None:
         "prompt_config": prompt_manifest.config.values})
     if args.sql_out:
         sql = {r["example_id"]: r["sql"] for r in records}
-        _write(args.sql_out, (sql.get(e.example_id, "") + "\n" for e in sql_order))
+        _write(args.sql_out, (one_line(sql.get(e.example_id, "")) + "\n" for e in sql_order))
     print(f"wrote {len(records)} predictions to {args.out}")
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from .backend import EMPTY_PREDICTION, Prediction
 from .dataset import ExampleRecord, read_jsonl
 from .execution import Connections, ExecError, compare_results, execute_sql
-from .fuzz import TestSuite
+from .fuzz import TestSuite, run_shares, strided_shares
 from .store import GoldStore
 
 
@@ -128,6 +128,34 @@ class BenchmarkEvaluation:
     queries: int = 0  # SQL queries run, gold and prediction alike
 
 
+def _score_group(examples: list[ExampleRecord], indices: list[int],
+                 predictions: dict[str, Prediction], suite: TestSuite,
+                 timeout_ms: int) -> tuple:
+    """Score the examples at indices, all of suite's database, on one set of
+    connections and one gold store. Returns plain values, which a forked
+    child can marshal: per example, its outcome's fields, or None when its
+    gold is broken, and its notes; then the queries run, the store's hits
+    and misses, and the store's warning or None."""
+    scored = []
+    # the fuzzed variants are cache files never rewritten in place
+    with closing(Connections(immutable=suite.variants[1:])) as connections, \
+            closing(GoldStore(suite)) as store:
+        for i in indices:
+            example = examples[i]
+            notes: list[str] = []
+            try:
+                outcome = evaluate(example, predictions[example.example_id], suite,
+                                   timeout_ms, notes.append, connections, store)
+                # in field order; dataclasses.astuple would deep-copy each field
+                fields = tuple(vars(outcome).values())
+            except GoldBrokenError as e:
+                fields = None
+                notes.append(str(e))
+            scored.append((fields, notes))
+    warning = store.warning and f"gold store {store.path}: {store.warning}"
+    return scored, connections.queries, store.hits, store.misses, warning
+
+
 def evaluate_benchmark(examples: list[ExampleRecord], predictions: dict[str, Prediction],
                        suites: dict[str, TestSuite], warn,
                        timeout_ms: int) -> BenchmarkEvaluation:
@@ -135,46 +163,59 @@ def evaluate_benchmark(examples: list[ExampleRecord], predictions: dict[str, Pre
 
     Examples run grouped by database, so each suite file is opened once per
     group, the suite's gold store is read once per group and written at most
-    once, and at most one suite's connections are open at a time. Outcomes,
-    gold-broken ids and the warnings sent to warn still come out in benchmark
-    order, after one warning per gold store that failed. Gold-broken examples
-    are excluded from outcomes and listed separately.
+    once, and at most one suite's connections are open at a time in a
+    process. Outcomes, gold-broken ids and the warnings sent to warn still
+    come out in benchmark order, after one warning per gold store that
+    failed. Gold-broken examples are excluded from outcomes and listed
+    separately.
+
+    The groups, in the order their databases first appear, are split into
+    fixed strided shares, one per usable CPU and at most one per group
+    (fuzz.strided_shares). The calling process scores the first share and
+    forked children the others (fuzz.run_shares); no two groups share a
+    connection or a gold store. Eval stays in one process where the platform
+    cannot fork, where another thread runs, and where every suite has k = 1:
+    an example then runs at most four queries, and a second busy CPU costs
+    each example more than it saves. No option sets this, and the result
+    does not depend on it. A share whose child dies is scored again by the
+    caller, so its groups' stores may count extra hits: the results the
+    child stored before it died.
     """
     groups: dict[str, list[int]] = {}
     for i, example in enumerate(examples):
         if example.example_id in predictions and example.db_id in suites:
             groups.setdefault(example.db_id, []).append(i)
 
-    result = BenchmarkEvaluation(outcomes=[], gold_broken=[])
-    scored: dict[int, tuple[EvalOutcome | None, list[str]]] = {}
-    for db_id, indices in groups.items():
-        suite = suites[db_id]
-        # the fuzzed variants are cache files never rewritten in place
-        with closing(Connections(immutable=suite.variants[1:])) as connections, \
-                closing(GoldStore(suite)) as store:
-            for i in indices:
-                example = examples[i]
-                notes: list[str] = []
-                try:
-                    outcome = evaluate(example, predictions[example.example_id], suite,
-                                       timeout_ms, notes.append, connections, store)
-                except GoldBrokenError as e:
-                    outcome = None
-                    notes.append(str(e))
-                scored[i] = (outcome, notes)
-        result.queries += connections.queries
-        result.gold_store["hits"] += store.hits
-        result.gold_store["misses"] += store.misses
-        if store.warning:
-            warn(f"gold store {store.path}: {store.warning}")
+    order = list(groups)
+    shares = ([order] if all(suites[db_id].k == 1 for db_id in order)
+              else strided_shares(order))
 
-    for i, (outcome, notes) in sorted(scored.items()):
+    def score_share(share: list[str]) -> list[tuple]:
+        return [_score_group(examples, groups[db_id], predictions, suites[db_id], timeout_ms)
+                for db_id in share]
+
+    by_group = {}
+    for share, scored_groups in zip(shares, run_shares(shares, score_share)):
+        by_group.update(zip(share, scored_groups))
+
+    result = BenchmarkEvaluation(outcomes=[], gold_broken=[])
+    scored: dict[int, tuple[tuple | None, list[str]]] = {}
+    for db_id, indices in groups.items():
+        group_scored, queries, hits, misses, warning = by_group[db_id]
+        scored.update(zip(indices, group_scored))
+        result.queries += queries
+        result.gold_store["hits"] += hits
+        result.gold_store["misses"] += misses
+        if warning:
+            warn(warning)
+
+    for i, (fields, notes) in sorted(scored.items()):
         for note in notes:
             warn(note)
-        if outcome is None:
+        if fields is None:
             result.gold_broken.append(examples[i].example_id)
         else:
-            result.outcomes.append(outcome)
+            result.outcomes.append(EvalOutcome(*fields))
     for i, example in enumerate(examples):
         if i not in scored:
             reason = ("no prediction" if example.example_id not in predictions

@@ -18,9 +18,11 @@ stays in one process where there is one usable CPU, where the platform cannot
 fork, or where another thread runs. No option sets this, and the variants do
 not depend on it: each draws from its own generator, seeded by (seed, variant
 number), so a variant is a pure function of (source content, seed, k). A
-child is a plain os.fork that reports only by its exit code, and the caller
-writes again any share whose child did not exit 0. A builder that is killed
-leaves at most its build directory, never returned.
+builder that is killed leaves at most its build directory, never returned.
+run_shares is the program's one use of os.fork, for the suite build and for
+eval's database groups (evaluate.evaluate_benchmark): a child is a plain fork
+that sends back only the marshalled result of its share, and the caller runs
+again any share whose child did not exit 0 or sent no result it can load.
 A variant is never written again once renamed into place, so eval opens it
 immutable (execution.Connections): no lock and no change-counter read per
 query. Editing one by hand during an eval is unsupported; the next reuse's
@@ -34,6 +36,7 @@ from __future__ import annotations
 import errno
 import hashlib
 import json
+import marshal
 import os
 import random
 import shutil
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from warnings import warn as python_warn
 
-from .schema import TableSchema, connect_ro, introspect
+from .schema import TableSchema, connect_ro, introspect, quote_name
 
 GENERATOR_VERSION = "1"
 MAX_ROWS = 64
@@ -147,7 +150,7 @@ def _distinct_columns(rows: list[tuple], width: int) -> list[list]:
 
 
 def _column_pools(conn: sqlite3.Connection, table: TableSchema) -> tuple[list[tuple], list[list]]:
-    rows = [tuple(r) for r in conn.execute(f'SELECT * FROM "{table.name}"')]
+    rows = [tuple(r) for r in conn.execute(f"SELECT * FROM {quote_name(table.name)}")]
     return rows, _distinct_columns(rows, len(table.columns))
 
 
@@ -310,7 +313,7 @@ def _generate_variant(
             rows = generated[table.name.lower()]
             if rows:
                 marks = ",".join("?" * len(table.columns))
-                conn.executemany(f'INSERT INTO "{table.name}" VALUES ({marks})', rows)
+                conn.executemany(f"INSERT INTO {quote_name(table.name)} VALUES ({marks})", rows)
         conn.execute("COMMIT")
     finally:
         conn.close()
@@ -411,9 +414,9 @@ def _write_share(tables: list[TableSchema], orig_data: dict, header: dict, out_d
 
 
 def _processes(k: int) -> int:
-    """How many processes write a suite of k variants: one per usable CPU, at
-    most k. One where this platform cannot fork, or where another thread runs:
-    a thread holding a lock at the fork would leave it held in the child."""
+    """How many processes share k parts of work: one per usable CPU, at most
+    k. One where this platform cannot fork, or where another thread runs: a
+    thread holding a lock at the fork would leave it held in the child."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     try:
@@ -423,47 +426,90 @@ def _processes(k: int) -> int:
     return min(cpus, k)
 
 
-def _write_variants(tables: list[TableSchema], orig_data: dict, header: dict,
-                    out_dir: Path) -> None:
-    """Write variants 1..k into out_dir, in fixed strided shares, one per
-    process: the calling process writes the first and forked children the
-    others. A child leaves only by os._exit, so it never runs a caller's
-    cleanup, and with code 0 only once its whole share is written. The caller
-    waits for each child in turn and itself writes again every share whose
-    child did not exit 0 or could not be forked. So whatever is raised here is
-    raised in the calling process: the exception of the lowest failing
-    variant, the one a single process would raise first."""
-    k = header["k"]
-    n = _processes(k)
-    shares = [range(1 + j, k + 1, n) for j in range(n)]
-    own, children = [shares[0]], []
+def strided_shares(items):
+    """items split into one fixed strided share per process (_processes):
+    share j is items[j::n]. Never fewer than one share."""
+    n = max(_processes(len(items)), 1)
+    return [items[j::n] for j in range(n)]
+
+
+def run_shares(shares: list, work) -> list:
+    """work(share) for each of shares, in their order: the first share in the
+    calling process, each other in a forked child. A child sends the
+    marshal.dumps of its result through a pipe and leaves only by os._exit,
+    so it never runs a caller's cleanup: with code 0 once its result is sent,
+    else with 1, also when its result cannot be marshalled. The caller reads
+    each child's pipe to its end, then waits for the child, and itself runs
+    again every share whose child did not exit 0 or sent bytes that do not
+    load, and every share it could not fork for. So a result is the one this
+    process would get, and whatever work raises is raised here. An
+    interrupted caller (any BaseException) SIGKILLs and reaps every child it
+    has not waited for, then re-raises."""
+    own, children = [0], []  # numbers of the shares run here; (pid, pipe, number)
+    results = [None] * len(shares)
     try:
-        for share in shares[1:]:
+        for j in range(1, len(shares)):
+            try:
+                read_end, write_end = os.pipe()
+            except OSError:  # no file descriptor to be had: this one runs the share
+                own.append(j)
+                continue
             try:
                 pid = os.fork()
-            except OSError:  # no process to be had: this one writes the share
-                own.append(share)
+            except OSError:  # no process to be had: this one runs the share
+                os.close(read_end)
+                os.close(write_end)
+                own.append(j)
                 continue
             if pid == 0:
                 try:
-                    os._exit(1 if _write_share(tables, orig_data, header, out_dir, share) else 0)
+                    data = marshal.dumps(work(shares[j]))
+                    with open(write_end, "wb") as pipe:
+                        pipe.write(data)
+                    os._exit(0)
                 finally:
                     os._exit(1)
-            children.append((pid, share))
-        failures = [_write_share(tables, orig_data, header, out_dir, share) for share in own]
+            # closed here at once: a write end left open in this process, or
+            # inherited by a later child, keeps its pipe from ever ending
+            os.close(write_end)
+            children.append((pid, open(read_end, "rb"), j))
+        for j in own:
+            results[j] = work(shares[j])
         while children:
-            pid, share = children[0]
+            pid, pipe, j = children[0]
+            with pipe:
+                data = pipe.read()
             _, status = os.waitpid(pid, 0)
             del children[0]
-            if status != 0:  # it failed or died somewhere in its share
-                failures.append(_write_share(tables, orig_data, header, out_dir, share))
+            if status == 0:
+                try:
+                    results[j] = marshal.loads(data)
+                    continue
+                except (EOFError, ValueError, TypeError):
+                    pass
+            results[j] = work(shares[j])  # it failed or died somewhere in its share
     except BaseException:
         # SIGKILL: a child may have inherited an ignored SIGTERM
-        for pid, _ in children:
+        for pid, pipe, _ in children:
+            pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         raise
-    failures = [failure for failure in failures if failure is not None]
+    return results
+
+
+def _write_variants(tables: list[TableSchema], orig_data: dict, header: dict,
+                    out_dir: Path) -> None:
+    """Write variants 1..k into out_dir, in fixed strided shares, one per
+    process (run_shares). A share's result is the number and exception of its
+    first failing variant, which no child can marshal, so the caller writes
+    any failing share again itself. Whatever is raised here is therefore
+    raised in the calling process: the exception of the lowest failing
+    variant, the one a single process would raise first."""
+    shares = strided_shares(range(1, header["k"] + 1))
+    failures = [failure for failure in run_shares(
+        shares, lambda share: _write_share(tables, orig_data, header, out_dir, share))
+        if failure is not None]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
 

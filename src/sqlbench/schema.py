@@ -44,6 +44,12 @@ class RowSample:
     rows: list[tuple]
 
 
+def quote_name(name: str) -> str:
+    """name as an SQL identifier: in double quotes, each `"` in it doubled.
+    The one way a table name goes into SQL that sqlbench runs itself."""
+    return '"' + name.replace('"', '""') + '"'
+
+
 def read_only_uri(db_file, immutable: bool = False) -> str:
     """The SQLite URI that opens db_file read-only. The path is percent-quoted,
     so `#`, `?` and `%` in it stay part of the file name. immutable tells SQLite
@@ -79,10 +85,11 @@ def introspect(db_file, conn: sqlite3.Connection, warn) -> list[TableSchema]:
     try:
         for name, create_sql in master:
             cols = []
-            for _, cname, ctype, notnull, _, pk in conn.execute(f'PRAGMA table_info("{name}")'):
+            info = conn.execute(f"PRAGMA table_info({quote_name(name)})")
+            for _, cname, ctype, notnull, _, pk in info:
                 cols.append(ColumnSchema(cname, ctype, pk > 0, bool(notnull)))
             fks = []
-            for row in conn.execute(f'PRAGMA foreign_key_list("{name}")'):
+            for row in conn.execute(f"PRAGMA foreign_key_list({quote_name(name)})"):
                 # (id, seq, ref_table, from_col, to_col, ...)
                 ref_table, from_col, to_col = row[2], row[3], row[4]
                 if to_col is None:
@@ -123,7 +130,7 @@ def sample_rows(conn: sqlite3.Connection, table: str, x: int) -> RowSample:
     if x < 1:
         raise ValueError("sample limit must be >= 1")
     try:
-        cur = conn.execute(f'SELECT * FROM "{table}" LIMIT {int(x)}')
+        cur = conn.execute(f"SELECT * FROM {quote_name(table)} LIMIT {int(x)}")
     except sqlite3.Error as e:
         raise IntrospectionError(f"cannot sample table {table!r}: {e}") from e
     header = [d[0] for d in cur.description]

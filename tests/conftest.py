@@ -1,10 +1,15 @@
 import json
+import os
 import sqlite3
-from contextlib import closing
+import subprocess
+import sys
+import threading
+from contextlib import closing, contextmanager
 from pathlib import Path
 
 import pytest
 
+import sqlbench
 from sqlbench.evaluate import evaluate
 from sqlbench.execution import Connections
 from sqlbench.prompt import render_schema
@@ -13,6 +18,39 @@ from sqlbench.store import GoldStore
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 TIMEOUT_MS = 30000  # the CLI's default --timeout-ms
+
+# child interpreters import sqlbench from this checkout
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(sqlbench.__file__).resolve().parent.parent)}
+
+# a suite build or an eval forks only where it finds a second usable CPU
+ONE_CPU = not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
+
+
+def run_python(code, *args, timeout=120, flags=()):
+    return subprocess.run([sys.executable, *flags, "-c", code, *map(str, args)], env=CHILD_ENV,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+@contextmanager
+def live_thread():
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        yield
+    finally:
+        stop.set()
+        thread.join(10)
+
+
+def running(pid) -> bool:
+    """Whether pid is a process that has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat[stat.rindex(")") + 2] != "Z"
+
 
 NETWORK1_CREATES = [
     """CREATE TABLE Highschooler(

@@ -797,6 +797,104 @@ class TestUnbuildableSuites:
         assert (outcome["example_id"], outcome["ts"]) == ("e0001", True)
 
 
+def literal_root(tmp_path, golds, rows):
+    """A database root holding one database `notes` with a table
+    t(name, note) of rows, and a benchmark with one example per gold."""
+    db = tmp_path / "dbroot" / "notes" / "notes.sqlite"
+    db.parent.mkdir(parents=True)
+    with closing(sqlite3.connect(db)) as conn:
+        conn.execute("CREATE TABLE t (name TEXT, note TEXT)")
+        conn.executemany("INSERT INTO t VALUES (?, ?)", rows)
+        conn.commit()
+    bench = tmp_path / "bench.json"
+    bench.write_text(json.dumps([{"db_id": "notes", "question": "q", "query": gold}
+                                 for gold in golds]))
+    return tmp_path / "dbroot", bench
+
+
+def oracle_run(tmp_path, root, bench, k="4"):
+    """prompt, gold predict, eval and report metrics on bench; returns the
+    report row, the eval manifest and the predictions."""
+    prompts, preds = tmp_path / "prompts.jsonl", tmp_path / "predictions.jsonl"
+    outcomes, report = tmp_path / "outcomes.jsonl", tmp_path / "report.json"
+    assert run("prompt", "--benchmark", bench, "--db-root", root, "--out", prompts) == 0
+    assert run("predict", "--prompts", prompts, "--backend", "gold", "--benchmark", bench,
+               "--out", preds) == 0
+    assert run("eval", "--benchmark", bench, "--db-root", root, "--predictions", preds,
+               "--suite-k", k, "--cache", tmp_path / "cache", "--out", outcomes) == 0
+    assert run("report", "metrics", "--runs", outcomes, "--format", "json",
+               "--out", report) == 0
+    [row] = json.loads(report.read_text())
+    manifest = json.loads((tmp_path / "outcomes.jsonl.manifest.json").read_text())
+    return row, manifest, read_jsonl(preds)
+
+
+class TestGoldBackend:
+    def test_stop_strings_inside_literals_score_100(self, tmp_path, capsys):
+        golds = ["SELECT name FROM t WHERE note = 'a;b'",
+                 "SELECT name FROM t WHERE note LIKE '%#%'",
+                 "SELECT name FROM t WHERE note = 'x--y'"]
+        root, bench = literal_root(tmp_path, golds, [("n1", "a;b"), ("n2", "1#2"),
+                                                     ("n3", "x--y"), ("n4", "plain")])
+        row, manifest, preds = oracle_run(tmp_path, root, bench)
+        assert (row["va_pct"], row["ex_pct"], row["ts_pct"]) == (100.0, 100.0, 100.0)
+        assert row["n_evaluated"] == 3
+        assert [p["sql"] for p in preds] == golds
+        # the raw completion is still the body after SELECT
+        assert preds[0]["raw_completion"] == "name FROM t WHERE note = 'a;b'"
+        assert "warning" not in capsys.readouterr().err
+
+    def test_gold_prediction_runs_no_query(self, tmp_path):
+        # lowercase, a trailing `;`, and a line break: each is its own gold's text
+        golds = ["select name from t", "SELECT count(*) FROM t;",
+                 "SELECT name\n  FROM t WHERE note = 'plain'"]
+        root, bench = literal_root(tmp_path, golds, [("n1", "plain"), ("n2", "other")])
+        row, manifest, preds = oracle_run(tmp_path, root, bench)
+        assert (row["va_pct"], row["ex_pct"], row["ts_pct"]) == (100.0, 100.0, 100.0)
+        assert manifest["queries"] == manifest["gold_store"]["misses"] == 3 * (1 + 4)
+        sql_out = tmp_path / "gold.sql"
+        assert run("predict", "--prompts", tmp_path / "prompts.jsonl", "--backend", "gold",
+                   "--benchmark", bench, "--out", tmp_path / "again.jsonl",
+                   "--sql-out", sql_out) == 0
+        assert sql_out.read_text().splitlines() == [
+            "select name from t", "SELECT count(*) FROM t;",
+            "SELECT name FROM t WHERE note = 'plain'"]
+
+
+class TestQuotedNames:
+    def test_table_names_holding_a_quote(self, tmp_path, capsys):
+        db = tmp_path / "dbroot" / "weird" / "weird.sqlite"
+        db.parent.mkdir(parents=True)
+        with closing(sqlite3.connect(db)) as conn:
+            conn.execute('CREATE TABLE "we""ird" (id INTEGER PRIMARY KEY, name TEXT)')
+            conn.execute('CREATE TABLE "ki""d" (id INTEGER PRIMARY KEY, '
+                         'parent INTEGER REFERENCES "we""ird"(id))')
+            conn.executemany('INSERT INTO "we""ird" VALUES (?, ?)',
+                             [(i, f"n{i}") for i in range(1, 11)])
+            conn.executemany('INSERT INTO "ki""d" VALUES (?, ?)',
+                             [(i, i % 10 + 1) for i in range(1, 21)])
+            conn.commit()
+        golds = ['SELECT name FROM "we""ird" WHERE id < 5',
+                 'SELECT count(*) FROM "ki""d" JOIN "we""ird" ON parent = "we""ird".id']
+        bench = tmp_path / "bench.json"
+        bench.write_text(json.dumps([{"db_id": "weird", "question": "q", "query": gold}
+                                     for gold in golds]))
+        assert run("suite", "--db", db, "--suite-k", "4", "--cache", tmp_path / "cache") == 0
+        row, manifest, _ = oracle_run(tmp_path, tmp_path / "dbroot", bench)
+        assert capsys.readouterr().err == ""
+        assert (row["va_pct"], row["ex_pct"], row["ts_pct"]) == (100.0, 100.0, 100.0)
+        assert row["n_evaluated"] == 2
+        prompt = read_jsonl(tmp_path / "prompts.jsonl")[0]["prompt"]
+        # the sample rows of both tables, under the names as the prompt shows them
+        assert 'SELECT * FROM we"ird LIMIT 3;' in prompt and " n1" in prompt
+        assert 'SELECT * FROM ki"d LIMIT 3;' in prompt
+        suite = build_test_suite(db, 4, 0, tmp_path / "cache")
+        for variant in suite.variants[1:-1]:  # the last variant is the empty one
+            with closing(sqlite3.connect(variant)) as conn:
+                assert conn.execute('SELECT count(*) FROM "ki""d"').fetchone()[0] > 0
+                assert conn.execute('SELECT count(*) FROM "ki""d" WHERE parent NOT IN '
+                                    '(SELECT id FROM "we""ird")').fetchone() == (0,)
+
 class TestAnnotate:
     def test_skeleton_from_outcomes(self, workdir, tmp_path_factory):
         outdir = tmp_path_factory.mktemp("ann")

@@ -7,6 +7,7 @@ import sqlite3
 import subprocess
 import sys
 import tempfile
+import time
 from contextlib import closing
 from pathlib import Path
 
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sqlbench
-from sqlbench import execution, store
+from sqlbench import evaluate, execution, fuzz, store
 from sqlbench.backend import Prediction
 from sqlbench.cli import main
 from sqlbench.dataset import ExampleRecord, load_benchmark
@@ -25,8 +26,8 @@ from sqlbench.execution import (Connections, ExecError, ExecResult, compare_resu
 from sqlbench.fuzz import TestSuite, build_test_suite
 from sqlbench.store import GoldStore
 
-from conftest import (FIXTURE_QUESTIONS, TIMEOUT_MS, evaluate_one, make_geo_db,
-                      make_network1_db)
+from conftest import (FIXTURE_QUESTIONS, ONE_CPU, TIMEOUT_MS, evaluate_one, live_thread,
+                      make_geo_db, make_network1_db, run_python, running)
 
 
 def example(gold, eid="e0000", db_id="network_1"):
@@ -544,3 +545,207 @@ class TestGoldStore:
         manifest = json.loads((tmp_path / "warm.jsonl.manifest.json").read_text())
         assert manifest["gold_store"]["misses"] == 0
         assert manifest["gold_store"]["hits"] > len(bench)
+
+
+# eval forks only where it finds a second usable CPU and a second database
+needs_fork = pytest.mark.skipif(ONE_CPU or not hasattr(os, "fork"),
+                                reason="eval forks only with two usable CPUs")
+GEO_GOLDS = ["SELECT population FROM city WHERE city_name = 'austin'",
+             "SELECT state_name FROM state ORDER BY population DESC",
+             "SELECT lake_name FROM lake WHERE area > 1000",
+             "SELECT count(*) FROM river",
+             "SELECT state_name, count(*) FROM border_info GROUP BY state_name"]
+FORKED_DBS = ("network_1", "geography", "network_2")  # network_2: network_1's data
+
+
+@pytest.fixture(scope="module")
+def three_dbs(tmp_path_factory):
+    """A database root holding FORKED_DBS; a benchmark that interleaves
+    examples on them and on `gone`, which has no file, one of them
+    gold-broken; and predictions that are the gold, the gold respaced, wrong
+    or invalid in turn, one example left without. Returns the root, the
+    benchmark and predictions files, and both as eval takes them."""
+    tmp = tmp_path_factory.mktemp("three")
+    root = tmp / "dbroot"
+    for db_id, make in zip(FORKED_DBS, (make_network1_db, make_geo_db, make_network1_db)):
+        (root / db_id).mkdir(parents=True)
+        make(root / db_id / f"{db_id}.sqlite")
+    golds = {"network_1": [sql for _, sql in FIXTURE_QUESTIONS[:6]],
+             "geography": GEO_GOLDS,
+             "network_2": [sql for _, sql in FIXTURE_QUESTIONS[6:11]]
+             + ["SELECT x FROM missing_table"],
+             "gone": ["SELECT 1"]}
+    items = [{"db_id": db_id, "question": "q", "query": sqls[i]}
+             for i in range(6) for db_id, sqls in golds.items() if i < len(sqls)]
+    bench_file = tmp / "bench.json"
+    bench_file.write_text(json.dumps(items))
+    bench = load_benchmark(bench_file)
+    predictions = {e.example_id: prediction(
+        (e.gold_sql, e.gold_sql + " ", "SELECT name FROM Highschooler",
+         "SELECT nocol FROM t")[i % 4], e.example_id)
+        for i, e in enumerate(bench) if i != 5}
+    preds_file = tmp / "predictions.jsonl"
+    preds_file.write_text("".join(json.dumps({"example_id": p.example_id, "sql": p.sql}) + "\n"
+                                  for p in predictions.values()))
+    return root, bench_file, preds_file, bench, predictions
+
+
+def three_suites(root, cache, k=3):
+    return {db_id: build_test_suite(root / db_id / f"{db_id}.sqlite", k, 0, cache, db_id=db_id)
+            for db_id in FORKED_DBS}
+
+
+# Two evals through the CLI in a child interpreter, on a cold and then a warm
+# gold store, with network_2's store damaged between them. Prints, per eval,
+# its exit code, stderr lines, outcomes without timing_ms, the manifest's
+# gold_store and queries, each gold.marshal's sha256, and how many processes
+# ran evaluate. pin "one" pins the interpreter to one CPU; thread "1" keeps a
+# thread alive through both evals.
+FORKED_EVAL = (
+    "import contextlib, hashlib, io, json, os, shutil, sys, threading\n"
+    "from pathlib import Path\n"
+    "from sqlbench import evaluate\n"
+    "from sqlbench.cli import main\n"
+    "root, bench, preds, work, pin, k, thread = sys.argv[1:]\n"
+    "os.chdir(work)\n"
+    "if pin == 'one':\n"
+    "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+    "stop = threading.Event()\n"
+    "if thread == '1':\n"
+    "    threading.Thread(target=stop.wait).start()\n"
+    "real = evaluate.evaluate\n"
+    "def marked(*args):\n"
+    "    Path('pids', str(os.getpid())).touch()\n"
+    "    return real(*args)\n"
+    "evaluate.evaluate = marked\n"
+    "runs = []\n"
+    "for name in ('cold', 'warm'):\n"
+    "    if name == 'warm':\n"
+    "        next(Path('cache', 'network_2').rglob('gold.marshal')).write_bytes(b'damaged')\n"
+    "    Path('pids').mkdir()\n"
+    "    err = io.StringIO()\n"
+    "    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):\n"
+    "        code = main(['eval', '--benchmark', bench, '--db-root', root,\n"
+    "                     '--predictions', preds, '--suite-k', k, '--cache', 'cache',\n"
+    "                     '--out', f'{name}.jsonl'])\n"
+    "    manifest = json.loads(Path(f'{name}.jsonl.manifest.json').read_text())\n"
+    "    runs.append({\n"
+    "        'code': code, 'stderr': err.getvalue().splitlines(),\n"
+    "        'outcomes': [{key: value for key, value in json.loads(line).items()\n"
+    "                      if key != 'timing_ms'}\n"
+    "                     for line in Path(f'{name}.jsonl').read_text().splitlines()],\n"
+    "        'gold_store': manifest['gold_store'], 'queries': manifest['queries'],\n"
+    "        'stores': {str(path): hashlib.sha256(path.read_bytes()).hexdigest()\n"
+    "                   for path in sorted(Path('cache').rglob('gold.marshal'))},\n"
+    "        'pids': len(list(Path('pids').iterdir()))})\n"
+    "    shutil.rmtree('pids')\n"
+    "stop.set()\n"
+    "print(json.dumps(runs))\n")
+
+
+def forked_eval(three_dbs, work, pin="all", k=3, thread=False):
+    """The evals of FORKED_EVAL on three_dbs, run in the directory work."""
+    root, bench_file, preds_file, *_ = three_dbs
+    work.mkdir()
+    # -W error: a fork with a thread running warns from Python 3.12
+    proc = run_python(FORKED_EVAL, root, bench_file, preds_file, work, pin, k, int(thread),
+                      flags=("-W", "error"))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def without_pids(runs):
+    return [{key: value for key, value in run.items() if key != "pids"} for run in runs]
+
+
+class TestForkedEval:
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or ONE_CPU,
+                        reason="needs sched_setaffinity and two usable CPUs")
+    def test_same_output_as_one_process(self, three_dbs, tmp_path):
+        one = forked_eval(three_dbs, tmp_path / "one", pin="one")
+        every = forked_eval(three_dbs, tmp_path / "all")
+        assert without_pids(every) == without_pids(one)
+        assert [run["pids"] for run in one] == [1, 1]
+        n = min(len(os.sched_getaffinity(0)), len(FORKED_DBS))
+        assert [run["pids"] for run in every] == [n, n]
+        cold, warm = one
+        assert cold["code"] == warm["code"] == 0
+        assert len(cold["outcomes"]) == 15 and len(cold["stores"]) == 3
+        # every kind of warning, in order: the database that cannot be opened,
+        # the damaged store, the gold-broken example, the skipped ones
+        [damaged] = [path for path in cold["stores"] if "network_2" in path]
+        assert warm["stderr"] == [
+            f"warning: gone: database file not found: {three_dbs[0] / 'gone' / 'gone.sqlite'}; "
+            "its examples are skipped",
+            f"warning: gold store {damaged}: checksum mismatch; the queries run instead",
+            "warning: e0017: gold query failed on network_2: no such table: missing_table",
+            "warning: e0003: no test suite for its database; skipped",
+            "warning: e0005: no prediction; skipped"]
+        assert cold["stderr"] == [warm["stderr"][0], *warm["stderr"][2:]]
+        assert warm["stores"] == cold["stores"]  # the damaged one replaced, byte for byte
+        assert cold["gold_store"]["hits"] == 0 and warm["gold_store"]["hits"] > 0
+
+    @needs_fork
+    def test_child_that_dies_has_its_share_scored_again(self, three_dbs, tmp_path,
+                                                        monkeypatch):
+        root, _, _, bench, predictions = three_dbs
+        with live_thread():  # one process: the reference
+            ref_warnings = []
+            ref = evaluate_benchmark(bench, predictions, three_suites(root, tmp_path / "one"),
+                                     ref_warnings.append, TIMEOUT_MS)
+        caller, real = os.getpid(), evaluate.evaluate
+        marks = tmp_path / "marks"
+        marks.mkdir()
+
+        def dying(*args):
+            if os.getpid() != caller:  # a child dies at its second example
+                mark = marks / str(os.getpid())
+                if mark.exists():
+                    os._exit(7)
+                mark.touch()
+            return real(*args)
+
+        monkeypatch.setattr(evaluate, "evaluate", dying)
+        suites = three_suites(root, tmp_path / "forked")
+        warnings = []
+        start = time.monotonic()
+        forked = evaluate_benchmark(bench, predictions, suites, warnings.append, TIMEOUT_MS)
+        assert time.monotonic() - start < 10
+        assert len(list(marks.iterdir())) == min(len(os.sched_getaffinity(0)), 3) - 1
+        assert scores(forked) == scores(ref)
+        assert warnings == ref_warnings
+        assert (forked.gold_broken, forked.gold_store, forked.queries) == (
+            ref.gold_broken, ref.gold_store, ref.queries)
+
+    @needs_fork
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+    def test_interrupted_eval_kills_its_children(self, three_dbs, tmp_path, monkeypatch):
+        root, _, _, bench, predictions = three_dbs
+        suites = three_suites(root, tmp_path / "cache")
+        marks = tmp_path / "marks"
+        marks.mkdir()
+        caller, n_children = os.getpid(), fuzz._processes(len(FORKED_DBS)) - 1
+
+        def interrupted(*args):
+            if os.getpid() != caller:  # each child marks itself and hangs in its share
+                Path(marks, str(os.getpid())).touch()
+                time.sleep(60)
+            deadline = time.monotonic() + 30
+            while len(list(marks.iterdir())) < n_children and time.monotonic() < deadline:
+                time.sleep(0.01)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(evaluate, "evaluate", interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            evaluate_benchmark(bench, predictions, suites, print, TIMEOUT_MS)
+        assert time.monotonic() - start < 30
+        children = [int(p.name) for p in marks.iterdir()]
+        assert len(children) == n_children
+        assert not any(running(pid) for pid in children)  # killed and reaped
+
+    @pytest.mark.parametrize("k, thread", [(3, True), (1, False)], ids=["thread", "k1"])
+    def test_one_process(self, three_dbs, tmp_path, k, thread):
+        runs = forked_eval(three_dbs, tmp_path / "work", k=k, thread=thread)
+        assert [run["pids"] for run in runs] == [1, 1]
+        assert [run["code"] for run in runs] == [0, 0]

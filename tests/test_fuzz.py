@@ -3,30 +3,25 @@ import hashlib
 import json
 import os
 import random
-import signal
 import sqlite3
 import string
 import subprocess
 import sys
-import threading
 import time
-from contextlib import closing, contextmanager
+from contextlib import closing
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import sqlbench
 from sqlbench import fuzz
 from sqlbench.fuzz import (MAX_ROWS, TestSuite, _column_pools, _generate_table_rows, _key_pools,
                            build_test_suite)
 from sqlbench.schema import ColumnSchema, TableSchema
 
-from conftest import make_network1_db, read_schema
+from conftest import (CHILD_ENV, ONE_CPU, live_thread, make_network1_db, read_schema,
+                      run_python, running)
 from pinned_suite import PINNED, make_pinned_db, pinned_suite_hashes
-
-# child interpreters import sqlbench from this checkout
-CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(sqlbench.__file__).resolve().parent.parent)}
 
 
 def all_rows(db_file, table):
@@ -81,11 +76,6 @@ def sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def run_python(code, *args, timeout=120, flags=()):
-    return subprocess.run([sys.executable, *flags, "-c", code, *map(str, args)], env=CHILD_ENV,
-                          capture_output=True, text=True, timeout=timeout)
-
-
 # suite_files for a child interpreter: the sha256 of every file of a suite, by name
 SUITE_FILES = (
     "def suite_files(suite):\n"
@@ -99,21 +89,8 @@ def suite_files(suite):
 
 
 # a build forks only where it finds a second usable CPU
-ONE_CPU = not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
 needs_fork = pytest.mark.skipif(ONE_CPU or not hasattr(os, "fork"),
                                 reason="a build forks only with two usable CPUs")
-
-
-@contextmanager
-def live_thread():
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    thread.start()
-    try:
-        yield
-    finally:
-        stop.set()
-        thread.join(10)
 
 
 def reference_distinct(rows, width, skip_none=False):
@@ -583,15 +560,6 @@ class TestBuildTestSuite:
         b = build_test_suite(db2, 2, seed=6, cache_dir=tmp_path / "b")
         for va, vb in zip(a.variants[1:], b.variants[1:]):
             assert va.read_bytes() == vb.read_bytes()
-
-
-def running(pid) -> bool:
-    """Whether pid is a process that has not exited (a zombie has)."""
-    try:
-        stat = Path(f"/proc/{pid}/stat").read_text()
-    except OSError:
-        return False
-    return stat[stat.rindex(")") + 2] != "Z"
 
 
 class TestForkedBuild:
