@@ -329,6 +329,10 @@ def cmd_predict(args) -> None:
 
 
 def cmd_eval(args) -> None:
+    # a deadline already past stops only the queries long enough to reach the
+    # progress handler, so a gold would count as broken by its size
+    if args.timeout_ms < 1:
+        raise UsageError(f"timeout_ms must be at least 1, not {args.timeout_ms}")
     pred_manifest = _read_manifest(args.predictions)
     prompt_bench = pred_manifest.prompt_config.benchmark
     if prompt_bench and str(args.benchmark) != prompt_bench and not args.allow_mismatch:

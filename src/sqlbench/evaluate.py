@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 from .backend import EMPTY_PREDICTION, Prediction
 from .dataset import ExampleRecord, read_jsonl
 from .execution import Connections, ExecError, compare_results, execute_sql
-from .fuzz import TestSuite, run_shares, strided_shares
+from .fuzz import TestSuite
+from .parallel import fork_map
 from .store import GoldStore
 
 
@@ -169,39 +170,29 @@ def evaluate_benchmark(examples: list[ExampleRecord], predictions: dict[str, Pre
     failed. Gold-broken examples are excluded from outcomes and listed
     separately.
 
-    The groups, in the order their databases first appear, are split into
-    fixed strided shares, one per usable CPU and at most one per group
-    (fuzz.strided_shares). The calling process scores the first share and
-    forked children the others (fuzz.run_shares); no two groups share a
-    connection or a gold store. Eval stays in one process where the platform
-    cannot fork, where another thread runs, and where every suite has k = 1:
-    an example then runs at most four queries, and a second busy CPU costs
-    each example more than it saves. No option sets this, and the result
-    does not depend on it. A share whose child dies is scored again by the
-    caller, so its groups' stores may count extra hits: the results the
-    child stored before it died.
+    The groups, in the order their databases first appear, are scored
+    through parallel.fork_map, across the usable CPUs; no two groups share a
+    connection or a gold store. Eval stays in one process where every suite
+    has k = 1: an example then runs at most four queries, and a second busy
+    CPU costs each example more than it saves. The groups of a child that
+    dies are scored again by the caller, so their stores may count extra
+    hits: the results the child stored before it died.
     """
     groups: dict[str, list[int]] = {}
     for i, example in enumerate(examples):
         if example.example_id in predictions and example.db_id in suites:
             groups.setdefault(example.db_id, []).append(i)
 
-    order = list(groups)
-    shares = ([order] if all(suites[db_id].k == 1 for db_id in order)
-              else strided_shares(order))
+    def score(db_id: str) -> tuple:
+        return _score_group(examples, groups[db_id], predictions, suites[db_id], timeout_ms)
 
-    def score_share(share: list[str]) -> list[tuple]:
-        return [_score_group(examples, groups[db_id], predictions, suites[db_id], timeout_ms)
-                for db_id in share]
-
-    by_group = {}
-    for share, scored_groups in zip(shares, run_shares(shares, score_share)):
-        by_group.update(zip(share, scored_groups))
+    one_process = all(suites[db_id].k == 1 for db_id in groups)
+    scored_groups = (map if one_process else fork_map)(score, groups)
 
     result = BenchmarkEvaluation(outcomes=[], gold_broken=[])
     scored: dict[int, tuple[tuple | None, list[str]]] = {}
-    for db_id, indices in groups.items():
-        group_scored, queries, hits, misses, warning = by_group[db_id]
+    for indices, (group_scored, queries, hits, misses, warning) in zip(groups.values(),
+                                                                       scored_groups):
         scored.update(zip(indices, group_scored))
         result.queries += queries
         result.gold_store["hits"] += hits

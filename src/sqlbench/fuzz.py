@@ -12,17 +12,12 @@ and its manifest records a sha256 per variant that is checked on every reuse.
 Variants are written with no journal and no fsync: a crash leaves at worst a
 damaged file in a build directory that is never returned, or a variant whose
 sha256 check fails on reuse and is regenerated.
-A cold build writes its variants from one process per usable CPU, at most
-k: the caller writes one fixed share and forked children the others. It
-stays in one process where there is one usable CPU, where the platform cannot
-fork, or where another thread runs. No option sets this, and the variants do
-not depend on it: each draws from its own generator, seeded by (seed, variant
-number), so a variant is a pure function of (source content, seed, k). A
-builder that is killed leaves at most its build directory, never returned.
-run_shares is the program's one use of os.fork, for the suite build and for
-eval's database groups (evaluate.evaluate_benchmark): a child is a plain fork
-that sends back only the marshalled result of its share, and the caller runs
-again any share whose child did not exit 0 or sent no result it can load.
+A cold build writes its k variants through parallel.fork_map, from at most
+one process per usable CPU. The variants do not depend on how many processes
+write them: each draws from its own generator, seeded by (seed, variant
+number), so a variant is a pure function of (source content, seed, k). Each
+writer returns its variant's sha256, which goes into the manifest. A builder
+that is killed leaves at most its build directory, never returned.
 A variant is never written again once renamed into place, so eval opens it
 immutable (execution.Connections): no lock and no change-counter read per
 query. Editing one by hand during an eval is unsupported; the next reuse's
@@ -36,20 +31,18 @@ from __future__ import annotations
 import errno
 import hashlib
 import json
-import marshal
 import os
 import random
 import shutil
-import signal
 import sqlite3
 import string
-import threading
 import uuid
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from warnings import warn as python_warn
 
+from .parallel import fork_map
 from .schema import TableSchema, connect_ro, introspect, quote_name
 
 GENERATOR_VERSION = "1"
@@ -395,123 +388,21 @@ def _report_empty_tables(tables: list[TableSchema], orig_data: dict, empty_table
                     break
 
 
-def _write_share(tables: list[TableSchema], orig_data: dict, header: dict, out_dir: Path,
-                 share: range) -> tuple[int, Exception] | None:
-    """Write the variants numbered in share into out_dir, in order, each in
-    place of any file a process that died left there. Returns the number and
-    exception of the first variant that fails, which ends the share, or None
-    when every one is written."""
-    seed, k = header["seed"], header["k"]
-    for i in share:
-        rng = random.Random(f"{seed}:{i}")  # each variant draws from its own generator
-        out_file = out_dir / f"variant_{i}.db"
-        try:
-            out_file.unlink(missing_ok=True)
-            _generate_variant(tables, orig_data, rng, out_file, i == k)  # last one: empty
-        except Exception as e:  # raised by _write_variants
-            return i, e
-    return None
-
-
-def _processes(k: int) -> int:
-    """How many processes share k parts of work: one per usable CPU, at most
-    k. One where this platform cannot fork, or where another thread runs: a
-    thread holding a lock at the fork would leave it held in the child."""
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
+def _write_variant(tables: list[TableSchema], orig_data: dict, header: dict, out_dir: Path,
+                   i: int) -> str | Exception:
+    """Write variant i into out_dir, in place of any file a process that died
+    left there, and return its sha256, or the exception that stopped it. An
+    exception cannot be marshalled, so parallel.fork_map writes a variant
+    that fails in a forked process again in the calling process, and
+    _generate_suite raises it there."""
+    rng = random.Random(f"{header['seed']}:{i}")  # each variant draws from its own generator
+    out_file = out_dir / f"variant_{i}.db"
     try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    return min(cpus, k)
-
-
-def strided_shares(items):
-    """items split into one fixed strided share per process (_processes):
-    share j is items[j::n]. Never fewer than one share."""
-    n = max(_processes(len(items)), 1)
-    return [items[j::n] for j in range(n)]
-
-
-def run_shares(shares: list, work) -> list:
-    """work(share) for each of shares, in their order: the first share in the
-    calling process, each other in a forked child. A child sends the
-    marshal.dumps of its result through a pipe and leaves only by os._exit,
-    so it never runs a caller's cleanup: with code 0 once its result is sent,
-    else with 1, also when its result cannot be marshalled. The caller reads
-    each child's pipe to its end, then waits for the child, and itself runs
-    again every share whose child did not exit 0 or sent bytes that do not
-    load, and every share it could not fork for. So a result is the one this
-    process would get, and whatever work raises is raised here. An
-    interrupted caller (any BaseException) SIGKILLs and reaps every child it
-    has not waited for, then re-raises."""
-    own, children = [0], []  # numbers of the shares run here; (pid, pipe, number)
-    results = [None] * len(shares)
-    try:
-        for j in range(1, len(shares)):
-            try:
-                read_end, write_end = os.pipe()
-            except OSError:  # no file descriptor to be had: this one runs the share
-                own.append(j)
-                continue
-            try:
-                pid = os.fork()
-            except OSError:  # no process to be had: this one runs the share
-                os.close(read_end)
-                os.close(write_end)
-                own.append(j)
-                continue
-            if pid == 0:
-                try:
-                    data = marshal.dumps(work(shares[j]))
-                    with open(write_end, "wb") as pipe:
-                        pipe.write(data)
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            # closed here at once: a write end left open in this process, or
-            # inherited by a later child, keeps its pipe from ever ending
-            os.close(write_end)
-            children.append((pid, open(read_end, "rb"), j))
-        for j in own:
-            results[j] = work(shares[j])
-        while children:
-            pid, pipe, j = children[0]
-            with pipe:
-                data = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            del children[0]
-            if status == 0:
-                try:
-                    results[j] = marshal.loads(data)
-                    continue
-                except (EOFError, ValueError, TypeError):
-                    pass
-            results[j] = work(shares[j])  # it failed or died somewhere in its share
-    except BaseException:
-        # SIGKILL: a child may have inherited an ignored SIGTERM
-        for pid, pipe, _ in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        raise
-    return results
-
-
-def _write_variants(tables: list[TableSchema], orig_data: dict, header: dict,
-                    out_dir: Path) -> None:
-    """Write variants 1..k into out_dir, in fixed strided shares, one per
-    process (run_shares). A share's result is the number and exception of its
-    first failing variant, which no child can marshal, so the caller writes
-    any failing share again itself. Whatever is raised here is therefore
-    raised in the calling process: the exception of the lowest failing
-    variant, the one a single process would raise first."""
-    shares = strided_shares(range(1, header["k"] + 1))
-    failures = [failure for failure in run_shares(
-        shares, lambda share: _write_share(tables, orig_data, header, out_dir, share))
-        if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
+        out_file.unlink(missing_ok=True)
+        _generate_variant(tables, orig_data, rng, out_file, i == header["k"])  # last one: empty
+        return _sha256(out_file)
+    except Exception as e:  # raised by _generate_suite
+        return e
 
 
 def _generate_suite(db_file: Path, conn: sqlite3.Connection, header: dict, out_dir: Path,
@@ -528,11 +419,14 @@ def _generate_suite(db_file: Path, conn: sqlite3.Connection, header: dict, out_d
     orig_data = {t.name.lower(): _column_pools(conn, t) for t in tables}
     _report_empty_tables(tables, orig_data, empty_table)
 
-    _write_variants(tables, orig_data, header, out_dir)
-    names = [f"variant_{i}.db" for i in range(1, header["k"] + 1)]
-    hashes = {name: _sha256(out_dir / name) for name in names}
+    written = fork_map(lambda i: _write_variant(tables, orig_data, header, out_dir, i),
+                       range(1, header["k"] + 1))
+    for result in written:  # the lowest failing variant's, as one process meets it first
+        if isinstance(result, Exception):
+            raise result
+    hashes = {f"variant_{i}.db": sha for i, sha in enumerate(written, 1)}
     (out_dir / "manifest.json").write_text(json.dumps({**header, "variant_sha256": hashes}))
-    return list(hashes.values())
+    return written
 
 
 def _install(built: Path, suite_dir: Path, header: dict) -> None:

@@ -9,7 +9,7 @@ from enum import Enum
 from functools import lru_cache
 
 from .dataset import SupportSet
-from .schema import RowSample, TableSchema
+from .schema import RowSample, TableSchema, quote_name
 
 
 class PromptContractError(Exception):
@@ -126,13 +126,18 @@ def format_row_block(sample: RowSample) -> str:
     return "\n".join(lines)
 
 
+_PLAIN_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
 def _select_section(sample: RowSample, with_table_header: bool) -> str:
+    # a plain name stays bare, so that prompts move only for other names
+    name = sample.table if _PLAIN_NAME.fullmatch(sample.table) else quote_name(sample.table)
     lines = [
         "/*",
         f"{sample.limit} example rows from table {sample.table}:"
         if with_table_header
         else f"{sample.limit} example rows:",
-        f"SELECT * FROM {sample.table} LIMIT {sample.limit};",
+        f"SELECT * FROM {name} LIMIT {sample.limit};",
     ]
     if with_table_header:
         lines.append(f"Table: {sample.table}")

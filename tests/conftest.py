@@ -24,6 +24,8 @@ CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(sqlbench.__file__).resolve().p
 
 # a suite build or an eval forks only where it finds a second usable CPU
 ONE_CPU = not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2
+needs_fork = pytest.mark.skipif(ONE_CPU or not hasattr(os, "fork"),
+                                reason="forks only with two usable CPUs")
 
 
 def run_python(code, *args, timeout=120, flags=()):

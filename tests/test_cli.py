@@ -397,6 +397,21 @@ class TestEval:
         assert "--db-root or the config key db_root" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [0, -5])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_timeout_below_one_refused(self, workdir, gold_predictions,
+                                       fixture_benchmark_path, db_root, capsys, value, source):
+        out = workdir / f"timeout-{source}{value}.jsonl"
+        config = workdir / f"timeout{value}.yaml"
+        config.write_text(f"timeout_ms: {value}\n")
+        setting = (f"--timeout-ms={value}",) if source == "flag" else ("--config", config)
+        assert run("eval", "--benchmark", fixture_benchmark_path, "--db-root", db_root,
+                   "--predictions", gold_predictions, "--suite-k", "2",
+                   "--cache", workdir / "suites", "--out", out, *setting) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: timeout_ms must be at least 1, not {value}\n"
+        assert not out.exists()
+
     def test_benchmark_mismatch_refused(self, workdir, gold_predictions,
                                         fixture_benchmark_path, db_root, capsys):
         other = workdir / "other_bench.json"
@@ -886,8 +901,8 @@ class TestQuotedNames:
         assert row["n_evaluated"] == 2
         prompt = read_jsonl(tmp_path / "prompts.jsonl")[0]["prompt"]
         # the sample rows of both tables, under the names as the prompt shows them
-        assert 'SELECT * FROM we"ird LIMIT 3;' in prompt and " n1" in prompt
-        assert 'SELECT * FROM ki"d LIMIT 3;' in prompt
+        assert 'SELECT * FROM "we""ird" LIMIT 3;' in prompt and " n1" in prompt
+        assert 'SELECT * FROM "ki""d" LIMIT 3;' in prompt
         suite = build_test_suite(db, 4, 0, tmp_path / "cache")
         for variant in suite.variants[1:-1]:  # the last variant is the empty one
             with closing(sqlite3.connect(variant)) as conn:

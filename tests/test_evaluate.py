@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sqlbench
-from sqlbench import evaluate, execution, fuzz, store
+from sqlbench import evaluate, execution, parallel, store
 from sqlbench.backend import Prediction
 from sqlbench.cli import main
 from sqlbench.dataset import ExampleRecord, load_benchmark
@@ -27,7 +27,7 @@ from sqlbench.fuzz import TestSuite, build_test_suite
 from sqlbench.store import GoldStore
 
 from conftest import (FIXTURE_QUESTIONS, ONE_CPU, TIMEOUT_MS, evaluate_one, live_thread,
-                      make_geo_db, make_network1_db, run_python, running)
+                      make_geo_db, make_network1_db, needs_fork, run_python, running)
 
 
 def example(gold, eid="e0000", db_id="network_1"):
@@ -547,9 +547,6 @@ class TestGoldStore:
         assert manifest["gold_store"]["hits"] > len(bench)
 
 
-# eval forks only where it finds a second usable CPU and a second database
-needs_fork = pytest.mark.skipif(ONE_CPU or not hasattr(os, "fork"),
-                                reason="eval forks only with two usable CPUs")
 GEO_GOLDS = ["SELECT population FROM city WHERE city_name = 'austin'",
              "SELECT state_name FROM state ORDER BY population DESC",
              "SELECT lake_name FROM lake WHERE area > 1000",
@@ -724,7 +721,7 @@ class TestForkedEval:
         suites = three_suites(root, tmp_path / "cache")
         marks = tmp_path / "marks"
         marks.mkdir()
-        caller, n_children = os.getpid(), fuzz._processes(len(FORKED_DBS)) - 1
+        caller, n_children = os.getpid(), parallel._processes(len(FORKED_DBS)) - 1
 
         def interrupted(*args):
             if os.getpid() != caller:  # each child marks itself and hangs in its share

@@ -14,13 +14,13 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sqlbench import fuzz
+from sqlbench import fuzz, parallel
 from sqlbench.fuzz import (MAX_ROWS, TestSuite, _column_pools, _generate_table_rows, _key_pools,
                            build_test_suite)
 from sqlbench.schema import ColumnSchema, TableSchema
 
-from conftest import (CHILD_ENV, ONE_CPU, live_thread, make_network1_db, read_schema,
-                      run_python, running)
+from conftest import (CHILD_ENV, ONE_CPU, live_thread, make_network1_db, needs_fork,
+                      read_schema, run_python, running)
 from pinned_suite import PINNED, make_pinned_db, pinned_suite_hashes
 
 
@@ -86,11 +86,6 @@ SUITE_FILES = (
 
 def suite_files(suite):
     return {p.name: sha256(p) for p in sorted(suite.directory.iterdir())}
-
-
-# a build forks only where it finds a second usable CPU
-needs_fork = pytest.mark.skipif(ONE_CPU or not hasattr(os, "fork"),
-                                reason="a build forks only with two usable CPUs")
 
 
 def reference_distinct(rows, width, skip_none=False):
@@ -677,7 +672,7 @@ class TestForkedBuild:
         builder = subprocess.Popen([sys.executable, "-c", code, str(network1_db),
                                     str(tmp_path / "cache"), str(marks)], env=CHILD_ENV,
                                    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        n_children = fuzz._processes(8) - 1
+        n_children = parallel._processes(8) - 1
         children = set()
         try:
             deadline = time.monotonic() + 30
@@ -700,7 +695,7 @@ class TestForkedBuild:
     def test_interrupted_builder_kills_its_children(self, network1_db, tmp_path, monkeypatch):
         marks = tmp_path / "marks"
         marks.mkdir()
-        builder, n_children = os.getpid(), fuzz._processes(8) - 1
+        builder, n_children = os.getpid(), parallel._processes(8) - 1
 
         def interrupted(*args):
             if os.getpid() != builder:  # each child marks itself and hangs in its share
