@@ -22,6 +22,7 @@ from .dataset import (IngestionError, check_fields, db_path, load_benchmark, rea
 from .errors import annotation_skeleton, breakdown, load_annotations, sample_for_annotation
 from .evaluate import EvalOutcome, evaluate_benchmark
 from .fuzz import SuiteError, build_test_suite
+from .parallel import fork_map
 from .prompt import (BudgetError, PromptBudget, PromptStyle, SchemaSection, StyleKind,
                      fit_support, parse_style, render_schema)
 from .report import (curve_csv, learning_curve, metrics_table, render_breakdown_markdown,
@@ -226,18 +227,26 @@ def _skip_database(db_id: str, error: IntrospectionError | SuiteError) -> None:
     _warn(f"{db_id}: {error}; its examples are skipped")
 
 
-def _schema_section(db_id: str, db_file, style: PromptStyle) -> SchemaSection:
+def _schema_section(db_file, style: PromptStyle) -> tuple[list[str], tuple[str, int] | str]:
     """Read a database's schema and row samples through one connection, and
-    render them once for style. The question style shows no schema, so it
-    opens no database."""
+    render them once for style. Returns the warnings of reading it, then its
+    schema section's text and token runs, or the IntrospectionError message
+    that stopped it: plain values, which a forked process can marshal. The
+    question style shows no schema, so it opens no database."""
+    warnings: list[str] = []
     if style.kind is StyleKind.QUESTION:
-        return render_schema(style, None, None)
-    with closing(connect_ro(db_file)) as conn:
-        tables = introspect(db_file, conn, lambda message: _warn(f"{db_id}: {message}"))
-        samples = None
-        if style.x is not None:
-            samples = [sample_rows(conn, t.name, style.x) for t in tables]
-    return render_schema(style, tables, samples)
+        section = render_schema(style, None, None)
+        return warnings, (section.text, section.tokens)
+    try:
+        with closing(connect_ro(db_file)) as conn:
+            tables = introspect(db_file, conn, warnings.append)
+            samples = None
+            if style.x is not None:
+                samples = [sample_rows(conn, t.name, style.x) for t in tables]
+    except IntrospectionError as e:
+        return warnings, str(e)
+    section = render_schema(style, tables, samples)
+    return warnings, (section.text, section.tokens)
 
 
 def cmd_prompt(args) -> None:
@@ -256,17 +265,25 @@ def cmd_prompt(args) -> None:
     else:  # a zero-shot run reads no training split, so its manifest names none
         args.train = None
 
+    # each database's schema section, read across the usable CPUs; the
+    # question style opens no database, so it is not worth a fork
+    db_ids = list(dict.fromkeys(rec.db_id for rec in examples))
+    read = map if style.kind is StyleKind.QUESTION else fork_map
+    schemas = dict(zip(db_ids, read(lambda db_id: _schema_section(
+        db_path(args.db_root, db_id), style), db_ids)))
     sections = {}  # db_id -> the schema section of its prompts, None if it cannot be read
     records = []
     skipped = []
     for rec in examples:
-        if rec.db_id not in sections:
-            try:
-                sections[rec.db_id] = _schema_section(rec.db_id, db_path(args.db_root, rec.db_id),
-                                                      style)
-            except IntrospectionError as e:
+        if rec.db_id not in sections:  # its warnings where one process meets them
+            warnings, schema = schemas[rec.db_id]
+            for message in warnings:
+                _warn(f"{rec.db_id}: {message}")
+            if isinstance(schema, str):
                 sections[rec.db_id] = None
-                _skip_database(rec.db_id, e)
+                _skip_database(rec.db_id, IntrospectionError(schema))
+            else:
+                sections[rec.db_id] = SchemaSection(style, *schema)
         section = sections[rec.db_id]
         if section is None:
             continue

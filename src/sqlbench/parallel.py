@@ -1,25 +1,33 @@
 """The program's one use of os.fork: fork_map, the map over items that the
-suite build (fuzz.py) and eval's database groups (evaluate.evaluate_benchmark)
-spread across the usable CPUs.
+suite build (fuzz.py), eval's gold-query groups (evaluate.evaluate_benchmark)
+and the prompt stage's schemas (cli.cmd_prompt) spread across the usable
+CPUs.
 
 It stays in one process where there is one usable CPU, where the platform
 cannot fork, or where another thread runs. No option sets this, and no result
 depends on it: a child is a plain fork that sends back only the marshalled
-results of its share of the items, so work must give the same result in any
+results of the items it claimed, so work must give the same result in any
 process.
 """
 
 from __future__ import annotations
 
+import gc
+import io
 import marshal
 import os
+import select
 import signal
 import threading
 
+_CLAIM = 4  # bytes of one claim: an item's index, little-endian
+_MISSING = object()  # a result no process has returned yet
+
 
 def _processes(n: int) -> int:
-    """How many processes share n items: one per usable CPU, at most n. One
-    where this platform cannot fork, or where another thread runs: a thread
+    """How many processes work n items: one per usable CPU, at most n; more
+    than one are forked children, and one is the caller itself. One where
+    this platform cannot fork, or where another thread runs: a thread
     holding a lock at the fork would leave it held in the child."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
@@ -30,73 +38,119 @@ def _processes(n: int) -> int:
     return min(cpus, n)
 
 
-def fork_map(work, items) -> list:
-    """[work(x) for x in items], with the items split into one fixed strided
-    share per process (_processes): share j is items[j::n]. The calling
-    process works share 0, a forked child each other one. A child sends the
-    marshal.dumps of its results through a pipe and leaves only by os._exit,
-    so it never runs a caller's cleanup: with code 0 once its results are
-    sent, else with 1, also when a result cannot be marshalled. The caller
-    reads each child's pipe to its end, then waits for the child, and itself
-    works again every share whose child did not exit 0 or sent bytes that do
-    not load, and every share it could not fork for. So a result is the one
-    this process would get, and whatever work raises is raised here. An
-    interrupted caller (any BaseException) SIGKILLs and reaps every child it
-    has not waited for, then re-raises."""
-    items = list(items)
-    n = max(_processes(len(items)), 1)
-    results = [None] * len(items)
-    own, children = [0], []  # numbers of the shares worked here; (pid, pipe, number)
-
-    def share(j):
-        return [work(x) for x in items[j::n]]
-
+def _write_claims(n_items: int) -> int | None:
+    """The read end of a pipe that holds the indices of as many of n_items as
+    fit, in order, its write end closed; None if no pipe can be made. Each
+    write is at most PIPE_BUF bytes and so is written whole or not at all:
+    a claim never comes out cut."""
     try:
-        for j in range(1, n):
+        read_end, write_end = os.pipe()
+    except OSError:
+        return None
+    try:
+        os.set_blocking(write_end, False)
+        claims = b"".join(i.to_bytes(_CLAIM, "little") for i in range(n_items))
+        chunk = select.PIPE_BUF // _CLAIM * _CLAIM
+        for start in range(0, len(claims), chunk):
+            os.write(write_end, claims[start:start + chunk])
+    except BlockingIOError:  # the pipe is full: the caller works the rest
+        pass
+    finally:
+        os.close(write_end)
+    return read_end
+
+
+def fork_map(work, items) -> list:
+    """[work(x) for x in items], worked by n = _processes(len(items)) forked
+    children that claim the items one at a time. Before the first fork the
+    caller writes every item's index into one claim pipe and closes its
+    write end; a child reads one index at a time until the pipe is empty,
+    works that item, and at the end sends the marshal.dumps of each
+    (index, result) through its own pipe. It leaves only by os._exit, so it
+    never runs a caller's cleanup: with code 0 once its results are sent,
+    else with 1. A result that cannot be marshalled is not sent.
+
+    The caller claims nothing while its children run, so what it runs
+    itself does not depend on how the children raced. It reads each child's
+    pipe to its end, waits for the child, and keeps the results of a child
+    that exited 0. Then it works, in item order, every item no child
+    returned: a dead child's, one whose result could not be marshalled or
+    loaded, and claims that did not fit in the pipe. So a result is the one
+    this process would get, and whatever work raises is raised here. With
+    one process all items are worked here. An interrupted caller (any
+    BaseException) SIGKILLs and reaps every child it has not waited for,
+    then re-raises."""
+    items = list(items)
+    results = [_MISSING] * len(items)
+    n = _processes(len(items))
+    claims = _write_claims(len(items)) if n > 1 else None
+    children = []  # (pid, pipe)
+    try:
+        for _ in range(n if claims is not None else 0):
             try:
                 read_end, write_end = os.pipe()
-            except OSError:  # no file descriptor to be had: this one works the share
-                own.append(j)
-                continue
+            except OSError:  # no file descriptor to be had: one child fewer
+                break
             try:
                 pid = os.fork()
-            except OSError:  # no process to be had: this one works the share
+            except OSError:  # no process to be had: one child fewer
                 os.close(read_end)
                 os.close(write_end)
-                own.append(j)
-                continue
+                break
             if pid == 0:
                 try:
-                    data = marshal.dumps(share(j))
+                    # the child's collections then skip every object it
+                    # inherited, so they copy none of the caller's pages
+                    gc.freeze()
+                    os.close(read_end)
+                    sent = []
+                    while claim := os.read(claims, _CLAIM):
+                        i = int.from_bytes(claim, "little")
+                        result = work(items[i])
+                        try:
+                            sent.append(marshal.dumps((i, result)))
+                        except ValueError:  # the caller works it
+                            pass
                     with open(write_end, "wb") as pipe:
-                        pipe.write(data)
+                        pipe.write(b"".join(sent))
                     os._exit(0)
                 finally:
                     os._exit(1)
             # closed here at once: a write end left open in this process, or
             # inherited by a later child, keeps its pipe from ever ending
             os.close(write_end)
-            children.append((pid, open(read_end, "rb"), j))
-        for j in own:
-            results[j::n] = share(j)
+            children.append((pid, open(read_end, "rb")))
         while children:
-            pid, pipe, j = children[0]
+            pid, pipe = children[0]
             with pipe:
                 data = pipe.read()
             _, status = os.waitpid(pid, 0)
             del children[0]
             if status == 0:
-                try:
-                    results[j::n] = marshal.loads(data)
-                    continue
-                except (EOFError, ValueError, TypeError):
-                    pass
-            results[j::n] = share(j)  # it failed or died somewhere in its share
+                _load(data, results)
     except BaseException:
         # SIGKILL: a child may have inherited an ignored SIGTERM
-        for pid, pipe, _ in children:
+        for pid, pipe in children:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         raise
+    finally:
+        if claims is not None:
+            os.close(claims)
+    for i, result in enumerate(results):
+        if result is _MISSING:
+            results[i] = work(items[i])
     return results
+
+
+def _load(data: bytes, results: list) -> None:
+    """Put into results each (index, result) that data holds, up to the first
+    that does not load."""
+    stream = io.BytesIO(data)
+    try:
+        while stream.tell() < len(data):
+            i, result = marshal.load(stream)
+            results[i] = result
+    except (EOFError, ValueError, TypeError, IndexError):
+        pass

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 import re
+import sqlite3
+from contextlib import closing
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -129,9 +131,26 @@ def format_row_block(sample: RowSample) -> str:
 _PLAIN_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
+@lru_cache(maxsize=4096)
+def _parses_bare(name: str) -> bool:
+    """Whether SQLite runs `SELECT * FROM <name>` with name bare, asked of
+    SQLite itself on an empty in-memory table of that name. A keyword such
+    as `order` fails, one SQLite takes as a name, such as `key`, runs."""
+    with closing(sqlite3.connect(":memory:")) as conn:
+        try:
+            conn.execute(f"CREATE TABLE {quote_name(name)} (x)")
+            conn.execute(f"SELECT * FROM {name} LIMIT 1")
+        except sqlite3.Error:
+            return False
+    return True
+
+
 def _select_section(sample: RowSample, with_table_header: bool) -> str:
-    # a plain name stays bare, so that prompts move only for other names
-    name = sample.table if _PLAIN_NAME.fullmatch(sample.table) else quote_name(sample.table)
+    # a plain name that runs bare stays bare, so that prompts move only for
+    # the other names
+    name = sample.table
+    if not (_PLAIN_NAME.fullmatch(name) and _parses_bare(name)):
+        name = quote_name(name)
     lines = [
         "/*",
         f"{sample.limit} example rows from table {sample.table}:"

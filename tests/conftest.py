@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import sqlite3
 import subprocess
 import sys
@@ -43,6 +44,26 @@ def live_thread():
     finally:
         stop.set()
         thread.join(10)
+
+
+@contextmanager
+def interrupt_when(ready, every=0.01):
+    """Raise KeyboardInterrupt in this process, from a SIGALRM handler, at the
+    first of the checks of ready(), made every `every` seconds, that holds.
+    A forked child inherits the handler but not the timer, so only this
+    process is interrupted, wherever it waits."""
+    def check(signum, frame):
+        if ready():
+            raise KeyboardInterrupt
+        signal.setitimer(signal.ITIMER_REAL, every)
+
+    old = signal.signal(signal.SIGALRM, check)
+    signal.setitimer(signal.ITIMER_REAL, every)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def running(pid) -> bool:
@@ -284,8 +305,7 @@ def read_section(db_file, style):
 
 def evaluate_one(example, prediction, suite):
     """evaluate on connections and a gold store opened for this one call; its
-    notes are dropped."""
-    with closing(Connections(immutable=suite.variants[1:])) as connections, \
-            closing(GoldStore(suite)) as store:
+    notes are dropped, and so is what it put in the store."""
+    with closing(Connections(immutable=suite.variants[1:])) as connections:
         return evaluate(example, prediction, suite, TIMEOUT_MS, lambda message: None,
-                        connections, store)
+                        connections, GoldStore(suite))

@@ -1,15 +1,16 @@
 import hashlib
 import json
+import os
 import sqlite3
 from contextlib import closing
 
 import pytest
 
-from sqlbench import evaluate
+from sqlbench import evaluate, parallel
 from sqlbench.cli import main
 from sqlbench.fuzz import build_test_suite
 
-from conftest import FIXTURE_QUESTIONS, make_network1_db
+from conftest import FIXTURE_QUESTIONS, ONE_CPU, make_network1_db, run_python
 
 
 def read_jsonl(path):
@@ -378,6 +379,7 @@ class TestEval:
             return execute_sql(*args)
 
         monkeypatch.setattr(evaluate, "execute_sql", counting_execute_sql)
+        monkeypatch.setattr(parallel, "_processes", lambda n: 1)  # all counted here
         counts = []
         for out in ("cold.jsonl", "warm.jsonl"):
             calls.clear()
@@ -585,16 +587,22 @@ class TestDatabasePaths:
         assert sorted(p.name for p in cwd.iterdir()) == before
 
 
-@pytest.fixture
-def dangling_fk_root(tmp_path):
-    """A database root whose one database has a 10-row table with a foreign
-    key to a missing table, and a benchmark of one example on it."""
-    db = tmp_path / "dbroot" / "dangling" / "dangling.sqlite"
+def make_dangling_db(root):
+    """Under root, the database `dangling`: a 10-row table with a foreign key
+    to a missing table."""
+    db = root / "dangling" / "dangling.sqlite"
     db.parent.mkdir(parents=True)
     with closing(sqlite3.connect(db)) as conn:
         conn.execute("CREATE TABLE a (id int primary key, x int REFERENCES ghost(id))")
         conn.executemany("INSERT INTO a VALUES (?, ?)", [(i, i) for i in range(10)])
         conn.commit()
+
+
+@pytest.fixture
+def dangling_fk_root(tmp_path):
+    """A database root holding make_dangling_db's database, and a benchmark of
+    one example on it."""
+    make_dangling_db(tmp_path / "dbroot")
     bench = tmp_path / "bench.json"
     bench.write_text(json.dumps([{"db_id": "dangling", "question": "q",
                                   "query": "SELECT count(*) FROM a"}]))
@@ -761,6 +769,78 @@ class TestUnusableDatabases:
         assert run("suite", "--db", root / db_id / f"{db_id}.sqlite", "--cache", cache) == 2
         assert capsys.readouterr().err == f"error: {unusable_reason(root, db_id)}\n"
         assert not list(cache.rglob(".build-*"))
+
+
+# A prompt run through the CLI in a child interpreter. Prints its exit code,
+# stderr lines, prompts file, manifest, how many processes read a schema and
+# whether the calling process was one of them. pin "one" pins the
+# interpreter to one CPU.
+FORKED_PROMPT = (
+    "import contextlib, io, json, os, sys, time\n"
+    "from pathlib import Path\n"
+    "from sqlbench import cli\n"
+    "root, bench, work, pin = sys.argv[1:]\n"
+    "os.chdir(work)\n"
+    "if pin == 'one':\n"
+    "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+    "real = cli._schema_section\n"
+    "def marked(*args):\n"
+    "    Path('pids', str(os.getpid())).touch()\n"
+    "    time.sleep(0.01)  # no child claims every database before the last is forked\n"
+    "    return real(*args)\n"
+    "cli._schema_section = marked\n"
+    "Path('pids').mkdir()\n"
+    "err = io.StringIO()\n"
+    "with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = cli.main(['prompt', '--benchmark', bench, '--db-root', root,\n"
+    "                     '--prompt', 'create+select:2', '--context-tokens', '800',\n"
+    "                     '--out', 'prompts.jsonl'])\n"
+    "print(json.dumps({\n"
+    "    'code': code, 'stderr': err.getvalue().splitlines(),\n"
+    "    'prompts': Path('prompts.jsonl').read_text(),\n"
+    "    'manifest': Path('prompts.jsonl.manifest.json').read_text(),\n"
+    "    'pids': len(list(Path('pids').iterdir())),\n"
+    "    'caller': Path('pids', str(os.getpid())).exists()}))\n")
+
+
+class TestForkedPrompt:
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or ONE_CPU,
+                        reason="needs sched_setaffinity and two usable CPUs")
+    def test_same_output_as_one_process(self, unusable_root, tmp_path):
+        # network_1, gone and junk of unusable_root, and dangling, whose
+        # introspection warns; one question too long for the token budget
+        root, bench = unusable_root
+        make_dangling_db(root)
+        items = json.loads(bench.read_text())
+        for i in (1, 4, 7):
+            items.insert(i, {"db_id": "dangling", "question": "how many", "query": "SELECT 1"})
+        items.insert(3, {**items[0], "question": "why " * 1000})
+        bench.write_text(json.dumps(items))
+        got = {}
+        for pin in ("one", "all"):
+            (tmp_path / pin).mkdir()
+            # -W error: a fork with a thread running warns from Python 3.12
+            proc = run_python(FORKED_PROMPT, root, bench, tmp_path / pin, pin,
+                              flags=("-W", "error"))
+            assert proc.returncode == 0, proc.stderr
+            got[pin] = json.loads(proc.stdout)
+        one, every = (got.pop(pin) for pin in ("one", "all"))
+        assert (one.pop("pids"), one.pop("caller")) == (1, True)
+        # the caller claims no database while its children run
+        n = min(len(os.sched_getaffinity(0)), 4)
+        assert (every.pop("pids"), every.pop("caller")) == (n, False)
+        assert every == one
+        assert one["code"] == 0
+        # each database's warnings where its first example is reached, among
+        # the budget warning of another database's example
+        assert one["stderr"] == [
+            "warning: dangling: table a: foreign key x references missing table ghost",
+            skip_line(root, "gone"),
+            "warning: e0003: prompt exceeds budget (800 tokens) even with no support "
+            "examples; skipped",
+            skip_line(root, "junk")]
+        assert {json.loads(line)["db_id"] for line in one["prompts"].splitlines()} == {
+            "network_1", "dangling"}
 
 
 @pytest.fixture

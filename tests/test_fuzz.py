@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import random
+import signal
 import sqlite3
 import string
 import subprocess
@@ -19,8 +20,8 @@ from sqlbench.fuzz import (MAX_ROWS, TestSuite, _column_pools, _generate_table_r
                            build_test_suite)
 from sqlbench.schema import ColumnSchema, TableSchema
 
-from conftest import (CHILD_ENV, ONE_CPU, live_thread, make_network1_db, needs_fork,
-                      read_schema, run_python, running)
+from conftest import (CHILD_ENV, ONE_CPU, interrupt_when, live_thread, make_network1_db,
+                      needs_fork, read_schema, run_python, running)
 from pinned_suite import PINNED, make_pinned_db, pinned_suite_hashes
 
 
@@ -354,21 +355,27 @@ class TestSuiteCache:
         ref = build_test_suite(network1_db, 3, seed=4, cache_dir=tmp_path / "ref")
         suite_rel = ref.variants[1].parent.relative_to(tmp_path / "ref")
         cache = tmp_path / "cache"
-        # the building process dies once it has written its first variant,
-        # whatever share of the others forked children write
+        # the first process to write a variant, the builder itself or a
+        # forked child, SIGKILLs the builder; every other one stops at its
+        # next variant
         proc = run_python(
-            "import os, sys\n"
+            "import os, signal, sys\n"
             "from sqlbench import fuzz\n"
             "real, builder = fuzz._generate_variant, os.getpid()\n"
+            "db, cache, killed = sys.argv[1:]\n"
             "def dying(*args):\n"
             "    real(*args)\n"
-            "    if os.getpid() == builder:\n"
+            "    try:\n"
+            "        open(killed, 'x').close()\n"
+            "    except FileExistsError:\n"
             "        os._exit(3)\n"
+            "    os.kill(builder, signal.SIGKILL)\n"
+            "    os._exit(3)\n"
             "fuzz._generate_variant = dying\n"
-            "fuzz.build_test_suite(sys.argv[1], 3, 4, sys.argv[2])\n",
-            network1_db, cache)
-        assert proc.returncode == 3, proc.stderr
-        assert list(cache.rglob("variant_1.db")), "the killed build left no partial output"
+            "fuzz.build_test_suite(db, 3, 4, cache)\n",
+            network1_db, cache, tmp_path / "killed")
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        assert list(cache.rglob("variant_*.db")), "the killed build left no partial output"
         assert not (cache / suite_rel).exists()
         suite = build_test_suite(network1_db, 3, seed=4, cache_dir=cache)
         assert [v.parent for v in suite.variants[1:]] == [cache / suite_rel] * 3
@@ -652,19 +659,15 @@ class TestForkedBuild:
     def test_killed_builder_leaves_no_child(self, network1_db, tmp_path):
         marks = tmp_path / "marks"
         marks.mkdir()
-        # the builder stops in its first variant; each child marks itself and
-        # takes a while over each of its variants
+        # each child marks itself and takes a while over each of its variants
         code = (
             "import os, sys, time\n"
             "from pathlib import Path\n"
             "from sqlbench import fuzz\n"
             "db, cache, marks = sys.argv[1:]\n"
-            "builder, real = os.getpid(), fuzz._generate_variant\n"
+            "real = fuzz._generate_variant\n"
             "def slow(*args):\n"
-            "    if os.getpid() == builder:\n"
-            "        Path(marks, 'builder').touch()\n"
-            "        time.sleep(60)\n"
-            "    Path(marks, f'child-{os.getpid()}').touch()\n"
+            "    Path(marks, str(os.getpid())).touch()\n"
             "    time.sleep(0.3)\n"
             "    real(*args)\n"
             "fuzz._generate_variant = slow\n"
@@ -672,15 +675,14 @@ class TestForkedBuild:
         builder = subprocess.Popen([sys.executable, "-c", code, str(network1_db),
                                     str(tmp_path / "cache"), str(marks)], env=CHILD_ENV,
                                    stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-        n_children = parallel._processes(8) - 1
+        n_children = parallel._processes(8)  # the builder claims no variant
         children = set()
         try:
             deadline = time.monotonic() + 30
-            while (not (marks / "builder").exists() or len(children) < n_children) \
-                    and time.monotonic() < deadline:
+            while len(children) < n_children and time.monotonic() < deadline:
                 time.sleep(0.01)
-                children = {int(p.name.removeprefix("child-")) for p in marks.glob("child-*")}
-            assert len(children) == n_children
+                children = {int(p.name) for p in marks.iterdir()}
+            assert len(children) == n_children and builder.pid not in children
             assert any(running(pid) for pid in children)  # killed mid-build
         finally:
             builder.kill()
@@ -695,24 +697,21 @@ class TestForkedBuild:
     def test_interrupted_builder_kills_its_children(self, network1_db, tmp_path, monkeypatch):
         marks = tmp_path / "marks"
         marks.mkdir()
-        builder, n_children = os.getpid(), parallel._processes(8) - 1
+        n_children = parallel._processes(8)
 
-        def interrupted(*args):
-            if os.getpid() != builder:  # each child marks itself and hangs in its share
-                Path(marks, str(os.getpid())).touch()
-                time.sleep(60)
-            deadline = time.monotonic() + 30
-            while len(list(marks.iterdir())) < n_children and time.monotonic() < deadline:
-                time.sleep(0.01)
-            raise KeyboardInterrupt
+        def hanging(*args):  # only children run it: each marks itself and hangs
+            Path(marks, str(os.getpid())).touch()
+            time.sleep(60)
 
-        monkeypatch.setattr(fuzz, "_generate_variant", interrupted)
+        monkeypatch.setattr(fuzz, "_generate_variant", hanging)
         start = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
+        with pytest.raises(KeyboardInterrupt), interrupt_when(
+                lambda: len(list(marks.iterdir())) == n_children
+                or time.monotonic() > start + 20):
             build_test_suite(network1_db, 8, seed=4, cache_dir=tmp_path / "cache")
-        assert time.monotonic() - start < 30
+        assert time.monotonic() - start < 20
         children = [int(p.name) for p in marks.iterdir()]
-        assert len(children) == n_children
+        assert len(children) == n_children and os.getpid() not in children
         assert not any(running(pid) for pid in children)  # killed and reaped
         assert not list((tmp_path / "cache").rglob(".build-*"))
 

@@ -1,9 +1,17 @@
+import json
 import os
+from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from sqlbench import parallel
+
+try:
+    import fcntl
+except ImportError:  # not on this platform
+    fcntl = None
 
 # _processes is forced in each test, so one usable CPU is enough
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -13,13 +21,31 @@ def square(x):
     return (x, x * x, str(x))
 
 
+@contextmanager
+def no_fd_left():
+    fds = Path("/proc/self/fd")
+    before = set(os.listdir(fds)) if fds.exists() else set()
+    yield
+    assert (set(os.listdir(fds)) if fds.exists() else set()) == before
+
+
 @pytest.mark.parametrize("processes", [1, 2, 3, 4])
 @pytest.mark.parametrize("n_items", range(10))
 def test_same_results_as_map(monkeypatch, processes, n_items):
-    # forced past the usable CPUs: 0-9 items in 1-4 shares, most of them uneven
+    # forced past the usable CPUs: 0-9 items claimed by 1-4 processes
     monkeypatch.setattr(parallel, "_processes", lambda n: min(processes, n))
     items = range(10, 10 + n_items)
-    assert parallel.fork_map(square, items) == list(map(square, items))
+    worked_here = []
+
+    def work(x):
+        worked_here.append(x)  # a child appends to its own copy
+        return square(x)
+
+    with no_fd_left():
+        got = parallel.fork_map(work, items)
+    assert got == list(map(square, items))
+    # the caller claims nothing while children run
+    assert worked_here == (list(items) if min(processes, n_items) <= 1 else [])
 
 
 def test_unmarshallable_result_has_its_share_worked_here(monkeypatch):
@@ -27,10 +53,60 @@ def test_unmarshallable_result_has_its_share_worked_here(monkeypatch):
     worked_here = []
 
     def work(x):
-        worked_here.append(x)  # a child appends to its own copy
+        worked_here.append(x)
         return Fraction(x) if x == 4 else x  # marshal cannot dump a Fraction
 
-    got = parallel.fork_map(work, range(9))
-    assert worked_here == [0, 3, 6, 1, 4, 7]  # share 0, then share 1 = items[1::3]
+    with no_fd_left():
+        got = parallel.fork_map(work, range(9))
+    assert worked_here == [4]
     worked_here.clear()
     assert got == list(map(work, range(9)))
+
+
+def test_child_that_dies_has_its_claims_worked_here(monkeypatch, tmp_path):
+    monkeypatch.setattr(parallel, "_processes", lambda n: min(3, n))
+    caller, worked_here, dying = os.getpid(), [], tmp_path / "dying"
+
+    def work(x):
+        worked_here.append(x)
+        # the first child to claim a second item dies in it, its first
+        # result never sent; with 30 items, some child claims a second
+        if os.getpid() != caller and len(worked_here) == 2:
+            try:
+                with open(dying, "x") as f:
+                    f.write(json.dumps(worked_here))
+            except FileExistsError:
+                return square(x)
+            os._exit(5)
+        return square(x)
+
+    with no_fd_left():
+        got = parallel.fork_map(work, range(30))
+    assert got == list(map(square, range(30)))
+    assert worked_here == sorted(json.loads(dying.read_text()))
+
+
+@pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="needs F_SETPIPE_SZ")
+def test_claims_that_do_not_fit_the_pipe_are_worked_here(monkeypatch):
+    monkeypatch.setattr(parallel, "_processes", lambda n: min(2, n))
+    real_pipe = os.pipe
+
+    def small_pipe():  # one page: far fewer claims than items
+        read_end, write_end = real_pipe()
+        fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+        return read_end, write_end
+
+    monkeypatch.setattr(os, "pipe", small_pipe)
+    worked_here = []
+
+    def work(x):
+        worked_here.append(x)
+        return square(x)
+
+    n_items = 5000
+    with no_fd_left():
+        got = parallel.fork_map(work, range(n_items))
+    assert got == list(map(square, range(n_items)))
+    # the claims that fit went to the children, the rest stayed here
+    assert 0 < len(worked_here) < n_items
+    assert worked_here == list(range(worked_here[0], n_items))

@@ -1,4 +1,6 @@
 import math
+import sqlite3
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings
@@ -62,6 +64,24 @@ class TestGoldenRendering:
         a = render_prompt(render_schema(style, schema, samples), QUESTION)
         b = render_prompt(render_schema(style, schema, samples), QUESTION)
         assert a == b
+
+
+class TestSelectLine:
+    def test_keyword_table_names_are_quoted_only_where_sqlite_needs_it(self, tmp_path):
+        db = tmp_path / "keywords.sqlite"
+        names = ["order", "group", "select", "key", "action"]
+        with closing(sqlite3.connect(db)) as conn:
+            for name in names:
+                conn.execute(f'CREATE TABLE "{name}" (id INTEGER)')
+                conn.execute(f'INSERT INTO "{name}" VALUES (1)')
+            conn.commit()
+        text = read_section(db, PromptStyle(StyleKind.SELECT_X, x=3)).text
+        lines = [line for line in text.splitlines() if line.startswith("SELECT * FROM")]
+        # key and action parse bare, so their prompts keep the bare name
+        assert lines == [f'SELECT * FROM "{name}" LIMIT 3;' for name in names[:3]] + [
+            f"SELECT * FROM {name} LIMIT 3;" for name in names[3:]]
+        with closing(sqlite3.connect(db)) as conn:
+            assert [conn.execute(line).fetchall() for line in lines] == [[(1,)]] * len(names)
 
 
 class TestRowBlock:
