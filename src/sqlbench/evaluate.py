@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 
 from .backend import EMPTY_PREDICTION, Prediction
@@ -10,7 +11,7 @@ from .dataset import ExampleRecord, read_jsonl
 from .execution import Connections, ExecError, compare_results, execute_sql
 from .fuzz import TestSuite
 from .parallel import fork_map
-from .store import GoldStore, store_path, write_store
+from .store import GoldStore
 
 
 class GoldBrokenError(Exception):
@@ -128,58 +129,32 @@ class BenchmarkEvaluation:
     queries: int = 0  # SQL queries run, gold and prediction alike
 
 
-class _Scorer:
-    """Scores gold-query items in one process. It keeps open the connections
-    and the gold store of one database, those of the last item it scored,
-    and never writes the store."""
-
-    def __init__(self, examples: list[ExampleRecord], predictions: dict[str, Prediction],
-                 suites: dict[str, TestSuite], timeout_ms: int):
-        self.examples, self.predictions = examples, predictions
-        self.suites, self.timeout_ms = suites, timeout_ms
-        self.db_id = None
-        self.connections: Connections | None = None
-        self.store: GoldStore | None = None
-
-    def score(self, item: tuple[str, list[int]]) -> tuple:
-        """Score the examples at indices, all of db_id's database and with one
-        gold query. Returns plain values, which a forked child can marshal:
-        per example, its outcome's fields, or None when its gold is broken,
-        its notes and the (variant, payload) of each gold result it stored;
-        then the queries run, the store's hits and misses, and the fault met
-        reading the store or None."""
-        db_id, indices = item
-        suite = self.suites[db_id]
-        if db_id != self.db_id:
-            self.close()
-            # the fuzzed variants are cache files never rewritten in place
-            self.connections = Connections(immutable=suite.variants[1:])
-            self.store = GoldStore(suite)
-            self.db_id = db_id
-        connections, store = self.connections, self.store
-        queries, hits, misses = connections.queries, store.hits, store.misses
-        scored = []
+def _score_group(examples: list[ExampleRecord], indices: list[int],
+                 predictions: dict[str, Prediction], suite: TestSuite,
+                 timeout_ms: int) -> tuple:
+    """Score the examples at indices, all of suite's database, on one set of
+    connections and one gold store. Returns plain values, which a forked
+    child can marshal: per example, its outcome's fields, or None when its
+    gold is broken, and its notes; then the queries run, the store's hits
+    and misses, and the store's warning or None."""
+    scored = []
+    # the fuzzed variants are cache files never rewritten in place
+    with closing(Connections(immutable=suite.variants[1:])) as connections, \
+            closing(GoldStore(suite)) as store:
         for i in indices:
-            example = self.examples[i]
+            example = examples[i]
             notes: list[str] = []
             try:
-                outcome = evaluate(example, self.predictions[example.example_id], suite,
-                                   self.timeout_ms, notes.append, connections, store)
+                outcome = evaluate(example, predictions[example.example_id], suite,
+                                   timeout_ms, notes.append, connections, store)
                 # in field order; dataclasses.astuple would deep-copy each field
                 fields = tuple(vars(outcome).values())
             except GoldBrokenError as e:
                 fields = None
                 notes.append(str(e))
-            scored.append((fields, notes, [(variant, payload)
-                                           for _, variant, payload in store.new]))
-            store.new.clear()
-        return (scored, connections.queries - queries, store.hits - hits,
-                store.misses - misses, store.warning)
-
-    def close(self) -> None:
-        if self.connections is not None:
-            self.connections.close()
-        self.db_id = self.connections = self.store = None
+            scored.append((fields, notes))
+    warning = store.warning and f"gold store {store.path}: {store.warning}"
+    return scored, connections.queries, store.hits, store.misses, warning
 
 
 def evaluate_benchmark(examples: list[ExampleRecord], predictions: dict[str, Prediction],
@@ -187,63 +162,45 @@ def evaluate_benchmark(examples: list[ExampleRecord], predictions: dict[str, Pre
                        timeout_ms: int) -> BenchmarkEvaluation:
     """Evaluate every benchmark example that has a prediction and a suite.
 
-    The unit of work is an item: the examples of one database that share one
-    gold query, in benchmark order. Items come grouped by database, in the
-    order the benchmark first names each database and then each gold query,
-    and are scored through parallel.fork_map, across the usable CPUs. A
-    process keeps at most one database's connections and gold store open,
-    and never writes a store. Eval stays in one process where every suite
-    has k = 1: an example then runs at most four queries, and a second busy
-    CPU costs each example more than it saves.
+    Examples run grouped by database, so each suite file is opened once per
+    group, the suite's gold store is read once per group and written at most
+    once, and at most one suite's connections are open at a time in a
+    process. Outcomes, gold-broken ids and the warnings sent to warn still
+    come out in benchmark order, after one warning per gold store that
+    failed. Gold-broken examples are excluded from outcomes and listed
+    separately.
 
-    The caller writes each gold store the eval added to once, after all
-    scoring, with its entries in the order one process puts them, which is
-    benchmark order. Store warnings come first, one per database, then the
-    warnings of each example in benchmark order. Outcomes and gold-broken
-    ids keep benchmark order too; gold-broken examples are excluded from
-    outcomes and listed separately. So outcomes, warnings, counts and store
-    files are what one process writes, however many processes scored.
+    The groups, in the order their databases first appear, are scored
+    through parallel.fork_map, across the usable CPUs; no two groups share a
+    connection or a gold store. Eval stays in one process where every suite
+    has k = 1: an example then runs at most four queries, and a second busy
+    CPU costs each example more than it saves. The groups of a child that
+    dies are scored again by the caller, so their stores may count extra
+    hits: the results the child stored before it died.
     """
-    by_db: dict[str, dict[str, list[int]]] = {}
+    groups: dict[str, list[int]] = {}
     for i, example in enumerate(examples):
         if example.example_id in predictions and example.db_id in suites:
-            by_db.setdefault(example.db_id, {}).setdefault(example.gold_sql, []).append(i)
-    items = [(db_id, indices) for db_id, golds in by_db.items() for indices in golds.values()]
+            groups.setdefault(example.db_id, []).append(i)
 
-    scorer = _Scorer(examples, predictions, suites, timeout_ms)
-    try:
-        if all(suites[db_id].k == 1 for db_id in by_db):
-            scored_items = [scorer.score(item) for item in items]
-        else:
-            scored_items = fork_map(scorer.score, items)
-    finally:
-        scorer.close()
+    def score(db_id: str) -> tuple:
+        return _score_group(examples, groups[db_id], predictions, suites[db_id], timeout_ms)
+
+    one_process = all(suites[db_id].k == 1 for db_id in groups)
+    scored_groups = (map if one_process else fork_map)(score, groups)
 
     result = BenchmarkEvaluation(outcomes=[], gold_broken=[])
-    scored: dict[int, tuple[tuple | None, list[str], list]] = {}
-    faults: dict[str, str | None] = {}
-    for (db_id, indices), (item_scored, queries, hits, misses, fault) in zip(items,
-                                                                             scored_items):
-        scored.update(zip(indices, item_scored))
+    scored: dict[int, tuple[tuple | None, list[str]]] = {}
+    for indices, (group_scored, queries, hits, misses, warning) in zip(groups.values(),
+                                                                       scored_groups):
+        scored.update(zip(indices, group_scored))
         result.queries += queries
         result.gold_store["hits"] += hits
         result.gold_store["misses"] += misses
-        faults[db_id] = faults.get(db_id) or fault
-    for db_id, golds in by_db.items():
-        # each result keyed by its own example's gold_sql string, as one
-        # process keys it: marshal writes an object met again as a reference
-        # to the first, so the file's bytes follow which strings are shared
-        new = [(examples[i].gold_sql, variant, payload)
-               for i in sorted(i for indices in golds.values() for i in indices)
-               for variant, payload in scored[i][2]]
-        fault = faults[db_id]
-        if new:  # written after a read fault too: it replaces the damaged file
-            written = write_store(suites[db_id], new)
-            fault = fault or written
-        if fault:
-            warn(f"gold store {store_path(suites[db_id])}: {fault}")
+        if warning:
+            warn(warning)
 
-    for i, (fields, notes, _) in sorted(scored.items()):
+    for i, (fields, notes) in sorted(scored.items()):
         for note in notes:
             warn(note)
         if fields is None:

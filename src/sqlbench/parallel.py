@@ -1,5 +1,5 @@
 """The program's one use of os.fork: fork_map, the map over items that the
-suite build (fuzz.py), eval's gold-query groups (evaluate.evaluate_benchmark)
+suite build (fuzz.py), eval's database groups (evaluate.evaluate_benchmark)
 and the prompt stage's schemas (cli.cmd_prompt) spread across the usable
 CPUs.
 
@@ -38,55 +38,58 @@ def _processes(n: int) -> int:
     return min(cpus, n)
 
 
-def _write_claims(n_items: int) -> int | None:
-    """The read end of a pipe that holds the indices of as many of n_items as
-    fit, in order, its write end closed; None if no pipe can be made. Each
-    write is at most PIPE_BUF bytes and so is written whole or not at all:
-    a claim never comes out cut."""
-    try:
-        read_end, write_end = os.pipe()
-    except OSError:
-        return None
-    try:
-        os.set_blocking(write_end, False)
-        claims = b"".join(i.to_bytes(_CLAIM, "little") for i in range(n_items))
-        chunk = select.PIPE_BUF // _CLAIM * _CLAIM
-        for start in range(0, len(claims), chunk):
-            os.write(write_end, claims[start:start + chunk])
-    except BlockingIOError:  # the pipe is full: the caller works the rest
-        pass
-    finally:
-        os.close(write_end)
-    return read_end
+def _write_claims(write_end: int, claims: list[bytes]) -> list[bytes]:
+    """Write claims, chunks of whole claims of at most PIPE_BUF bytes each,
+    in order into the pipe write_end, as far as it takes them; return the
+    chunks not written. Such a write is whole or not at all, so a claim never
+    comes out cut. In blocking mode it writes all, or stops where no process
+    holds the read end any more."""
+    for written, chunk in enumerate(claims):
+        try:
+            os.write(write_end, chunk)
+        except (BlockingIOError, BrokenPipeError):
+            return claims[written:]
+    return []
 
 
 def fork_map(work, items) -> list:
     """[work(x) for x in items], worked by n = _processes(len(items)) forked
-    children that claim the items one at a time. Before the first fork the
-    caller writes every item's index into one claim pipe and closes its
-    write end; a child reads one index at a time until the pipe is empty,
-    works that item, and at the end sends the marshal.dumps of each
-    (index, result) through its own pipe. It leaves only by os._exit, so it
-    never runs a caller's cleanup: with code 0 once its results are sent,
-    else with 1. A result that cannot be marshalled is not sent.
+    children that claim the items one at a time. The caller writes every
+    item's index into one claim pipe: before the first fork as many as the
+    pipe holds, the rest once every child is forked, then it closes its
+    ends. A child reads one index at a time until the pipe ends, works that
+    item, and at the end sends the marshal.dumps of each (index, result)
+    through its own pipe. It leaves only by os._exit, so it never runs a
+    caller's cleanup: with code 0 once its results are sent, else with 1. A
+    result that cannot be marshalled is not sent.
 
     The caller claims nothing while its children run, so what it runs
     itself does not depend on how the children raced. It reads each child's
     pipe to its end, waits for the child, and keeps the results of a child
     that exited 0. Then it works, in item order, every item no child
-    returned: a dead child's, one whose result could not be marshalled or
-    loaded, and claims that did not fit in the pipe. So a result is the one
-    this process would get, and whatever work raises is raised here. With
-    one process all items are worked here. An interrupted caller (any
-    BaseException) SIGKILLs and reaps every child it has not waited for,
-    then re-raises."""
+    returned: a dead child's, and one whose result could not be marshalled
+    or loaded. So a result is the one this process would get, and whatever
+    work raises is raised here. With one process all items are worked here.
+    An interrupted caller (any BaseException) SIGKILLs and reaps every child
+    it has not waited for, then re-raises."""
     items = list(items)
     results = [_MISSING] * len(items)
     n = _processes(len(items))
-    claims = _write_claims(len(items)) if n > 1 else None
+    claim_read = claim_write = None
     children = []  # (pid, pipe)
     try:
-        for _ in range(n if claims is not None else 0):
+        if n > 1:
+            try:
+                claim_read, claim_write = os.pipe()
+            except OSError:  # no file descriptor to be had: no child
+                pass
+            else:
+                indices = b"".join(i.to_bytes(_CLAIM, "little") for i in range(len(items)))
+                size = select.PIPE_BUF // _CLAIM * _CLAIM
+                os.set_blocking(claim_write, False)
+                claims = _write_claims(claim_write, [indices[start:start + size] for start
+                                                     in range(0, len(indices), size)])
+        for _ in range(n if claim_read is not None else 0):
             try:
                 read_end, write_end = os.pipe()
             except OSError:  # no file descriptor to be had: one child fewer
@@ -99,12 +102,14 @@ def fork_map(work, items) -> list:
                 break
             if pid == 0:
                 try:
+                    # else the claim pipe never ends for this child
+                    os.close(claim_write)
                     # the child's collections then skip every object it
                     # inherited, so they copy none of the caller's pages
                     gc.freeze()
                     os.close(read_end)
                     sent = []
-                    while claim := os.read(claims, _CLAIM):
+                    while claim := os.read(claim_read, _CLAIM):
                         i = int.from_bytes(claim, "little")
                         result = work(items[i])
                         try:
@@ -120,6 +125,15 @@ def fork_map(work, items) -> list:
             # inherited by a later child, keeps its pipe from ever ending
             os.close(write_end)
             children.append((pid, open(read_end, "rb")))
+        if claim_read is not None:
+            # closed first, so that a write finding every child gone fails
+            # rather than waits; the claims it leaves are worked here
+            os.close(claim_read)
+            claim_read = None
+            os.set_blocking(claim_write, True)
+            _write_claims(claim_write, claims)
+            os.close(claim_write)
+            claim_write = None
         while children:
             pid, pipe = children[0]
             with pipe:
@@ -136,8 +150,9 @@ def fork_map(work, items) -> list:
             os.waitpid(pid, 0)
         raise
     finally:
-        if claims is not None:
-            os.close(claims)
+        for end in (claim_read, claim_write):
+            if end is not None:
+                os.close(end)
     for i, result in enumerate(results):
         if result is _MISSING:
             results[i] = work(items[i])

@@ -12,17 +12,15 @@ versions) is not this store's counts as empty.
 Never stored: a timeout, and a result of a query that called a function whose
 result may change from run to run (execution.VOLATILE_FUNCTIONS).
 
-Each process of an eval reads the file once, through a GoldStore, and never
-writes it. The eval's calling process writes it with write_store(), once,
-after all scoring, and only if the eval stored something: write_store()
-reads the file again, puts the eval's results over it, writes the whole
-beside it and renames that into place, so no reader sees a partial file. Of
-evals that write at once the last rename wins, and a result only another
-stored runs again later. The checksum guards against damage, not an
-attacker: a file that cannot be read or fails it counts as empty, with one
-warning, and is replaced by the next write_store(). Writes are not synced:
-the file is a cache, and what a machine crash may damage fails the
-checksum. The first write deletes the store of format 1, gold.sqlite.
+The file is read once. close() writes only if this eval stored something: it
+reads the file again, puts its own results over it, writes the whole beside
+it and renames that into place, so no reader sees a partial file. Of evals
+that close at once the last rename wins, and a result only another stored
+runs again later. The checksum guards against damage, not an attacker: a
+file that cannot be read or fails it counts as empty, with one warning, and
+is replaced at close(). Writes are not synced: the file is a cache, and what
+a machine crash may damage fails the checksum. The first write deletes the
+store of format 1, gold.sqlite.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ import marshal
 import os
 import sqlite3
 import sys
-from pathlib import Path
 
 from .execution import ExecError, ExecResult
 from .fuzz import TestSuite
@@ -42,47 +39,37 @@ FORMAT = "2"  # of results; change it with put() or get()
 LEGACY_FILE_NAME = "gold.sqlite"  # the store of format 1
 
 
-def _header(suite: TestSuite) -> tuple:
-    """What a store file must start with to be this suite's store: the suite
-    content hash, the format, and the SQLite, Python and marshal versions."""
-    return (suite.content_hash, FORMAT, sqlite3.sqlite_version,
-            "%d.%d" % sys.version_info[:2], marshal.version)
-
-
-def _read(path: Path, header: tuple) -> tuple[dict, str | None]:
-    """The results in the file at path, and the fault met reading it: none if
-    there is no file or its header is not header, and none, with a fault,
-    if it cannot be read or is damaged."""
-    try:
-        with open(path, "rb") as f:
-            data = memoryview(f.read())  # sliced without a copy
-        if hashlib.sha256(data[32:]).digest() != data[:32]:
-            raise ValueError("checksum mismatch")
-        file_header, results = marshal.loads(data[32:])
-    except FileNotFoundError:
-        return {}, None
-    except (OSError, EOFError, ValueError, TypeError) as e:
-        return {}, f"{e}; the queries run instead"
-    return (results if file_header == header else {}), None
-
-
-def store_path(suite: TestSuite) -> Path:
-    """The gold store file of suite."""
-    return suite.directory / FILE_NAME
-
-
 class GoldStore:
-    """The gold store of one suite, as read when made.
+    """The gold store of one suite, read when made and written by close().
 
-    hits counts gold results served from it, misses gold queries run.
-    warning holds the fault met reading the file, if any. new lists what
-    put() stored since the caller last emptied it, as (sql, variant,
-    payload), for write_store()."""
+    hits counts gold results served from the file, misses gold queries run.
+    warning holds the first fault met in the file, if any."""
 
     def __init__(self, suite: TestSuite):
+        self.path = suite.directory / FILE_NAME
         self.hits = self.misses = 0
-        self.new: list[tuple[str, int, bytes]] = []
-        self._results, self.warning = _read(store_path(suite), _header(suite))
+        self.warning: str | None = None
+        self._header = (suite.content_hash, FORMAT, sqlite3.sqlite_version,
+                        "%d.%d" % sys.version_info[:2], marshal.version)
+        self._new: dict[tuple[str, int], bytes] = {}  # what this eval stored
+        self._results = self._read()
+
+    def _read(self) -> dict:
+        """The results in the file: none if there is no file or its header is
+        not this store's, and none, with a warning, if it cannot be read or is
+        damaged."""
+        try:
+            with open(self.path, "rb") as f:
+                data = memoryview(f.read())  # sliced without a copy
+            if hashlib.sha256(data[32:]).digest() != data[:32]:
+                raise ValueError("checksum mismatch")
+            header, results = marshal.loads(data[32:])
+        except FileNotFoundError:
+            return {}
+        except (OSError, EOFError, ValueError, TypeError) as e:
+            self.warning = self.warning or f"{e}; the queries run instead"
+            return {}
+        return results if header == self._header else {}
 
     def get(self, sql: str, variant: int) -> ExecResult | ExecError | None:
         """The stored result of sql on variant, or None if there is none."""
@@ -106,31 +93,22 @@ class GoldStore:
             value = ("error", result.kind, result.message)
         else:
             value = ("rows", result.columns, result.rows, result.order_sensitive)
-        payload = marshal.dumps(value)
-        self._results[sql, variant] = payload
-        self.new.append((sql, variant, payload))
+        self._results[sql, variant] = self._new[sql, variant] = marshal.dumps(value)
 
-
-def write_store(suite: TestSuite, new: list[tuple[str, int, bytes]]) -> str | None:
-    """Put new, entries of GoldStore.new in the order they were stored, over
-    the results in suite's store file, and write the whole in its place.
-    Returns the first fault met, reading the file again or writing it, or
-    None."""
-    path, header = store_path(suite), _header(suite)
-    results, fault = _read(path, header)
-    for sql, variant, payload in new:
-        # a new key tuple that only results holds: marshal marks an object
-        # held elsewhere too for reference, so this keeps the file's bytes
-        results[sql, variant] = payload
-    data = marshal.dumps((header, results))
-    tmp = path.with_name(f"{FILE_NAME}.{os.getpid()}.new")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(hashlib.sha256(data).digest())
-            f.write(data)
-        os.replace(tmp, path)
-        (path.parent / LEGACY_FILE_NAME).unlink(missing_ok=True)
-    except OSError as e:
-        fault = fault or f"cannot write: {e}"
-        tmp.unlink(missing_ok=True)
-    return fault
+    def close(self) -> None:
+        if not self._new:
+            return
+        results = self._read()
+        results.update(self._new)
+        self._new = {}
+        data = marshal.dumps((self._header, results))
+        tmp = self.path.with_name(f"{FILE_NAME}.{os.getpid()}.new")
+        try:
+            with open(tmp, "wb") as f:
+                f.write(hashlib.sha256(data).digest())
+                f.write(data)
+            os.replace(tmp, self.path)
+            (self.path.parent / LEGACY_FILE_NAME).unlink(missing_ok=True)
+        except OSError as e:
+            self.warning = self.warning or f"cannot write: {e}"
+            tmp.unlink(missing_ok=True)

@@ -305,7 +305,8 @@ def read_section(db_file, style):
 
 def evaluate_one(example, prediction, suite):
     """evaluate on connections and a gold store opened for this one call; its
-    notes are dropped, and so is what it put in the store."""
-    with closing(Connections(immutable=suite.variants[1:])) as connections:
+    notes are dropped."""
+    with closing(Connections(immutable=suite.variants[1:])) as connections, \
+            closing(GoldStore(suite)) as store:
         return evaluate(example, prediction, suite, TIMEOUT_MS, lambda message: None,
-                        connections, GoldStore(suite))
+                        connections, store)

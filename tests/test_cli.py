@@ -6,7 +6,7 @@ from contextlib import closing
 
 import pytest
 
-from sqlbench import evaluate, parallel
+from sqlbench import evaluate
 from sqlbench.cli import main
 from sqlbench.fuzz import build_test_suite
 
@@ -379,7 +379,6 @@ class TestEval:
             return execute_sql(*args)
 
         monkeypatch.setattr(evaluate, "execute_sql", counting_execute_sql)
-        monkeypatch.setattr(parallel, "_processes", lambda n: 1)  # all counted here
         counts = []
         for out in ("cold.jsonl", "warm.jsonl"):
             calls.clear()
@@ -771,22 +770,30 @@ class TestUnusableDatabases:
         assert not list(cache.rglob(".build-*"))
 
 
-# A prompt run through the CLI in a child interpreter. Prints its exit code,
-# stderr lines, prompts file, manifest, how many processes read a schema and
-# whether the calling process was one of them. pin "one" pins the
-# interpreter to one CPU.
+# A prompt run through the CLI in a child interpreter, on a benchmark of
+# n_dbs databases. Prints its exit code, stderr lines, prompts file,
+# manifest, how many processes read a schema and whether the calling process
+# was one of them. A forked child reads a schema only once every child has
+# claimed a database, or after 10 s, so each child claims one. pin "one"
+# pins the interpreter to one CPU.
 FORKED_PROMPT = (
     "import contextlib, io, json, os, sys, time\n"
     "from pathlib import Path\n"
-    "from sqlbench import cli\n"
-    "root, bench, work, pin = sys.argv[1:]\n"
+    "from sqlbench import cli, parallel\n"
+    "root, bench, work, pin, n_dbs = sys.argv[1:]\n"
     "os.chdir(work)\n"
     "if pin == 'one':\n"
     "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+    "caller, n_children = os.getpid(), parallel._processes(int(n_dbs))\n"
     "real = cli._schema_section\n"
     "def marked(*args):\n"
-    "    Path('pids', str(os.getpid())).touch()\n"
-    "    time.sleep(0.01)  # no child claims every database before the last is forked\n"
+    "    mark = Path('pids', str(os.getpid()))\n"
+    "    if not mark.exists():\n"
+    "        mark.touch()\n"
+    "        deadline = time.monotonic() + 10\n"
+    "        while (os.getpid() != caller and len(list(Path('pids').iterdir())) < n_children\n"
+    "               and time.monotonic() < deadline):\n"
+    "            time.sleep(0.01)\n"
     "    return real(*args)\n"
     "cli._schema_section = marked\n"
     "Path('pids').mkdir()\n"
@@ -800,7 +807,7 @@ FORKED_PROMPT = (
     "    'prompts': Path('prompts.jsonl').read_text(),\n"
     "    'manifest': Path('prompts.jsonl.manifest.json').read_text(),\n"
     "    'pids': len(list(Path('pids').iterdir())),\n"
-    "    'caller': Path('pids', str(os.getpid())).exists()}))\n")
+    "    'caller': Path('pids', str(caller)).exists()}))\n")
 
 
 class TestForkedPrompt:
@@ -820,7 +827,7 @@ class TestForkedPrompt:
         for pin in ("one", "all"):
             (tmp_path / pin).mkdir()
             # -W error: a fork with a thread running warns from Python 3.12
-            proc = run_python(FORKED_PROMPT, root, bench, tmp_path / pin, pin,
+            proc = run_python(FORKED_PROMPT, root, bench, tmp_path / pin, pin, 4,
                               flags=("-W", "error"))
             assert proc.returncode == 0, proc.stderr
             got[pin] = json.loads(proc.stdout)

@@ -19,12 +19,12 @@ import sqlbench
 from sqlbench import evaluate, execution, parallel, store
 from sqlbench.backend import Prediction
 from sqlbench.cli import main
-from sqlbench.dataset import ExampleRecord, load_benchmark, read_jsonl
+from sqlbench.dataset import ExampleRecord, load_benchmark
 from sqlbench.evaluate import GoldBrokenError, evaluate_benchmark
 from sqlbench.execution import (Connections, ExecError, ExecResult, compare_results,
                                 execute_sql)
 from sqlbench.fuzz import TestSuite, build_test_suite
-from sqlbench.store import GoldStore, write_store
+from sqlbench.store import GoldStore
 
 from conftest import (FIXTURE_QUESTIONS, ONE_CPU, TIMEOUT_MS, evaluate_one, interrupt_when,
                       live_thread, make_geo_db, make_network1_db, needs_fork, run_python,
@@ -189,7 +189,6 @@ class TestEvaluateBenchmark:
             return open(file, mode, *args, **kwargs)
 
         monkeypatch.setattr(store, "open", counting_open, raising=False)
-        monkeypatch.setattr(parallel, "_processes", lambda n: 1)  # all counted here
         for pass_store_files in (
                 # read when made and again at close(), then written once
                 [("gold.marshal", "rb"), ("gold.marshal", "rb"),
@@ -208,8 +207,7 @@ class TestEvaluateBenchmark:
             assert store_files == pass_store_files
         assert result.gold_store["misses"] == 0
 
-    def test_gold_prediction_runs_only_the_gold(self, db_root, tmp_path, monkeypatch, opened):
-        monkeypatch.setattr(parallel, "_processes", lambda n: 1)  # all counted here
+    def test_gold_prediction_runs_only_the_gold(self, db_root, tmp_path, opened):
         bench = [example(sql, f"e{i:04d}") for i, (_, sql) in enumerate(FIXTURE_QUESTIONS[:3])]
         predictions = {e.example_id: prediction(e.gold_sql, e.example_id) for e in bench}
         suites = {"network_1": build_test_suite(db_root / "network_1" / "network_1.sqlite", 2,
@@ -379,18 +377,18 @@ STORED_ERRORS = st.builds(ExecError, st.sampled_from(["engine", "forbidden", "to
 
 def round_trip(suite, sql, result):
     """result put into the store of suite, then read back by a store opened anew."""
-    gold = GoldStore(suite)
-    gold.put(sql, 0, result, volatile=False)
-    assert write_store(suite, gold.new) is None
-    gold = GoldStore(suite)
-    got = gold.get(sql, 0)
-    assert gold.hits == 1 and gold.warning is None
+    with closing(GoldStore(suite)) as gold:
+        gold.put(sql, 0, result, volatile=False)
+    with closing(GoldStore(suite)) as gold:
+        got = gold.get(sql, 0)
+        assert gold.hits == 1 and gold.warning is None
     return got
 
 
 def stored(suite, sql, variant=0):
     """The result of sql on variant in the gold store of suite, opened anew."""
-    return GoldStore(suite).get(sql, variant)
+    with closing(GoldStore(suite)) as gold:
+        return gold.get(sql, variant)
 
 
 def network1_eval(db_root, tmp_path, golds, preds, warn=print, timeout_ms=TIMEOUT_MS):
@@ -595,82 +593,71 @@ def three_suites(root, cache, k=3):
             for db_id in FORKED_DBS}
 
 
-@pytest.fixture(scope="module")
-def one_db(three_dbs, tmp_path_factory):
-    """A benchmark on network_1 alone, of three_dbs' root, in which five gold
-    queries repeat, and its predictions file: the gold, the gold respaced,
-    wrong or invalid in turn. Returns the root, the benchmark file and the
-    predictions file."""
-    tmp = tmp_path_factory.mktemp("one_db")
-    golds = [sql for _, sql in FIXTURE_QUESTIONS[:5]]
-    bench_file = tmp / "bench.json"
-    bench_file.write_text(json.dumps([{"db_id": "network_1", "question": "q",
-                                       "query": golds[i * 3 % 5]} for i in range(12)]))
-    preds_file = tmp / "predictions.jsonl"
-    preds_file.write_text("".join(json.dumps({"example_id": e.example_id, "sql": (
-        e.gold_sql, e.gold_sql + " ", "SELECT name FROM Highschooler",
-        "SELECT nocol FROM t")[i % 4]}) + "\n" for i, e in enumerate(load_benchmark(bench_file))))
-    return three_dbs[0], bench_file, preds_file
-
-
 # Two evals through the CLI in a child interpreter, on a cold and then a warm
-# gold store, with the store of the database `damaged` damaged between them.
-# Prints, per eval, its exit code, stderr lines, outcomes without timing_ms,
-# its manifest, each gold.marshal's sha256, how many processes ran evaluate
-# and whether the calling process was one of them; each example takes at
-# least 10 ms. pin "one" pins the
-# interpreter to one CPU; thread "1" keeps a thread alive through both evals.
+# gold store, with network_2's store damaged between them. Prints, per eval,
+# its exit code, stderr lines, outcomes without timing_ms, the manifest's
+# gold_store and queries, each gold.marshal's sha256, how many processes ran
+# evaluate and whether the calling process was one of them. A forked child
+# works only once every child has claimed a database, or after 10 s, so each
+# child claims one. pin "one" pins the interpreter to one CPU; thread "1"
+# keeps a thread alive through both evals.
 FORKED_EVAL = (
     "import contextlib, hashlib, io, json, os, shutil, sys, threading, time\n"
     "from pathlib import Path\n"
-    "from sqlbench import evaluate\n"
+    "from sqlbench import evaluate, parallel\n"
     "from sqlbench.cli import main\n"
-    "root, bench, preds, work, pin, k, thread, damaged = sys.argv[1:]\n"
+    "root, bench, preds, work, pin, k, thread, n_dbs = sys.argv[1:]\n"
     "os.chdir(work)\n"
     "if pin == 'one':\n"
     "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
     "stop = threading.Event()\n"
     "if thread == '1':\n"
-    "    threading.Thread(target=stop.wait).start()\n"
+    "    threading.Thread(target=stop.wait, daemon=True).start()\n"
+    "caller, n_children = os.getpid(), parallel._processes(int(n_dbs))\n"
     "real = evaluate.evaluate\n"
     "def marked(*args):\n"
-    "    Path('pids', str(os.getpid())).touch()\n"
-    "    time.sleep(0.01)  # no child claims every item before the last is forked\n"
+    "    mark = Path('pids', str(os.getpid()))\n"
+    "    if not mark.exists():\n"
+    "        mark.touch()\n"
+    "        deadline = time.monotonic() + 10\n"
+    "        while (os.getpid() != caller and len(list(Path('pids').iterdir())) < n_children\n"
+    "               and time.monotonic() < deadline):\n"
+    "            time.sleep(0.01)\n"
     "    return real(*args)\n"
     "evaluate.evaluate = marked\n"
     "runs = []\n"
     "for name in ('cold', 'warm'):\n"
     "    if name == 'warm':\n"
-    "        next(Path('cache', damaged).rglob('gold.marshal')).write_bytes(b'damaged')\n"
+    "        next(Path('cache', 'network_2').rglob('gold.marshal')).write_bytes(b'damaged')\n"
     "    Path('pids').mkdir()\n"
     "    err = io.StringIO()\n"
     "    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):\n"
     "        code = main(['eval', '--benchmark', bench, '--db-root', root,\n"
     "                     '--predictions', preds, '--suite-k', k, '--cache', 'cache',\n"
     "                     '--out', f'{name}.jsonl'])\n"
+    "    manifest = json.loads(Path(f'{name}.jsonl.manifest.json').read_text())\n"
     "    runs.append({\n"
     "        'code': code, 'stderr': err.getvalue().splitlines(),\n"
     "        'outcomes': [{key: value for key, value in json.loads(line).items()\n"
     "                      if key != 'timing_ms'}\n"
     "                     for line in Path(f'{name}.jsonl').read_text().splitlines()],\n"
-    "        'manifest': json.loads(Path(f'{name}.jsonl.manifest.json').read_text()),\n"
+    "        'gold_store': manifest['gold_store'], 'queries': manifest['queries'],\n"
     "        'stores': {str(path): hashlib.sha256(path.read_bytes()).hexdigest()\n"
     "                   for path in sorted(Path('cache').rglob('gold.marshal'))},\n"
     "        'pids': len(list(Path('pids').iterdir())),\n"
-    "        'caller': Path('pids', str(os.getpid())).exists()})\n"
+    "        'caller': Path('pids', str(caller)).exists()})\n"
     "    shutil.rmtree('pids')\n"
     "stop.set()\n"
     "print(json.dumps(runs))\n")
 
 
-def forked_eval(dbs, work, pin="all", k=3, thread=False, damaged="network_2"):
-    """The evals of FORKED_EVAL on dbs (three_dbs or one_db), run in the
-    directory work."""
-    root, bench_file, preds_file, *_ = dbs
+def forked_eval(three_dbs, work, pin="all", k=3, thread=False):
+    """The evals of FORKED_EVAL on three_dbs, run in the directory work."""
+    root, bench_file, preds_file, *_ = three_dbs
     work.mkdir()
     # -W error: a fork with a thread running warns from Python 3.12
     proc = run_python(FORKED_EVAL, root, bench_file, preds_file, work, pin, k, int(thread),
-                      damaged, flags=("-W", "error"))
+                      len(FORKED_DBS), flags=("-W", "error"))
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -678,15 +665,6 @@ def forked_eval(dbs, work, pin="all", k=3, thread=False, damaged="network_2"):
 def without_pids(runs):
     return [{key: value for key, value in run.items() if key not in ("pids", "caller")}
             for run in runs]
-
-
-def n_items(root, bench_file, preds_file, *_):
-    """How many gold-query items eval scores of the benchmark in bench_file:
-    one per database with a file under root and gold query among the
-    examples with a prediction."""
-    predicted = {r["example_id"] for r in read_jsonl(preds_file, {"example_id": str})}
-    return len({(e.db_id, e.gold_sql) for e in load_benchmark(bench_file)
-                if (root / e.db_id).exists() and e.example_id in predicted})
 
 
 class TestForkedEval:
@@ -697,8 +675,8 @@ class TestForkedEval:
         every = forked_eval(three_dbs, tmp_path / "all")
         assert without_pids(every) == without_pids(one)
         assert [(run["pids"], run["caller"]) for run in one] == [(1, True)] * 2
-        # the caller claims no item while its children run
-        n = min(len(os.sched_getaffinity(0)), n_items(*three_dbs))
+        # the caller claims no database while its children run
+        n = min(len(os.sched_getaffinity(0)), len(FORKED_DBS))
         assert [(run["pids"], run["caller"]) for run in every] == [(n, False)] * 2
         cold, warm = one
         assert cold["code"] == warm["code"] == 0
@@ -715,24 +693,7 @@ class TestForkedEval:
             "warning: e0005: no prediction; skipped"]
         assert cold["stderr"] == [warm["stderr"][0], *warm["stderr"][2:]]
         assert warm["stores"] == cold["stores"]  # the damaged one replaced, byte for byte
-        assert cold["manifest"]["gold_store"]["hits"] == 0
-        assert warm["manifest"]["gold_store"]["hits"] > 0
-
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or ONE_CPU,
-                        reason="needs sched_setaffinity and two usable CPUs")
-    def test_one_database_uses_every_cpu(self, one_db, tmp_path):
-        one = forked_eval(one_db, tmp_path / "one", pin="one", damaged="network_1")
-        every = forked_eval(one_db, tmp_path / "all", damaged="network_1")
-        assert without_pids(every) == without_pids(one)
-        n = min(len(os.sched_getaffinity(0)), n_items(*one_db))
-        assert n >= 2
-        assert [(run["pids"], run["caller"]) for run in every] == [(n, False)] * 2
-        cold, warm = one
-        assert cold["code"] == warm["code"] == 0 and len(cold["outcomes"]) == 12
-        assert cold["stderr"] == [] and len(warm["stderr"]) == 1  # the damaged store
-        assert warm["stores"] == cold["stores"]
-        # the damaged store counts as empty, as no store did
-        assert warm["manifest"]["gold_store"] == cold["manifest"]["gold_store"]
+        assert cold["gold_store"]["hits"] == 0 and warm["gold_store"]["hits"] > 0
 
     @needs_fork
     def test_child_that_dies_has_its_share_scored_again(self, three_dbs, tmp_path,
@@ -743,15 +704,22 @@ class TestForkedEval:
             ref = evaluate_benchmark(bench, predictions, three_suites(root, tmp_path / "one"),
                                      ref_warnings.append, TIMEOUT_MS)
         caller, real, scored_here = os.getpid(), evaluate.evaluate, []
+        n = parallel._processes(len(FORKED_DBS))
+        n_children = n if n > 1 else 0
         marks = tmp_path / "marks"
         marks.mkdir()
 
         def dying(*args):
-            if os.getpid() != caller:  # a child dies at its second example
+            # a child marks itself at its first example, waits until every
+            # child has claimed a database, and dies at its second example
+            if os.getpid() != caller:
                 mark = marks / str(os.getpid())
                 if mark.exists():
                     os._exit(7)
                 mark.touch()
+                deadline = time.monotonic() + 5
+                while len(list(marks.iterdir())) < n_children and time.monotonic() < deadline:
+                    time.sleep(0.01)
             else:
                 scored_here.append(args[0].example_id)
             return real(*args)
@@ -762,9 +730,11 @@ class TestForkedEval:
         start = time.monotonic()
         forked = evaluate_benchmark(bench, predictions, suites, warnings.append, TIMEOUT_MS)
         assert time.monotonic() - start < 10
-        n_children = min(len(os.sched_getaffinity(0)), n_items(*three_dbs))
         assert len(list(marks.iterdir())) == n_children
-        assert scored_here  # what the children claimed, and what they left
+        # every example, database by database: what the children claimed,
+        # and what they left
+        assert scored_here == [e.example_id for db_id in FORKED_DBS for e in bench
+                               if e.db_id == db_id and e.example_id in predictions]
         assert scores(forked) == scores(ref)
         assert warnings == ref_warnings
         assert (forked.gold_broken, forked.gold_store, forked.queries) == (
@@ -777,7 +747,7 @@ class TestForkedEval:
         suites = three_suites(root, tmp_path / "cache")
         marks = tmp_path / "marks"
         marks.mkdir()
-        n_children = parallel._processes(n_items(*three_dbs))
+        n_children = parallel._processes(len(FORKED_DBS))
 
         def hanging(*args):  # only children run it: each marks itself and hangs
             Path(marks, str(os.getpid())).touch()

@@ -86,17 +86,23 @@ def test_child_that_dies_has_its_claims_worked_here(monkeypatch, tmp_path):
     assert worked_here == sorted(json.loads(dying.read_text()))
 
 
-@pytest.mark.skipif(not hasattr(fcntl, "F_SETPIPE_SZ"), reason="needs F_SETPIPE_SZ")
-def test_claims_that_do_not_fit_the_pipe_are_worked_here(monkeypatch):
-    monkeypatch.setattr(parallel, "_processes", lambda n: min(2, n))
+@pytest.fixture
+def small_pipes(monkeypatch):
+    """Pipes of one page: 1024 claims, far fewer than 5000 items."""
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("needs F_SETPIPE_SZ")
     real_pipe = os.pipe
 
-    def small_pipe():  # one page: far fewer claims than items
+    def small_pipe():
         read_end, write_end = real_pipe()
         fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
         return read_end, write_end
 
     monkeypatch.setattr(os, "pipe", small_pipe)
+
+
+def test_claims_beyond_the_pipe_go_to_the_children(monkeypatch, small_pipes):
+    monkeypatch.setattr(parallel, "_processes", lambda n: min(2, n))
     worked_here = []
 
     def work(x):
@@ -107,6 +113,22 @@ def test_claims_that_do_not_fit_the_pipe_are_worked_here(monkeypatch):
     with no_fd_left():
         got = parallel.fork_map(work, range(n_items))
     assert got == list(map(square, range(n_items)))
-    # the claims that fit went to the children, the rest stayed here
-    assert 0 < len(worked_here) < n_items
-    assert worked_here == list(range(worked_here[0], n_items))
+    assert worked_here == []  # written once the children were forked
+
+
+def test_children_that_die_before_the_pipe_is_written_leave_it_here(monkeypatch, small_pipes):
+    monkeypatch.setattr(parallel, "_processes", lambda n: min(2, n))
+    caller, worked_here = os.getpid(), []
+
+    def work(x):
+        if os.getpid() != caller:  # every child dies in its first claim
+            os._exit(5)
+        worked_here.append(x)
+        return square(x)
+
+    n_items = 5000
+    with no_fd_left():
+        got = parallel.fork_map(work, range(n_items))
+    assert got == list(map(square, range(n_items)))
+    # the claims no child is left to read stop the caller's writes, not block them
+    assert worked_here == list(range(n_items))
