@@ -4,6 +4,7 @@ pre-generation and annotation skeletons. Stages communicate only via files."""
 from __future__ import annotations
 
 import argparse
+import functools
 import glob as globmod
 import hashlib
 import json
@@ -215,6 +216,24 @@ def _write_jsonl(path, records) -> None:
     _write(path, (json.dumps(rec) + "\n" for rec in records))
 
 
+def _escape(text: str) -> str:
+    """text as a JSON string, without its quotes."""
+    return json.dumps(text)[1:-1]
+
+
+def _prompt_lines(prompts):
+    """The prompts file's line of each (example, rendered prompt): the
+    json.dumps of its record, joined from pieces each escaped once per call.
+    JSON escapes one code point at a time, so the escaped pieces of a prompt
+    join to the escaped prompt, and a database's schema section, shown in
+    each of its prompts, is escaped once."""
+    escape = functools.cache(_escape)
+    for rec, rendered in prompts:
+        yield (f'{{"example_id": {json.dumps(rec.example_id)}, "db_id": {json.dumps(rec.db_id)}, '
+               f'"prompt": "{"".join(map(escape, rendered.pieces))}", '
+               f'"est_tokens": {rendered.est_tokens}, "shots_used": {rendered.shots_used}}}\n')
+
+
 def _warn(message: str) -> None:
     """The one way a stage reports a problem it goes on past. sys.stderr is
     looked up on each call, so a redirect made after import still catches it."""
@@ -272,7 +291,7 @@ def cmd_prompt(args) -> None:
     schemas = dict(zip(db_ids, read(lambda db_id: _schema_section(
         db_path(args.db_root, db_id), style), db_ids)))
     sections = {}  # db_id -> the schema section of its prompts, None if it cannot be read
-    records = []
+    prompts = []
     skipped = []
     for rec in examples:
         if rec.db_id not in sections:  # its warnings where one process meets them
@@ -288,21 +307,15 @@ def cmd_prompt(args) -> None:
         if section is None:
             continue
         try:
-            rendered, n_used = fit_support(budget, section, rec.question, support)
+            rendered, _ = fit_support(budget, section, rec.question, support)
         except BudgetError as e:
             skipped.append(rec.example_id)
             _warn(f"{rec.example_id}: {e}; skipped")
             continue
-        records.append({
-            "example_id": rec.example_id,
-            "db_id": rec.db_id,
-            "prompt": rendered.text,
-            "est_tokens": rendered.est_tokens,
-            "shots_used": n_used,
-        })
-    _write_jsonl(args.out, records)
-    _write_manifest(args, {"skipped": skipped, "n_prompts": len(records)})
-    print(f"wrote {len(records)} prompts to {args.out} ({len(skipped)} over budget)")
+        prompts.append((rec, rendered))
+    _write(args.out, _prompt_lines(prompts))
+    _write_manifest(args, {"skipped": skipped, "n_prompts": len(prompts)})
+    print(f"wrote {len(prompts)} prompts to {args.out} ({len(skipped)} over budget)")
 
 
 def cmd_predict(args) -> None:
@@ -403,7 +416,8 @@ def _load_run(path) -> tuple[str, list[EvalOutcome], int, int]:
 
 
 def cmd_report(args) -> None:
-    paths = sorted(p for pattern in args.runs for p in globmod.glob(pattern))
+    # a file two patterns match is one run
+    paths = sorted({p for pattern in args.runs for p in globmod.glob(pattern)})
     if not paths:
         raise UsageError("no outcome files match")
     runs = [_load_run(p) for p in paths]

@@ -98,8 +98,9 @@ def annotation_skeleton(example_ids: list[str]) -> str:
 
 def load_annotations(path, known_ids) -> list[AnnotationRecord]:
     """The labelled records of an annotation file; an empty category is a
-    draft and is left out. An unknown category, an example not in known_ids,
-    or a second label for one example raises IngestionError naming its line."""
+    draft and is left out. An unknown category, one that is not manual (the
+    program itself decides those), an example not in known_ids, or a second
+    label for one example raises IngestionError naming its line."""
     labelled = set()
 
     def annotation(rec: dict) -> AnnotationRecord | None:
@@ -110,8 +111,11 @@ def load_annotations(path, known_ids) -> list[AnnotationRecord]:
             raise ValueError(f"annotation references unknown example {example_id}")
         if example_id in labelled:
             raise ValueError(f"conflicting annotations for example {example_id!r}")
+        category = ErrorCategory(rec["category"])
+        if not category.manual:
+            raise ValueError(f"{category.value!r} is not a category of manual annotation")
         labelled.add(example_id)
-        return AnnotationRecord(example_id, ErrorCategory(rec["category"]), rec.get("note", ""))
+        return AnnotationRecord(example_id, category, rec.get("note", ""))
 
     records = read_jsonl(path, {"example_id": str}, annotation)
     return [rec for rec in records if rec is not None]

@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import math
 import re
-import sqlite3
-from contextlib import closing
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
 from .dataset import SupportSet
-from .schema import RowSample, TableSchema, quote_name
+from .schema import RowSample, TableSchema
 
 
 class PromptContractError(Exception):
@@ -82,8 +80,15 @@ class PromptBudget:
 
 @dataclass
 class RenderedPrompt:
-    text: str
+    """A prompt as the strings it joins, which a writer can encode one by one,
+    its token estimate, and how many support examples it shows."""
+    pieces: list[str]
     est_tokens: int
+    shots_used: int = 0
+
+    @property
+    def text(self) -> str:
+        return "".join(self.pieces)
 
 
 INSTRUCTION_PLAIN = "-- Using valid SQLite, answer the following questions."
@@ -128,35 +133,13 @@ def format_row_block(sample: RowSample) -> str:
     return "\n".join(lines)
 
 
-_PLAIN_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-
-@lru_cache(maxsize=4096)
-def _parses_bare(name: str) -> bool:
-    """Whether SQLite runs `SELECT * FROM <name>` with name bare, asked of
-    SQLite itself on an empty in-memory table of that name. A keyword such
-    as `order` fails, one SQLite takes as a name, such as `key`, runs."""
-    with closing(sqlite3.connect(":memory:")) as conn:
-        try:
-            conn.execute(f"CREATE TABLE {quote_name(name)} (x)")
-            conn.execute(f"SELECT * FROM {name} LIMIT 1")
-        except sqlite3.Error:
-            return False
-    return True
-
-
 def _select_section(sample: RowSample, with_table_header: bool) -> str:
-    # a plain name that runs bare stays bare, so that prompts move only for
-    # the other names
-    name = sample.table
-    if not (_PLAIN_NAME.fullmatch(name) and _parses_bare(name)):
-        name = quote_name(name)
     lines = [
         "/*",
         f"{sample.limit} example rows from table {sample.table}:"
         if with_table_header
         else f"{sample.limit} example rows:",
-        f"SELECT * FROM {name} LIMIT {sample.limit};",
+        f"SELECT * FROM {sample.sql_name} LIMIT {sample.limit};",
     ]
     if with_table_header:
         lines.append(f"Table: {sample.table}")
@@ -234,56 +217,32 @@ def _pair(question: str, gold_sql: str) -> tuple[str, int]:
     return text, _count(text)
 
 
-def _pairs(support: SupportSet | None) -> list[tuple[str, int]] | None:
-    if support is None:
-        return None
-    return [_pair(rec.question, rec.gold_sql) for rec in support.examples]
-
-
-def _pieces(section: SchemaSection, question: str, pairs: list[tuple[str, int]] | None):
-    """The prompt as strings to concatenate, and its token runs. pairs is
-    None for the zero-shot layout. Each piece meets the next at whitespace,
-    which no token run holds, so the prompt's runs are the pieces' runs."""
+def render_prompt(section: SchemaSection, question: str, support: SupportSet | None = None,
+                  budget: PromptBudget | None = None) -> RenderedPrompt:
+    """Produce the prompt in the section's style. Ends in the literal token
+    SELECT; the model completion is the query body. Given a support set, even
+    an empty one, the prompt takes the few-shot layout. Given a budget, it
+    shows the largest support prefix that fits, dropping from the
+    least-frequent-template end, and raises BudgetError when even the prompt
+    with no support examples is too large. Each piece meets the next at
+    whitespace, which no token run holds, so the prompt's runs are the
+    pieces' runs: a prefix is measured without joining it."""
+    pairs = [] if support is None else [_pair(rec.question, rec.gold_sql)
+                                        for rec in support.examples]
     kind = section.style.kind
-    if kind is StyleKind.API_DOCS and pairs is None:
-        tail = f"### {question}\nSELECT"
-        return [section.text, "\n", tail], section.tokens + _count(tail)
-    tail = f"-- {question}\nSELECT"
-    if kind is StyleKind.QUESTION:
-        out = [INSTRUCTION_PLAIN]
-        tokens = _PLAIN_TOKENS
+    if kind is StyleKind.API_DOCS and support is None:
+        pieces, tokens = [section.text], section.tokens
+        tail = f"\n### {question}\nSELECT"
     else:
-        out = [section.text, "\n\n\n" if pairs is None else "\n\n", INSTRUCTION_TABLES]
-        tokens = section.tokens + _TABLES_TOKENS
-    sep = "\n" if pairs else "\n\n"
-    for text, n in pairs or ():
-        out += (sep, text)
-        tokens += n
-        sep = "\n\n"
-    out += (sep, tail)
-    return out, tokens + _count(tail)
-
-
-def render_prompt(section: SchemaSection, question: str,
-                  support: SupportSet | None = None) -> RenderedPrompt:
-    """Produce the final prompt text in the section's style. Ends in the
-    literal token SELECT; the model completion is the query body. Given a
-    support set, even an empty one, the prompt takes the few-shot layout."""
-    pieces, tokens = _pieces(section, question, _pairs(support))
-    return RenderedPrompt(text="".join(pieces), est_tokens=_inflate(tokens))
-
-
-def fit_support(budget: PromptBudget, section: SchemaSection, question: str,
-                support: SupportSet | None) -> tuple[RenderedPrompt, int]:
-    """Render with the largest support prefix that fits the budget, dropping
-    from the least-frequent-template end; support None is the zero-shot
-    prompt. Raises BudgetError when even the prompt with no support examples
-    is too large. Prefixes are measured by their counted pieces; only the
-    chosen one is rendered."""
-    pairs = _pairs(support)
-    _, tokens = _pieces(section, question, pairs)
-    keep = len(pairs or ())
-    while not budget.admits(_inflate(tokens)):
+        if kind is StyleKind.QUESTION:
+            pieces, tokens = [INSTRUCTION_PLAIN], _PLAIN_TOKENS
+        else:
+            pieces = [section.text, "\n\n\n" if support is None else "\n\n", INSTRUCTION_TABLES]
+            tokens = section.tokens + _TABLES_TOKENS
+        tail = f"\n\n-- {question}\nSELECT"
+    tokens += _count(tail) + sum(n for _, n in pairs)
+    keep = len(pairs)
+    while budget is not None and not budget.admits(_inflate(tokens)):
         if keep == 0:
             raise BudgetError(
                 f"prompt exceeds budget ({budget.context_tokens} tokens) "
@@ -291,6 +250,17 @@ def fit_support(budget: PromptBudget, section: SchemaSection, question: str,
             )
         keep -= 1
         tokens -= pairs[keep][1]
-    if support is not None:
-        support = SupportSet(n=support.n, seed=support.seed, examples=support.examples[:keep])
-    return render_prompt(section, question, support), keep
+    sep = "\n"
+    for text, _ in pairs[:keep]:
+        pieces += (sep, text)
+        sep = "\n\n"
+    pieces.append(tail)
+    return RenderedPrompt(pieces, _inflate(tokens), keep)
+
+
+def fit_support(budget: PromptBudget, section: SchemaSection, question: str,
+                support: SupportSet | None) -> tuple[RenderedPrompt, int]:
+    """The prompt render_prompt fits to budget, and how many support examples
+    it keeps; support None is the zero-shot prompt."""
+    rendered = render_prompt(section, question, support, budget)
+    return rendered, rendered.shots_used

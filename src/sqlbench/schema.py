@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
@@ -42,11 +43,13 @@ class RowSample:
     limit: int
     header: list[str]
     rows: list[tuple]
+    sql_name: str = ""  # the table as the sample query named it
 
 
 def quote_name(name: str) -> str:
     """name as an SQL identifier: in double quotes, each `"` in it doubled.
-    The one way a table name goes into SQL that sqlbench runs itself."""
+    The one way a table name goes quoted into SQL that sqlbench runs itself;
+    only sample_rows first tries a plain name bare."""
     return '"' + name.replace('"', '""') + '"'
 
 
@@ -124,15 +127,25 @@ def introspect(db_file, conn: sqlite3.Connection, warn) -> list[TableSchema]:
     return tables
 
 
+_PLAIN_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
 def sample_rows(conn: sqlite3.Connection, table: str, x: int) -> RowSample:
     """First x rows of a table, read through conn in natural (rowid) order,
-    typed values preserved."""
+    typed values preserved. A plain name goes into the query bare, and is
+    quoted only if SQLite does not run it so (a keyword such as `order`);
+    the sample records the name as it ran."""
     if x < 1:
         raise ValueError("sample limit must be >= 1")
-    try:
-        cur = conn.execute(f"SELECT * FROM {quote_name(table)} LIMIT {int(x)}")
-    except sqlite3.Error as e:
-        raise IntrospectionError(f"cannot sample table {table!r}: {e}") from e
+    names = [table, quote_name(table)] if _PLAIN_NAME.fullmatch(table) else [quote_name(table)]
+    for name in names:
+        try:
+            cur = conn.execute(f"SELECT * FROM {name} LIMIT {int(x)}")
+            break
+        except sqlite3.Error as e:
+            error = e
+    else:
+        raise IntrospectionError(f"cannot sample table {table!r}: {error}") from error
     header = [d[0] for d in cur.description]
     rows = [tuple(r) for r in cur.fetchall()]
-    return RowSample(table=table, limit=x, header=header, rows=rows)
+    return RowSample(table=table, limit=x, header=header, rows=rows, sql_name=name)

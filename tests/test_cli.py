@@ -531,6 +531,25 @@ class TestReport:
         rc = run("report", "metrics", "--runs", workdir / "nope-*.jsonl")
         assert rc == 2
 
+    def test_a_file_two_patterns_match_is_read_once(self, tmp_path):
+        runs = {}
+        for name, ts, shots in (("a", True, 0), ("b", False, 0), ("c", True, 4)):
+            runs[name] = tmp_path / f"dup.{name}.jsonl"
+            runs[name].write_text(json.dumps({"example_id": f"e{name}", "valid": True,
+                                              "ex": ts, "ts": ts}) + "\n")
+            (tmp_path / f"dup.{name}.jsonl.manifest.json").write_text(json.dumps(
+                {"config": {}, "prompt_config": {"shots": shots}}))
+        both = (tmp_path / "dup.*.jsonl", runs["a"])  # dup.a.jsonl matched twice
+        dest = tmp_path / "report.out"
+        assert run("report", "metrics", "--runs", *both, "--format", "json",
+                   "--out", dest) == 0
+        assert [r["label"] for r in json.loads(dest.read_text())] == ["dup.a", "dup.b", "4-shot"]
+        assert run("report", "curve", "--average", "--runs", *both, "--out", dest) == 0
+        assert dest.read_text().split() == ["shots,ts_pct", "0,50.0", "4,100.0"]
+        assert run("report", "breakdown", "--runs", *both, "--out", dest) == 0
+        rows = [line.split("|")[1:3] for line in dest.read_text().splitlines()]
+        assert [cell.strip() for cell in rows[2]] == ["Test-Suite Correct", "66.7"]
+
     def test_breakdown(self, outcomes_file, capsys):
         rc = run("report", "breakdown", "--runs", outcomes_file)
         assert rc == 0
@@ -1030,6 +1049,9 @@ def bad_input_files(tmp_path, fixture_benchmark_path, db_root, prompts_file,
                                              "ts": False}) + "\n")
     files["annotations"].write_text("\n" + json.dumps({"example_id": "e0000",
                                                         "category": "Bogus"}) + "\n")
+    files["ts_label"] = tmp_path / "ts-label.jsonl"
+    files["ts_label"].write_text(json.dumps({"example_id": "e0000",
+                                             "category": "TestSuiteCorrect"}) + "\n")
     files["oldreplay"].write_text(json.dumps({"example_id": "e0000", "completion": "1"})
                                   + "\n")
     files["mixed_train"] = tmp_path / "mixed-train.json"
@@ -1099,6 +1121,9 @@ BAD_INPUTS = {
     "report-unknown-category": (
         "report breakdown --runs {outcomes} --annotations {annotations} --out {out}",
         "{annotations}:2: 'Bogus'"),
+    "report-non-manual-category": (
+        "report breakdown --runs {outcomes} --annotations {ts_label} --out {out}",
+        "{ts_label}:1: 'TestSuiteCorrect' is not a category of manual annotation"),
     "annotate-missing-outcomes": ("annotate --outcomes {missing} --out {out}", "{missing}"),
     "report-manifest-without-config": (
         "report metrics --runs {run_no_config} --out {out}",

@@ -1,3 +1,4 @@
+import json
 import re
 import sqlite3
 from itertools import combinations
@@ -208,6 +209,18 @@ class TestBreakdown:
         message = f"{path}:2: annotation references unknown example ghost"
         with pytest.raises(IngestionError, match=re.escape(message)):
             load_annotations(path, {"e0"})
+
+    @pytest.mark.parametrize("category", [c for c in ErrorCategory if not c.manual],
+                             ids=lambda c: c.value)
+    def test_category_the_program_decides_rejected(self, tmp_path, category):
+        # a valid-but-wrong example labelled TestSuiteCorrect would count as
+        # TS-correct in the breakdown and drop out of E%
+        path = tmp_path / "ann.jsonl"
+        path.write_text('{"example_id": "e0", "category": "Argmax"}\n'
+                        + json.dumps({"example_id": "e1", "category": category.value}) + "\n")
+        message = f"{path}:2: {category.value!r} is not a category of manual annotation"
+        with pytest.raises(IngestionError, match=re.escape(message)):
+            load_annotations(path, {"e0", "e1"})
 
     def test_unannotated_errors_fall_into_other(self):
         outs = [outcome("e0", ex=True, ts=False)]

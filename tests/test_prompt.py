@@ -1,12 +1,17 @@
+import json
 import math
+import re
 import sqlite3
 from contextlib import closing
+from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from sqlbench.dataset import ExampleRecord, SupportSet
+import sqlbench.cli
+from sqlbench.cli import main
+from sqlbench.dataset import ExampleRecord, SupportSet, db_path
 import sqlbench.prompt
 from sqlbench.prompt import (
     INSTRUCTION_PLAIN,
@@ -15,6 +20,7 @@ from sqlbench.prompt import (
     PromptBudget,
     PromptContractError,
     PromptStyle,
+    SchemaSection,
     StyleKind,
     estimate_tokens,
     fit_support,
@@ -23,9 +29,10 @@ from sqlbench.prompt import (
     render_prompt,
     render_schema,
 )
-from sqlbench.schema import RowSample
+from sqlbench.schema import RowSample, connect_ro, quote_name, read_only_uri, sample_rows
 
-from conftest import GEO_SUPPORT_PAIRS, load_golden, read_samples, read_schema, read_section
+from conftest import (GEO_SUPPORT_PAIRS, load_golden, make_network1_db, read_samples,
+                      read_schema, read_section)
 
 QUESTION = "What is Kyle's id?"
 
@@ -82,6 +89,96 @@ class TestSelectLine:
             f"SELECT * FROM {name} LIMIT 3;" for name in names[3:]]
         with closing(sqlite3.connect(db)) as conn:
             assert [conn.execute(line).fetchall() for line in lines] == [[(1,)]] * len(names)
+
+
+# The reference for a bare or a quoted name in the sample query: SQLite asked
+# on a table of that name in a database of its own.
+_PLAIN_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+@lru_cache(maxsize=4096)
+def _parses_bare(name: str) -> bool:
+    """Whether SQLite runs `SELECT * FROM <name>` with name bare, asked of
+    SQLite itself on an empty in-memory table of that name. A keyword such
+    as `order` fails, one SQLite takes as a name, such as `key`, runs."""
+    with closing(sqlite3.connect(":memory:")) as conn:
+        try:
+            conn.execute(f"CREATE TABLE {quote_name(name)} (x)")
+            conn.execute(f"SELECT * FROM {name} LIMIT 1")
+        except sqlite3.Error:
+            return False
+    return True
+
+
+KEYWORD_NAMES = ["order", "group", "select", "from", "where", "table", "index", "values",
+                 "default", "key", "action", "temp", "main", "rowid", "replace", "filter",
+                 "window"]
+_TABLE_NAMES = st.one_of(
+    st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,7}", fullmatch=True),
+    st.sampled_from(KEYWORD_NAMES + ["a b", "1st", "é", 'we"ird', "x-y", "[t]", "`t`"]),
+    st.text(min_size=1, max_size=6),
+).filter(lambda name: "\x00" not in name and not name.lower().startswith("sqlite_"))
+
+
+def _database_of(path, names):
+    """A database at path holding one table per name, in order, table i
+    holding the one row (i,)."""
+    with closing(sqlite3.connect(path)) as conn:
+        for i, name in enumerate(names):
+            conn.execute(f"CREATE TABLE {quote_name(name)} (id INTEGER)")
+            conn.execute(f"INSERT INTO {quote_name(name)} VALUES ({i})")
+        conn.commit()
+    return path
+
+
+class TestBareOrQuoted:
+    @staticmethod
+    def check(db, names):
+        """Each sample query names its table bare exactly where the reference
+        runs it bare, and the prompt prints the query, which runs."""
+        with closing(connect_ro(db)) as conn:
+            ran = [sample_rows(conn, name, 3).sql_name for name in names]
+        assert ran == [name if _PLAIN_NAME.fullmatch(name) and _parses_bare(name)
+                       else quote_name(name) for name in names]
+        text = read_section(db, PromptStyle(StyleKind.SELECT_X, x=3)).text
+        lines = [f"SELECT * FROM {name} LIMIT 3;" for name in ran]
+        assert all(line in text for line in lines)
+        with closing(sqlite3.connect(db)) as conn:
+            assert [conn.execute(line).fetchall() for line in lines] == [
+                [(i,)] for i in range(len(names))]
+
+    def test_keyword_names(self, tmp_path):
+        self.check(_database_of(tmp_path / "keywords.sqlite", KEYWORD_NAMES), KEYWORD_NAMES)
+
+    @settings(max_examples=100, deadline=None)
+    @given(names=st.lists(_TABLE_NAMES, min_size=1, max_size=5, unique_by=str.lower))
+    def test_generated_names(self, tmp_path_factory, names):
+        db = tmp_path_factory.mktemp("names") / "names.sqlite"
+        self.check(_database_of(db, names), names)
+
+    def test_prompt_run_opens_one_connection_per_database(self, tmp_path, monkeypatch):
+        root = tmp_path / "dbroot"
+        for db_id in ("network_1", "keywords"):
+            (root / db_id).mkdir(parents=True)
+        make_network1_db(db_path(root, "network_1"))
+        _database_of(db_path(root, "keywords"), KEYWORD_NAMES)
+        bench = tmp_path / "bench.json"
+        bench.write_text(json.dumps([{"db_id": db_id, "question": "q", "query": "SELECT 1"}
+                                     for db_id in ("network_1", "keywords") * 2]))
+        # in a file, so that a forked child's connections are counted too
+        log = tmp_path / "connections"
+        connect = sqlite3.connect
+
+        def logged(database, *args, **kwargs):
+            with open(log, "a") as f:
+                f.write(f"{database}\n")
+            return connect(database, *args, **kwargs)
+
+        monkeypatch.setattr(sqlite3, "connect", logged)
+        assert main(["prompt", "--benchmark", str(bench), "--db-root", str(root),
+                     "--prompt", "create+select:3", "--out", str(tmp_path / "p.jsonl")]) == 0
+        assert sorted(log.read_text().splitlines()) == sorted(
+            read_only_uri(db_path(root, db_id)) for db_id in ("network_1", "keywords"))
 
 
 class TestRowBlock:
@@ -398,3 +495,60 @@ class TestParseStyle:
             PromptStyle(StyleKind.SELECT_X)  # x required
         with pytest.raises(ValueError):
             PromptStyle(StyleKind.QUESTION, x=3)  # x forbidden
+
+
+# Text JSON must escape: quotes, backslashes, control characters, non-ASCII,
+# astral characters and lone surrogates, alone and next to plain text.
+_ESCAPED = st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", "é", "数", "\u2028",
+                     "\U0001F600", "\ud800", "\udfff", "\ud83d", "\ude00"]),
+    st.text(st.characters(exclude_categories=()), max_size=4),
+)
+_JSON_TEXT = st.lists(st.one_of(_ESCAPED, _FRAGMENTS), max_size=8).map("".join)
+_JSON_SUPPORT = st.one_of(
+    st.none(),
+    st.lists(st.tuples(_JSON_TEXT, _JSON_TEXT), max_size=4).map(lambda pairs: SupportSet(
+        n=len(pairs), seed=0,
+        examples=[ExampleRecord(f"s{i}", "db", q, sql) for i, (q, sql) in enumerate(pairs)])),
+)
+
+
+_PROMPT_LINES = given(
+    data=st.data(), style=_STYLE, texts=st.lists(_JSON_TEXT, min_size=1, max_size=2),
+    support=_JSON_SUPPORT,
+    examples=st.lists(st.tuples(_JSON_TEXT, _JSON_TEXT, _JSON_TEXT), min_size=1, max_size=4))
+
+
+def _check_prompt_lines(data, style, texts, support, examples):
+    """Every line the prompt stage writes is the json.dumps of its record,
+    under budgets that keep any number of support pairs, down to none."""
+    sections = [SchemaSection(style, text, sqlbench.prompt._count(text)) for text in texts]
+    prompts, records, kept = [], [], []
+    for i, (example_id, db_id, question) in enumerate(examples):
+        section = sections[i % len(sections)]
+        n_pairs = 0 if support is None else len(support.examples)
+        keep = data.draw(st.integers(0, n_pairs), label="keep")
+        prefix = None if support is None else SupportSet(
+            n=support.n, seed=0, examples=support.examples[:keep])
+        budget = PromptBudget(render_prompt(section, question, prefix).est_tokens + 1, 1)
+        rendered, n_used = fit_support(budget, section, question, support)
+        kept.append((keep, n_used))
+        prompts.append((ExampleRecord(example_id, db_id, question, "SELECT 1"), rendered))
+        records.append({"example_id": example_id, "db_id": db_id, "prompt": rendered.text,
+                        "est_tokens": rendered.est_tokens, "shots_used": n_used})
+    assert (list(sqlbench.cli._prompt_lines(prompts)), kept) == (
+        [json.dumps(rec) + "\n" for rec in records], [(keep, keep) for keep, _ in kept])
+
+
+class TestPromptLines:
+    def test_lines_are_json_dumps_of_each_record(self):
+        settings(max_examples=200, deadline=None)(_PROMPT_LINES(_check_prompt_lines))()
+
+    def test_an_escape_that_keeps_non_ascii_is_caught(self, monkeypatch):
+        monkeypatch.setattr(sqlbench.cli, "_escape",
+                            lambda text: json.dumps(text, ensure_ascii=False)[1:-1])
+        # the first failure is enough: no shrinking, and nothing saved
+        mutant = settings(max_examples=200, deadline=None, database=None,
+                          phases=[Phase.generate])(_PROMPT_LINES(_check_prompt_lines))
+        with pytest.raises(AssertionError):
+            mutant()
