@@ -15,9 +15,14 @@ sha256 check fails on reuse and is regenerated.
 A cold build writes its k variants through parallel.fork_map, from at most
 one process per usable CPU. The variants do not depend on how many processes
 write them: each draws from its own generator, seeded by (seed, variant
-number), so a variant is a pure function of (source content, seed, k). Each
-writer returns its variant's sha256, which goes into the manifest. A builder
-that is killed leaves at most its build directory, never returned.
+number), so a variant is a pure function of (source content, seed, k). A draw
+is rng.random() or an index below n: n.bit_length() bits of rng.getrandbits,
+drawn again while they reach n, a copy of CPython's rejection rule
+(Random._randbelow). So variants depend on the Mersenne Twister stream and
+that copy, not on random.choice. A k = 1 suite's one variant is the empty
+one, so its build reads only which source tables have rows. Each writer
+returns its variant's sha256, which goes into the manifest. A builder that
+is killed leaves at most its build directory, never returned.
 A variant is never written again once renamed into place, so eval opens it
 immutable (execution.Connections): no lock and no change-counter read per
 query. Editing one by hand during an eval is unsupported; the next reuse's
@@ -108,13 +113,27 @@ def _value_kind(declared_type: str) -> str:
     return "text"
 
 
+def _below(rng: random.Random, n: int) -> int:
+    """rng._randbelow(n), so seq[_below(rng, len(seq))] is rng.choice(seq):
+    n.bit_length() bits from getrandbits, drawn again while they reach n."""
+    bits = n.bit_length()
+    i = rng.getrandbits(bits)
+    while i >= n:
+        i = rng.getrandbits(bits)
+    return i
+
+
 def _fresh_value(rng: random.Random, kind: str):
     if kind == "int":
-        return rng.randint(0, 100000)
+        return _below(rng, 100001)  # rng.randint(0, 100000)
     if kind == "real":
-        return round(rng.uniform(0, 10000), 3)
-    choice = rng.choice
-    return "".join([choice(string.ascii_lowercase) for _ in range(6)])
+        return round(rng.random() * 10000, 3)  # rng.uniform(0, 10000)
+    text = ""
+    while len(text) < 6:  # six of rng.choice(string.ascii_lowercase)
+        i = rng.getrandbits(5)
+        if i < 26:
+            text += string.ascii_lowercase[i]
+    return text
 
 
 def _mutate_value(rng: random.Random, value, kind: str):
@@ -122,37 +141,31 @@ def _mutate_value(rng: random.Random, value, kind: str):
         return _fresh_value(rng, kind)
     if isinstance(value, bool):
         return not value
-    if isinstance(value, int):
-        return value + rng.choice((-1, 1))
-    if isinstance(value, float):
-        return value + rng.choice((-1.0, 1.0))
+    if isinstance(value, (int, float)):
+        return value + (-1, 1)[_below(rng, 2)]
     if isinstance(value, str):
-        choice = rng.randrange(3)
+        choice = _below(rng, 3)
         if choice == 0:
             return ""
         if choice == 1 and value:
             return value.swapcase()
-        return value + rng.choice(string.ascii_lowercase)
+        return value + string.ascii_lowercase[_below(rng, 26)]
     return value
 
 
-def _distinct_columns(rows: list[tuple], width: int) -> list[list]:
-    """Per column, its distinct values in first-seen order. Values equal under
-    == (1, 1.0 and True) count once, as the first one seen."""
-    return [list(dict.fromkeys(r[j] for r in rows)) for j in range(width)]
-
-
 def _column_pools(conn: sqlite3.Connection, table: TableSchema) -> tuple[list[tuple], list[list]]:
+    """The rows of table and, per column, its distinct values in first-seen
+    order. Values equal under == (1, 1.0 and True) count once, as the first
+    one seen."""
     rows = [tuple(r) for r in conn.execute(f"SELECT * FROM {quote_name(table.name)}")]
-    return rows, _distinct_columns(rows, len(table.columns))
+    return rows, [list(dict.fromkeys(r[j] for r in rows)) for j in range(len(table.columns))]
 
 
-def _key_pools(table: TableSchema, rows: list[tuple]) -> dict[str, list]:
-    """The values each column of table offers to foreign keys that reference it."""
-    return {
-        c.name.lower(): [v for v in values if v is not None]
-        for c, values in zip(table.columns, _distinct_columns(rows, len(table.columns)))
-    }
+def _key_pools(table: TableSchema, rows: list[tuple], referenced: set[str]) -> dict[str, list]:
+    """The values each column of table that a foreign key references (its
+    lower-case name in referenced) offers to those foreign keys."""
+    return {c.name.lower(): [v for v in dict.fromkeys(r[j] for r in rows) if v is not None]
+            for j, c in enumerate(table.columns) if c.name.lower() in referenced}
 
 
 def _generate_table_rows(
@@ -168,44 +181,42 @@ def _generate_table_rows(
         return []
     lo = max(1, n_orig // 2)
     hi = min(2 * n_orig, MAX_ROWS)
-    n_new = rng.randint(lo, max(lo, hi))
-    choice, random_ = rng.choice, rng.random
+    n_new = lo + _below(rng, max(lo, hi) - lo + 1)  # rng.randint(lo, max(lo, hi))
+    getrandbits, random_ = rng.getrandbits, rng.random
 
     def draw(plan) -> tuple:
         row = []
-        for candidates, pool, kind, required in plan:
-            if candidates is not None:
-                row.append(choice(candidates))
+        for values, n, bits, kind, required in plan:
+            r = random_() if kind else 0.0  # an FK column (no kind) draws only its index
+            if r >= 0.8 or not n:
+                row.append(_fresh_value(rng, kind))
                 continue
-            r = random_()
-            if pool and r < 0.6:
-                v = choice(pool)
-            elif pool and r < 0.8:
-                v = _mutate_value(rng, choice(pool), kind)
-            else:
-                v = _fresh_value(rng, kind)
-            if v is None and required:
+            i = getrandbits(bits)  # inline _below(rng, n): values[i] is rng.choice(values)
+            while i >= n:
+                i = getrandbits(bits)
+            v = values[i]
+            if r >= 0.6:
+                v = _mutate_value(rng, v, kind)
+            elif v is None and required:
                 v = _fresh_value(rng, kind)
             row.append(v)
         return tuple(row)
 
-    # one plan per table, resolved before any row: per column, its FK
-    # candidates (None for a column that is no FK), its pool, its value kind,
-    # and whether it needs a non-NULL value
+    # one plan per table, resolved before any row: per column, its pool (a
+    # column that is no FK) or its FK candidates, their length and bit length,
+    # its value kind (None for an FK), and whether it needs a non-NULL value
     fk_by_col = {fc.lower(): (rt.lower(), rc.lower()) for fc, rt, rc in table.foreign_keys}
     plan = []
     for col, pool in zip(table.columns, pools):
         fk = fk_by_col.get(col.name.lower())
-        if fk is None:
-            plan.append((None, pool, _value_kind(col.declared_type),
-                         col.not_null or col.is_primary_key))
-            continue
-        candidates = parent_keys.get(fk[0], {}).get(fk[1], [])
-        if not candidates:
+        values = pool if fk is None else parent_keys.get(fk[0], {}).get(fk[1], [])
+        if fk is not None and not values:
             # the first row draws up to this column before the table is given up
             draw(plan)
             return []
-        plan.append((candidates, None, None, False))
+        kind = _value_kind(col.declared_type) if fk is None else None
+        plan.append((values, len(values), len(values).bit_length(), kind,
+                     col.not_null or col.is_primary_key))
 
     pk_cols = [i for i, c in enumerate(table.columns) if c.is_primary_key]
     rows = []
@@ -236,12 +247,16 @@ def _generate_variant(
     ordered, cyclic = _topo_order(tables)
     generated: dict[str, list[tuple]] = {}
     parent_keys: dict[str, dict[str, list]] = {}  # only tables a foreign key references
-    referenced = {rt.lower() for t in tables for _, rt, _ in t.foreign_keys}
+    referenced: dict[str, set[str]] = {}  # per table, the columns foreign keys reference
+    for t in tables:
+        for _, rt, rc in t.foreign_keys:
+            referenced.setdefault(rt.lower(), set()).add(rc.lower())
 
     def register(table: TableSchema, rows: list[tuple]):
-        generated[table.name.lower()] = rows
-        if table.name.lower() in referenced:
-            parent_keys[table.name.lower()] = _key_pools(table, rows)
+        name = table.name.lower()
+        generated[name] = rows
+        if name in referenced:
+            parent_keys[name] = _key_pools(table, rows, referenced[name])
 
     for table in ordered:
         orig_rows, pools = orig_data[table.name.lower()]
@@ -271,7 +286,7 @@ def _generate_variant(
                         if not candidates:
                             ok = False
                             break
-                        row[j] = rng.choice(candidates)
+                        row[j] = candidates[_below(rng, len(candidates))]
                 if not ok:
                     continue
                 if pk_cols:
@@ -416,7 +431,11 @@ def _generate_suite(db_file: Path, conn: sqlite3.Connection, header: dict, out_d
         warn(f"suite {header['db_id']}: {message}; the table is empty in every variant")
 
     tables = introspect(db_file, conn, empty_table)
-    orig_data = {t.name.lower(): _column_pools(conn, t) for t in tables}
+    if header["k"] > 1:
+        orig_data = {t.name.lower(): _column_pools(conn, t) for t in tables}
+    else:  # the one variant is the empty one: it needs only which tables have rows
+        orig_data = {t.name.lower(): (conn.execute(
+            f"SELECT 1 FROM {quote_name(t.name)} LIMIT 1").fetchall(), []) for t in tables}
     _report_empty_tables(tables, orig_data, empty_table)
 
     written = fork_map(lambda i: _write_variant(tables, orig_data, header, out_dir, i),

@@ -81,7 +81,7 @@ def introspect(db_file, conn: sqlite3.Connection, warn) -> list[TableSchema]:
     try:
         master = conn.execute(
             "SELECT name, sql FROM sqlite_master "
-            "WHERE type = 'table' AND name NOT LIKE 'sqlite_%'"
+            r"WHERE type = 'table' AND name NOT LIKE 'sqlite\_%' ESCAPE '\'"
         ).fetchall()
     except sqlite3.Error as e:
         raise IntrospectionError(f"cannot read database {db_file}: {e}") from e

@@ -22,7 +22,7 @@ from sqlbench.schema import ColumnSchema, TableSchema
 
 from conftest import (CHILD_ENV, ONE_CPU, interrupt_when, live_thread, make_network1_db,
                       needs_fork, read_schema, run_python, running)
-from pinned_suite import PINNED, make_pinned_db, pinned_suite_hashes
+from pinned_suite import PINNED, SEED, make_pinned_db, pinned_suite_hashes
 
 
 def all_rows(db_file, table):
@@ -214,10 +214,13 @@ class TestDedupe:
     @given(TABLES)
     def test_key_pools_match_list_scan(self, table):
         width, rows = table
-        got = _key_pools(table_of(width), rows)
+        got = _key_pools(table_of(width), rows, {f"c{j}" for j in range(width)})
         want = reference_distinct(rows, width, skip_none=True)
         assert [typed(v) for v in got.values()] == [typed(v) for v in want]
         assert list(got) == [f"c{j}" for j in range(width)]
+        # a column no foreign key references is not pooled
+        last = _key_pools(table_of(width), rows, {f"c{width - 1}"})
+        assert {c: typed(v) for c, v in last.items()} == {f"c{width - 1}": typed(want[-1])}
 
     @settings(max_examples=150, deadline=None)
     @given(TABLES)
@@ -266,6 +269,29 @@ def generator_inputs(draw):
     return TableSchema("t", columns, fks, ""), [()] * n_orig, pools, parent_keys
 
 
+# n = 1, 2, 2^j - 1, 2^j and 2^j + 1 up to 2^70, any n up to 300, and large n
+INDEX_RANGES = st.one_of(
+    st.integers(1, 300),
+    st.integers(0, 70).flatmap(lambda j: st.sampled_from([2 ** j - 1, 2 ** j, 2 ** j + 1]))
+    .filter(lambda n: n >= 1),
+    st.integers(1, 2 ** 200))
+
+
+class TestIndexDraw:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(INDEX_RANGES, min_size=1, max_size=4), st.integers(0, 2 ** 64))
+    @example([1, 2, 26, 100001, 2 ** 32, 2 ** 32 + 1], 0)
+    def test_matches_randbelow_and_choice(self, ns, seed):
+        want, got = random.Random(seed), random.Random(seed)
+        for n in ns:
+            assert fuzz._below(got, n) == want._randbelow(n)
+            assert got.getstate() == want.getstate()
+            if n <= sys.maxsize:  # the longest sequence len() can report
+                seq = range(n)
+                assert seq[fuzz._below(got, n)] == want.choice(seq)
+                assert got.getstate() == want.getstate()
+
+
 class TestGenerator:
     @settings(max_examples=400, deadline=None)
     @given(generator_inputs(), st.sampled_from([False, False, False, True]),
@@ -295,6 +321,19 @@ class TestGenerator:
             "suite pinned: table task: foreign key owner references emp, which is empty in "
             "every variant; the table is empty in every variant",
         ]
+
+    def test_k1_reads_only_which_tables_have_rows(self, tmp_path, monkeypatch):
+        db = make_pinned_db(tmp_path / "pinned.sqlite")
+        k4_logs, k1_logs = [], []
+        k4 = build_test_suite(db, 4, SEED, tmp_path / "cache", warn=k4_logs.append)
+
+        def no_pools(conn, table):
+            raise AssertionError(f"a k = 1 build read the rows of {table.name}")
+
+        monkeypatch.setattr(fuzz, "_column_pools", no_pools)
+        k1 = build_test_suite(db, 1, SEED, tmp_path / "cache", warn=k1_logs.append)
+        assert sha256(k1.variants[1]) == sha256(k4.variants[4])  # both the empty variant
+        assert k1_logs == k4_logs
 
     def test_emptiness_passes_down_foreign_keys(self, tmp_path):
         db = tmp_path / "chain.sqlite"

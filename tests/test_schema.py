@@ -3,10 +3,18 @@ from contextlib import closing
 
 import pytest
 
+from sqlbench.cli import _schema_section
 from sqlbench.execution import ExecResult, execute_sql
+from sqlbench.fuzz import build_test_suite
+from sqlbench.prompt import parse_style
 from sqlbench.schema import IntrospectionError, connect_ro, sample_rows
 
 from conftest import TIMEOUT_MS, read_schema
+
+
+def all_rows(db_file, table):
+    with closing(connect_ro(db_file)) as conn:
+        return conn.execute(f'SELECT * FROM "{table}"').fetchall()
 
 
 def sample(db_file, table, x):
@@ -51,6 +59,31 @@ class TestIntrospect:
             "table ref: foreign key x references pair, whose primary key is not one column",
             "table ref: foreign key y references pair, whose primary key is not one column",
         ]
+
+    def test_only_the_sqlite_underscore_prefix_is_internal(self, tmp_path):
+        # LIKE's `_` matches any character: `sqlite_%` alone would drop
+        # sqlitedata and SQLite.x; AUTOINCREMENT makes sqlite_sequence exist
+        db = tmp_path / "prefix.sqlite"
+        with closing(sqlite3.connect(db)) as conn:
+            conn.executescript("""
+                CREATE TABLE sqlitedata (id INTEGER PRIMARY KEY AUTOINCREMENT, v TEXT);
+                CREATE TABLE other (id INT PRIMARY KEY, d INT REFERENCES sqlitedata(id));
+                CREATE TABLE "SQLite.x" (id INT PRIMARY KEY, w REAL);
+                INSERT INTO sqlitedata (v) VALUES ('a'), ('b'), ('c');
+                INSERT INTO other VALUES (1, 1), (2, 3);
+                INSERT INTO "SQLite.x" VALUES (1, 0.5), (2, 1.5);
+            """)
+        names = ["sqlitedata", "other", "SQLite.x"]
+        assert [t.name for t in read_schema(db)] == names
+        warnings, (text, _) = _schema_section(db, parse_style("create+select:3"))
+        assert warnings == []
+        assert all(t.create_sql in text for t in read_schema(db))
+        assert "sqlite_sequence" not in text
+        suite = build_test_suite(db, 3, 0, tmp_path / "cache", warn=pytest.fail)
+        for variant in suite.variants[1:]:
+            assert [t.name for t in read_schema(variant)] == names
+        assert all(len(all_rows(variant, name)) > 0
+                   for variant in suite.variants[1:-1] for name in names)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IntrospectionError, match="not found"):
