@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import time
+from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass, field
 
 from .backend import EMPTY_PREDICTION, Prediction
 from .dataset import ExampleRecord, read_jsonl
-from .execution import Connections, ExecError, compare_results, execute_sql
+from .execution import Connections, ExecError, ExecResult, compare_results, execute_sql
 from .fuzz import TestSuite
 from .parallel import fork_map
 from .store import GoldStore
@@ -41,15 +42,30 @@ class EvalOutcome:
     @classmethod
     def load(cls, path) -> list[EvalOutcome]:
         """The outcomes of a file of to_dict records, in which invalid_reason and
-        timing_ms may be absent (older files); a bad line raises IngestionError."""
+        timing_ms may be absent (older files); a bad line, or one that breaks
+        TS => EX => VA, raises IngestionError."""
         fields = {"example_id": str, "valid": bool, "ex": bool, "ts": bool}
-        return [cls(r["example_id"], r["valid"], r.get("invalid_reason"), r["ex"], r["ts"],
-                    r.get("timing_ms", 0.0)) for r in read_jsonl(path, fields)]
+
+        def make(r):
+            if r["ts"] > r["ex"] or r["ex"] > r["valid"]:
+                raise ValueError("outcome breaks TS => EX => VA")
+            return cls(r["example_id"], r["valid"], r.get("invalid_reason"), r["ex"], r["ts"],
+                       r.get("timing_ms", 0.0))
+
+        return list(read_jsonl(path, fields, make))
+
+
+def _same_results(gold: ExecResult, pred: ExecResult) -> bool:
+    """compare_results(gold, pred), with rows equal in the order given checked
+    first, in C. Exact on results of Connections.execute: == and cells_equal
+    differ only on bool and NaN cells, which SQLite never returns."""
+    return ((len(gold.columns) == len(pred.columns) and gold.rows == pred.rows)
+            or compare_results(gold, pred))
 
 
 def evaluate(example: ExampleRecord, prediction: Prediction, suite: TestSuite,
              timeout_ms: int, warn, connections: Connections,
-             gold_store: GoldStore) -> EvalOutcome:
+             gold_store: GoldStore, kept: dict) -> EvalOutcome:
     """Score one prediction. valid: executes on the original database;
     ex: matches gold there; ts: matches gold on every suite variant.
 
@@ -64,7 +80,13 @@ def evaluate(example: ExampleRecord, prediction: Prediction, suite: TestSuite,
     timeout a second time, and a stored result serves it under any
     timeout_ms. The exception is a gold query run in this call that called a
     volatile function: its result may not repeat, so the prediction runs as
-    well."""
+    well.
+
+    kept maps a suite file index to the result there of a prediction of
+    this text on this suite, empty for a text not seen before. The
+    prediction runs only on files it lacks, and adds each result that may
+    repeat: not a timeout, nor one of a query that called a volatile
+    function."""
     start = time.monotonic()
     original = suite.variants[0]
     is_gold = prediction.sql == example.gold_sql
@@ -78,6 +100,15 @@ def evaluate(example: ExampleRecord, prediction: Prediction, suite: TestSuite,
         result = execute_sql(db_file, example.gold_sql, timeout_ms, connections)
         gold_store.put(example.gold_sql, i, result, volatile=connections.volatile)
         return result, is_gold and not connections.volatile
+
+    def pred_on(i, db_file):
+        result = kept.get(i)
+        if result is None:
+            result = execute_sql(db_file, prediction.sql, timeout_ms, connections)
+            if not (connections.volatile
+                    or isinstance(result, ExecError) and result.kind == "timeout"):
+                kept[i] = result
+        return result
 
     gold_res, shared = gold_on(0, original)
     if isinstance(gold_res, ExecError):
@@ -98,12 +129,11 @@ def evaluate(example: ExampleRecord, prediction: Prediction, suite: TestSuite,
     if prediction.sql == EMPTY_PREDICTION:
         return done(False, "empty prediction", False, False)
 
-    pred_res = gold_res if shared else execute_sql(original, prediction.sql, timeout_ms,
-                                                   connections)
+    pred_res = gold_res if shared else pred_on(0, original)
     if isinstance(pred_res, ExecError):
         return done(False, pred_res.message, False, False)
 
-    ex = compare_results(gold_res, pred_res)
+    ex = _same_results(gold_res, pred_res)
     if not ex:
         return done(True, None, False, False)
 
@@ -113,9 +143,8 @@ def evaluate(example: ExampleRecord, prediction: Prediction, suite: TestSuite,
         if isinstance(gold_v, ExecError):
             warn(f"{example.example_id}: gold failed on variant {variant}; skipped")
             continue
-        pred_v = gold_v if shared else execute_sql(variant, prediction.sql, timeout_ms,
-                                                   connections)
-        if isinstance(pred_v, ExecError) or not compare_results(gold_v, pred_v):
+        pred_v = gold_v if shared else pred_on(i, variant)
+        if isinstance(pred_v, ExecError) or not _same_results(gold_v, pred_v):
             ts = False
             break
     return done(True, None, ex, ts)
@@ -136,17 +165,28 @@ def _score_group(examples: list[ExampleRecord], indices: list[int],
     connections and one gold store. Returns plain values, which a forked
     child can marshal: per example, its outcome's fields, or None when its
     gold is broken, and its notes; then the queries run, the store's hits
-    and misses, and the store's warning or None."""
+    and misses, and the store's warning or None.
+
+    A prediction text that occurs again later in the group keeps its
+    results (evaluate's kept) until its last occurrence is scored. Examples
+    are scored in order, so only the queries run differ from scoring each
+    example alone."""
     scored = []
+    remaining = Counter(predictions[examples[i].example_id].sql for i in indices)
+    kept: dict[str, dict] = {}  # prediction text -> its kept results
     # the fuzzed variants are cache files never rewritten in place
     with closing(Connections(immutable=suite.variants[1:])) as connections, \
             closing(GoldStore(suite)) as store:
         for i in indices:
             example = examples[i]
+            prediction = predictions[example.example_id]
+            remaining[prediction.sql] -= 1
+            results = (kept.setdefault(prediction.sql, {}) if remaining[prediction.sql]
+                       else kept.pop(prediction.sql, {}))
             notes: list[str] = []
             try:
-                outcome = evaluate(example, predictions[example.example_id], suite,
-                                   timeout_ms, notes.append, connections, store)
+                outcome = evaluate(example, prediction, suite, timeout_ms, notes.append,
+                                   connections, store, results)
                 # in field order; dataclasses.astuple would deep-copy each field
                 fields = tuple(vars(outcome).values())
             except GoldBrokenError as e:

@@ -309,4 +309,4 @@ def evaluate_one(example, prediction, suite):
     with closing(Connections(immutable=suite.variants[1:])) as connections, \
             closing(GoldStore(suite)) as store:
         return evaluate(example, prediction, suite, TIMEOUT_MS, lambda message: None,
-                        connections, store)
+                        connections, store, {})

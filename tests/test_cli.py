@@ -1054,6 +1054,10 @@ def bad_input_files(tmp_path, fixture_benchmark_path, db_root, prompts_file,
                                              "category": "TestSuiteCorrect"}) + "\n")
     files["oldreplay"].write_text(json.dumps({"example_id": "e0000", "completion": "1"})
                                   + "\n")
+    files["broken_chain"] = tmp_path / "broken-chain.jsonl"
+    files["broken_chain"].write_text("".join(
+        json.dumps({"example_id": f"e000{i}", "valid": valid, "ex": ex, "ts": True}) + "\n"
+        for i, (valid, ex) in enumerate([(False, True), (True, False)])))
     files["mixed_train"] = tmp_path / "mixed-train.json"
     files["mixed_train"].write_text(json.dumps([
         {"db_id": "network_1", "question": "q", "query": "SELECT 1", "template_id": tid}
@@ -1125,6 +1129,12 @@ BAD_INPUTS = {
         "report breakdown --runs {outcomes} --annotations {ts_label} --out {out}",
         "{ts_label}:1: 'TestSuiteCorrect' is not a category of manual annotation"),
     "annotate-missing-outcomes": ("annotate --outcomes {missing} --out {out}", "{missing}"),
+    "report-outcome-breaks-chain": (
+        "report metrics --runs {broken_chain} --out {out}",
+        "{broken_chain}:1: outcome breaks TS => EX => VA"),
+    "annotate-outcome-breaks-chain": (
+        "annotate --outcomes {broken_chain} --out {out}",
+        "{broken_chain}:1: outcome breaks TS => EX => VA"),
     "report-manifest-without-config": (
         "report metrics --runs {run_no_config} --out {out}",
         "{run_no_config}.manifest.json: missing field 'config'"),

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from contextlib import closing
 from pathlib import Path
 
@@ -366,6 +367,106 @@ class TestGoldPredictionAgainstReference:
         assert ((True, None, True, True), []) in outcomes
 
 
+SLOW = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c) "
+        "SELECT count(*) FROM (SELECT x FROM c LIMIT 1000000000)")
+
+
+class TestRecurringPrediction:
+    def test_reused_within_group(self, mixed_suite, monkeypatch):
+        original = mixed_suite.variants[0]
+        likes = "SELECT max(student_id) FROM Likes"
+        n = execute_sql(original, likes, TIMEOUT_MS).rows[0][0]
+        assert execute_sql(mixed_suite.variants[1], likes, TIMEOUT_MS).rows[0][0] != n
+        volatile, slow, nocol = "SELECT random() IS NOT NULL", SLOW, "SELECT nocol FROM Likes"
+        pairs = [  # (gold, prediction), in benchmark order
+            (f"SELECT {n}", likes),  # equal on the original only: TS breaks at file 1
+            ("SELECT 1", volatile), ("SELECT 2", slow), ("SELECT 3", nocol),
+            # runs further: skips file 2, which has no Likes, and runs on file 3
+            ("SELECT max(l.student_id) FROM Likes AS l", likes),
+            ("SELECT 1", volatile), ("SELECT 2", slow), ("SELECT 3", nocol),
+            (f"SELECT {n}", likes)]
+        bench = [example(gold, f"e{i:04d}") for i, (gold, _) in enumerate(pairs)]
+        predictions = {e.example_id: prediction(sql, e.example_id)
+                       for e, (_, sql) in zip(bench, pairs)}
+        real, kept_after = evaluate.evaluate, []
+
+        def recording(*args):
+            outcome = real(*args)
+            kept = sys._getframe(1).f_locals["kept"]  # _score_group's
+            kept_after.append({sql: sorted(results) for sql, results in kept.items()})
+            return outcome
+
+        monkeypatch.setattr(evaluate, "evaluate", recording)
+        (mixed_suite.directory / "gold.marshal").unlink(missing_ok=True)
+        group = evaluate._score_group(bench, range(len(bench)), predictions, mixed_suite, 100)
+        scored, queries, hits, misses, warning = group
+        monkeypatch.setattr(evaluate, "evaluate", real)
+        alone = [evaluate._score_group(bench, [i], predictions, mixed_suite, 100)[0][0]
+                 for i in range(len(bench))]
+        assert [(fields[:-1], notes) for fields, notes in scored] == [
+            (fields[:-1], notes) for fields, notes in alone]
+        recurring = [(True, None, True, True), (False, "query exceeded 100 ms", False, False),
+                     (False, "no such column: nocol", False, False)]
+        assert [fields[1:5] for fields, _ in scored] == [
+            (True, None, True, False), *recurring, (True, None, True, True), *recurring,
+            (True, None, True, False)]
+        assert scored[4][1] == [f"e0004: gold failed on variant {mixed_suite.variants[2]}; "
+                                "skipped"]
+        # golds: 2 + 4 + 1 + 1 + 4 files; predictions: likes on files 0 and 1,
+        # then 3; volatile on all 4 files twice; slow twice; nocol once
+        assert (misses, hits, warning) == (12, 8, None)
+        assert queries == misses + 3 + 8 + 2 + 1
+        # kept until the last occurrence; never a volatile or timed-out result
+        early = {likes: [0, 1], volatile: [], slow: [], nocol: [0]}
+        assert kept_after == [
+            {likes: [0, 1]}, {likes: [0, 1], volatile: []},
+            {likes: [0, 1], volatile: [], slow: []},
+            early, {**early, likes: [0, 1, 3]}, {likes: [0, 1, 3], slow: [], nocol: [0]},
+            {likes: [0, 1, 3], nocol: [0]}, {likes: [0, 1, 3]}, {}]
+
+
+# Cells of each SQLite storage class, with the values on which == and
+# cells_equal could part: ±inf, -0.0, ints about 2**53 and their floats, '1'
+# and b'1', and NaN, which SQLite stores as NULL.
+SQLITE_CELLS = st.one_of(
+    st.sampled_from([0, 1, 1.0, -0.0, 0.0, math.inf, -math.inf, math.nan, "1", b"1", None,
+                     2**53, 2**53 + 1, float(2**53), -(2**53) - 1, -float(2**53), 2**63 - 1]),
+    st.integers(-2**63, 2**63 - 1), st.floats(), st.text(max_size=3), st.binary(max_size=3))
+AFFINITIES = st.sampled_from(["", "INTEGER", "REAL", "TEXT", "BLOB"])
+
+
+class TestSameResults:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_compare_results(self, data):
+        pool = data.draw(st.lists(SQLITE_CELLS, min_size=1, max_size=6))
+        cells = st.sampled_from(pool)  # from one pool, so equal rows are common
+        with tempfile.TemporaryDirectory() as tmp:
+            db = Path(tmp) / "t.sqlite"
+            with closing(sqlite3.connect(db)) as conn:
+                for table in ("g", "p"):
+                    affinities = data.draw(st.lists(AFFINITIES, min_size=1, max_size=3))
+                    width = len(affinities)
+                    rows = data.draw(st.lists(st.tuples(*[cells] * width), max_size=5))
+                    conn.execute(f"CREATE TABLE {table} (" + ", ".join(
+                        f"c{j} {a}" for j, a in enumerate(affinities)) + ")")
+                    conn.executemany(f"INSERT INTO {table} VALUES ({','.join('?' * width)})",
+                                     rows)
+                conn.commit()
+            with closing(Connections()) as connections:
+                results = [connections.execute(db, sql, TIMEOUT_MS) for table in ("g", "p")
+                           for sql in (f"SELECT * FROM {table}",
+                                       f"SELECT * FROM {table} ORDER BY rowid DESC",
+                                       f"SELECT * FROM {table} ORDER BY 1",
+                                       f"SELECT * FROM {table} WHERE 0")]
+        for result in results:
+            assert not any(isinstance(v, bool) or v != v
+                           for row in result.rows for v in row)
+        for gold in results:
+            for pred in results:
+                assert evaluate._same_results(gold, pred) == compare_results(gold, pred)
+
+
 SPECIAL_CELLS = [1, 1.0, "1", b"1", None, -0.0, math.inf, -math.inf, math.nan,
                  2**63 - 1, -(2**63 - 1), "naïve ☃ 日本"]
 CELLS = st.one_of(st.sampled_from(SPECIAL_CELLS), st.integers(-2**63, 2**63 - 1),
@@ -453,13 +554,11 @@ class TestGoldStore:
             None, None, execute_sql(suite.variants[0], golds[2], TIMEOUT_MS)]
 
     def test_timeout_never_stored(self, db_root, tmp_path):
-        slow = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c) "
-                "SELECT count(*) FROM (SELECT x FROM c LIMIT 1000000000)")
         for _ in range(2):
-            result, suite = network1_eval(db_root, tmp_path, [slow], [slow], timeout_ms=50)
+            result, suite = network1_eval(db_root, tmp_path, [SLOW], [SLOW], timeout_ms=50)
             assert result.gold_broken == ["e0000"]
             assert result.gold_store == {"hits": 0, "misses": 1}
-        assert stored(suite, slow) is None
+        assert stored(suite, SLOW) is None
         assert not list(suite.directory.glob("gold.*"))  # nothing stored, nothing written
 
     @pytest.mark.parametrize("damage", ["tampered", "truncated", "garbage", "unopenable"])
@@ -651,9 +750,11 @@ FORKED_EVAL = (
     "print(json.dumps(runs))\n")
 
 
-def forked_eval(three_dbs, work, pin="all", k=3, thread=False):
-    """The evals of FORKED_EVAL on three_dbs, run in the directory work."""
-    root, bench_file, preds_file, *_ = three_dbs
+def forked_eval(three_dbs, work, pin="all", k=3, thread=False, preds_file=None):
+    """The evals of FORKED_EVAL on three_dbs, run in the directory work, of
+    three_dbs' predictions or those in preds_file."""
+    root, bench_file, default_preds, *_ = three_dbs
+    preds_file = preds_file or default_preds
     work.mkdir()
     # -W error: a fork with a thread running warns from Python 3.12
     proc = run_python(FORKED_EVAL, root, bench_file, preds_file, work, pin, k, int(thread),
@@ -694,6 +795,29 @@ class TestForkedEval:
         assert cold["stderr"] == [warm["stderr"][0], *warm["stderr"][2:]]
         assert warm["stores"] == cold["stores"]  # the damaged one replaced, byte for byte
         assert cold["gold_store"]["hits"] == 0 and warm["gold_store"]["hits"] > 0
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or ONE_CPU,
+                        reason="needs sched_setaffinity and two usable CPUs")
+    def test_recurring_predictions_same_output_as_one_process(self, three_dbs, tmp_path):
+        # four texts in turn, so texts recur in a database under other
+        # golds: right on some, wrong, volatile, or failing
+        texts = ["SELECT count(*) FROM Highschooler", "SELECT name FROM Highschooler",
+                 "SELECT random() IS NOT NULL", "SELECT count(*) FROM river"]
+        bench = three_dbs[3]
+        preds = [(e, texts[i % len(texts)]) for i, e in enumerate(bench)]
+        assert max(Counter((e.db_id, sql) for e, sql in preds).values()) > 1
+        preds_file = tmp_path / "recurring.jsonl"
+        preds_file.write_text("".join(
+            json.dumps({"example_id": e.example_id, "sql": sql}) + "\n" for e, sql in preds))
+        one = forked_eval(three_dbs, tmp_path / "one", pin="one", preds_file=preds_file)
+        every = forked_eval(three_dbs, tmp_path / "all", preds_file=preds_file)
+        assert without_pids(every) == without_pids(one)
+        assert [run["pids"] for run in one] == [1, 1]
+        assert [run["pids"] for run in every] == [min(len(os.sched_getaffinity(0)),
+                                                      len(FORKED_DBS))] * 2
+        cold, warm = one
+        assert cold["code"] == warm["code"] == 0 and len(cold["outcomes"]) == 16
+        assert {o["ts"] for o in cold["outcomes"]} == {True, False}
 
     @needs_fork
     def test_child_that_dies_has_its_share_scored_again(self, three_dbs, tmp_path,
