@@ -462,50 +462,62 @@ def cmd_annotate(args) -> None:
     print(f"wrote annotation skeleton with {len(ids)} examples to {args.out}")
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = {
+    "prompt": ("render prompts for every benchmark example", cmd_prompt),
+    "predict": ("obtain completions and finalize SQL", cmd_predict),
+    "eval": ("build suites and score predictions", cmd_eval),
+    "suite": ("pre-generate fuzzed test-suite variants", cmd_suite),
+    "report": ("aggregate outcomes into tables and curves", cmd_report),
+    "annotate": ("emit a manual-annotation skeleton", cmd_annotate),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command or, when command is one of COMMANDS, of that
+    command alone: main builds the command a valid command line names first.
+    Any other first argument (none, -h, --help, --version, an unknown word)
+    gets the full build, whose help and errors list every command. A lone
+    command's metavar names all six, so a top-level error's usage line reads as
+    the full build's; the full build sets none, so its errors say `command`."""
+    whole = command not in COMMANDS
     parser = argparse.ArgumentParser(prog="sqlbench",
                                      description="Text-to-SQL evaluation harness")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, summary, func in (
-            ("prompt", "render prompts for every benchmark example", cmd_prompt),
-            ("predict", "obtain completions and finalize SQL", cmd_predict),
-            ("eval", "build suites and score predictions", cmd_eval),
-            ("suite", "pre-generate fuzzed test-suite variants", cmd_suite)):
+    sub = parser.add_subparsers(dest="command", required=True,
+                                metavar=None if whole else "{" + ",".join(COMMANDS) + "}")
+    for name in COMMANDS if whole else [command]:
+        summary, func = COMMANDS[name]
         p = sub.add_parser(name, help=summary)
-        p.add_argument("--config")
-        for opt in STAGE_OPTIONS[name]:
-            p.add_argument("--" + opt.name.replace("_", "-"), type=opt.type,
-                           choices=opt.choices, help=opt.help)
         p.set_defaults(func=func)
-    # a flag only: a run.yaml shared by many runs must not switch the check off for all
-    sub.choices["eval"].add_argument("--allow-mismatch", action="store_true")
-
-    p = sub.add_parser("report", help="aggregate outcomes into tables and curves")
-    rsub = p.add_subparsers(dest="report_kind", required=True)
-    for kind in ("metrics", "curve", "breakdown"):
-        rp = rsub.add_parser(kind)
-        rp.add_argument("--runs", nargs="+", required=True,
-                        help="glob(s) of outcome JSONL files")
-        rp.add_argument("--out")
-        if kind == "metrics":
-            rp.add_argument("--format", choices=["markdown", "csv", "json"],
-                            default="markdown")
-        if kind == "curve":
-            rp.add_argument("--reference", type=float,
-                            help="horizontal baseline annotation value")
-            rp.add_argument("--average", action="store_true")
-        if kind == "breakdown":
-            rp.add_argument("--annotations")
-        rp.set_defaults(func=cmd_report)
-
-    p = sub.add_parser("annotate", help="emit a manual-annotation skeleton")
-    p.add_argument("--outcomes", required=True)
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_annotate)
+        if name in STAGE_OPTIONS:
+            p.add_argument("--config")
+            for opt in STAGE_OPTIONS[name]:
+                p.add_argument("--" + opt.name.replace("_", "-"), type=opt.type,
+                               choices=opt.choices, help=opt.help)
+        if name == "eval":
+            # a flag only: a run.yaml shared by many runs must not switch the check off for all
+            p.add_argument("--allow-mismatch", action="store_true")
+        elif name == "report":
+            rsub = p.add_subparsers(dest="report_kind", required=True)
+            for kind in ("metrics", "curve", "breakdown"):
+                rp = rsub.add_parser(kind)
+                rp.add_argument("--runs", nargs="+", required=True,
+                                help="glob(s) of outcome JSONL files")
+                rp.add_argument("--out")
+                if kind == "metrics":
+                    rp.add_argument("--format", choices=["markdown", "csv", "json"],
+                                    default="markdown")
+                if kind == "curve":
+                    rp.add_argument("--reference", type=float,
+                                    help="horizontal baseline annotation value")
+                    rp.add_argument("--average", action="store_true")
+                if kind == "breakdown":
+                    rp.add_argument("--annotations")
+        elif name == "annotate":
+            p.add_argument("--outcomes", required=True)
+            p.add_argument("--n", type=int, default=100)
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--out", required=True)
     return parser
 
 
@@ -517,7 +529,8 @@ def main(argv=None) -> int:
     ValueError raised in sqlbench is a deliberate check on a value from
     outside the program. Each failure prints one `error: <message>` line;
     anything else is a bug and ends in a traceback."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if args.command in STAGE_OPTIONS:
             _resolve(args)

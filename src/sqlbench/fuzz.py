@@ -501,28 +501,32 @@ def build_test_suite(db_file, k: int, seed: int, cache_dir, warn=python_warn,
     db_file = Path(db_file)
     if db_id is None:
         db_id = db_file.stem
-    with closing(connect_ro(db_file)) as conn:
+    try:
         source = _sha256(db_file)
-        header = {"db_id": db_id, "seed": seed, "k": k,
-                  "generator_version": GENERATOR_VERSION, "source_sha256": source}
-        suite_dir = (Path(cache_dir) / db_id / str(seed)
-                     / f"k{k}-v{GENERATOR_VERSION}-{source[:16]}")
-        hashes = None
-        if suite_dir.exists():
-            try:
-                hashes = _cached_hashes(suite_dir, header)
-            except _Unusable as e:
-                warn(f"suite {db_id}/{seed}/{suite_dir.name} {e}; regenerating")
-        if hashes is None:
-            suite_dir.parent.mkdir(parents=True, exist_ok=True)
-            # a dot-prefixed sibling: never a suite directory name, so a build
-            # killed before the rename leaves nothing a later call returns
-            built = _fresh_dir(suite_dir.parent, ".build-")
-            try:
+    except OSError:  # connect_ro raises what every stage reports for such a file
+        connect_ro(db_file).close()
+        raise
+    header = {"db_id": db_id, "seed": seed, "k": k,
+              "generator_version": GENERATOR_VERSION, "source_sha256": source}
+    suite_dir = (Path(cache_dir) / db_id / str(seed)
+                 / f"k{k}-v{GENERATOR_VERSION}-{source[:16]}")
+    hashes = None
+    if suite_dir.exists():  # a reuse only hashes files: it opens no connection
+        try:
+            hashes = _cached_hashes(suite_dir, header)
+        except _Unusable as e:
+            warn(f"suite {db_id}/{seed}/{suite_dir.name} {e}; regenerating")
+    if hashes is None:
+        suite_dir.parent.mkdir(parents=True, exist_ok=True)
+        # a dot-prefixed sibling: never a suite directory name, so a build
+        # killed before the rename leaves nothing a later call returns
+        built = _fresh_dir(suite_dir.parent, ".build-")
+        try:
+            with closing(connect_ro(db_file)) as conn:
                 hashes = _generate_suite(db_file, conn, header, built, warn)
-                _install(built, suite_dir, header)
-            finally:
-                shutil.rmtree(built, ignore_errors=True)
+            _install(built, suite_dir, header)
+        finally:
+            shutil.rmtree(built, ignore_errors=True)
     variants = [db_file] + [suite_dir / f"variant_{i}.db" for i in range(1, k + 1)]
     content_hash = hashlib.sha256("\n".join([source, *hashes]).encode()).hexdigest()
     return TestSuite(db_id=db_id, seed=seed, k=k, variants=variants, source_sha256=source,

@@ -97,9 +97,10 @@ INSTRUCTION_TABLES = (
 )
 
 # A token estimate is ceil(TOKEN_INFLATION x the number of token runs): word
-# runs and single punctuation marks, never whitespace.
+# runs and single punctuation marks, never whitespace. A match takes the blanks
+# before its run; rstrip drops the blanks \s knows, so \s* never backtracks.
 TOKEN_INFLATION = 1.3
-_TOKEN_RUN = re.compile(r"\w+|[^\w\s]")
+_TOKEN_RUN = re.compile(r"\s*(?:\w+|[^\w\s])")
 
 
 def _cell_text(value) -> str:
@@ -149,7 +150,7 @@ def _select_section(sample: RowSample, with_table_header: bool) -> str:
 
 
 def _count(text: str) -> int:
-    return len(_TOKEN_RUN.findall(text))
+    return len(_TOKEN_RUN.findall(text.rstrip()))
 
 
 _PLAIN_TOKENS = _count(INSTRUCTION_PLAIN)

@@ -1,13 +1,15 @@
+import argparse
 import hashlib
 import json
 import os
 import sqlite3
+import sys
 from contextlib import closing
 
 import pytest
 
-from sqlbench import evaluate
-from sqlbench.cli import main
+from sqlbench import cli, evaluate
+from sqlbench.cli import build_parser, main
 from sqlbench.fuzz import build_test_suite
 
 from conftest import FIXTURE_QUESTIONS, ONE_CPU, make_network1_db, run_python
@@ -1180,3 +1182,77 @@ class TestVersion:
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
         assert exc.value.code == 0
+
+
+# command lines, formatted with bad_input_files, that main must treat exactly
+# as the full parser does: valid calls, help, and every kind of usage error
+PARSER_PARITY = [
+    "prompt --benchmark {bench} --db-root {db_root} --out {out}",
+    "predict --prompts {prompts} --backend gold --benchmark {bench} --out {out}",
+    "eval --benchmark {bench} --db-root {db_root} --predictions {predictions} --suite-k 2 "
+    "--cache {cache} --out {out}",
+    "suite --db {db} --suite-k 2 --cache {cache}",
+    "report metrics --runs {outcomes} --format csv",
+    "report curve --runs {outcomes} --reference 50",
+    "report breakdown --runs {outcomes}",
+    "annotate --outcomes {outcomes} --n 1 --out {out}",
+    "prompt -h", "predict -h", "eval -h", "suite -h", "report -h", "annotate -h",
+    "report metrics -h", "report curve -h", "report breakdown -h",
+    "--help", "--version", "",
+    "bogus",
+    "predict --prompts {prompts} --backend nope",
+    "eval --suite-k x",
+    "eval --benchmark",
+    "eval --benchmark {bench} --db-root {db_root} extra",
+    "report", "report bogus", "annotate",
+]
+
+
+def run_parsed(monkeypatch, capsys, argv, parser=None):
+    """main(argv)'s exit code, stdout, stderr, and the Namespace it parsed
+    without func; main builds its own parser unless parser is given."""
+    parsed = []
+    parse_args = argparse.ArgumentParser.parse_args
+
+    def record(self, args=None, namespace=None):
+        namespace = parse_args(self, args, namespace)
+        parsed.append({k: v for k, v in vars(namespace).items() if k != "func"})
+        return namespace
+    with monkeypatch.context() as m:
+        m.setattr(argparse.ArgumentParser, "parse_args", record)
+        if parser is not None:
+            m.setattr(cli, "build_parser", lambda command=None: parser)
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+    out, err = capsys.readouterr()
+    return code, out, err, parsed
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", PARSER_PARITY)
+    def test_command_parser_alone_acts_as_the_full_parser(self, bad_input_files, monkeypatch,
+                                                         capsys, argv):
+        argv = argv.format(**bad_input_files).split()
+        assert (run_parsed(monkeypatch, capsys, argv)
+                == run_parsed(monkeypatch, capsys, argv, build_parser()))
+
+    def test_main_builds_the_named_command_alone(self, tmp_path, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda command=None: built.append(command) or build_parser(command))
+        monkeypatch.setattr(sys, "argv", ["sqlbench", "suite", "--db", str(tmp_path / "no.db")])
+        assert main() == 2
+        assert built == ["suite"]
+        with pytest.raises(SystemExit):
+            build_parser("suite").parse_args(["eval"])
+        assert "invalid choice: 'eval' (choose from 'suite')" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus'")])
+    def test_full_parser_errors_name_the_command_argument(self, capsys, argv, message):
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert f"sqlbench: error: {message}" in capsys.readouterr().err

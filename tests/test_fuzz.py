@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from sqlbench import fuzz, parallel
 from sqlbench.fuzz import (MAX_ROWS, TestSuite, _column_pools, _generate_table_rows, _key_pools,
                            build_test_suite)
-from sqlbench.schema import ColumnSchema, TableSchema
+from sqlbench.schema import ColumnSchema, IntrospectionError, TableSchema
 
 from conftest import (CHILD_ENV, ONE_CPU, interrupt_when, live_thread, make_network1_db,
                       needs_fork, read_schema, run_python, running)
@@ -553,6 +553,27 @@ class TestBuildTestSuite:
         stamp = suite.variants[1].stat().st_mtime_ns
         again = build_test_suite(network1_db, 2, seed=1, cache_dir=tmp_path)
         assert again.variants[1].stat().st_mtime_ns == stamp
+
+    def test_only_a_build_opens_the_source(self, network1_db, tmp_path, monkeypatch):
+        opened = []
+        connect = sqlite3.connect
+        monkeypatch.setattr(sqlite3, "connect",
+                            lambda *args, **kwargs: opened.append(args) or connect(*args, **kwargs))
+        build_test_suite(network1_db, 2, seed=1, cache_dir=tmp_path)
+        assert opened
+        opened.clear()
+        build_test_suite(network1_db, 2, seed=1, cache_dir=tmp_path)
+        assert opened == []
+
+    def test_unreadable_source_refused(self, tmp_path):
+        missing = tmp_path / "missing.sqlite"
+        with pytest.raises(IntrospectionError) as e:
+            build_test_suite(missing, 2, seed=1, cache_dir=tmp_path / "cache")
+        assert str(e.value) == f"database file not found: {missing}"
+        with pytest.raises(IntrospectionError) as e:  # a directory
+            build_test_suite(tmp_path, 2, seed=1, cache_dir=tmp_path / "cache")
+        assert str(e.value).startswith(f"cannot read database {tmp_path}: ")
+        assert not (tmp_path / "cache").exists()
 
     def test_corrupt_manifest_triggers_regeneration(self, network1_db, tmp_path):
         logs = []

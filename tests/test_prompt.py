@@ -267,6 +267,17 @@ class TestEstimateTokens:
         # SELECT + * + FROM + t = 4 runs
         assert estimate_tokens("SELECT * FROM t") == math.ceil(4 * 1.3)
 
+    # every blank \s knows, lone surrogates, and long runs of blanks at either end
+    _BLANKS = st.text(st.sampled_from([c for c in map(chr, range(0x3001)) if c.isspace()]),
+                      max_size=200)
+
+    @given(lead=_BLANKS, trail=_BLANKS, pieces=st.lists(st.one_of(
+        _BLANKS, st.text(max_size=10),
+        st.sampled_from(["\ud800", "\udfff", "_", "\u0663", "\xe9", "*", "\x00"])), max_size=20))
+    def test_counts_the_runs_a_search_from_every_position_finds(self, lead, trail, pieces):
+        text = lead + "".join(pieces) + trail
+        assert sqlbench.prompt._count(text) == len(re.findall(r"\w+|[^\w\s]", text))
+
     def test_monotone_in_text_growth(self, network1):
         schema, samples = network1
         small = render_prompt(render_schema(PromptStyle(StyleKind.QUESTION), None, None),
