@@ -463,12 +463,12 @@ def cmd_annotate(args) -> None:
 
 
 COMMANDS = {
-    "prompt": ("render prompts for every benchmark example", cmd_prompt),
-    "predict": ("obtain completions and finalize SQL", cmd_predict),
-    "eval": ("build suites and score predictions", cmd_eval),
-    "suite": ("pre-generate fuzzed test-suite variants", cmd_suite),
-    "report": ("aggregate outcomes into tables and curves", cmd_report),
-    "annotate": ("emit a manual-annotation skeleton", cmd_annotate),
+    "prompt": "render prompts for every benchmark example",
+    "predict": "obtain completions and finalize SQL",
+    "eval": "build suites and score predictions",
+    "suite": "pre-generate fuzzed test-suite variants",
+    "report": "aggregate outcomes into tables and curves",
+    "annotate": "emit a manual-annotation skeleton",
 }
 
 
@@ -486,9 +486,9 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True,
                                 metavar=None if whole else "{" + ",".join(COMMANDS) + "}")
     for name in COMMANDS if whole else [command]:
-        summary, func = COMMANDS[name]
-        p = sub.add_parser(name, help=summary)
-        p.set_defaults(func=func)
+        p = sub.add_parser(name, help=COMMANDS[name])
+        # looked up per build, so a wrapper set on this module's cmd_* is the one run
+        p.set_defaults(func=globals()["cmd_" + name])
         if name in STAGE_OPTIONS:
             p.add_argument("--config")
             for opt in STAGE_OPTIONS[name]:

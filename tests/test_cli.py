@@ -1238,16 +1238,24 @@ class TestParser:
         assert (run_parsed(monkeypatch, capsys, argv)
                 == run_parsed(monkeypatch, capsys, argv, build_parser()))
 
-    def test_main_builds_the_named_command_alone(self, tmp_path, monkeypatch, capsys):
+    def test_main_builds_the_named_command_alone(self, tmp_path, monkeypatch):
         built = []
         monkeypatch.setattr(cli, "build_parser",
                             lambda command=None: built.append(command) or build_parser(command))
         monkeypatch.setattr(sys, "argv", ["sqlbench", "suite", "--db", str(tmp_path / "no.db")])
         assert main() == 2
         assert built == ["suite"]
-        with pytest.raises(SystemExit):
-            build_parser("suite").parse_args(["eval"])
-        assert "invalid choice: 'eval' (choose from 'suite')" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", list(cli.COMMANDS))
+    def test_main_runs_the_cmd_function_set_on_the_module(self, monkeypatch, command):
+        # a tracer wraps cli.cmd_* by setattr; main must run the wrapper, not the original
+        ran = []
+        monkeypatch.setattr(cli, "cmd_" + command, ran.append)
+        monkeypatch.setattr(cli, "_resolve", lambda args: None)
+        argv = {"report": ["report", "metrics", "--runs", "x"],
+                "annotate": ["annotate", "--outcomes", "o", "--out", "a"]}.get(command, [command])
+        assert main(argv) == 0
+        assert [a.command for a in ran] == [command]
 
     @pytest.mark.parametrize("argv, message", [
         ([], "the following arguments are required: command"),
