@@ -39,7 +39,8 @@ class Option(NamedTuple):
     """One setting of a stage that takes --config. Its flag is the name with
     `-` for `_`; its config key is the name itself. A required option must be
     set for the stage to run. A recorded option goes into the config of the
-    stage's manifest, in table order, unless it is unset."""
+    stage's manifest, in table order, unless it is unset. A number below its
+    minimum is refused."""
     name: str
     type: type = str
     default: object = None
@@ -47,6 +48,7 @@ class Option(NamedTuple):
     choices: tuple[str, ...] | None = None
     required: bool = False
     recorded: bool = False
+    minimum: int | None = None
 
 
 BENCHMARK = Option("benchmark", required=True, recorded=True)
@@ -63,10 +65,10 @@ STAGE_OPTIONS = {
         BENCHMARK, DB_ROOT,
         Option("prompt", default="create+select:3", recorded=True,
                help="question|apidocs|select:<X>|create|create+select:<X>"),
-        Option("shots", int, 0, recorded=True),
+        Option("shots", int, 0, recorded=True, minimum=0),
         Option("seed", int, 0, recorded=True),
         Option("context_tokens", int, 4096, recorded=True),
-        Option("completion_reserve", int, 200, recorded=True),
+        Option("completion_reserve", int, 200, recorded=True, minimum=0),
         Option("train", recorded=True, help="training split for few-shot support selection"),
         Option("out", Path, PROMPTS.default),
     ),
@@ -78,7 +80,7 @@ STAGE_OPTIONS = {
         Option("base_url"),
         Option("model", default="", recorded=True),
         Option("rpm", int, 20),
-        Option("retries", int, 5),
+        Option("retries", int, 5, minimum=0),
         Option("max_tokens", int, 200, recorded=True),
         Option("temperature", float, 0.0, recorded=True),
         Option("sql_out", help="also write one SQL per line in the order of the prompt "
@@ -87,7 +89,9 @@ STAGE_OPTIONS = {
     ),
     "eval": (
         BENCHMARK, DB_ROOT, PREDICTIONS, SUITE_K, SUITE_SEED,
-        Option("timeout_ms", int, 30000, recorded=True),
+        # a deadline already past stops only the queries long enough to reach
+        # the progress handler, so a gold would count as broken by its size
+        Option("timeout_ms", int, 30000, recorded=True, minimum=1),
         CACHE,
         Option("out", Path, "outcomes.jsonl"),
     ),
@@ -133,6 +137,8 @@ def _resolve(args) -> None:
                 raise UsageError(bad) from e
         if opt.choices and value not in opt.choices:
             raise UsageError(f"{opt.name} {value!r} in {args.config} is not one of {opt.choices}")
+        if opt.minimum is not None and value < opt.minimum:
+            raise UsageError(f"{opt.name} must be at least {opt.minimum}, not {value}")
         if opt.required and value is None:
             raise UsageError(f"{args.command} needs --{opt.name.replace('_', '-')} "
                              f"or the config key {opt.name}")
@@ -246,16 +252,15 @@ def _skip_database(db_id: str, error: IntrospectionError | SuiteError) -> None:
     _warn(f"{db_id}: {error}; its examples are skipped")
 
 
-def _schema_section(db_file, style: PromptStyle) -> tuple[list[str], tuple[str, int] | str]:
+def _schema_section(db_file, style: PromptStyle
+                    ) -> tuple[list[str], SchemaSection | IntrospectionError]:
     """Read a database's schema and row samples through one connection, and
     render them once for style. Returns the warnings of reading it, then its
-    schema section's text and token runs, or the IntrospectionError message
-    that stopped it: plain values, which a forked process can marshal. The
-    question style shows no schema, so it opens no database."""
+    schema section, or the IntrospectionError that stopped it. The question
+    style shows no schema, so it opens no database."""
     warnings: list[str] = []
     if style.kind is StyleKind.QUESTION:
-        section = render_schema(style, None, None)
-        return warnings, (section.text, section.tokens)
+        return warnings, render_schema(style, None, None)
     try:
         with closing(connect_ro(db_file)) as conn:
             tables = introspect(db_file, conn, warnings.append)
@@ -263,9 +268,8 @@ def _schema_section(db_file, style: PromptStyle) -> tuple[list[str], tuple[str, 
             if style.x is not None:
                 samples = [sample_rows(conn, t.name, style.x) for t in tables]
     except IntrospectionError as e:
-        return warnings, str(e)
-    section = render_schema(style, tables, samples)
-    return warnings, (section.text, section.tokens)
+        return warnings, e
+    return warnings, render_schema(style, tables, samples)
 
 
 def cmd_prompt(args) -> None:
@@ -295,14 +299,13 @@ def cmd_prompt(args) -> None:
     skipped = []
     for rec in examples:
         if rec.db_id not in sections:  # its warnings where one process meets them
-            warnings, schema = schemas[rec.db_id]
+            warnings, section = schemas[rec.db_id]
             for message in warnings:
                 _warn(f"{rec.db_id}: {message}")
-            if isinstance(schema, str):
-                sections[rec.db_id] = None
-                _skip_database(rec.db_id, IntrospectionError(schema))
-            else:
-                sections[rec.db_id] = SchemaSection(style, *schema)
+            if isinstance(section, IntrospectionError):
+                _skip_database(rec.db_id, section)
+                section = None
+            sections[rec.db_id] = section
         section = sections[rec.db_id]
         if section is None:
             continue
@@ -359,10 +362,6 @@ def cmd_predict(args) -> None:
 
 
 def cmd_eval(args) -> None:
-    # a deadline already past stops only the queries long enough to reach the
-    # progress handler, so a gold would count as broken by its size
-    if args.timeout_ms < 1:
-        raise UsageError(f"timeout_ms must be at least 1, not {args.timeout_ms}")
     pred_manifest = _read_manifest(args.predictions)
     prompt_bench = pred_manifest.prompt_config.benchmark
     if prompt_bench and str(args.benchmark) != prompt_bench and not args.allow_mismatch:
@@ -456,6 +455,8 @@ def cmd_suite(args) -> None:
 
 
 def cmd_annotate(args) -> None:
+    if args.n < 0:
+        raise UsageError(f"n must be at least 0, not {args.n}")
     outcomes = EvalOutcome.load(args.outcomes)
     ids = sample_for_annotation(outcomes, args.n, args.seed, _warn)
     _write(args.out, [annotation_skeleton(ids)])

@@ -162,10 +162,9 @@ def _score_group(examples: list[ExampleRecord], indices: list[int],
                  predictions: dict[str, Prediction], suite: TestSuite,
                  timeout_ms: int) -> tuple:
     """Score the examples at indices, all of suite's database, on one set of
-    connections and one gold store. Returns plain values, which a forked
-    child can marshal: per example, its outcome's fields, or None when its
-    gold is broken, and its notes; then the queries run, the store's hits
-    and misses, and the store's warning or None.
+    connections and one gold store. Returns, per example, its outcome, or
+    None when its gold is broken, and its notes; then the queries run, the
+    store's hits and misses, and the store's warning or None.
 
     A prediction text that occurs again later in the group keeps its
     results (evaluate's kept) until its last occurrence is scored. Examples
@@ -187,12 +186,10 @@ def _score_group(examples: list[ExampleRecord], indices: list[int],
             try:
                 outcome = evaluate(example, prediction, suite, timeout_ms, notes.append,
                                    connections, store, results)
-                # in field order; dataclasses.astuple would deep-copy each field
-                fields = tuple(vars(outcome).values())
             except GoldBrokenError as e:
-                fields = None
+                outcome = None
                 notes.append(str(e))
-            scored.append((fields, notes))
+            scored.append((outcome, notes))
     warning = store.warning and f"gold store {store.path}: {store.warning}"
     return scored, connections.queries, store.hits, store.misses, warning
 
@@ -230,7 +227,7 @@ def evaluate_benchmark(examples: list[ExampleRecord], predictions: dict[str, Pre
     scored_groups = (map if one_process else fork_map)(score, groups)
 
     result = BenchmarkEvaluation(outcomes=[], gold_broken=[])
-    scored: dict[int, tuple[tuple | None, list[str]]] = {}
+    scored: dict[int, tuple[EvalOutcome | None, list[str]]] = {}
     for indices, (group_scored, queries, hits, misses, warning) in zip(groups.values(),
                                                                        scored_groups):
         scored.update(zip(indices, group_scored))
@@ -240,13 +237,13 @@ def evaluate_benchmark(examples: list[ExampleRecord], predictions: dict[str, Pre
         if warning:
             warn(warning)
 
-    for i, (fields, notes) in sorted(scored.items()):
+    for i, (outcome, notes) in sorted(scored.items()):
         for note in notes:
             warn(note)
-        if fields is None:
+        if outcome is None:
             result.gold_broken.append(examples[i].example_id)
         else:
-            result.outcomes.append(EvalOutcome(*fields))
+            result.outcomes.append(outcome)
     for i, example in enumerate(examples):
         if i not in scored:
             reason = ("no prediction" if example.example_id not in predictions

@@ -404,20 +404,16 @@ def _report_empty_tables(tables: list[TableSchema], orig_data: dict, empty_table
 
 
 def _write_variant(tables: list[TableSchema], orig_data: dict, header: dict, out_dir: Path,
-                   i: int) -> str | Exception:
+                   i: int) -> str:
     """Write variant i into out_dir, in place of any file a process that died
-    left there, and return its sha256, or the exception that stopped it. An
-    exception cannot be marshalled, so parallel.fork_map writes a variant
-    that fails in a forked process again in the calling process, and
-    _generate_suite raises it there."""
+    left there, and return its sha256. A variant that fails in a forked
+    process is written again by parallel.fork_map in the calling process,
+    which raises its error there as map would."""
     rng = random.Random(f"{header['seed']}:{i}")  # each variant draws from its own generator
     out_file = out_dir / f"variant_{i}.db"
-    try:
-        out_file.unlink(missing_ok=True)
-        _generate_variant(tables, orig_data, rng, out_file, i == header["k"])  # last one: empty
-        return _sha256(out_file)
-    except Exception as e:  # raised by _generate_suite
-        return e
+    out_file.unlink(missing_ok=True)
+    _generate_variant(tables, orig_data, rng, out_file, i == header["k"])  # last one: empty
+    return _sha256(out_file)
 
 
 def _generate_suite(db_file: Path, conn: sqlite3.Connection, header: dict, out_dir: Path,
@@ -438,11 +434,9 @@ def _generate_suite(db_file: Path, conn: sqlite3.Connection, header: dict, out_d
             f"SELECT 1 FROM {quote_name(t.name)} LIMIT 1").fetchall(), []) for t in tables}
     _report_empty_tables(tables, orig_data, empty_table)
 
+    # raises the lowest failing variant's error, as one process meets it first
     written = fork_map(lambda i: _write_variant(tables, orig_data, header, out_dir, i),
                        range(1, header["k"] + 1))
-    for result in written:  # the lowest failing variant's, as one process meets it first
-        if isinstance(result, Exception):
-            raise result
     hashes = {f"variant_{i}.db": sha for i, sha in enumerate(written, 1)}
     (out_dir / "manifest.json").write_text(json.dumps({**header, "variant_sha256": hashes}))
     return written

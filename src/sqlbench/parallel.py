@@ -5,7 +5,7 @@ CPUs.
 
 It stays in one process where there is one usable CPU, where the platform
 cannot fork, or where another thread runs. No option sets this, and no result
-depends on it: a child is a plain fork that sends back only the marshalled
+depends on it: a child is a plain fork that sends back only the pickled
 results of the items it claimed, so work must give the same result in any
 process.
 """
@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import gc
 import io
-import marshal
 import os
+import pickle
 import select
 import signal
 import threading
+from contextlib import suppress
 
 _CLAIM = 4  # bytes of one claim: an item's index, little-endian
 _MISSING = object()  # a result no process has returned yet
@@ -53,25 +54,26 @@ def _write_claims(write_end: int, claims: list[bytes]) -> list[bytes]:
 
 
 def fork_map(work, items) -> list:
-    """[work(x) for x in items], worked by n = _processes(len(items)) forked
+    """list(map(work, items)), worked by n = _processes(len(items)) forked
     children that claim the items one at a time. The caller writes every
     item's index into one claim pipe: before the first fork as many as the
     pipe holds, the rest once every child is forked, then it closes its
     ends. A child reads one index at a time until the pipe ends, works that
-    item, and at the end sends the marshal.dumps of each (index, result)
+    item, and at the end sends the pickle.dumps of each (index, result)
     through its own pipe. It leaves only by os._exit, so it never runs a
-    caller's cleanup: with code 0 once its results are sent, else with 1. A
-    result that cannot be marshalled is not sent.
+    caller's cleanup: with code 0 once its results are sent, else with 1,
+    which is how it leaves when work raises. A result that cannot be
+    pickled is not sent.
 
     The caller claims nothing while its children run, so what it runs
     itself does not depend on how the children raced. It reads each child's
     pipe to its end, waits for the child, and keeps the results of a child
     that exited 0. Then it works, in item order, every item no child
-    returned: a dead child's, and one whose result could not be marshalled
-    or loaded. So a result is the one this process would get, and whatever
-    work raises is raised here. With one process all items are worked here.
-    An interrupted caller (any BaseException) SIGKILLs and reaps every child
-    it has not waited for, then re-raises."""
+    returned: a dead child's, and one whose result could not be pickled or
+    loaded. So a result is the one this process would get, and what work
+    raises is raised here as map raises it. With one process all items are
+    worked here. An interrupted caller (any BaseException) SIGKILLs and
+    reaps every child it has not waited for, then re-raises."""
     items = list(items)
     results = [_MISSING] * len(items)
     n = _processes(len(items))
@@ -112,10 +114,8 @@ def fork_map(work, items) -> list:
                     while claim := os.read(claim_read, _CLAIM):
                         i = int.from_bytes(claim, "little")
                         result = work(items[i])
-                        try:
-                            sent.append(marshal.dumps((i, result)))
-                        except ValueError:  # the caller works it
-                            pass
+                        with suppress(Exception):  # else the caller works it
+                            sent.append(pickle.dumps((i, result)))
                     with open(write_end, "wb") as pipe:
                         pipe.write(b"".join(sent))
                     os._exit(0)
@@ -163,9 +163,7 @@ def _load(data: bytes, results: list) -> None:
     """Put into results each (index, result) that data holds, up to the first
     that does not load."""
     stream = io.BytesIO(data)
-    try:
+    with suppress(Exception):  # a result's own class may raise anything as it loads
         while stream.tell() < len(data):
-            i, result = marshal.load(stream)
+            i, result = pickle.load(stream)
             results[i] = result
-    except (EOFError, ValueError, TypeError, IndexError):
-        pass

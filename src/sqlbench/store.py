@@ -19,8 +19,7 @@ that close at once the last rename wins, and a result only another stored
 runs again later. The checksum guards against damage, not an attacker: a
 file that cannot be read or fails it counts as empty, with one warning, and
 is replaced at close(). Writes are not synced: the file is a cache, and what
-a machine crash may damage fails the checksum. The first write deletes the
-store of format 1, gold.sqlite.
+a machine crash may damage fails the checksum.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ from .fuzz import TestSuite
 
 FILE_NAME = "gold.marshal"
 FORMAT = "2"  # of results; change it with put() or get()
-LEGACY_FILE_NAME = "gold.sqlite"  # the store of format 1
 
 
 class GoldStore:
@@ -108,7 +106,6 @@ class GoldStore:
                 f.write(hashlib.sha256(data).digest())
                 f.write(data)
             os.replace(tmp, self.path)
-            (self.path.parent / LEGACY_FILE_NAME).unlink(missing_ok=True)
         except OSError as e:
             self.warning = self.warning or f"cannot write: {e}"
             tmp.unlink(missing_ok=True)

@@ -1098,6 +1098,12 @@ BAD_INPUTS = {
     "prompt-reserve-over-context": (
         "prompt --benchmark {bench} --db-root {db_root} --context-tokens 100 "
         "--completion-reserve 200 --out {out}", "completion_reserve 200"),
+    "prompt-negative-shots": (
+        "prompt --benchmark {bench} --db-root {db_root} --shots -3 --out {out}",
+        "shots must be at least 0, not -3"),
+    "prompt-negative-reserve": (
+        "prompt --benchmark {bench} --db-root {db_root} --context-tokens 2000 "
+        "--completion-reserve -500 --out {out}", "completion_reserve must be at least 0, not -500"),
     "predict-missing-prompts": (
         "predict --prompts {missing} --backend gold --benchmark {bench} --out {out}",
         "{missing}"),
@@ -1111,6 +1117,9 @@ BAD_INPUTS = {
     "predict-negative-temperature": (
         "predict --prompts {prompts} --backend gold --benchmark {bench} --temperature -1 "
         "--out {out}", "temperature"),
+    "predict-negative-retries": (
+        "predict --prompts {prompts} --backend http --base-url http://127.0.0.1:9 --retries -1 "
+        "--out {out}", "retries must be at least 0, not -1"),
     "eval-missing-predictions": (
         "eval --benchmark {bench} --db-root {db_root} --predictions {missing} --out {out}",
         "{missing}"),
@@ -1131,6 +1140,8 @@ BAD_INPUTS = {
         "report breakdown --runs {outcomes} --annotations {ts_label} --out {out}",
         "{ts_label}:1: 'TestSuiteCorrect' is not a category of manual annotation"),
     "annotate-missing-outcomes": ("annotate --outcomes {missing} --out {out}", "{missing}"),
+    "annotate-negative-n": (
+        "annotate --outcomes {outcomes} --n -1 --out {out}", "n must be at least 0, not -1"),
     "report-outcome-breaks-chain": (
         "report metrics --runs {broken_chain} --out {out}",
         "{broken_chain}:1: outcome breaks TS => EX => VA"),

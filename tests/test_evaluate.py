@@ -403,11 +403,15 @@ class TestRecurringPrediction:
         monkeypatch.setattr(evaluate, "evaluate", real)
         alone = [evaluate._score_group(bench, [i], predictions, mixed_suite, 100)[0][0]
                  for i in range(len(bench))]
-        assert [(fields[:-1], notes) for fields, notes in scored] == [
-            (fields[:-1], notes) for fields, notes in alone]
+
+        def untimed(outcome):
+            return {k: v for k, v in outcome.to_dict().items() if k != "timing_ms"}
+
+        assert [(untimed(o), notes) for o, notes in scored] == [
+            (untimed(o), notes) for o, notes in alone]
         recurring = [(True, None, True, True), (False, "query exceeded 100 ms", False, False),
                      (False, "no such column: nocol", False, False)]
-        assert [fields[1:5] for fields, _ in scored] == [
+        assert [(o.valid, o.invalid_reason, o.ex, o.ts) for o, _ in scored] == [
             (True, None, True, False), *recurring, (True, None, True, True), *recurring,
             (True, None, True, False)]
         assert scored[4][1] == [f"e0004: gold failed on variant {mixed_suite.variants[2]}; "
@@ -603,15 +607,6 @@ class TestGoldStore:
             assert result.gold_store == expected
             assert scores(result) == scores(first)
         assert not warned
-
-    def test_first_write_deletes_legacy_sqlite_store(self, db_root, tmp_path):
-        golds = [sql for _, sql in FIXTURE_QUESTIONS[:2]]
-        suite = build_test_suite(db_root / "network_1" / "network_1.sqlite", 2, seed=1,
-                                 cache_dir=tmp_path / "cache", db_id="network_1")
-        with closing(sqlite3.connect(suite.directory / "gold.sqlite")) as conn:
-            conn.execute("CREATE TABLE gold (sql_sha BLOB, variant INTEGER, payload BLOB)")
-        network1_eval(db_root, tmp_path, golds, golds)
-        assert [p.name for p in suite.directory.glob("gold.*")] == ["gold.marshal"]
 
     def test_concurrent_evals_share_one_store(self, fixture_benchmark_path, db_root, tmp_path):
         bench = load_benchmark(fixture_benchmark_path)

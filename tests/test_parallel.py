@@ -1,7 +1,8 @@
+import enum
 import json
 import os
 from contextlib import contextmanager
-from fractions import Fraction
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -19,6 +20,28 @@ pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
 def square(x):
     return (x, x * x, str(x))
+
+
+class Color(enum.Enum):
+    RED = "red"
+    BLUE = "blue"
+
+
+@dataclass(frozen=True)
+class Painted:
+    color: Color
+    x: int
+
+
+class Boom(Exception):
+    pass
+
+
+class TwoArgError(Exception):
+    """Pickles, but does not load: pickle calls the class with args, one item."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}-{b}")
 
 
 @contextmanager
@@ -48,19 +71,73 @@ def test_same_results_as_map(monkeypatch, processes, n_items):
     assert worked_here == (list(items) if min(processes, n_items) <= 1 else [])
 
 
-def test_unmarshallable_result_has_its_share_worked_here(monkeypatch):
+def test_unpicklable_result_is_worked_here(monkeypatch):
     monkeypatch.setattr(parallel, "_processes", lambda n: min(3, n))
     worked_here = []
 
     def work(x):
         worked_here.append(x)
-        return Fraction(x) if x == 4 else x  # marshal cannot dump a Fraction
+        return (lambda: x) if x == 4 else x  # pickle cannot dump a local function
 
     with no_fd_left():
         got = parallel.fork_map(work, range(9))
     assert worked_here == [4]
-    worked_here.clear()
-    assert got == list(map(work, range(9)))
+    assert got[:4] + got[5:] == [0, 1, 2, 3, 5, 6, 7, 8]
+    assert got[4]() == 4
+
+
+def test_result_that_does_not_load_is_worked_here(monkeypatch):
+    monkeypatch.setattr(parallel, "_processes", lambda n: min(3, n))
+    worked_here = []
+
+    def work(x):
+        worked_here.append(x)
+        return TwoArgError(x, "b") if x == 4 else x
+
+    with no_fd_left():
+        got = parallel.fork_map(work, range(9))
+    # the rest of its child's results come after it in that child's pipe,
+    # so they are worked here too; a child claims items in increasing order
+    assert worked_here[0] == 4 and worked_here == sorted(worked_here)
+    assert [(type(r), r.args) if x == 4 else r for x, r in enumerate(got)] == [
+        0, 1, 2, 3, (TwoArgError, ("4-b",)), 5, 6, 7, 8]
+
+
+def test_objects_come_back_as_map_returns_them(monkeypatch):
+    monkeypatch.setattr(parallel, "_processes", lambda n: min(3, n))
+    worked_here = []
+
+    def work(x):
+        worked_here.append(x)
+        return Painted(Color.BLUE if x % 2 else Color.RED, x), Boom(x, "text")
+
+    with no_fd_left():
+        got = parallel.fork_map(work, range(12))
+    assert worked_here == []  # every result crossed a pipe
+    expected = list(map(work, range(12)))
+    assert [painted for painted, _ in got] == [painted for painted, _ in expected]
+    assert all(painted.color is Color(painted.color.value) for painted, _ in got)
+    assert [(type(e), e.args) for _, e in got] == [(type(e), e.args) for _, e in expected]
+
+
+def test_work_raising_in_children_raises_here_as_map_does(monkeypatch):
+    monkeypatch.setattr(parallel, "_processes", lambda n: min(3, n))
+    caller, worked_here = os.getpid(), []
+
+    def work(x):
+        if os.getpid() == caller:
+            worked_here.append(x)
+        if x in (3, 7):
+            raise Boom(x)
+        return square(x)
+
+    with no_fd_left(), pytest.raises(Boom) as raised:
+        parallel.fork_map(work, range(10))
+    assert raised.value.args == (3,)
+    # the dead children's items, worked here in order up to the first error
+    assert worked_here[-1] == 3 and worked_here == sorted(worked_here)
+    with pytest.raises(ChildProcessError):  # every child reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_child_that_dies_has_its_claims_worked_here(monkeypatch, tmp_path):

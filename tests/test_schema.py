@@ -75,10 +75,10 @@ class TestIntrospect:
             """)
         names = ["sqlitedata", "other", "SQLite.x"]
         assert [t.name for t in read_schema(db)] == names
-        warnings, (text, _) = _schema_section(db, parse_style("create+select:3"))
+        warnings, section = _schema_section(db, parse_style("create+select:3"))
         assert warnings == []
-        assert all(t.create_sql in text for t in read_schema(db))
-        assert "sqlite_sequence" not in text
+        assert all(t.create_sql in section.text for t in read_schema(db))
+        assert "sqlite_sequence" not in section.text
         suite = build_test_suite(db, 3, 0, tmp_path / "cache", warn=pytest.fail)
         for variant in suite.variants[1:]:
             assert [t.name for t in read_schema(variant)] == names
