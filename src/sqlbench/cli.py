@@ -81,7 +81,7 @@ STAGE_OPTIONS = {
         Option("model", default="", recorded=True),
         Option("rpm", int, 20),
         Option("retries", int, 5, minimum=0),
-        Option("max_tokens", int, 200, recorded=True),
+        Option("max_tokens", int, 200, recorded=True, minimum=1),
         Option("temperature", float, 0.0, recorded=True),
         Option("sql_out", help="also write one SQL per line in the order of the prompt "
                "manifest's benchmark, an empty line for an example with no prompt"),

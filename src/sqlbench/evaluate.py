@@ -56,11 +56,12 @@ class EvalOutcome:
 
 
 def _same_results(gold: ExecResult, pred: ExecResult) -> bool:
-    """compare_results(gold, pred), with rows equal in the order given checked
-    first, in C. Exact on results of Connections.execute: == and cells_equal
-    differ only on bool and NaN cells, which SQLite never returns."""
-    return ((len(gold.columns) == len(pred.columns) and gold.rows == pred.rows)
-            or compare_results(gold, pred))
+    """compare_results(gold, pred), decided without rows where it can be: a
+    result equals itself, and no result of another shape. Then rows equal in
+    order are checked in C. Exact on results of Connections.execute: == and
+    cells_equal differ only on bool and NaN cells, which SQLite never returns."""
+    return gold is pred or (gold.shape == pred.shape
+                            and (gold.rows == pred.rows or compare_results(gold, pred)))
 
 
 def evaluate(example: ExampleRecord, prediction: Prediction, suite: TestSuite,

@@ -46,6 +46,10 @@ class ExecResult:
     rows: list[tuple]
     order_sensitive: bool = False
 
+    @property
+    def shape(self) -> tuple[int, int]:  # (column count, row count)
+        return len(self.columns), len(self.rows)
+
 
 @dataclass
 class ExecError:

@@ -2,12 +2,15 @@
 suite variant, not once per eval.
 
 The store is one file per suite, gold.marshal: the sha256 of the rest, then
-marshal.dumps((header, results)). results maps (gold SQL, variant; 0 is the
-original database) to the marshal.dumps of one result, decoded only when
-asked for. marshal keeps int, float (±inf, -0.0 and NaN included), str,
-bytes, None, lists and tuples apart, so results come back with exact types.
-A file whose header (suite content hash, format, SQLite, Python and marshal
-versions) is not this store's counts as empty.
+marshal.dumps((header, results), 2). results maps a gold SQL to a dict from
+variant (0 is the original database) to (kind, message) for an error, or
+(column count, row count, order_sensitive, marshal.dumps((columns, rows), 2))
+for rows, which get() returns as a StoredResult, decoded when first read.
+Keys are written sorted, and marshal version 2 writes no back-references, so
+the bytes depend on the content alone. marshal keeps int, float (±inf, -0.0
+and NaN included), str, bytes, None, lists and tuples apart, so results come
+back with exact types. A file whose header (suite content hash, format,
+SQLite, Python and marshal versions) is not this store's counts as empty.
 
 Never stored: a timeout, and a result of a query that called a function whose
 result may change from run to run (execution.VOLATILE_FUNCTIONS).
@@ -34,7 +37,34 @@ from .execution import ExecError, ExecResult
 from .fuzz import TestSuite
 
 FILE_NAME = "gold.marshal"
-FORMAT = "2"  # of results; change it with put() or get()
+FORMAT = "3"  # of results; change it with put() or get()
+
+
+class _Decoded:
+    """A StoredResult's columns or rows. The first read of either decodes both
+    into plain attributes of the result, which hide this descriptor."""
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, result, owner):
+        result.columns, result.rows = marshal.loads(result._payload)
+        return vars(result)[self.name]
+
+
+class StoredResult(ExecResult):
+    """A stored result; its shape is known before its rows are decoded."""
+
+    columns, rows = _Decoded(), _Decoded()
+
+    def __init__(self, width: int, length: int, order_sensitive: bool, payload: bytes):
+        self._shape = width, length
+        self.order_sensitive = order_sensitive
+        self._payload = payload
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self._shape
 
 
 class GoldStore:
@@ -49,7 +79,7 @@ class GoldStore:
         self.warning: str | None = None
         self._header = (suite.content_hash, FORMAT, sqlite3.sqlite_version,
                         "%d.%d" % sys.version_info[:2], marshal.version)
-        self._new: dict[tuple[str, int], bytes] = {}  # what this eval stored
+        self._new: dict[str, dict[int, tuple]] = {}  # what this eval stored
         self._results = self._read()
 
     def _read(self) -> dict:
@@ -71,14 +101,11 @@ class GoldStore:
 
     def get(self, sql: str, variant: int) -> ExecResult | ExecError | None:
         """The stored result of sql on variant, or None if there is none."""
-        payload = self._results.get((sql, variant))
-        if payload is None:
+        entry = self._results.get(sql, {}).get(variant)
+        if entry is None:
             return None
         self.hits += 1
-        value = marshal.loads(payload)
-        if value[0] == "error":
-            return ExecError(value[1], value[2])
-        return ExecResult(value[1], value[2], value[3])
+        return ExecError(*entry) if len(entry) == 2 else StoredResult(*entry)
 
     def put(self, sql: str, variant: int, result: ExecResult | ExecError,
             volatile: bool) -> None:
@@ -88,18 +115,21 @@ class GoldStore:
         if volatile or (isinstance(result, ExecError) and result.kind == "timeout"):
             return
         if isinstance(result, ExecError):
-            value = ("error", result.kind, result.message)
+            entry = (result.kind, result.message)
         else:
-            value = ("rows", result.columns, result.rows, result.order_sensitive)
-        self._results[sql, variant] = self._new[sql, variant] = marshal.dumps(value)
+            entry = (*result.shape, result.order_sensitive,
+                     marshal.dumps((result.columns, result.rows), 2))
+        self._results.setdefault(sql, {})[variant] = self._new.setdefault(sql, {})[variant] = entry
 
     def close(self) -> None:
         if not self._new:
             return
         results = self._read()
-        results.update(self._new)
+        for sql, entries in self._new.items():
+            results.setdefault(sql, {}).update(entries)
         self._new = {}
-        data = marshal.dumps((self._header, results))
+        data = marshal.dumps((self._header, {sql: dict(sorted(results[sql].items()))
+                                             for sql in sorted(results)}), 2)
         tmp = self.path.with_name(f"{FILE_NAME}.{os.getpid()}.new")
         try:
             with open(tmp, "wb") as f:

@@ -1120,6 +1120,12 @@ BAD_INPUTS = {
     "predict-negative-retries": (
         "predict --prompts {prompts} --backend http --base-url http://127.0.0.1:9 --retries -1 "
         "--out {out}", "retries must be at least 0, not -1"),
+    "predict-negative-max-tokens": (
+        "predict --prompts {prompts} --backend gold --benchmark {bench} --max-tokens -5 "
+        "--out {out}", "max_tokens must be at least 1, not -5"),
+    "predict-zero-max-tokens": (  # a completion of 0 tokens can only be empty
+        "predict --prompts {prompts} --backend gold --benchmark {bench} --max-tokens 0 "
+        "--out {out}", "max_tokens must be at least 1, not 0"),
     "eval-missing-predictions": (
         "eval --benchmark {bench} --db-root {db_root} --predictions {missing} --out {out}",
         "{missing}"),

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import marshal
 import math
 import os
 import re
@@ -25,7 +27,7 @@ from sqlbench.evaluate import GoldBrokenError, evaluate_benchmark
 from sqlbench.execution import (Connections, ExecError, ExecResult, compare_results,
                                 execute_sql)
 from sqlbench.fuzz import TestSuite, build_test_suite
-from sqlbench.store import GoldStore
+from sqlbench.store import GoldStore, StoredResult
 
 from conftest import (FIXTURE_QUESTIONS, ONE_CPU, TIMEOUT_MS, evaluate_one, interrupt_when,
                       live_thread, make_geo_db, make_network1_db, needs_fork, run_python,
@@ -437,63 +439,115 @@ SQLITE_CELLS = st.one_of(
                      2**53, 2**53 + 1, float(2**53), -(2**53) - 1, -float(2**53), 2**63 - 1]),
     st.integers(-2**63, 2**63 - 1), st.floats(), st.text(max_size=3), st.binary(max_size=3))
 AFFINITIES = st.sampled_from(["", "INTEGER", "REAL", "TEXT", "BLOB"])
+# every kind of error the store keeps; a timeout is never stored
+STORED_ERRORS = st.builds(ExecError, st.sampled_from(["engine", "forbidden", "too_many_rows"]),
+                          st.text(max_size=12))
+
+
+def sqlite_results(data) -> list[ExecResult]:
+    """What SQLite returns for queries on two tables of drawn cells and
+    affinities: in stored order, in other orders, with no rows, one row, and
+    no rows at an arity neither table has."""
+    pool = data.draw(st.lists(SQLITE_CELLS, min_size=1, max_size=6))
+    cells = st.sampled_from(pool)  # from one pool, so equal rows are common
+    with tempfile.TemporaryDirectory() as tmp:
+        db = Path(tmp) / "t.sqlite"
+        with closing(sqlite3.connect(db)) as conn:
+            for table in ("g", "p"):
+                affinities = data.draw(st.lists(AFFINITIES, min_size=1, max_size=3))
+                width = len(affinities)
+                rows = data.draw(st.lists(st.tuples(*[cells] * width), max_size=5))
+                conn.execute(f"CREATE TABLE {table} (" + ", ".join(
+                    f"c{j} {a}" for j, a in enumerate(affinities)) + ")")
+                conn.executemany(f"INSERT INTO {table} VALUES ({','.join('?' * width)})",
+                                 rows)
+            conn.commit()
+        with closing(Connections()) as connections:
+            results = [connections.execute(db, sql, TIMEOUT_MS) for table in ("g", "p")
+                       for sql in (f"SELECT * FROM {table}",
+                                   f"SELECT * FROM {table} ORDER BY rowid DESC",
+                                   f"SELECT * FROM {table} ORDER BY 1",
+                                   f"SELECT * FROM {table} WHERE 0",
+                                   f"SELECT * FROM {table} LIMIT 1")]
+            results.append(connections.execute(db, "SELECT 1, 2, 3, 4 WHERE 0", TIMEOUT_MS))
+    for result in results:
+        assert not any(isinstance(v, bool) or v != v for row in result.rows for v in row)
+    return results
 
 
 class TestSameResults:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_agrees_with_compare_results(self, data):
-        pool = data.draw(st.lists(SQLITE_CELLS, min_size=1, max_size=6))
-        cells = st.sampled_from(pool)  # from one pool, so equal rows are common
-        with tempfile.TemporaryDirectory() as tmp:
-            db = Path(tmp) / "t.sqlite"
-            with closing(sqlite3.connect(db)) as conn:
-                for table in ("g", "p"):
-                    affinities = data.draw(st.lists(AFFINITIES, min_size=1, max_size=3))
-                    width = len(affinities)
-                    rows = data.draw(st.lists(st.tuples(*[cells] * width), max_size=5))
-                    conn.execute(f"CREATE TABLE {table} (" + ", ".join(
-                        f"c{j} {a}" for j, a in enumerate(affinities)) + ")")
-                    conn.executemany(f"INSERT INTO {table} VALUES ({','.join('?' * width)})",
-                                     rows)
-                conn.commit()
-            with closing(Connections()) as connections:
-                results = [connections.execute(db, sql, TIMEOUT_MS) for table in ("g", "p")
-                           for sql in (f"SELECT * FROM {table}",
-                                       f"SELECT * FROM {table} ORDER BY rowid DESC",
-                                       f"SELECT * FROM {table} ORDER BY 1",
-                                       f"SELECT * FROM {table} WHERE 0")]
-        for result in results:
-            assert not any(isinstance(v, bool) or v != v
-                           for row in result.rows for v in row)
+        results = sqlite_results(data)
         for gold in results:
             for pred in results:
                 assert evaluate._same_results(gold, pred) == compare_results(gold, pred)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), error=STORED_ERRORS)
+    def test_stored_gold_agrees_with_compare_results(self, data, error):
+        """A gold result read back from the store, its rows not yet decoded,
+        against a query's result, another stored result and itself; rows are
+        decoded only for a pair of one arity and row count."""
+        results = sqlite_results(data)
+        with tempfile.TemporaryDirectory() as tmp:
+            suite = TestSuite("t", 0, 1, [], "s" * 64, "c" * 64, Path(tmp))
+            with closing(GoldStore(suite)) as gold:
+                for i, result in enumerate(results):
+                    gold.put(f"q{i}", 0, result, volatile=False)
+                gold.put("error", 0, error, volatile=False)
+            with closing(GoldStore(suite)) as gold:
+                assert gold.get("error", 0) == error
+
+                def fresh(i):
+                    return gold.get(f"q{i}", 0)
+
+                for i, result in enumerate(results):
+                    full = decoded(fresh(i))
+                    assert repr(full) == repr(result)
+                    same = fresh(i)
+                    pairs = [(same, same, full)]
+                    pairs += [(fresh(i), pred, pred) for pred in results]
+                    pairs += [(fresh(i), fresh(j), decoded(fresh(j))) for j in range(len(results))]
+                    for stored, pred, reference in pairs:
+                        assert (evaluate._same_results(stored, pred)
+                                == compare_results(full, reference))
+                        must_decode = stored is not pred and full.shape == reference.shape
+                        assert ("rows" in vars(stored)) == must_decode
 
 
 SPECIAL_CELLS = [1, 1.0, "1", b"1", None, -0.0, math.inf, -math.inf, math.nan,
                  2**63 - 1, -(2**63 - 1), "naïve ☃ 日本"]
 CELLS = st.one_of(st.sampled_from(SPECIAL_CELLS), st.integers(-2**63, 2**63 - 1),
                   st.floats(), st.text(max_size=6), st.binary(max_size=6))
-# every kind of error the store keeps; a timeout is never stored
-STORED_ERRORS = st.builds(ExecError, st.sampled_from(["engine", "forbidden", "too_many_rows"]),
-                          st.text(max_size=12))
+
+
+def decoded(result):
+    """result, a StoredResult read out as the ExecResult it holds."""
+    if isinstance(result, StoredResult):
+        return ExecResult(result.columns, result.rows, result.order_sensitive)
+    return result
 
 
 def round_trip(suite, sql, result):
-    """result put into the store of suite, then read back by a store opened anew."""
+    """result put into the store of suite, then read back, decoded, by a store
+    opened anew."""
     with closing(GoldStore(suite)) as gold:
         gold.put(sql, 0, result, volatile=False)
     with closing(GoldStore(suite)) as gold:
         got = gold.get(sql, 0)
         assert gold.hits == 1 and gold.warning is None
-    return got
+    if isinstance(result, ExecResult):
+        assert got.shape == (len(result.columns), len(result.rows))
+    return decoded(got)
 
 
 def stored(suite, sql, variant=0):
-    """The result of sql on variant in the gold store of suite, opened anew."""
+    """The result of sql on variant in the gold store of suite, opened anew,
+    decoded."""
     with closing(GoldStore(suite)) as gold:
-        return gold.get(sql, variant)
+        return decoded(gold.get(sql, variant))
 
 
 def network1_eval(db_root, tmp_path, golds, preds, warn=print, timeout_ms=TIMEOUT_MS):
@@ -557,6 +611,78 @@ class TestGoldStore:
         assert [stored(suite, gold) for gold in golds] == [
             None, None, execute_sql(suite.variants[0], golds[2], TIMEOUT_MS)]
 
+    def test_warm_store_decodes_only_what_a_comparison_reads(self, db_root, tmp_path,
+                                                            monkeypatch):
+        names = "SELECT name FROM Highschooler"
+        no_decode = [  # (gold, prediction)
+            *[(gold, gold) for _, gold in FIXTURE_QUESTIONS[:6]],
+            (names, "SELECT name, grade FROM Highschooler"),  # another arity
+            (names, names + " LIMIT 1"),  # another row count
+            ("SELECT nocol FROM Friend", names),  # a stored error
+            ("SELECT grade FROM Highschooler WHERE grade > 99", "SELECT 1")]
+        decoding = [(names, "SELECT  name FROM Highschooler")]  # the gold, respaced
+        decodes = []
+        real_decode, real_get = store._Decoded.__get__, GoldStore.get
+
+        def counted(self, result, owner):
+            decodes.append(self.name)
+            return real_decode(self, result, owner)
+
+        def eager(self, sql, variant):  # every stored result decoded when read
+            return decoded(real_get(self, sql, variant))
+
+        for pairs in (no_decode, decoding):
+            shutil.rmtree(tmp_path / "cache", ignore_errors=True)
+            golds, preds = zip(*pairs)
+            runs = {}
+            for run in ("cold", "eager", "lazy"):
+                notes = []
+                with monkeypatch.context() as patch:
+                    if run == "eager":
+                        patch.setattr(GoldStore, "get", eager)
+                    elif run == "lazy":
+                        patch.setattr(store._Decoded, "__get__", counted)
+                    result, _ = network1_eval(db_root, tmp_path, golds, preds, notes.append)
+                runs[run] = (scores(result), notes, result.gold_broken, result.queries,
+                             result.gold_store)
+            assert runs["lazy"] == runs["eager"]
+            assert runs["lazy"][:3] == runs["cold"][:3]
+            assert runs["lazy"][4] == {"hits": sum(runs["cold"][4].values()), "misses": 0}
+            if pairs is no_decode:
+                assert runs["lazy"][2] == ["e0008"] and not decodes
+        assert decodes == ["rows"] * 3  # the original database and both variants
+
+    def test_bytes_depend_on_content_alone(self, tmp_path):
+        """The same results, put in other orders, by two stores rather than
+        one, and held in equal objects that are not the same ones, give the
+        same gold.marshal bytes."""
+        text = "naïve ☃ 日本"
+        row = (text, 1, -0.0, math.inf, None, b"\x00", 2**63 - 1)
+        entries = [(f"SELECT {i}", variant, ExecResult(["a", "a", text], [row] * i, i % 2 == 0))
+                   for i in range(5) for variant in (2, 0, 1)]
+        entries.append(("SELECT 9", 0, ExecError("engine", text)))
+
+        def anew(value):  # an equal value, every str, float and tuple in it a new object
+            return marshal.loads(marshal.dumps(value, 2))
+
+        def store_file(name, *batches):
+            suite = TestSuite("t", 0, 1, [], "s" * 64, "c" * 64, tmp_path / name)
+            suite.directory.mkdir()
+            for batch in batches:
+                with closing(GoldStore(suite)) as gold:
+                    for sql, variant, result in batch:
+                        gold.put(sql, variant, result, volatile=False)
+            return (suite.directory / "gold.marshal").read_bytes()
+
+        copies = [(anew(sql), variant, ExecResult(anew(r.columns), anew(r.rows),
+                                                  r.order_sensitive)
+                   if isinstance(r, ExecResult) else ExecError(anew(r.kind), anew(r.message)))
+                  for sql, variant, r in entries]
+        one = store_file("one", entries)
+        assert store_file("reversed", entries[::-1]) == one
+        assert store_file("two", copies[7:][::-1], copies[:7]) == one
+        assert store_file("shuffled", copies[1::2], entries[::2][::-1]) == one
+
     def test_timeout_never_stored(self, db_root, tmp_path):
         for _ in range(2):
             result, suite = network1_eval(db_root, tmp_path, [SLOW], [SLOW], timeout_ms=50)
@@ -602,6 +728,23 @@ class TestGoldStore:
         first, suite = network1_eval(db_root, tmp_path, golds, golds, warned.append)
         lookups = first.gold_store["misses"]
         monkeypatch.setattr(store, "FORMAT", "other")
+        for expected in ({"hits": 0, "misses": lookups}, {"hits": lookups, "misses": 0}):
+            result, _ = network1_eval(db_root, tmp_path, golds, golds, warned.append)
+            assert result.gold_store == expected
+            assert scores(result) == scores(first)
+        assert not warned
+
+    def test_format_2_store_is_silently_empty(self, db_root, tmp_path):
+        golds = [sql for _, sql in FIXTURE_QUESTIONS[:3]]
+        first, suite = network1_eval(db_root, tmp_path, golds, golds)
+        lookups = sum(first.gold_store.values())
+        # a store as format 2 wrote it, each result a wrong one
+        header = (suite.content_hash, "2", sqlite3.sqlite_version,
+                  "%d.%d" % sys.version_info[:2], marshal.version)
+        data = marshal.dumps((header, {(gold, i): marshal.dumps(("rows", ["x"], [(7,)], False))
+                                       for gold in golds for i in range(3)}))
+        (suite.directory / "gold.marshal").write_bytes(hashlib.sha256(data).digest() + data)
+        warned = []
         for expected in ({"hits": 0, "misses": lookups}, {"hits": lookups, "misses": 0}):
             result, _ = network1_eval(db_root, tmp_path, golds, golds, warned.append)
             assert result.gold_store == expected
