@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import time
-from collections import Counter
 from contextlib import closing
 from dataclasses import dataclass, field
 
@@ -65,53 +64,16 @@ def _same_results(gold: ExecResult, pred: ExecResult) -> bool:
 
 
 def evaluate(example: ExampleRecord, prediction: Prediction, suite: TestSuite,
-             timeout_ms: int, warn, connections: Connections,
-             gold_store: GoldStore, kept: dict) -> EvalOutcome:
+             warn, result_on) -> EvalOutcome:
     """Score one prediction. valid: executes on the original database;
     ex: matches gold there; ts: matches gold on every suite variant.
 
-    Queries run on the connections `connections` holds for the suite's
-    files. Gold results come from gold_store when it holds them, and go into
-    it when it does not. Variants the gold query fails on are skipped, with a
-    note to warn.
-
-    A prediction whose text is exactly the gold query runs no query: on each
-    file it takes the gold's result as its own, stored or just run, and is
-    compared with it as any other prediction is. So it never races the
-    timeout a second time, and a stored result serves it under any
-    timeout_ms. The exception is a gold query run in this call that called a
-    volatile function: its result may not repeat, so the prediction runs as
-    well.
-
-    kept maps a suite file index to the result there of a prediction of
-    this text on this suite, empty for a text not seen before. The
-    prediction runs only on files it lacks, and adds each result that may
-    repeat: not a timeout, nor one of a query that called a volatile
-    function."""
+    result_on(sql, i, gold) is the result of sql on suite file i, gold
+    telling a gold query (example.gold_sql itself) from the prediction; see
+    _score_group. Variants the gold query fails on are skipped, with a note
+    to warn."""
     start = time.monotonic()
-    original = suite.variants[0]
-    is_gold = prediction.sql == example.gold_sql
-
-    def gold_on(i, db_file):
-        """The gold's result on suite file i, and whether the prediction
-        takes it as its own. A stored result never came from a volatile query."""
-        result = gold_store.get(example.gold_sql, i)
-        if result is not None:
-            return result, is_gold
-        result = execute_sql(db_file, example.gold_sql, timeout_ms, connections)
-        gold_store.put(example.gold_sql, i, result, volatile=connections.volatile)
-        return result, is_gold and not connections.volatile
-
-    def pred_on(i, db_file):
-        result = kept.get(i)
-        if result is None:
-            result = execute_sql(db_file, prediction.sql, timeout_ms, connections)
-            if not (connections.volatile
-                    or isinstance(result, ExecError) and result.kind == "timeout"):
-                kept[i] = result
-        return result
-
-    gold_res, shared = gold_on(0, original)
+    gold_res = result_on(example.gold_sql, 0, True)
     if isinstance(gold_res, ExecError):
         raise GoldBrokenError(
             f"{example.example_id}: gold query failed on {suite.db_id}: {gold_res.message}"
@@ -130,7 +92,7 @@ def evaluate(example: ExampleRecord, prediction: Prediction, suite: TestSuite,
     if prediction.sql == EMPTY_PREDICTION:
         return done(False, "empty prediction", False, False)
 
-    pred_res = gold_res if shared else pred_on(0, original)
+    pred_res = result_on(prediction.sql, 0, False)
     if isinstance(pred_res, ExecError):
         return done(False, pred_res.message, False, False)
 
@@ -140,11 +102,11 @@ def evaluate(example: ExampleRecord, prediction: Prediction, suite: TestSuite,
 
     ts = True
     for i, variant in enumerate(suite.variants[1:], 1):
-        gold_v, shared = gold_on(i, variant)
+        gold_v = result_on(example.gold_sql, i, True)
         if isinstance(gold_v, ExecError):
             warn(f"{example.example_id}: gold failed on variant {variant}; skipped")
             continue
-        pred_v = gold_v if shared else pred_on(i, variant)
+        pred_v = result_on(prediction.sql, i, False)
         if isinstance(pred_v, ExecError) or not _same_results(gold_v, pred_v):
             ts = False
             break
@@ -162,35 +124,52 @@ class BenchmarkEvaluation:
 def _score_group(examples: list[ExampleRecord], indices: list[int],
                  predictions: dict[str, Prediction], suite: TestSuite,
                  timeout_ms: int) -> tuple:
-    """Score the examples at indices, all of suite's database, on one set of
-    connections and one gold store. Returns, per example, its outcome, or
-    None when its gold is broken, and its notes; then the queries run, the
-    store's hits and misses, and the store's warning or None.
+    """Score the examples at indices, all of suite's database, in order, on
+    one set of connections and one gold store. Returns, per example, its
+    outcome, or None when its gold is broken, and its notes; then the queries
+    run, the store's hits and misses, and the store's warning or None.
 
-    A prediction text that occurs again later in the group keeps its
-    results (evaluate's kept) until its last occurrence is scored. Examples
-    are scored in order, so only the queries run differ from scoring each
-    example alone."""
+    result_on serves a gold's result from the store, else runs and stores
+    it, and a prediction's from the group's table, SQL text -> {suite file
+    index -> result}, else runs it. A result enters the table while a
+    prediction of its text is still to be scored, this one included, unless
+    it timed out or called a volatile function; a text leaves after its last
+    prediction. So a prediction that is the text of an earlier one, or of a
+    gold looked up before it, its own included, takes that very result: only
+    the queries run differ from scoring each example alone, but where a rerun
+    would time out."""
     scored = []
-    remaining = Counter(predictions[examples[i].example_id].sql for i in indices)
-    kept: dict[str, dict] = {}  # prediction text -> its kept results
+    last = {predictions[examples[i].example_id].sql: i for i in indices}  # text -> last example
+    table: dict[str, dict[int, ExecResult | ExecError]] = {sql: {} for sql in last}
     # the fuzzed variants are cache files never rewritten in place
     with closing(Connections(immutable=suite.variants[1:])) as connections, \
             closing(GoldStore(suite)) as store:
+
+        def result_on(sql: str, i: int, gold: bool) -> ExecResult | ExecError:
+            result = store.get(sql, i) if gold else table[sql].get(i)
+            if result is None:
+                result = execute_sql(suite.variants[i], sql, timeout_ms, connections)
+                if gold:
+                    store.put(sql, i, result, volatile=connections.volatile)
+                if connections.volatile or (isinstance(result, ExecError)
+                                            and result.kind == "timeout"):
+                    return result
+            if sql in table:
+                table[sql][i] = result
+            return result
+
         for i in indices:
             example = examples[i]
             prediction = predictions[example.example_id]
-            remaining[prediction.sql] -= 1
-            results = (kept.setdefault(prediction.sql, {}) if remaining[prediction.sql]
-                       else kept.pop(prediction.sql, {}))
             notes: list[str] = []
             try:
-                outcome = evaluate(example, prediction, suite, timeout_ms, notes.append,
-                                   connections, store, results)
+                outcome = evaluate(example, prediction, suite, notes.append, result_on)
             except GoldBrokenError as e:
                 outcome = None
                 notes.append(str(e))
             scored.append((outcome, notes))
+            if last[prediction.sql] == i:
+                del table[prediction.sql]
     warning = store.warning and f"gold store {store.path}: {store.warning}"
     return scored, connections.queries, store.hits, store.misses, warning
 

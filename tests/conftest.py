@@ -11,11 +11,9 @@ from pathlib import Path
 import pytest
 
 import sqlbench
-from sqlbench.evaluate import evaluate
-from sqlbench.execution import Connections
+from sqlbench.evaluate import GoldBrokenError, _score_group
 from sqlbench.prompt import render_schema
 from sqlbench.schema import connect_ro, introspect, sample_rows
-from sqlbench.store import GoldStore
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 TIMEOUT_MS = 30000  # the CLI's default --timeout-ms
@@ -304,9 +302,10 @@ def read_section(db_file, style):
 
 
 def evaluate_one(example, prediction, suite):
-    """evaluate on connections and a gold store opened for this one call; its
-    notes are dropped."""
-    with closing(Connections(immutable=suite.variants[1:])) as connections, \
-            closing(GoldStore(suite)) as store:
-        return evaluate(example, prediction, suite, TIMEOUT_MS, lambda message: None,
-                        connections, store, {})
+    """The outcome of example scored alone, as a group of one; its notes are
+    dropped, and a broken gold raises GoldBrokenError."""
+    [(outcome, notes)], *_ = _score_group([example], [0], {example.example_id: prediction},
+                                          suite, TIMEOUT_MS)
+    if outcome is None:
+        raise GoldBrokenError(notes[-1])
+    return outcome

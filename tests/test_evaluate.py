@@ -373,6 +373,33 @@ SLOW = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c) "
         "SELECT count(*) FROM (SELECT x FROM c LIMIT 1000000000)")
 
 
+def score_group(bench, predictions, suite, monkeypatch):
+    """_score_group on every example of bench, timeout 100 ms, and its table
+    after each example: each text's file indices."""
+    real, tables, after = evaluate.evaluate, [], []
+
+    def recording(*args):
+        tables.append(sys._getframe(1).f_locals["table"])  # _score_group's
+        after.append({sql: sorted(results) for sql, results in tables[-1].items()})
+        return real(*args)
+
+    monkeypatch.setattr(evaluate, "evaluate", recording)
+    group = evaluate._score_group(bench, range(len(bench)), predictions, suite, 100)
+    monkeypatch.setattr(evaluate, "evaluate", real)
+    after.append({sql: sorted(results) for sql, results in tables[-1].items()})
+    return group, after[1:]
+
+
+def untimed(outcome):
+    return {k: v for k, v in outcome.to_dict().items() if k != "timing_ms"}
+
+
+def scored_alone(bench, predictions, suite):
+    return [(untimed(o), notes) for o, notes in (
+        evaluate._score_group(bench, [i], predictions, suite, 100)[0][0]
+        for i in range(len(bench)))]
+
+
 class TestRecurringPrediction:
     def test_reused_within_group(self, mixed_suite, monkeypatch):
         original = mixed_suite.variants[0]
@@ -390,27 +417,12 @@ class TestRecurringPrediction:
         bench = [example(gold, f"e{i:04d}") for i, (gold, _) in enumerate(pairs)]
         predictions = {e.example_id: prediction(sql, e.example_id)
                        for e, (_, sql) in zip(bench, pairs)}
-        real, kept_after = evaluate.evaluate, []
-
-        def recording(*args):
-            outcome = real(*args)
-            kept = sys._getframe(1).f_locals["kept"]  # _score_group's
-            kept_after.append({sql: sorted(results) for sql, results in kept.items()})
-            return outcome
-
-        monkeypatch.setattr(evaluate, "evaluate", recording)
         (mixed_suite.directory / "gold.marshal").unlink(missing_ok=True)
-        group = evaluate._score_group(bench, range(len(bench)), predictions, mixed_suite, 100)
-        scored, queries, hits, misses, warning = group
-        monkeypatch.setattr(evaluate, "evaluate", real)
-        alone = [evaluate._score_group(bench, [i], predictions, mixed_suite, 100)[0][0]
-                 for i in range(len(bench))]
+        (scored, queries, hits, misses, warning), table_after = score_group(
+            bench, predictions, mixed_suite, monkeypatch)
 
-        def untimed(outcome):
-            return {k: v for k, v in outcome.to_dict().items() if k != "timing_ms"}
-
-        assert [(untimed(o), notes) for o, notes in scored] == [
-            (untimed(o), notes) for o, notes in alone]
+        assert [(untimed(o), notes) for o, notes in scored] == scored_alone(
+            bench, predictions, mixed_suite)
         recurring = [(True, None, True, True), (False, "query exceeded 100 ms", False, False),
                      (False, "no such column: nocol", False, False)]
         assert [(o.valid, o.invalid_reason, o.ex, o.ts) for o, _ in scored] == [
@@ -422,13 +434,44 @@ class TestRecurringPrediction:
         # then 3; volatile on all 4 files twice; slow twice; nocol once
         assert (misses, hits, warning) == (12, 8, None)
         assert queries == misses + 3 + 8 + 2 + 1
-        # kept until the last occurrence; never a volatile or timed-out result
-        early = {likes: [0, 1], volatile: [], slow: [], nocol: [0]}
-        assert kept_after == [
-            {likes: [0, 1]}, {likes: [0, 1], volatile: []},
-            {likes: [0, 1], volatile: [], slow: []},
-            early, {**early, likes: [0, 1, 3]}, {likes: [0, 1, 3], slow: [], nocol: [0]},
-            {likes: [0, 1, 3], nocol: [0]}, {likes: [0, 1, 3]}, {}]
+        # a text held until its last prediction is scored; never a volatile
+        # or timed-out result, nor a gold's that no prediction will look up
+        early = {likes: [0, 1], volatile: [], slow: [], nocol: []}
+        late = {**early, likes: [0, 1, 3], nocol: [0]}
+        assert table_after == [
+            early, early, early, {**early, nocol: [0]}, late,
+            {likes: [0, 1, 3], slow: [], nocol: [0]}, {likes: [0, 1, 3], nocol: [0]},
+            {likes: [0, 1, 3]}, {}]
+
+    def test_gold_texts_within_group(self, mixed_suite, monkeypatch):
+        count, later = "SELECT count(*) FROM Highschooler", "SELECT name FROM Highschooler"
+        volatile = "SELECT abs(random()) >= 0"
+        pairs = [  # (gold, prediction), in benchmark order
+            (count, "SELECT count(1) FROM Highschooler"),
+            (count + " AS h", count),  # an earlier gold's text: served that result
+            (later + " ", later),  # a later gold's text: runs
+            (later, later),  # the gold still runs, is stored, and serves its prediction
+            (volatile, "SELECT 1"),
+            ("SELECT 1", volatile)]  # an earlier volatile gold's text: runs
+        bench = [example(gold, f"e{i:04d}") for i, (gold, _) in enumerate(pairs)]
+        predictions = {e.example_id: prediction(sql, e.example_id)
+                       for e, (_, sql) in zip(bench, pairs)}
+        (mixed_suite.directory / "gold.marshal").unlink(missing_ok=True)
+        (scored, queries, hits, misses, warning), table_after = score_group(
+            bench, predictions, mixed_suite, monkeypatch)
+
+        assert [(untimed(o), notes) for o, notes in scored] == scored_alone(
+            bench, predictions, mixed_suite)
+        assert all(o.ts for o, _ in scored)
+        # every gold on all 4 files; predictions: e0, e2, e4 and e5 on all 4
+        assert (misses, hits, warning) == (24, 0, None)
+        assert queries == misses + 4 * 4
+        still = {"SELECT 1": [], volatile: []}
+        assert table_after == [{count: [0, 1, 2, 3], later: [], **still}, {later: [], **still},
+                               {later: [0, 1, 2, 3], **still}, still, {volatile: []}, {}]
+        for i, variant in enumerate(mixed_suite.variants):
+            assert stored(mixed_suite, later, i) == execute_sql(variant, later, TIMEOUT_MS)
+            assert stored(mixed_suite, volatile, i) is None
 
 
 # Cells of each SQLite storage class, with the values on which == and
