@@ -124,21 +124,23 @@ class BenchmarkEvaluation:
 def _score_group(examples: list[ExampleRecord], indices: list[int],
                  predictions: dict[str, Prediction], suite: TestSuite,
                  timeout_ms: int) -> tuple:
-    """Score the examples at indices, all of suite's database, in order, on
-    one set of connections and one gold store. Returns, per example, its
-    outcome, or None when its gold is broken, and its notes; then the queries
-    run, the store's hits and misses, and the store's warning or None.
+    """Score the examples at indices, all of suite's database, in order, on one
+    set of connections and one gold store. Returns, per example, its outcome,
+    or None when its gold is broken, and its notes; then the counts {"hits",
+    "misses", "queries"}; then the store's warning or None.
 
-    result_on serves a gold's result from the store, else runs and stores
-    it, and a prediction's from the group's table, SQL text -> {suite file
-    index -> result}, else runs it. A result enters the table while a
-    prediction of its text is still to be scored, this one included, unless
-    it timed out or called a volatile function; a text leaves after its last
-    prediction. So a prediction that is the text of an earlier one, or of a
-    gold looked up before it, its own included, takes that very result: only
-    the queries run differ from scoring each example alone, but where a rerun
-    would time out."""
+    result_on serves a gold's result from the store, a hit, else runs it, a
+    miss, and a prediction's from the group's table, SQL text -> {suite file
+    index -> result}, else runs it; queries counts every run. A result that
+    timed out or called a volatile function may not repeat, so it is never
+    served again. Any other is stored if a gold's that ran, and is in the table
+    while a prediction of its text is still to be scored, this one included; a
+    text leaves after its last prediction. So a prediction takes the very
+    result of an earlier lookup of its text, gold or not, its own gold's
+    included: only the queries run differ from scoring each example alone, but
+    where a rerun would time out."""
     scored = []
+    counts = {"hits": 0, "misses": 0, "queries": 0}
     last = {predictions[examples[i].example_id].sql: i for i in indices}  # text -> last example
     table: dict[str, dict[int, ExecResult | ExecError]] = {sql: {} for sql in last}
     # the fuzzed variants are cache files never rewritten in place
@@ -149,11 +151,15 @@ def _score_group(examples: list[ExampleRecord], indices: list[int],
             result = store.get(sql, i) if gold else table[sql].get(i)
             if result is None:
                 result = execute_sql(suite.variants[i], sql, timeout_ms, connections)
-                if gold:
-                    store.put(sql, i, result, volatile=connections.volatile)
+                counts["queries"] += 1
+                counts["misses"] += gold
                 if connections.volatile or (isinstance(result, ExecError)
                                             and result.kind == "timeout"):
                     return result
+                if gold:
+                    store.put(sql, i, result)
+            elif gold:
+                counts["hits"] += 1
             if sql in table:
                 table[sql][i] = result
             return result
@@ -171,7 +177,7 @@ def _score_group(examples: list[ExampleRecord], indices: list[int],
             if last[prediction.sql] == i:
                 del table[prediction.sql]
     warning = store.warning and f"gold store {store.path}: {store.warning}"
-    return scored, connections.queries, store.hits, store.misses, warning
+    return scored, counts, warning
 
 
 def evaluate_benchmark(examples: list[ExampleRecord], predictions: dict[str, Prediction],
@@ -192,7 +198,7 @@ def evaluate_benchmark(examples: list[ExampleRecord], predictions: dict[str, Pre
     connection or a gold store. Eval stays in one process where every suite
     has k = 1: an example then runs at most four queries, and a second busy
     CPU costs each example more than it saves. The groups of a child that
-    dies are scored again by the caller, so their stores may count extra
+    dies are scored again by the caller, so their counts may read extra
     hits: the results the child stored before it died.
     """
     groups: dict[str, list[int]] = {}
@@ -208,12 +214,11 @@ def evaluate_benchmark(examples: list[ExampleRecord], predictions: dict[str, Pre
 
     result = BenchmarkEvaluation(outcomes=[], gold_broken=[])
     scored: dict[int, tuple[EvalOutcome | None, list[str]]] = {}
-    for indices, (group_scored, queries, hits, misses, warning) in zip(groups.values(),
-                                                                       scored_groups):
+    for indices, (group_scored, counts, warning) in zip(groups.values(), scored_groups):
         scored.update(zip(indices, group_scored))
-        result.queries += queries
-        result.gold_store["hits"] += hits
-        result.gold_store["misses"] += misses
+        result.queries += counts["queries"]
+        for name in result.gold_store:
+            result.gold_store[name] += counts[name]
         if warning:
             warn(warning)
 

@@ -110,8 +110,7 @@ class Connections:
     opens its file, and the deadline after, so a rejected, timed-out or
     failed query never affects the next one.
     After a query, `volatile` tells whether it called one of
-    VOLATILE_FUNCTIONS, so that its result may not repeat. `queries` counts
-    the queries run, those that failed included.
+    VOLATILE_FUNCTIONS, so that its result may not repeat.
     SQLite connections belong to the thread that opened them, so one holder
     serves one thread.
 
@@ -132,7 +131,6 @@ class Connections:
         self._denied = False
         self._timed_out = False
         self.volatile = False
-        self.queries = 0
 
     def _authorize(self, action, arg1, arg2, *rest):
         if action in _ALLOWED_ACTIONS:
@@ -162,7 +160,6 @@ class Connections:
         return conn
 
     def execute(self, db_file, sql: str, timeout_ms: int) -> ExecResult | ExecError:
-        self.queries += 1
         self._denied = self._timed_out = self.volatile = False
         try:
             conn = self._connection(db_file)

@@ -12,17 +12,15 @@ and NaN included), str, bytes, None, lists and tuples apart, so results come
 back with exact types. A file whose header (suite content hash, format,
 SQLite, Python and marshal versions) is not this store's counts as empty.
 
-Never stored: a timeout, and a result of a query that called a function whose
-result may change from run to run (execution.VOLATILE_FUNCTIONS).
-
-The file is read once. close() writes only if this eval stored something: it
-reads the file again, puts its own results over it, writes the whole beside
-it and renames that into place, so no reader sees a partial file. Of evals
-that close at once the last rename wins, and a result only another stored
-runs again later. The checksum guards against damage, not an attacker: a
-file that cannot be read or fails it counts as empty, with one warning, and
-is replaced at close(). Writes are not synced: the file is a cache, and what
-a machine crash may damage fails the checksum.
+The store keeps whatever it is handed; evaluate._score_group decides what may
+be served again. The file is read once. close() writes only if this eval
+stored something: it reads the file again, puts its own results over it,
+writes the whole beside it and renames that into place, so no reader sees a
+partial file. Of evals that close at once the last rename wins, and a result
+only another stored runs again later. The checksum guards against damage, not
+an attacker: a file that cannot be read or fails it counts as empty, with one
+warning, and is replaced at close(). Writes are not synced: the file is a
+cache, and what a machine crash may damage fails the checksum.
 """
 
 from __future__ import annotations
@@ -69,13 +67,11 @@ class StoredResult(ExecResult):
 
 class GoldStore:
     """The gold store of one suite, read when made and written by close().
-
-    hits counts gold results served from the file, misses gold queries run.
-    warning holds the first fault met in the file, if any."""
+    It keeps every result put into it; warning holds the first fault met in
+    the file, if any."""
 
     def __init__(self, suite: TestSuite):
         self.path = suite.directory / FILE_NAME
-        self.hits = self.misses = 0
         self.warning: str | None = None
         self._header = (suite.content_hash, FORMAT, sqlite3.sqlite_version,
                         "%d.%d" % sys.version_info[:2], marshal.version)
@@ -104,16 +100,10 @@ class GoldStore:
         entry = self._results.get(sql, {}).get(variant)
         if entry is None:
             return None
-        self.hits += 1
         return ExecError(*entry) if len(entry) == 2 else StoredResult(*entry)
 
-    def put(self, sql: str, variant: int, result: ExecResult | ExecError,
-            volatile: bool) -> None:
-        """Record that sql ran on variant, and store result unless it timed
-        out or the query called a volatile function."""
-        self.misses += 1
-        if volatile or (isinstance(result, ExecError) and result.kind == "timeout"):
-            return
+    def put(self, sql: str, variant: int, result: ExecResult | ExecError) -> None:
+        """Store result as that of sql on variant."""
         if isinstance(result, ExecError):
             entry = (result.kind, result.message)
         else:

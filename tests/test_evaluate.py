@@ -418,7 +418,7 @@ class TestRecurringPrediction:
         predictions = {e.example_id: prediction(sql, e.example_id)
                        for e, (_, sql) in zip(bench, pairs)}
         (mixed_suite.directory / "gold.marshal").unlink(missing_ok=True)
-        (scored, queries, hits, misses, warning), table_after = score_group(
+        (scored, counts, warning), table_after = score_group(
             bench, predictions, mixed_suite, monkeypatch)
 
         assert [(untimed(o), notes) for o, notes in scored] == scored_alone(
@@ -432,8 +432,8 @@ class TestRecurringPrediction:
                                 "skipped"]
         # golds: 2 + 4 + 1 + 1 + 4 files; predictions: likes on files 0 and 1,
         # then 3; volatile on all 4 files twice; slow twice; nocol once
-        assert (misses, hits, warning) == (12, 8, None)
-        assert queries == misses + 3 + 8 + 2 + 1
+        assert counts == {"hits": 8, "misses": 12, "queries": 12 + 3 + 8 + 2 + 1}
+        assert warning is None
         # a text held until its last prediction is scored; never a volatile
         # or timed-out result, nor a gold's that no prediction will look up
         early = {likes: [0, 1], volatile: [], slow: [], nocol: []}
@@ -457,15 +457,15 @@ class TestRecurringPrediction:
         predictions = {e.example_id: prediction(sql, e.example_id)
                        for e, (_, sql) in zip(bench, pairs)}
         (mixed_suite.directory / "gold.marshal").unlink(missing_ok=True)
-        (scored, queries, hits, misses, warning), table_after = score_group(
+        (scored, counts, warning), table_after = score_group(
             bench, predictions, mixed_suite, monkeypatch)
 
         assert [(untimed(o), notes) for o, notes in scored] == scored_alone(
             bench, predictions, mixed_suite)
         assert all(o.ts for o, _ in scored)
         # every gold on all 4 files; predictions: e0, e2, e4 and e5 on all 4
-        assert (misses, hits, warning) == (24, 0, None)
-        assert queries == misses + 4 * 4
+        assert counts == {"hits": 0, "misses": 24, "queries": 24 + 4 * 4}
+        assert warning is None
         still = {"SELECT 1": [], volatile: []}
         assert table_after == [{count: [0, 1, 2, 3], later: [], **still}, {later: [], **still},
                                {later: [0, 1, 2, 3], **still}, still, {volatile: []}, {}]
@@ -482,8 +482,9 @@ SQLITE_CELLS = st.one_of(
                      2**53, 2**53 + 1, float(2**53), -(2**53) - 1, -float(2**53), 2**63 - 1]),
     st.integers(-2**63, 2**63 - 1), st.floats(), st.text(max_size=3), st.binary(max_size=3))
 AFFINITIES = st.sampled_from(["", "INTEGER", "REAL", "TEXT", "BLOB"])
-# every kind of error the store keeps; a timeout is never stored
-STORED_ERRORS = st.builds(ExecError, st.sampled_from(["engine", "forbidden", "too_many_rows"]),
+# every kind of error; the store keeps whatever it is handed
+STORED_ERRORS = st.builds(ExecError,
+                          st.sampled_from(["engine", "forbidden", "too_many_rows", "timeout"]),
                           st.text(max_size=12))
 
 
@@ -538,8 +539,8 @@ class TestSameResults:
             suite = TestSuite("t", 0, 1, [], "s" * 64, "c" * 64, Path(tmp))
             with closing(GoldStore(suite)) as gold:
                 for i, result in enumerate(results):
-                    gold.put(f"q{i}", 0, result, volatile=False)
-                gold.put("error", 0, error, volatile=False)
+                    gold.put(f"q{i}", 0, result)
+                gold.put("error", 0, error)
             with closing(GoldStore(suite)) as gold:
                 assert gold.get("error", 0) == error
 
@@ -577,10 +578,10 @@ def round_trip(suite, sql, result):
     """result put into the store of suite, then read back, decoded, by a store
     opened anew."""
     with closing(GoldStore(suite)) as gold:
-        gold.put(sql, 0, result, volatile=False)
+        gold.put(sql, 0, result)
     with closing(GoldStore(suite)) as gold:
         got = gold.get(sql, 0)
-        assert gold.hits == 1 and gold.warning is None
+        assert gold.warning is None
     if isinstance(result, ExecResult):
         assert got.shape == (len(result.columns), len(result.rows))
     return decoded(got)
@@ -714,7 +715,7 @@ class TestGoldStore:
             for batch in batches:
                 with closing(GoldStore(suite)) as gold:
                     for sql, variant, result in batch:
-                        gold.put(sql, variant, result, volatile=False)
+                        gold.put(sql, variant, result)
             return (suite.directory / "gold.marshal").read_bytes()
 
         copies = [(anew(sql), variant, ExecResult(anew(r.columns), anew(r.rows),
