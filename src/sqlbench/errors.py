@@ -57,23 +57,20 @@ def classify_invalid(error_message: str) -> ErrorCategory:
     return ErrorCategory.INVALID_OTHER
 
 
-def detect_extra_columns(gold: ExecResult, pred: ExecResult, warn) -> bool:
+def detect_extra_columns(gold: ExecResult, pred: ExecResult, ordered: bool, warn) -> bool:
     """True when the prediction is wider than gold and some order-preserving
-    projection of its columns reproduces the gold denotation. A search skipped
-    for a gold wider than MAX_PROJECTION_ARITY goes to warn."""
-    g, p = len(gold.columns), len(pred.columns)
+    projection of its columns reproduces the gold denotation, compared as
+    compare_results does under ordered. A search skipped for a gold wider
+    than MAX_PROJECTION_ARITY goes to warn."""
+    g, p = gold.width, pred.width
     if p <= g:
         return False
     if g > MAX_PROJECTION_ARITY:
         warn(f"extra-column search skipped: gold arity {g} exceeds {MAX_PROJECTION_ARITY}")
         return False
     for positions in combinations(range(p), g):
-        projected = ExecResult(
-            columns=[pred.columns[i] for i in positions],
-            rows=[tuple(row[i] for i in positions) for row in pred.rows],
-            order_sensitive=pred.order_sensitive,
-        )
-        if compare_results(gold, projected):
+        projected = ExecResult(g, [tuple(row[i] for i in positions) for row in pred.rows])
+        if compare_results(gold, projected, ordered):
             return True
     return False
 

@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 
 from .backend import EMPTY_PREDICTION, Prediction
 from .dataset import ExampleRecord, read_jsonl
-from .execution import Connections, ExecError, ExecResult, compare_results, execute_sql
+from .execution import (Connections, ExecError, ExecResult, compare_results, execute_sql,
+                        has_top_level_order_by)
 from .fuzz import TestSuite
 from .parallel import fork_map
 from .store import GoldStore
@@ -54,13 +55,16 @@ class EvalOutcome:
         return list(read_jsonl(path, fields, make))
 
 
-def _same_results(gold: ExecResult, pred: ExecResult) -> bool:
-    """compare_results(gold, pred), decided without rows where it can be: a
-    result equals itself, and no result of another shape. Then rows equal in
-    order are checked in C. Exact on results of Connections.execute: == and
-    cells_equal differ only on bool and NaN cells, which SQLite never returns."""
-    return gold is pred or (gold.shape == pred.shape
-                            and (gold.rows == pred.rows or compare_results(gold, pred)))
+def _same_results(gold: ExecResult, pred: ExecResult, gold_sql: str) -> bool:
+    """Whether pred's rows are gold's, in order when gold_sql has a top-level
+    ORDER BY. Decided without rows where it can be: a result equals itself,
+    and no result of another shape. Then rows equal in order are checked in
+    C; only a pair still apart reads gold_sql, for compare_results. Exact on
+    results of Connections.execute: == and cells_equal differ only on bool
+    and NaN cells, which SQLite never returns."""
+    return gold is pred or (gold.shape == pred.shape and (
+        gold.rows == pred.rows
+        or compare_results(gold, pred, has_top_level_order_by(gold_sql))))
 
 
 def evaluate(example: ExampleRecord, prediction: Prediction, suite: TestSuite,
@@ -96,7 +100,7 @@ def evaluate(example: ExampleRecord, prediction: Prediction, suite: TestSuite,
     if isinstance(pred_res, ExecError):
         return done(False, pred_res.message, False, False)
 
-    ex = _same_results(gold_res, pred_res)
+    ex = _same_results(gold_res, pred_res, example.gold_sql)
     if not ex:
         return done(True, None, False, False)
 
@@ -107,7 +111,7 @@ def evaluate(example: ExampleRecord, prediction: Prediction, suite: TestSuite,
             warn(f"{example.example_id}: gold failed on variant {variant}; skipped")
             continue
         pred_v = result_on(prediction.sql, i, False)
-        if isinstance(pred_v, ExecError) or not _same_results(gold_v, pred_v):
+        if isinstance(pred_v, ExecError) or not _same_results(gold_v, pred_v, example.gold_sql):
             ts = False
             break
     return done(True, None, ex, ts)

@@ -42,13 +42,12 @@ VOLATILE_FUNCTIONS = frozenset({
 
 @dataclass
 class ExecResult:
-    columns: list[str]
+    width: int  # column count
     rows: list[tuple]
-    order_sensitive: bool = False
 
     @property
     def shape(self) -> tuple[int, int]:  # (column count, row count)
-        return len(self.columns), len(self.rows)
+        return self.width, len(self.rows)
 
 
 @dataclass
@@ -126,7 +125,6 @@ class Connections:
     def __init__(self, immutable=()):
         self._immutable = frozenset(map(str, immutable))
         self._open: dict[str, sqlite3.Connection] = {}
-        self._order_sensitive: dict[str, bool] = {}
         self._deadline = 0.0
         self._denied = False
         self._timed_out = False
@@ -169,7 +167,7 @@ class Connections:
         try:
             with closing(conn.execute(sql)) as cur:
                 rows = cur.fetchmany(MAX_ROWS + 1)
-                columns = [d[0] for d in cur.description] if cur.description else []
+                width = len(cur.description or ())
         except sqlite3.Error as e:
             if self._timed_out:
                 return ExecError("timeout", f"query exceeded {timeout_ms} ms")
@@ -180,10 +178,7 @@ class Connections:
             return ExecError("engine", str(e))
         if len(rows) > MAX_ROWS:
             return ExecError("too_many_rows", f"query returned more than {MAX_ROWS} rows")
-        ordered = self._order_sensitive.get(sql)
-        if ordered is None:
-            ordered = self._order_sensitive[sql] = has_top_level_order_by(sql)
-        return ExecResult(columns=columns, rows=rows, order_sensitive=ordered)
+        return ExecResult(width, rows)
 
     def close(self) -> None:
         for conn in self._open.values():
@@ -358,17 +353,15 @@ def _tolerant_multisets_equal(gold_rows: list[tuple], pred_rows: list[tuple]) ->
     return all(len(g) == len(p) and _perfect_matching(g, p) for g, p in groups.values())
 
 
-def compare_results(gold: ExecResult, pred: ExecResult) -> bool:
-    """Denotation equality: sequence comparison when the gold query orders its
-    output, multiset comparison otherwise. Column names are ignored; arity
-    must match. Reals compare within tolerance (cells_equal), and multisets
-    are equal when their rows pair up one to one, each pair equal. Without a
-    REAL or bool cell, equality is exact, so rows are counted, not sorted."""
-    if len(gold.columns) != len(pred.columns):
+def compare_results(gold: ExecResult, pred: ExecResult, ordered: bool) -> bool:
+    """Denotation equality: sequence comparison when ordered (the gold query
+    orders its output), multiset comparison otherwise. Widths must match.
+    Reals compare within tolerance (cells_equal), and multisets are equal
+    when their rows pair up one to one, each pair equal. Without a REAL or
+    bool cell, equality is exact, so rows are counted, not sorted."""
+    if gold.width != pred.width or len(gold.rows) != len(pred.rows):
         return False
-    if len(gold.rows) != len(pred.rows):
-        return False
-    in_order = gold.order_sensitive or len(gold.rows) < 2  # one row is a sequence too
+    in_order = ordered or len(gold.rows) < 2  # one row is a sequence too
     # Rows equal in the order given are equal as a multiset too: the common
     # case, checked first, before any Counter or matching is built.
     if _EXACT_TYPES.issuperset(map(type, chain.from_iterable(chain(gold.rows, pred.rows)))):

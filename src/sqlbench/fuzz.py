@@ -408,11 +408,15 @@ def _write_variant(tables: list[TableSchema], orig_data: dict, header: dict, out
     """Write variant i into out_dir, in place of any file a process that died
     left there, and return its sha256. A variant that fails in a forked
     process is written again by parallel.fork_map in the calling process,
-    which raises its error there as map would."""
+    which raises its error there as map would. SQLite refusing the drawn
+    rows, say a UNIQUE column they repeat, raises SuiteError."""
     rng = random.Random(f"{header['seed']}:{i}")  # each variant draws from its own generator
     out_file = out_dir / f"variant_{i}.db"
     out_file.unlink(missing_ok=True)
-    _generate_variant(tables, orig_data, rng, out_file, i == header["k"])  # last one: empty
+    try:
+        _generate_variant(tables, orig_data, rng, out_file, i == header["k"])  # last one: empty
+    except sqlite3.Error as e:
+        raise SuiteError(f"suite {header['db_id']}: cannot write {out_file.name}: {e}") from e
     return _sha256(out_file)
 
 

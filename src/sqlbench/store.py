@@ -4,13 +4,14 @@ suite variant, not once per eval.
 The store is one file per suite, gold.marshal: the sha256 of the rest, then
 marshal.dumps((header, results), 2). results maps a gold SQL to a dict from
 variant (0 is the original database) to (kind, message) for an error, or
-(column count, row count, order_sensitive, marshal.dumps((columns, rows), 2))
-for rows, which get() returns as a StoredResult, decoded when first read.
-Keys are written sorted, and marshal version 2 writes no back-references, so
-the bytes depend on the content alone. marshal keeps int, float (±inf, -0.0
-and NaN included), str, bytes, None, lists and tuples apart, so results come
-back with exact types. A file whose header (suite content hash, format,
-SQLite, Python and marshal versions) is not this store's counts as empty.
+(column count, row count, marshal.dumps(rows, 2)) for rows, which get()
+returns as a StoredResult whose rows are decoded when first read; column
+names are never kept. Keys are written sorted, and marshal version 2 writes
+no back-references, so the bytes depend on the content alone. marshal keeps
+int, float (±inf, -0.0 and NaN included), str, bytes, None, lists and tuples
+apart, so results come back with exact types. A file whose header (suite
+content hash, format, SQLite, Python and marshal versions) is not this
+store's counts as empty.
 
 The store keeps whatever it is handed; evaluate._score_group decides what may
 be served again. The file is read once. close() writes only if this eval
@@ -30,39 +31,28 @@ import marshal
 import os
 import sqlite3
 import sys
+from functools import cached_property
 
 from .execution import ExecError, ExecResult
 from .fuzz import TestSuite
 
 FILE_NAME = "gold.marshal"
-FORMAT = "3"  # of results; change it with put() or get()
-
-
-class _Decoded:
-    """A StoredResult's columns or rows. The first read of either decodes both
-    into plain attributes of the result, which hide this descriptor."""
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, result, owner):
-        result.columns, result.rows = marshal.loads(result._payload)
-        return vars(result)[self.name]
+FORMAT = "4"  # of results; change it with put() or get()
 
 
 class StoredResult(ExecResult):
     """A stored result; its shape is known before its rows are decoded."""
 
-    columns, rows = _Decoded(), _Decoded()
-
-    def __init__(self, width: int, length: int, order_sensitive: bool, payload: bytes):
-        self._shape = width, length
-        self.order_sensitive = order_sensitive
-        self._payload = payload
+    def __init__(self, width: int, length: int, payload: bytes):
+        self.width, self._length, self._payload = width, length, payload
 
     @property
     def shape(self) -> tuple[int, int]:
-        return self._shape
+        return self.width, self._length
+
+    @cached_property
+    def rows(self) -> list[tuple]:
+        return marshal.loads(self._payload)
 
 
 class GoldStore:
@@ -107,8 +97,7 @@ class GoldStore:
         if isinstance(result, ExecError):
             entry = (result.kind, result.message)
         else:
-            entry = (*result.shape, result.order_sensitive,
-                     marshal.dumps((result.columns, result.rows), 2))
+            entry = (*result.shape, marshal.dumps(result.rows, 2))
         self._results.setdefault(sql, {})[variant] = self._new.setdefault(sql, {})[variant] = entry
 
     def close(self) -> None:

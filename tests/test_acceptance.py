@@ -17,7 +17,7 @@ from sqlbench.dataset import (ExampleRecord, canonical_template,
 from sqlbench.errors import (AnnotationRecord, ErrorCategory, breakdown,
                              classify_invalid, detect_extra_columns)
 from sqlbench.evaluate import evaluate_benchmark
-from sqlbench.execution import ExecResult, compare_results, execute_sql
+from sqlbench.execution import ExecResult, compare_results, execute_sql, has_top_level_order_by
 from sqlbench.fuzz import build_test_suite
 from sqlbench.prompt import (PromptBudget, PromptStyle, StyleKind, fit_support,
                              render_prompt)
@@ -132,14 +132,14 @@ def _naive_cells_equal(a, b):
     return a == b
 
 
-def _naive_compare(gold, pred):
-    """Independent brute-force reference: sequence when gold carries a
-    top-level ORDER BY, otherwise an exhaustive backtracking search for a
-    pairing of each gold row with its own equal pred row."""
-    if len(gold.columns) != len(pred.columns) or len(gold.rows) != len(pred.rows):
+def _naive_compare(gold, pred, ordered):
+    """Independent brute-force reference: sequence when ordered (the gold
+    query has a top-level ORDER BY), otherwise an exhaustive backtracking
+    search for a pairing of each gold row with its own equal pred row."""
+    if gold.width != pred.width or len(gold.rows) != len(pred.rows):
         return False
     rows_equal = lambda r, s: all(_naive_cells_equal(a, b) for a, b in zip(r, s))
-    if gold.order_sensitive:
+    if ordered:
         return all(rows_equal(r, s) for r, s in zip(gold.rows, pred.rows))
     used = [False] * len(pred.rows)
 
@@ -185,17 +185,19 @@ def test_comparator_equivalence(tmp_path):
             "SELECT e FROM empty_t ORDER BY e DESC LIMIT 1",
         ]
         results = [execute_sql(db, q, TIMEOUT_MS) for q in queries]
-        pairs = list(product(results, repeat=2))
+        # (gold, pred, ordered): ordered as the gold query's top-level ORDER BY says
+        triples = [(gold, pred, has_top_level_order_by(q))
+                   for (gold, q), pred in product(zip(results, queries), results)]
         # a tolerance pairing that taking the first equal row misses
-        near = ExecResult(["x"], [(1.0,), (1.0 + 0.99e-6,)], False)
-        far = ExecResult(["x"], [(1.0,), (1.0 - 0.99e-6,)], False)
-        pairs += [(near, far), (far, near)]
-        assert compare_results(near, far) and compare_results(far, near)
-        assert len(pairs) >= 50
-        for gold, pred in pairs:
-            assert compare_results(gold, pred) == _naive_compare(gold, pred)
+        near = ExecResult(1, [(1.0,), (1.0 + 0.99e-6,)])
+        far = ExecResult(1, [(1.0,), (1.0 - 0.99e-6,)])
+        triples += [(near, far, False), (far, near, False)]
+        assert compare_results(near, far, False) and compare_results(far, near, False)
+        assert len(triples) >= 50
+        for triple in triples:
+            assert compare_results(*triple) == _naive_compare(*triple)
         # the aggregate-vs-limit pair must be separated on the empty table
-        assert not compare_results(results[-2], results[-1])
+        assert not compare_results(results[-2], results[-1], False)
 
 
 def test_fuzzer_integrity(network1_db, tmp_path):
@@ -275,9 +277,9 @@ def test_error_triage(tmp_path):
         gold = execute_sql(db, "SELECT Name FROM conductor ORDER BY Year_of_Work DESC", TIMEOUT_MS)
         pred = execute_sql(db, "SELECT Name, Year_of_Work FROM conductor "
                                "ORDER BY Year_of_Work DESC", TIMEOUT_MS)
-        assert detect_extra_columns(gold, pred, print)
+        assert detect_extra_columns(gold, pred, True, print)
         wrong = execute_sql(db, "SELECT Conductor_ID FROM conductor", TIMEOUT_MS)
-        assert not detect_extra_columns(gold, wrong, print)
+        assert not detect_extra_columns(gold, wrong, True, print)
 
         from sqlbench.evaluate import EvalOutcome
         outs = [

@@ -134,6 +134,7 @@ def flaky_server(monkeypatch):
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}/v1/completions"
     server.shutdown()
+    thread.join()  # else a later test that forks may still see it alive
     server.server_close()
 
 

@@ -920,6 +920,59 @@ class TestUnbuildableSuites:
         assert (outcome["example_id"], outcome["ts"]) == ("e0001", True)
 
 
+def make_unique_db(db):
+    """A database whose 40-row table p has a UNIQUE name column, which the
+    rows a fuzzed variant draws repeat."""
+    db.parent.mkdir(parents=True, exist_ok=True)
+    with closing(sqlite3.connect(db)) as conn:
+        conn.execute("CREATE TABLE p (id INTEGER PRIMARY KEY, name TEXT UNIQUE, n INT)")
+        conn.executemany("INSERT INTO p VALUES (?, ?, ?)",
+                         [(i, f"n{i}", i % 7) for i in range(40)])
+        conn.commit()
+
+
+UNIQUE_REASON = "suite uniq: cannot write variant_1.db: UNIQUE constraint failed: p.name"
+
+
+class TestVariantConstraints:
+    def test_console_script_refuses_them(self, tmp_path):
+        db, cache = tmp_path / "uniq.sqlite", tmp_path / "cache"
+        make_unique_db(db)
+        proc = run_python("import sys; from sqlbench.cli import main; sys.exit(main())",
+                          "suite", "--db", db, "--suite-k", "2", "--cache", cache)
+        assert (proc.returncode, proc.stderr) == (2, f"error: {UNIQUE_REASON}\n")
+        assert not list(cache.rglob(".build-*"))
+
+    def test_eval_skips_them_and_scores_the_rest_alike(self, tmp_path, capsys):
+        root = tmp_path / "dbroot"
+        (root / "network_1").mkdir(parents=True)
+        make_network1_db(root / "network_1" / "network_1.sqlite")
+        make_unique_db(root / "uniq" / "uniq.sqlite")
+        items = [{"db_id": "network_1", "question": q, "query": sql}
+                 for q, sql in FIXTURE_QUESTIONS[:4]]
+        uniq = [{"db_id": "uniq", "question": "q", "query": sql}
+                for sql in ("SELECT name FROM p", "SELECT count(*) FROM p")]
+        runs = {}
+        for name, bench_items in (("alone", items), ("with_uniq", items + uniq)):
+            bench, preds = tmp_path / f"{name}.json", tmp_path / f"{name}.preds.jsonl"
+            bench.write_text(json.dumps(bench_items))
+            preds.write_text("".join(
+                json.dumps({"example_id": f"e{i:04d}", "sql": item["query"]}) + "\n"
+                for i, item in enumerate(bench_items)))
+            outcomes = tmp_path / f"{name}.jsonl"
+            assert run("eval", "--benchmark", bench, "--db-root", root, "--predictions", preds,
+                       "--suite-k", "2", "--cache", tmp_path / f"{name}-cache",
+                       "--out", outcomes) == 0
+            runs[name] = ([{k: v for k, v in o.items() if k != "timing_ms"}
+                           for o in read_jsonl(outcomes)], capsys.readouterr().err)
+        assert runs["with_uniq"][0] == runs["alone"][0] and len(runs["alone"][0]) == 4
+        assert runs["alone"][1] == ""
+        assert runs["with_uniq"][1].splitlines() == [
+            f"warning: uniq: {UNIQUE_REASON}; its examples are skipped",
+            "warning: e0004: no test suite for its database; skipped",
+            "warning: e0005: no test suite for its database; skipped"]
+
+
 def literal_root(tmp_path, golds, rows):
     """A database root holding one database `notes` with a table
     t(name, note) of rows, and a benchmark with one example per gold."""

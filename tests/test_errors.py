@@ -17,7 +17,7 @@ from sqlbench.errors import (
     sample_for_annotation,
 )
 from sqlbench.evaluate import EvalOutcome
-from sqlbench.execution import ExecResult, compare_results, execute_sql
+from sqlbench.execution import ExecResult, compare_results, execute_sql, has_top_level_order_by
 
 from conftest import TIMEOUT_MS
 
@@ -71,20 +71,20 @@ class TestDetectExtraColumns:
         pred = execute_sql(conductor_db,
                            "SELECT Name, Year_of_Work FROM conductor "
                            "ORDER BY Year_of_Work DESC", TIMEOUT_MS)
-        assert not compare_results(gold, pred)
-        assert detect_extra_columns(gold, pred, print)
+        assert not compare_results(gold, pred, True)
+        assert detect_extra_columns(gold, pred, True, print)
 
     def test_equal_arity_never_fires(self, conductor_db):
         gold = execute_sql(conductor_db, "SELECT Name FROM conductor", TIMEOUT_MS)
         pred = execute_sql(conductor_db, "SELECT Year_of_Work FROM conductor", TIMEOUT_MS)
-        assert not detect_extra_columns(gold, pred, print)
+        assert not detect_extra_columns(gold, pred, False, print)
 
     def test_wider_but_no_matching_projection(self, conductor_db):
         gold = execute_sql(conductor_db, "SELECT Name FROM conductor WHERE Year_of_Work > 12",
                            TIMEOUT_MS)
         pred = execute_sql(conductor_db, "SELECT Conductor_ID, Year_of_Work FROM conductor",
                            TIMEOUT_MS)
-        assert not detect_extra_columns(gold, pred, print)
+        assert not detect_extra_columns(gold, pred, False, print)
 
     def test_agrees_with_projection_brute_force(self, conductor_db):
         queries = [
@@ -95,26 +95,24 @@ class TestDetectExtraColumns:
             "SELECT Name FROM conductor ORDER BY Year_of_Work DESC",
         ]
         results = [execute_sql(conductor_db, q, TIMEOUT_MS) for q in queries]
-        for gold in results:
+        for gold, gold_sql in zip(results, queries):
+            ordered = has_top_level_order_by(gold_sql)
             for pred in results:
-                got = detect_extra_columns(gold, pred, print)
-                g, p = len(gold.columns), len(pred.columns)
+                got = detect_extra_columns(gold, pred, ordered, print)
+                g, p = gold.width, pred.width
                 want = p > g and any(
                     compare_results(
-                        gold,
-                        ExecResult([pred.columns[i] for i in pos],
-                                   [tuple(r[i] for i in pos) for r in pred.rows],
-                                   pred.order_sensitive),
+                        gold, ExecResult(g, [tuple(r[i] for i in pos) for r in pred.rows]),
+                        ordered,
                     )
                     for pos in combinations(range(p), g)
                 )
                 assert got == want
 
     def test_arity_cap_warns(self):
-        gold = ExecResult([f"g{i}" for i in range(7)], [])
-        pred = ExecResult([f"p{i}" for i in range(9)], [])
+        gold, pred = ExecResult(7, []), ExecResult(9, [])
         warnings = []
-        assert not detect_extra_columns(gold, pred, warnings.append)
+        assert not detect_extra_columns(gold, pred, False, warnings.append)
         assert warnings
 
 

@@ -25,7 +25,7 @@ from sqlbench.cli import main
 from sqlbench.dataset import ExampleRecord, load_benchmark
 from sqlbench.evaluate import GoldBrokenError, evaluate_benchmark
 from sqlbench.execution import (Connections, ExecError, ExecResult, compare_results,
-                                execute_sql)
+                                execute_sql, has_top_level_order_by)
 from sqlbench.fuzz import TestSuite, build_test_suite
 from sqlbench.store import GoldStore, StoredResult
 
@@ -314,13 +314,14 @@ def reference_outcome(example, prediction, suite):
                       f"{gold.message}"]
     if isinstance(pred, ExecError):
         return (False, pred.message, False, False), []
-    if not compare_results(gold, pred):
+    ordered = has_top_level_order_by(example.gold_sql)
+    if not compare_results(gold, pred, ordered):
         return (True, None, False, False), []
     notes = []
     for variant, (gold, pred) in zip(suite.variants[1:], variants):
         if isinstance(gold, ExecError):
             notes.append(f"{example.example_id}: gold failed on variant {variant}; skipped")
-        elif isinstance(pred, ExecError) or not compare_results(gold, pred):
+        elif isinstance(pred, ExecError) or not compare_results(gold, pred, ordered):
             return (True, None, True, False), notes
     return (True, None, True, True), notes
 
@@ -488,10 +489,10 @@ STORED_ERRORS = st.builds(ExecError,
                           st.text(max_size=12))
 
 
-def sqlite_results(data) -> list[ExecResult]:
+def sqlite_results(data) -> list[tuple[ExecResult, str]]:
     """What SQLite returns for queries on two tables of drawn cells and
-    affinities: in stored order, in other orders, with no rows, one row, and
-    no rows at an arity neither table has."""
+    affinities, each with its query: in stored order, in other orders, with
+    no rows, one row, and no rows at an arity neither table has."""
     pool = data.draw(st.lists(SQLITE_CELLS, min_size=1, max_size=6))
     cells = st.sampled_from(pool)  # from one pool, so equal rows are common
     with tempfile.TemporaryDirectory() as tmp:
@@ -506,15 +507,16 @@ def sqlite_results(data) -> list[ExecResult]:
                 conn.executemany(f"INSERT INTO {table} VALUES ({','.join('?' * width)})",
                                  rows)
             conn.commit()
+        queries = [sql for table in ("g", "p")
+                   for sql in (f"SELECT * FROM {table}",
+                               f"SELECT * FROM {table} ORDER BY rowid DESC",
+                               f"SELECT * FROM {table} ORDER BY 1",
+                               f"SELECT * FROM {table} WHERE 0",
+                               f"SELECT * FROM {table} LIMIT 1")]
+        queries.append("SELECT 1, 2, 3, 4 WHERE 0")
         with closing(Connections()) as connections:
-            results = [connections.execute(db, sql, TIMEOUT_MS) for table in ("g", "p")
-                       for sql in (f"SELECT * FROM {table}",
-                                   f"SELECT * FROM {table} ORDER BY rowid DESC",
-                                   f"SELECT * FROM {table} ORDER BY 1",
-                                   f"SELECT * FROM {table} WHERE 0",
-                                   f"SELECT * FROM {table} LIMIT 1")]
-            results.append(connections.execute(db, "SELECT 1, 2, 3, 4 WHERE 0", TIMEOUT_MS))
-    for result in results:
+            results = [(connections.execute(db, sql, TIMEOUT_MS), sql) for sql in queries]
+    for result, _ in results:
         assert not any(isinstance(v, bool) or v != v for row in result.rows for v in row)
     return results
 
@@ -524,9 +526,25 @@ class TestSameResults:
     @given(data=st.data())
     def test_agrees_with_compare_results(self, data):
         results = sqlite_results(data)
-        for gold in results:
-            for pred in results:
-                assert evaluate._same_results(gold, pred) == compare_results(gold, pred)
+        for gold, gold_sql in results:
+            ordered = has_top_level_order_by(gold_sql)
+            for pred, _ in results:
+                assert (evaluate._same_results(gold, pred, gold_sql)
+                        == compare_results(gold, pred, ordered))
+
+    def test_reads_the_gold_query_only_for_a_full_comparison(self, monkeypatch):
+        read = []
+        monkeypatch.setattr(evaluate, "has_top_level_order_by",
+                            lambda sql: read.append(sql) or has_top_level_order_by(sql))
+        gold, ordered_sql = ExecResult(1, [(1,), (2,)]), "SELECT a FROM t ORDER BY a"
+        for pred in (gold, ExecResult(2, [(1, 1), (2, 2)]), ExecResult(1, [(1,)]),
+                     ExecResult(1, [(1,), (2,)])):  # itself, shapes apart, equal in order
+            assert evaluate._same_results(gold, pred, ordered_sql) == (pred.shape == gold.shape)
+        assert read == []
+        swapped = ExecResult(1, [(2,), (1,)])
+        assert not evaluate._same_results(gold, swapped, ordered_sql)
+        assert evaluate._same_results(gold, swapped, "SELECT a FROM t")
+        assert read == [ordered_sql, "SELECT a FROM t"]
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), error=STORED_ERRORS)
@@ -538,7 +556,7 @@ class TestSameResults:
         with tempfile.TemporaryDirectory() as tmp:
             suite = TestSuite("t", 0, 1, [], "s" * 64, "c" * 64, Path(tmp))
             with closing(GoldStore(suite)) as gold:
-                for i, result in enumerate(results):
+                for i, (result, _) in enumerate(results):
                     gold.put(f"q{i}", 0, result)
                 gold.put("error", 0, error)
             with closing(GoldStore(suite)) as gold:
@@ -547,16 +565,17 @@ class TestSameResults:
                 def fresh(i):
                     return gold.get(f"q{i}", 0)
 
-                for i, result in enumerate(results):
+                for i, (result, gold_sql) in enumerate(results):
                     full = decoded(fresh(i))
                     assert repr(full) == repr(result)
                     same = fresh(i)
                     pairs = [(same, same, full)]
-                    pairs += [(fresh(i), pred, pred) for pred in results]
+                    pairs += [(fresh(i), pred, pred) for pred, _ in results]
                     pairs += [(fresh(i), fresh(j), decoded(fresh(j))) for j in range(len(results))]
+                    ordered = has_top_level_order_by(gold_sql)
                     for stored, pred, reference in pairs:
-                        assert (evaluate._same_results(stored, pred)
-                                == compare_results(full, reference))
+                        assert (evaluate._same_results(stored, pred, gold_sql)
+                                == compare_results(full, reference, ordered))
                         must_decode = stored is not pred and full.shape == reference.shape
                         assert ("rows" in vars(stored)) == must_decode
 
@@ -570,7 +589,7 @@ CELLS = st.one_of(st.sampled_from(SPECIAL_CELLS), st.integers(-2**63, 2**63 - 1)
 def decoded(result):
     """result, a StoredResult read out as the ExecResult it holds."""
     if isinstance(result, StoredResult):
-        return ExecResult(result.columns, result.rows, result.order_sensitive)
+        return ExecResult(result.width, result.rows)
     return result
 
 
@@ -583,7 +602,7 @@ def round_trip(suite, sql, result):
         got = gold.get(sql, 0)
         assert gold.warning is None
     if isinstance(result, ExecResult):
-        assert got.shape == (len(result.columns), len(result.rows))
+        assert got.shape == (result.width, len(result.rows))
     return decoded(got)
 
 
@@ -630,7 +649,7 @@ class TestGoldStore:
                 conn.executemany(f"INSERT INTO t VALUES ({','.join('?' * width)})", rows)
                 conn.commit()
             suite = TestSuite("t", 0, 1, [db], "s" * 64, "c" * 64, Path(tmp))
-            raw = ExecResult(columns, rows)
+            raw = ExecResult(width, rows)
             assert repr(round_trip(suite, "raw", raw)) == repr(raw)
             error = data.draw(STORED_ERRORS)
             assert repr(round_trip(suite, "error", error)) == repr(error)
@@ -666,11 +685,11 @@ class TestGoldStore:
             ("SELECT grade FROM Highschooler WHERE grade > 99", "SELECT 1")]
         decoding = [(names, "SELECT  name FROM Highschooler")]  # the gold, respaced
         decodes = []
-        real_decode, real_get = store._Decoded.__get__, GoldStore.get
+        real_decode, real_get = StoredResult.rows.func, GoldStore.get
 
-        def counted(self, result, owner):
-            decodes.append(self.name)
-            return real_decode(self, result, owner)
+        def counted(result):
+            decodes.append(result)
+            return real_decode(result)
 
         def eager(self, sql, variant):  # every stored result decoded when read
             return decoded(real_get(self, sql, variant))
@@ -685,7 +704,7 @@ class TestGoldStore:
                     if run == "eager":
                         patch.setattr(GoldStore, "get", eager)
                     elif run == "lazy":
-                        patch.setattr(store._Decoded, "__get__", counted)
+                        patch.setattr(StoredResult.rows, "func", counted)
                     result, _ = network1_eval(db_root, tmp_path, golds, preds, notes.append)
                 runs[run] = (scores(result), notes, result.gold_broken, result.queries,
                              result.gold_store)
@@ -694,7 +713,7 @@ class TestGoldStore:
             assert runs["lazy"][4] == {"hits": sum(runs["cold"][4].values()), "misses": 0}
             if pairs is no_decode:
                 assert runs["lazy"][2] == ["e0008"] and not decodes
-        assert decodes == ["rows"] * 3  # the original database and both variants
+        assert len(decodes) == 3  # the original database and both variants
 
     def test_bytes_depend_on_content_alone(self, tmp_path):
         """The same results, put in other orders, by two stores rather than
@@ -702,7 +721,7 @@ class TestGoldStore:
         same gold.marshal bytes."""
         text = "naïve ☃ 日本"
         row = (text, 1, -0.0, math.inf, None, b"\x00", 2**63 - 1)
-        entries = [(f"SELECT {i}", variant, ExecResult(["a", "a", text], [row] * i, i % 2 == 0))
+        entries = [(f"SELECT {i}", variant, ExecResult(3, [row] * i))
                    for i in range(5) for variant in (2, 0, 1)]
         entries.append(("SELECT 9", 0, ExecError("engine", text)))
 
@@ -718,8 +737,7 @@ class TestGoldStore:
                         gold.put(sql, variant, result)
             return (suite.directory / "gold.marshal").read_bytes()
 
-        copies = [(anew(sql), variant, ExecResult(anew(r.columns), anew(r.rows),
-                                                  r.order_sensitive)
+        copies = [(anew(sql), variant, ExecResult(r.width, anew(r.rows))
                    if isinstance(r, ExecResult) else ExecError(anew(r.kind), anew(r.message)))
                   for sql, variant, r in entries]
         one = store_file("one", entries)
@@ -778,15 +796,22 @@ class TestGoldStore:
             assert scores(result) == scores(first)
         assert not warned
 
-    def test_format_2_store_is_silently_empty(self, db_root, tmp_path):
+    @pytest.mark.parametrize("old_format", ["2", "3"])
+    def test_format_2_store_is_silently_empty(self, db_root, tmp_path, old_format):
         golds = [sql for _, sql in FIXTURE_QUESTIONS[:3]]
         first, suite = network1_eval(db_root, tmp_path, golds, golds)
         lookups = sum(first.gold_store.values())
-        # a store as format 2 wrote it, each result a wrong one
-        header = (suite.content_hash, "2", sqlite3.sqlite_version,
+        # a store as an older format wrote it, each result a wrong one
+        header = (suite.content_hash, old_format, sqlite3.sqlite_version,
                   "%d.%d" % sys.version_info[:2], marshal.version)
-        data = marshal.dumps((header, {(gold, i): marshal.dumps(("rows", ["x"], [(7,)], False))
-                                       for gold in golds for i in range(3)}))
+        if old_format == "2":  # flat keys, each result marshalled on its own
+            data = marshal.dumps((header, {
+                (gold, i): marshal.dumps(("rows", ["x"], [(7,)], False))
+                for gold in golds for i in range(3)}))
+        else:  # grouped and sorted, as format 4; rows kept with names and an order flag
+            data = marshal.dumps((header, {
+                gold: {i: (1, 1, False, marshal.dumps((["x"], [(7,)]), 2)) for i in range(3)}
+                for gold in sorted(golds)}), 2)
         (suite.directory / "gold.marshal").write_bytes(hashlib.sha256(data).digest() + data)
         warned = []
         for expected in ({"hits": 0, "misses": lookups}, {"hits": lookups, "misses": 0}):

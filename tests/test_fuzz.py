@@ -8,6 +8,7 @@ import sqlite3
 import string
 import subprocess
 import sys
+import threading
 import time
 from contextlib import closing
 from pathlib import Path
@@ -755,6 +756,9 @@ class TestForkedBuild:
 
     @needs_fork
     def test_interrupted_builder_kills_its_children(self, network1_db, tmp_path, monkeypatch):
+        # a live thread keeps fork_map in one process, and this test would
+        # then fail only at its deadline
+        assert threading.active_count() == 1, f"live threads: {threading.enumerate()}"
         marks = tmp_path / "marks"
         marks.mkdir()
         n_children = parallel._processes(8)

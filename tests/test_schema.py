@@ -115,7 +115,7 @@ class TestConnectRo:
             with pytest.raises(sqlite3.OperationalError, match="readonly"):
                 conn.execute("CREATE TABLE u(b int)")
         result = execute_sql(db, "SELECT count(*) FROM t", TIMEOUT_MS)
-        assert result == ExecResult(["count(*)"], [(0,)])
+        assert result == ExecResult(1, [(0,)])
         assert [p.name for p in tmp_path.iterdir()] == ["run#1?x%20y"]
         assert [p.name for p in db.parent.iterdir()] == ["a b.sqlite"]
 
