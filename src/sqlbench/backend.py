@@ -23,10 +23,6 @@ class BackendError(Exception):
     pass
 
 
-class MissingFixtureError(BackendError):
-    pass
-
-
 @dataclass
 class Prediction:
     example_id: str
@@ -74,7 +70,7 @@ class ReplayBackend:
 
     def complete(self, example_id: str, prompt: str, max_tokens: int, temperature: float) -> str:
         if example_id not in self.completions:
-            raise MissingFixtureError(f"no stored completion for {example_id}")
+            raise BackendError(f"no stored completion for {example_id}")
         return self.completions[example_id]
 
 

@@ -119,11 +119,11 @@ def load_annotations(path, known_ids) -> list[AnnotationRecord]:
 
 
 def breakdown(outcomes: list[EvalOutcome], annotations: list[AnnotationRecord],
-              n_gold_broken: int = 0) -> dict:
-    """Category table with two percentage columns: share of all predictions
-    (%) and share of annotated errors (E%). Unannotated valid-but-wrong
-    predictions count as Other Semantic Incorrect. annotations are as
-    load_annotations returns them: one per example, each in outcomes."""
+              n_gold_broken: int = 0) -> list[dict]:
+    """The rows of the category table, with two percentage columns: share
+    of all predictions (%) and share of annotated errors (E%). Unannotated
+    valid-but-wrong predictions count as Other Semantic Incorrect. annotations
+    are as load_annotations returns them: one per example, each in outcomes."""
     by_example = {a.example_id: a for a in annotations}
     counts = dict.fromkeys(ErrorCategory, 0)
     error_counts = dict.fromkeys(ErrorCategory, 0)
@@ -150,4 +150,4 @@ def breakdown(outcomes: list[EvalOutcome], annotations: list[AnnotationRecord],
     if n_gold_broken:
         rows.append({"category": "Gold Broken", "count": n_gold_broken,
                      "pct": 100.0 * n_gold_broken / total, "e_pct": None})
-    return {"total": total, "annotated": n_annotated, "rows": rows}
+    return rows

@@ -15,10 +15,6 @@ from .parallel import fork_map
 from .store import GoldStore
 
 
-class GoldBrokenError(Exception):
-    """The gold query fails on the original database; the example is excluded."""
-
-
 @dataclass
 class EvalOutcome:
     """One line of an outcomes file, which to_dict writes and load reads."""
@@ -68,9 +64,10 @@ def _same_results(gold: ExecResult, pred: ExecResult, gold_sql: str) -> bool:
 
 
 def evaluate(example: ExampleRecord, prediction: Prediction, suite: TestSuite,
-             warn, result_on) -> EvalOutcome:
+             warn, result_on) -> EvalOutcome | None:
     """Score one prediction. valid: executes on the original database;
-    ex: matches gold there; ts: matches gold on every suite variant.
+    ex: matches gold there; ts: matches gold on every suite variant. None
+    when the gold query fails on the original database, with a note to warn.
 
     result_on(sql, i, gold) is the result of sql on suite file i, gold
     telling a gold query (example.gold_sql itself) from the prediction; see
@@ -79,9 +76,8 @@ def evaluate(example: ExampleRecord, prediction: Prediction, suite: TestSuite,
     start = time.monotonic()
     gold_res = result_on(example.gold_sql, 0, True)
     if isinstance(gold_res, ExecError):
-        raise GoldBrokenError(
-            f"{example.example_id}: gold query failed on {suite.db_id}: {gold_res.message}"
-        )
+        warn(f"{example.example_id}: gold query failed on {suite.db_id}: {gold_res.message}")
+        return None
 
     def done(valid, reason, ex, ts):
         return EvalOutcome(
@@ -172,12 +168,7 @@ def _score_group(examples: list[ExampleRecord], indices: list[int],
             example = examples[i]
             prediction = predictions[example.example_id]
             notes: list[str] = []
-            try:
-                outcome = evaluate(example, prediction, suite, notes.append, result_on)
-            except GoldBrokenError as e:
-                outcome = None
-                notes.append(str(e))
-            scored.append((outcome, notes))
+            scored.append((evaluate(example, prediction, suite, notes.append, result_on), notes))
             if last[prediction.sql] == i:
                 del table[prediction.sql]
     warning = store.warning and f"gold store {store.path}: {store.warning}"

@@ -187,18 +187,10 @@ class Connections:
 
 
 def execute_sql(db_file, sql: str, timeout_ms: int,
-                connections: Connections | None = None) -> ExecResult | ExecError:
-    """Run arbitrary SQL read-only with a wall-clock timeout.
-
-    Write attempts are denied via the authorizer; engine errors carry the
-    engine message verbatim so they can be triaged later. The query runs on
-    the connection that `connections` holds for db_file, or, without it, on
-    one opened and closed for this call.
-    """
-    if connections is not None:
-        return connections.execute(db_file, sql, timeout_ms)
-    with closing(Connections()) as one_shot:
-        return one_shot.execute(db_file, sql, timeout_ms)
+                connections: Connections) -> ExecResult | ExecError:
+    """Run arbitrary SQL read-only with a wall-clock timeout, on the connection
+    that `connections` holds for db_file; see Connections.execute."""
+    return connections.execute(db_file, sql, timeout_ms)
 
 
 def _is_number(v) -> bool:

@@ -12,10 +12,6 @@ from .dataset import SupportSet
 from .schema import RowSample, TableSchema
 
 
-class PromptContractError(Exception):
-    pass
-
-
 class BudgetError(Exception):
     pass
 
@@ -179,13 +175,9 @@ class SchemaSection:
 def render_schema(
     style: PromptStyle, tables: list[TableSchema] | None, samples: list[RowSample] | None
 ) -> SchemaSection:
-    """The schema part of style's prompts for one database, with its token runs."""
+    """The schema part of style's prompts for one database, with its token
+    runs. tables is None only for the question style, samples only without x."""
     kind = style.kind
-    if style.x is not None and samples is None:
-        raise PromptContractError(f"style {style.label} requires row samples")
-    if kind is not StyleKind.QUESTION and tables is None:
-        raise PromptContractError(f"style {style.label} requires a database schema")
-
     if kind is StyleKind.QUESTION:
         text = ""
     elif kind is StyleKind.API_DOCS:

@@ -100,8 +100,8 @@ def curve_csv(curve: dict) -> str:
     return _csv_table(["shots", "ts_pct"], rows)
 
 
-def render_breakdown_markdown(result: dict) -> str:
+def render_breakdown_markdown(rows: list[dict]) -> str:
     return _markdown_table(["Annotation", "%", "E%"], [
         [row["category"], f"{row['pct']:.1f}",
          f"{row['e_pct']:.0f}" if row["e_pct"] is not None else "--"]
-        for row in result["rows"]])
+        for row in rows])

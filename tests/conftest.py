@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import sqlbench
-from sqlbench.evaluate import GoldBrokenError, _score_group
+from sqlbench.evaluate import _score_group
+from sqlbench.execution import Connections
 from sqlbench.prompt import render_schema
 from sqlbench.schema import connect_ro, introspect, sample_rows
 
@@ -301,11 +302,15 @@ def read_section(db_file, style):
     return render_schema(style, read_schema(db_file), samples)
 
 
+def run_sql(db_file, sql, timeout_ms=TIMEOUT_MS):
+    """sql's result on db_file, run on a connection opened and closed for it."""
+    with closing(Connections()) as connections:
+        return connections.execute(db_file, sql, timeout_ms)
+
+
 def evaluate_one(example, prediction, suite):
-    """The outcome of example scored alone, as a group of one; its notes are
-    dropped, and a broken gold raises GoldBrokenError."""
-    [(outcome, notes)], *_ = _score_group([example], [0], {example.example_id: prediction},
-                                          suite, TIMEOUT_MS)
-    if outcome is None:
-        raise GoldBrokenError(notes[-1])
+    """The outcome of example scored alone, as a group of one, or None when
+    its gold is broken; its notes are dropped."""
+    [(outcome, _)], *_ = _score_group([example], [0], {example.example_id: prediction},
+                                      suite, TIMEOUT_MS)
     return outcome

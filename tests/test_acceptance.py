@@ -17,14 +17,14 @@ from sqlbench.dataset import (ExampleRecord, canonical_template,
 from sqlbench.errors import (AnnotationRecord, ErrorCategory, breakdown,
                              classify_invalid, detect_extra_columns)
 from sqlbench.evaluate import evaluate_benchmark
-from sqlbench.execution import ExecResult, compare_results, execute_sql, has_top_level_order_by
+from sqlbench.execution import ExecResult, compare_results, has_top_level_order_by
 from sqlbench.fuzz import build_test_suite
 from sqlbench.prompt import (PromptBudget, PromptStyle, StyleKind, fit_support,
                              render_prompt)
 from sqlbench.report import metrics_row
 
 from conftest import (FIXTURE_QUESTIONS, GEO_SUPPORT_PAIRS, GOLDEN_DIR, TIMEOUT_MS,
-                      evaluate_one, load_golden, read_section)
+                      evaluate_one, load_golden, read_section, run_sql)
 from test_fuzz import check_integrity, make_item_db
 
 
@@ -184,7 +184,7 @@ def test_comparator_equivalence(tmp_path):
             "SELECT max(e) FROM empty_t",
             "SELECT e FROM empty_t ORDER BY e DESC LIMIT 1",
         ]
-        results = [execute_sql(db, q, TIMEOUT_MS) for q in queries]
+        results = [run_sql(db, q) for q in queries]
         # (gold, pred, ordered): ordered as the gold query's top-level ORDER BY says
         triples = [(gold, pred, has_top_level_order_by(q))
                    for (gold, q), pred in product(zip(results, queries), results)]
@@ -274,11 +274,11 @@ def test_error_triage(tmp_path):
                 (3, 'Robert Waters', 15), (4, 'Michael Morgan', 10);
         """)
         conn.close()
-        gold = execute_sql(db, "SELECT Name FROM conductor ORDER BY Year_of_Work DESC", TIMEOUT_MS)
-        pred = execute_sql(db, "SELECT Name, Year_of_Work FROM conductor "
-                               "ORDER BY Year_of_Work DESC", TIMEOUT_MS)
+        gold = run_sql(db, "SELECT Name FROM conductor ORDER BY Year_of_Work DESC")
+        pred = run_sql(db, "SELECT Name, Year_of_Work FROM conductor "
+                           "ORDER BY Year_of_Work DESC")
         assert detect_extra_columns(gold, pred, True, print)
-        wrong = execute_sql(db, "SELECT Conductor_ID FROM conductor", TIMEOUT_MS)
+        wrong = run_sql(db, "SELECT Conductor_ID FROM conductor")
         assert not detect_extra_columns(gold, wrong, True, print)
 
         from sqlbench.evaluate import EvalOutcome
@@ -291,8 +291,7 @@ def test_error_triage(tmp_path):
         ]
         anns = [AnnotationRecord("c", ErrorCategory.ARGMAX),
                 AnnotationRecord("d", ErrorCategory.SHORTCUTS)]
-        result = breakdown(outs, anns, n_gold_broken=1)
-        rows = result["rows"]
+        rows = breakdown(outs, anns, n_gold_broken=1)
         assert abs(sum(r["pct"] for r in rows) - 100.0) <= 0.1
         assert abs(sum(r["e_pct"] or 0 for r in rows) - 100.0) <= 0.1
 

@@ -8,7 +8,6 @@ from sqlbench.backend import (
     BackendError,
     EMPTY_PREDICTION,
     HttpBackend,
-    MissingFixtureError,
     ReplayBackend,
     finalize_sql,
     gold_completion,
@@ -54,7 +53,7 @@ class TestReplayBackend:
         assert backend.complete("e0007", "...", 200, 0.0) == "name FROM singer"
 
     def test_missing_key(self):
-        with pytest.raises(MissingFixtureError, match="e0001"):
+        with pytest.raises(BackendError, match="e0001"):
             ReplayBackend({}).complete("e0001", "x", 200, 0.0)
 
     def test_deterministic(self):

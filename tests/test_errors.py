@@ -17,9 +17,9 @@ from sqlbench.errors import (
     sample_for_annotation,
 )
 from sqlbench.evaluate import EvalOutcome
-from sqlbench.execution import ExecResult, compare_results, execute_sql, has_top_level_order_by
+from sqlbench.execution import ExecResult, compare_results, has_top_level_order_by
 
-from conftest import TIMEOUT_MS
+from conftest import run_sql
 
 
 def outcome(eid, valid=True, reason=None, ex=False, ts=False):
@@ -66,24 +66,21 @@ def conductor_db(tmp_path_factory):
 
 class TestDetectExtraColumns:
     def test_conductor_example(self, conductor_db):
-        gold = execute_sql(conductor_db,
-                           "SELECT Name FROM conductor ORDER BY Year_of_Work DESC", TIMEOUT_MS)
-        pred = execute_sql(conductor_db,
-                           "SELECT Name, Year_of_Work FROM conductor "
-                           "ORDER BY Year_of_Work DESC", TIMEOUT_MS)
+        gold = run_sql(conductor_db, "SELECT Name FROM conductor ORDER BY Year_of_Work DESC")
+        pred = run_sql(conductor_db,
+                       "SELECT Name, Year_of_Work FROM conductor "
+                       "ORDER BY Year_of_Work DESC")
         assert not compare_results(gold, pred, True)
         assert detect_extra_columns(gold, pred, True, print)
 
     def test_equal_arity_never_fires(self, conductor_db):
-        gold = execute_sql(conductor_db, "SELECT Name FROM conductor", TIMEOUT_MS)
-        pred = execute_sql(conductor_db, "SELECT Year_of_Work FROM conductor", TIMEOUT_MS)
+        gold = run_sql(conductor_db, "SELECT Name FROM conductor")
+        pred = run_sql(conductor_db, "SELECT Year_of_Work FROM conductor")
         assert not detect_extra_columns(gold, pred, False, print)
 
     def test_wider_but_no_matching_projection(self, conductor_db):
-        gold = execute_sql(conductor_db, "SELECT Name FROM conductor WHERE Year_of_Work > 12",
-                           TIMEOUT_MS)
-        pred = execute_sql(conductor_db, "SELECT Conductor_ID, Year_of_Work FROM conductor",
-                           TIMEOUT_MS)
+        gold = run_sql(conductor_db, "SELECT Name FROM conductor WHERE Year_of_Work > 12")
+        pred = run_sql(conductor_db, "SELECT Conductor_ID, Year_of_Work FROM conductor")
         assert not detect_extra_columns(gold, pred, False, print)
 
     def test_agrees_with_projection_brute_force(self, conductor_db):
@@ -94,7 +91,7 @@ class TestDetectExtraColumns:
             "SELECT Year_of_Work, Name FROM conductor",
             "SELECT Name FROM conductor ORDER BY Year_of_Work DESC",
         ]
-        results = [execute_sql(conductor_db, q, TIMEOUT_MS) for q in queries]
+        results = [run_sql(conductor_db, q) for q in queries]
         for gold, gold_sql in zip(results, queries):
             ordered = has_top_level_order_by(gold_sql)
             for pred in results:
@@ -157,8 +154,8 @@ class TestSampleForAnnotation:
 class TestBreakdown:
     def test_all_correct(self):
         outs = [outcome(f"e{i}", ex=True, ts=True) for i in range(100)]
-        result = breakdown(outs, [])
-        by_cat = {r["category"]: r for r in result["rows"]}
+        rows = breakdown(outs, [])
+        by_cat = {r["category"]: r for r in rows}
         assert by_cat["Test-Suite Correct"]["pct"] == 100.0
         assert all(r["pct"] == 0 for c, r in by_cat.items() if c != "Test-Suite Correct")
 
@@ -166,8 +163,8 @@ class TestBreakdown:
         outs = [outcome(f"i{i}", valid=False, reason="no such column: x") for i in range(2)]
         outs += [outcome("s0", valid=False, reason="syntax error")]
         outs += [outcome(f"c{i}", ex=True, ts=True) for i in range(7)]
-        result = breakdown(outs, [])
-        by_cat = {r["category"]: r for r in result["rows"]}
+        rows = breakdown(outs, [])
+        by_cat = {r["category"]: r for r in rows}
         assert by_cat["No such column"]["pct"] == 20.0
         assert by_cat["Other Invalid"]["pct"] == 10.0
 
@@ -175,8 +172,8 @@ class TestBreakdown:
         outs = [outcome("a", ex=True, ts=True), outcome("b", valid=False, reason="x"),
                 outcome("c", ex=True, ts=False), outcome("d", ts=False)]
         anns = [AnnotationRecord("c", ErrorCategory.ARGMAX)]
-        result = breakdown(outs, anns, n_gold_broken=1)
-        assert sum(r["pct"] for r in result["rows"]) == pytest.approx(100.0, abs=0.1)
+        rows = breakdown(outs, anns, n_gold_broken=1)
+        assert sum(r["pct"] for r in rows) == pytest.approx(100.0, abs=0.1)
 
     def test_e_percent_over_annotated_errors(self):
         outs = [outcome(f"e{i}", ex=True, ts=False) for i in range(4)]
@@ -186,10 +183,10 @@ class TestBreakdown:
             AnnotationRecord("e2", ErrorCategory.SELECT_CONVENTION),
             AnnotationRecord("e3", ErrorCategory.ARGMAX),
         ]
-        result = breakdown(outs, anns)
-        by_cat = {r["category"]: r for r in result["rows"]}
+        rows = breakdown(outs, anns)
+        by_cat = {r["category"]: r for r in rows}
         assert by_cat["Shortcuts"]["e_pct"] == pytest.approx(50.0)
-        assert sum(r["e_pct"] or 0 for r in result["rows"]) == pytest.approx(100.0, abs=0.1)
+        assert sum(r["e_pct"] or 0 for r in rows) == pytest.approx(100.0, abs=0.1)
 
     def test_conflicting_annotations_rejected(self, tmp_path):
         path = tmp_path / "ann.jsonl"
@@ -222,6 +219,6 @@ class TestBreakdown:
 
     def test_unannotated_errors_fall_into_other(self):
         outs = [outcome("e0", ex=True, ts=False)]
-        result = breakdown(outs, [])
-        by_cat = {r["category"]: r for r in result["rows"]}
+        rows = breakdown(outs, [])
+        by_cat = {r["category"]: r for r in rows}
         assert by_cat["Other Semantic Incorrect"]["count"] == 1

@@ -15,23 +15,23 @@ from contextlib import closing
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example as case, given, settings
 from hypothesis import strategies as st
 
 import sqlbench
 from sqlbench import evaluate, execution, parallel, store
-from sqlbench.backend import Prediction
+from sqlbench.backend import EMPTY_PREDICTION, Prediction
 from sqlbench.cli import main
 from sqlbench.dataset import ExampleRecord, load_benchmark
-from sqlbench.evaluate import GoldBrokenError, evaluate_benchmark
+from sqlbench.evaluate import evaluate_benchmark
 from sqlbench.execution import (Connections, ExecError, ExecResult, compare_results,
-                                execute_sql, has_top_level_order_by)
+                                has_top_level_order_by)
 from sqlbench.fuzz import TestSuite, build_test_suite
 from sqlbench.store import GoldStore, StoredResult
 
 from conftest import (FIXTURE_QUESTIONS, ONE_CPU, TIMEOUT_MS, evaluate_one, interrupt_when,
                       live_thread, make_geo_db, make_network1_db, needs_fork, run_python,
-                      running)
+                      run_sql, running)
 
 
 def example(gold, eid="e0000", db_id="network_1"):
@@ -85,10 +85,9 @@ class TestEvaluate:
             out = evaluate_one(example(gold), prediction(sql), suite)
             assert (not out.ts or out.ex) and (not out.ex or out.valid)
 
-    def test_gold_broken_raises(self, suite):
-        with pytest.raises(GoldBrokenError):
-            evaluate_one(example("SELECT broken FROM nowhere"),
-                         prediction("SELECT name FROM Highschooler"), suite)
+    def test_gold_broken_is_none(self, suite):
+        assert evaluate_one(example("SELECT broken FROM nowhere"),
+                            prediction("SELECT name FROM Highschooler"), suite) is None
 
     def test_max_vs_order_by_limit_separated_by_empty_variant(self, suite):
         # MAX over an empty table yields one NULL row; ORDER BY ... LIMIT 1 yields none
@@ -299,19 +298,29 @@ REFERENCE_GOLDS = [sql for _, sql in FIXTURE_QUESTIONS] + [
     "SELECT random()",
     "SELECT count(*) FROM Highschooler WHERE random() IS NOT NULL",
 ]
+# predictions that no gold above is: a wrong, an invalid, a volatile and an
+# empty text
+OTHER_PREDICTIONS = [
+    "SELECT name FROM Highschooler WHERE grade = 10",
+    "SELECT nocol FROM Likes",
+    "SELECT random() IS NOT NULL",
+    EMPTY_PREDICTION,
+]
 
 
 def reference_outcome(example, prediction, suite):
     """The (valid, invalid_reason, ex, ts) of one prediction, or None when its
     gold fails on the original, and the notes evaluate sends, worked out by
     brute force: both queries run on one-shot connections on every suite
-    file, and the files the gold fails on are skipped."""
-    runs = [(execute_sql(f, example.gold_sql, TIMEOUT_MS),
-             execute_sql(f, prediction.sql, TIMEOUT_MS)) for f in suite.variants]
+    file, and the files the gold fails on are skipped. An empty prediction
+    is invalid without a run."""
+    runs = [(run_sql(f, example.gold_sql), run_sql(f, prediction.sql)) for f in suite.variants]
     (gold, pred), *variants = runs
     if isinstance(gold, ExecError):
         return None, [f"{example.example_id}: gold query failed on {suite.db_id}: "
                       f"{gold.message}"]
+    if prediction.sql == EMPTY_PREDICTION:
+        return (False, "empty prediction", False, False), []
     if isinstance(pred, ExecError):
         return (False, pred.message, False, False), []
     ordered = has_top_level_order_by(example.gold_sql)
@@ -342,14 +351,31 @@ def mixed_suite(network1_db, tmp_path_factory):
 
 class TestGoldPredictionAgainstReference:
     @settings(max_examples=30, deadline=None)
-    @given(golds=st.lists(st.sampled_from(REFERENCE_GOLDS), min_size=1, max_size=6))
-    def test_scores_and_notes(self, mixed_suite, golds):
-        bench = [example(gold, f"e{i:04d}") for i, gold in enumerate(golds)]
-        predictions = {e.example_id: prediction(e.gold_sql, e.example_id) for e in bench}
-        expected, expected_notes = [], []
+    @given(pairs=st.lists(st.tuples(st.sampled_from(REFERENCE_GOLDS),
+                                    st.one_of(st.integers(0, 7), st.sampled_from(REFERENCE_GOLDS),
+                                              *map(st.just, OTHER_PREDICTIONS))),
+                          min_size=1, max_size=6))
+    # every reference gold once: the first four also predicted by
+    # OTHER_PREDICTIONS, each later one by an earlier gold
+    @case(pairs=list(zip(REFERENCE_GOLDS, [*OTHER_PREDICTIONS, *range(len(REFERENCE_GOLDS))])))
+    def test_scores_and_notes(self, mixed_suite, pairs):
+        """Each drawn (gold, prediction) pair is two examples of that gold: one
+        predicted by the gold itself, one by the prediction, an int i standing
+        for the gold of pair i modulo their number."""
+        golds = [gold for gold, _ in pairs]
+        texts = []  # (gold, prediction) of each example
+        for gold, pred in pairs:
+            texts += [(gold, gold),
+                      (gold, golds[pred % len(golds)] if isinstance(pred, int) else pred)]
+        bench = [example(gold, f"e{i:04d}") for i, (gold, _) in enumerate(texts)]
+        predictions = {e.example_id: prediction(sql, e.example_id)
+                       for e, (_, sql) in zip(bench, texts)}
+        expected, expected_broken, expected_notes = [], [], []
         for e in bench:
             scored, notes = reference_outcome(e, predictions[e.example_id], mixed_suite)
-            if scored is not None:
+            if scored is None:
+                expected_broken.append(e.example_id)
+            else:
                 expected.append((e.example_id, *scored))
             expected_notes += notes
         (mixed_suite.directory / "gold.marshal").unlink(missing_ok=True)
@@ -358,6 +384,7 @@ class TestGoldPredictionAgainstReference:
             result = evaluate_benchmark(bench, predictions, {"network_1": mixed_suite},
                                         notes.append, TIMEOUT_MS)
             assert scores(result) == expected, store_state
+            assert result.gold_broken == expected_broken, store_state
             assert notes == expected_notes, store_state
 
     def test_reference_golds_cover_each_case(self, mixed_suite):
@@ -405,8 +432,8 @@ class TestRecurringPrediction:
     def test_reused_within_group(self, mixed_suite, monkeypatch):
         original = mixed_suite.variants[0]
         likes = "SELECT max(student_id) FROM Likes"
-        n = execute_sql(original, likes, TIMEOUT_MS).rows[0][0]
-        assert execute_sql(mixed_suite.variants[1], likes, TIMEOUT_MS).rows[0][0] != n
+        n = run_sql(original, likes).rows[0][0]
+        assert run_sql(mixed_suite.variants[1], likes).rows[0][0] != n
         volatile, slow, nocol = "SELECT random() IS NOT NULL", SLOW, "SELECT nocol FROM Likes"
         pairs = [  # (gold, prediction), in benchmark order
             (f"SELECT {n}", likes),  # equal on the original only: TS breaks at file 1
@@ -471,7 +498,7 @@ class TestRecurringPrediction:
         assert table_after == [{count: [0, 1, 2, 3], later: [], **still}, {later: [], **still},
                                {later: [0, 1, 2, 3], **still}, still, {volatile: []}, {}]
         for i, variant in enumerate(mixed_suite.variants):
-            assert stored(mixed_suite, later, i) == execute_sql(variant, later, TIMEOUT_MS)
+            assert stored(mixed_suite, later, i) == run_sql(variant, later)
             assert stored(mixed_suite, volatile, i) is None
 
 
@@ -655,7 +682,7 @@ class TestGoldStore:
             assert repr(round_trip(suite, "error", error)) == repr(error)
             for sql in ("SELECT * FROM t", "SELECT * FROM t ORDER BY 1",
                         "SELECT * FROM t WHERE 0", "-- no statement", "SELECT nocol FROM t"):
-                executed = execute_sql(db, sql, TIMEOUT_MS)
+                executed = run_sql(db, sql)
                 assert repr(round_trip(suite, sql, executed)) == repr(executed)
 
     def test_volatile_golds_never_stored(self, db_root, tmp_path):
@@ -672,7 +699,7 @@ class TestGoldStore:
         again, _ = network1_eval(db_root, tmp_path, golds, invalid)
         assert again.gold_store == {"hits": 1, "misses": 2}
         assert [stored(suite, gold) for gold in golds] == [
-            None, None, execute_sql(suite.variants[0], golds[2], TIMEOUT_MS)]
+            None, None, run_sql(suite.variants[0], golds[2])]
 
     def test_warm_store_decodes_only_what_a_comparison_reads(self, db_root, tmp_path,
                                                             monkeypatch):

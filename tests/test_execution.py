@@ -22,60 +22,58 @@ from sqlbench.execution import (
 from sqlbench.errors import detect_extra_columns
 from sqlbench.fuzz import build_test_suite
 
-from conftest import TIMEOUT_MS
+from conftest import TIMEOUT_MS, run_sql
 
 
 class TestExecuteSql:
     def test_valid_query_returns_stored_rows(self, network1_db):
-        res = execute_sql(network1_db, "SELECT ID, name FROM Highschooler WHERE grade = 12",
-                          TIMEOUT_MS)
+        res = run_sql(network1_db, "SELECT ID, name FROM Highschooler WHERE grade = 12")
         assert isinstance(res, ExecResult)
         assert set(res.rows) == {(1934, "Kyle"), (1661, "Logan")}
         assert res.width == 2
 
     def test_no_such_column(self, network1_db):
-        res = execute_sql(network1_db, "SELECT nocol FROM Highschooler", TIMEOUT_MS)
+        res = run_sql(network1_db, "SELECT nocol FROM Highschooler")
         assert isinstance(res, ExecError)
         assert res.kind == "engine"
         assert "no such column" in res.message
 
     def test_ambiguous_column(self, network1_db):
-        res = execute_sql(
+        res = run_sql(
             network1_db,
             "SELECT student_id FROM Friend JOIN Likes ON Friend.friend_id = Likes.liked_id",
-            TIMEOUT_MS,
         )
         assert isinstance(res, ExecError)
         assert "ambiguous column name" in res.message
 
     def test_syntax_error_message_verbatim(self, network1_db):
-        res = execute_sql(network1_db, "SELECT * FORM Highschooler", TIMEOUT_MS)
+        res = run_sql(network1_db, "SELECT * FORM Highschooler")
         assert isinstance(res, ExecError)
         assert "syntax error" in res.message
 
     def test_nonterminating_recursive_cte_times_out(self, network1_db):
         sql = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c) "
                "SELECT count(*) FROM c")
-        res = execute_sql(network1_db, sql, timeout_ms=300)
+        res = run_sql(network1_db, sql, 300)
         assert isinstance(res, ExecError)
         assert res.kind == "timeout"
 
     def test_write_rejected(self, network1_db):
-        res = execute_sql(network1_db, "DELETE FROM Likes", TIMEOUT_MS)
+        res = run_sql(network1_db, "DELETE FROM Likes")
         assert isinstance(res, ExecError)
         assert res.kind == "forbidden"
         # and the file is untouched
-        ok = execute_sql(network1_db, "SELECT count(*) FROM Likes", TIMEOUT_MS)
+        ok = run_sql(network1_db, "SELECT count(*) FROM Likes")
         assert ok.rows == [(3,)]
 
     def test_row_cap(self, network1_db, monkeypatch):
         monkeypatch.setattr(execution, "MAX_ROWS", 5)
         count_to = ("WITH RECURSIVE c(x) AS (SELECT 1 UNION ALL SELECT x + 1 FROM c "
                     "WHERE x < {}) SELECT x FROM c")
-        res = execute_sql(network1_db, count_to.format(6), TIMEOUT_MS)
+        res = run_sql(network1_db, count_to.format(6))
         assert isinstance(res, ExecError)
         assert res.kind == "too_many_rows"
-        assert len(execute_sql(network1_db, count_to.format(5), TIMEOUT_MS).rows) == 5
+        assert len(run_sql(network1_db, count_to.format(5)).rows) == 5
 
 
 # (sql, timeout_ms): one query of each outcome a reused connection must isolate
@@ -94,7 +92,7 @@ REUSE_POOL = [
 class TestReusedConnection:
     @pytest.fixture(scope="class")
     def one_shot(self, network1_db):
-        return [execute_sql(network1_db, sql, timeout_ms) for sql, timeout_ms in REUSE_POOL]
+        return [run_sql(network1_db, sql, timeout_ms) for sql, timeout_ms in REUSE_POOL]
 
     def test_pool_covers_every_outcome(self, one_shot):
         kinds = [getattr(r, "kind", "ok") for r in one_shot]
@@ -134,7 +132,7 @@ class TestReusedConnection:
         variant = tmp_path / "variant.db"
         shutil.copy(suite.variants[1], variant)
         sql = "SELECT count(*) FROM Highschooler"
-        expected = execute_sql(variant, sql, TIMEOUT_MS)
+        expected = run_sql(variant, sql)
         assert expected.rows != [(0,)]  # the last variant is the empty one
         with closing(sqlite3.connect(variant, isolation_level=None)) as holder, \
                 closing(Connections(immutable=[variant])) as connections:
@@ -228,7 +226,7 @@ class TestCompareResults:
         assert not compare_results(rs([(1,), (1,), (2,)]), rs([(1,), (2,), (2,)]), False)
 
     def test_column_names_ignored(self, network1_db):
-        named = [execute_sql(network1_db, f"SELECT 1 AS {name}", TIMEOUT_MS) for name in "ab"]
+        named = [run_sql(network1_db, f"SELECT 1 AS {name}") for name in "ab"]
         assert named[0] == named[1] == rs([(1,)])
 
     def test_real_tolerance(self):
@@ -300,12 +298,12 @@ class TestCompareResults:
         assert not compare_results(rs(gold), rs(pred[:-1] + [(0.0, 3.5)]), False)
 
     def test_infinity_from_sqlite(self, network1_db):
-        res = execute_sql(network1_db, "SELECT 1e999, -1e999", TIMEOUT_MS)
+        res = run_sql(network1_db, "SELECT 1e999, -1e999")
         assert res.rows == [(math.inf, -math.inf)]
-        same = execute_sql(network1_db, "SELECT 1e999, -1e999", TIMEOUT_MS)
+        same = run_sql(network1_db, "SELECT 1e999, -1e999")
         assert compare_results(res, same, False)
         for other in ("SELECT 1e999, 1e999", "SELECT 1e999, -1e300"):
-            assert not compare_results(res, execute_sql(network1_db, other, TIMEOUT_MS), False)
+            assert not compare_results(res, run_sql(network1_db, other), False)
 
     def test_reflexive_and_symmetric(self):
         a = rs([(1, "x"), (2, None), (2, None)])

@@ -18,7 +18,6 @@ from sqlbench.prompt import (
     INSTRUCTION_TABLES,
     BudgetError,
     PromptBudget,
-    PromptContractError,
     PromptStyle,
     SchemaSection,
     StyleKind,
@@ -249,11 +248,6 @@ class TestFewShot:
         empty = render_prompt(section, QUESTION, SupportSet(n=0, seed=0, examples=[])).text
         tables = "\n\n".join(t.create_sql for t in schema)
         assert empty == f"{tables}\n\n{INSTRUCTION_TABLES}\n\n-- {QUESTION}\nSELECT"
-
-    def test_missing_samples_contract_error(self, network1):
-        schema, _ = network1
-        with pytest.raises(PromptContractError):
-            render_schema(PromptStyle(StyleKind.SELECT_X, x=3), schema, None)
 
 
 class TestEstimateTokens:

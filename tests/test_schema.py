@@ -4,12 +4,12 @@ from contextlib import closing
 import pytest
 
 from sqlbench.cli import _schema_section
-from sqlbench.execution import ExecResult, execute_sql
+from sqlbench.execution import ExecResult
 from sqlbench.fuzz import build_test_suite
 from sqlbench.prompt import parse_style
 from sqlbench.schema import IntrospectionError, connect_ro, sample_rows
 
-from conftest import TIMEOUT_MS, read_schema
+from conftest import read_schema, run_sql
 
 
 def all_rows(db_file, table):
@@ -114,7 +114,7 @@ class TestConnectRo:
         with closing(connect_ro(db)) as conn:
             with pytest.raises(sqlite3.OperationalError, match="readonly"):
                 conn.execute("CREATE TABLE u(b int)")
-        result = execute_sql(db, "SELECT count(*) FROM t", TIMEOUT_MS)
+        result = run_sql(db, "SELECT count(*) FROM t")
         assert result == ExecResult(1, [(0,)])
         assert [p.name for p in tmp_path.iterdir()] == ["run#1?x%20y"]
         assert [p.name for p in db.parent.iterdir()] == ["a b.sqlite"]
