@@ -23,7 +23,6 @@ from .dataset import (IngestionError, check_fields, db_path, load_benchmark, rea
 from .errors import annotation_skeleton, breakdown, load_annotations, sample_for_annotation
 from .evaluate import EvalOutcome, evaluate_benchmark
 from .fuzz import SuiteError, build_test_suite
-from .parallel import fork_map
 from .prompt import (BudgetError, PromptBudget, PromptStyle, SchemaSection, StyleKind,
                      fit_support, parse_style, render_schema)
 from .report import (curve_csv, learning_curve, metrics_table, render_breakdown_markdown,
@@ -252,24 +251,23 @@ def _skip_database(db_id: str, error: IntrospectionError | SuiteError) -> None:
     _warn(f"{db_id}: {error}; its examples are skipped")
 
 
-def _schema_section(db_file, style: PromptStyle
-                    ) -> tuple[list[str], SchemaSection | IntrospectionError]:
+def _schema_section(db_id: str, db_file, style: PromptStyle) -> SchemaSection | None:
     """Read a database's schema and row samples through one connection, and
-    render them once for style. Returns the warnings of reading it, then its
-    schema section, or the IntrospectionError that stopped it. The question
-    style shows no schema, so it opens no database."""
-    warnings: list[str] = []
+    render them once for style; the warnings of reading it go to _warn.
+    Returns None, after _skip_database, for a database that cannot be read.
+    The question style shows no schema, so it opens no database."""
     if style.kind is StyleKind.QUESTION:
-        return warnings, render_schema(style, None, None)
+        return render_schema(style, None, None)
     try:
         with closing(connect_ro(db_file)) as conn:
-            tables = introspect(db_file, conn, warnings.append)
+            tables = introspect(db_file, conn, lambda message: _warn(f"{db_id}: {message}"))
             samples = None
             if style.x is not None:
                 samples = [sample_rows(conn, t.name, style.x) for t in tables]
     except IntrospectionError as e:
-        return warnings, e
-    return warnings, render_schema(style, tables, samples)
+        _skip_database(db_id, e)
+        return None
+    return render_schema(style, tables, samples)
 
 
 def cmd_prompt(args) -> None:
@@ -288,24 +286,13 @@ def cmd_prompt(args) -> None:
     else:  # a zero-shot run reads no training split, so its manifest names none
         args.train = None
 
-    # each database's schema section, read across the usable CPUs; the
-    # question style opens no database, so it is not worth a fork
-    db_ids = list(dict.fromkeys(rec.db_id for rec in examples))
-    read = map if style.kind is StyleKind.QUESTION else fork_map
-    schemas = dict(zip(db_ids, read(lambda db_id: _schema_section(
-        db_path(args.db_root, db_id), style), db_ids)))
     sections = {}  # db_id -> the schema section of its prompts, None if it cannot be read
     prompts = []
     skipped = []
     for rec in examples:
-        if rec.db_id not in sections:  # its warnings where one process meets them
-            warnings, section = schemas[rec.db_id]
-            for message in warnings:
-                _warn(f"{rec.db_id}: {message}")
-            if isinstance(section, IntrospectionError):
-                _skip_database(rec.db_id, section)
-                section = None
-            sections[rec.db_id] = section
+        if rec.db_id not in sections:
+            sections[rec.db_id] = _schema_section(rec.db_id, db_path(args.db_root, rec.db_id),
+                                                  style)
         section = sections[rec.db_id]
         if section is None:
             continue

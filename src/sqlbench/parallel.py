@@ -1,7 +1,7 @@
 """The program's one use of os.fork: fork_map, the map over items that the
-suite build (fuzz.py), eval's database groups (evaluate.evaluate_benchmark)
-and the prompt stage's schemas (cli.cmd_prompt) spread across the usable
-CPUs.
+suite build (fuzz._generate_suite) and eval's database groups where a suite
+has k > 1 (evaluate.evaluate_benchmark) spread across the usable CPUs. Each
+of their items takes tens of milliseconds, enough to pay for a fork.
 
 It stays in one process where there is one usable CPU, where the platform
 cannot fork, or where another thread runs. No option sets this, and no result

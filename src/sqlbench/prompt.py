@@ -109,25 +109,20 @@ def _cell_text(value) -> str:
 
 def format_row_block(sample: RowSample) -> str:
     """Align a sample block the way the reference prompts print data frames:
-    cells right-justified, single-space separated; a numeric column whose
-    header is wider than every value gets one extra leading space."""
-    cells = [[_cell_text(v) for v in row] for row in sample.rows]
-    widths = []
-    for j, name in enumerate(sample.header):
-        col_vals = [row[j] for row in sample.rows]
-        numeric = any(v is not None for v in col_vals) and all(
-            v is None or (isinstance(v, (int, float)) and not isinstance(v, bool))
-            for v in col_vals
-        )
-        vw = max((len(r[j]) for r in cells), default=0)
-        if numeric and len(name) > vw:
-            widths.append(len(name) + 1)
-        else:
-            widths.append(max(vw, len(name)))
-    lines = [" ".join(name.rjust(w) for name, w in zip(sample.header, widths))]
-    for row in cells:
-        lines.append(" ".join(cell.rjust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
+    cells right-justified, single-space separated; a numeric column (its
+    values that are not NULL are SQLite's ints and floats) whose header is
+    wider than every value gets one extra leading space."""
+    columns = list(zip(*sample.rows)) or [()] * len(sample.header)
+    header, padded = [], []
+    for name, values in zip(sample.header, columns):
+        cells = list(map(_cell_text, values))
+        width = max(map(len, cells), default=0)
+        kinds = set(map(type, values)) - {type(None)}
+        numeric = kinds and kinds <= {int, float}
+        width = len(name) + 1 if numeric and len(name) > width else max(width, len(name))
+        header.append(name.rjust(width))
+        padded.append([cell.rjust(width) for cell in cells])
+    return "\n".join([" ".join(header), *map(" ".join, zip(*padded))])
 
 
 def _select_section(sample: RowSample, with_table_header: bool) -> str:

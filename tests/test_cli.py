@@ -1,7 +1,6 @@
 import argparse
 import hashlib
 import json
-import os
 import sqlite3
 import sys
 from contextlib import closing
@@ -12,7 +11,7 @@ from sqlbench import cli, evaluate
 from sqlbench.cli import build_parser, main
 from sqlbench.fuzz import build_test_suite
 
-from conftest import FIXTURE_QUESTIONS, ONE_CPU, make_network1_db, run_python
+from conftest import FIXTURE_QUESTIONS, make_network1_db, run_python
 
 
 def read_jsonl(path):
@@ -790,51 +789,8 @@ class TestUnusableDatabases:
         assert capsys.readouterr().err == f"error: {unusable_reason(root, db_id)}\n"
         assert not list(cache.rglob(".build-*"))
 
-
-# A prompt run through the CLI in a child interpreter, on a benchmark of
-# n_dbs databases. Prints its exit code, stderr lines, prompts file,
-# manifest, how many processes read a schema and whether the calling process
-# was one of them. A forked child reads a schema only once every child has
-# claimed a database, or after 10 s, so each child claims one. pin "one"
-# pins the interpreter to one CPU.
-FORKED_PROMPT = (
-    "import contextlib, io, json, os, sys, time\n"
-    "from pathlib import Path\n"
-    "from sqlbench import cli, parallel\n"
-    "root, bench, work, pin, n_dbs = sys.argv[1:]\n"
-    "os.chdir(work)\n"
-    "if pin == 'one':\n"
-    "    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-    "caller, n_children = os.getpid(), parallel._processes(int(n_dbs))\n"
-    "real = cli._schema_section\n"
-    "def marked(*args):\n"
-    "    mark = Path('pids', str(os.getpid()))\n"
-    "    if not mark.exists():\n"
-    "        mark.touch()\n"
-    "        deadline = time.monotonic() + 10\n"
-    "        while (os.getpid() != caller and len(list(Path('pids').iterdir())) < n_children\n"
-    "               and time.monotonic() < deadline):\n"
-    "            time.sleep(0.01)\n"
-    "    return real(*args)\n"
-    "cli._schema_section = marked\n"
-    "Path('pids').mkdir()\n"
-    "err = io.StringIO()\n"
-    "with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):\n"
-    "    code = cli.main(['prompt', '--benchmark', bench, '--db-root', root,\n"
-    "                     '--prompt', 'create+select:2', '--context-tokens', '800',\n"
-    "                     '--out', 'prompts.jsonl'])\n"
-    "print(json.dumps({\n"
-    "    'code': code, 'stderr': err.getvalue().splitlines(),\n"
-    "    'prompts': Path('prompts.jsonl').read_text(),\n"
-    "    'manifest': Path('prompts.jsonl.manifest.json').read_text(),\n"
-    "    'pids': len(list(Path('pids').iterdir())),\n"
-    "    'caller': Path('pids', str(caller)).exists()}))\n")
-
-
-class TestForkedPrompt:
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or ONE_CPU,
-                        reason="needs sched_setaffinity and two usable CPUs")
-    def test_same_output_as_one_process(self, unusable_root, tmp_path):
+    def test_prompt_warns_where_each_database_is_first_met(self, unusable_root, tmp_path,
+                                                           capsys):
         # network_1, gone and junk of unusable_root, and dangling, whose
         # introspection warns; one question too long for the token budget
         root, bench = unusable_root
@@ -844,31 +800,21 @@ class TestForkedPrompt:
             items.insert(i, {"db_id": "dangling", "question": "how many", "query": "SELECT 1"})
         items.insert(3, {**items[0], "question": "why " * 1000})
         bench.write_text(json.dumps(items))
-        got = {}
-        for pin in ("one", "all"):
-            (tmp_path / pin).mkdir()
-            # -W error: a fork with a thread running warns from Python 3.12
-            proc = run_python(FORKED_PROMPT, root, bench, tmp_path / pin, pin, 4,
-                              flags=("-W", "error"))
-            assert proc.returncode == 0, proc.stderr
-            got[pin] = json.loads(proc.stdout)
-        one, every = (got.pop(pin) for pin in ("one", "all"))
-        assert (one.pop("pids"), one.pop("caller")) == (1, True)
-        # the caller claims no database while its children run
-        n = min(len(os.sched_getaffinity(0)), 4)
-        assert (every.pop("pids"), every.pop("caller")) == (n, False)
-        assert every == one
-        assert one["code"] == 0
+        prompts = tmp_path / "prompts.jsonl"
+        assert run("prompt", "--benchmark", bench, "--db-root", root,
+                   "--prompt", "create+select:2", "--context-tokens", "800",
+                   "--out", prompts) == 0
         # each database's warnings where its first example is reached, among
         # the budget warning of another database's example
-        assert one["stderr"] == [
+        assert capsys.readouterr().err.splitlines() == [
             "warning: dangling: table a: foreign key x references missing table ghost",
             skip_line(root, "gone"),
             "warning: e0003: prompt exceeds budget (800 tokens) even with no support "
             "examples; skipped",
             skip_line(root, "junk")]
-        assert {json.loads(line)["db_id"] for line in one["prompts"].splitlines()} == {
-            "network_1", "dangling"}
+        assert [r["db_id"] for r in read_jsonl(prompts)] == [
+            "network_1", "dangling", "network_1", "dangling", "network_1", "dangling",
+            "network_1"]
 
 
 @pytest.fixture

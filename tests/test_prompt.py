@@ -164,23 +164,64 @@ class TestBareOrQuoted:
         bench = tmp_path / "bench.json"
         bench.write_text(json.dumps([{"db_id": db_id, "question": "q", "query": "SELECT 1"}
                                      for db_id in ("network_1", "keywords") * 2]))
-        # in a file, so that a forked child's connections are counted too
-        log = tmp_path / "connections"
+        opened = []
         connect = sqlite3.connect
 
         def logged(database, *args, **kwargs):
-            with open(log, "a") as f:
-                f.write(f"{database}\n")
+            opened.append(database)
             return connect(database, *args, **kwargs)
 
         monkeypatch.setattr(sqlite3, "connect", logged)
         assert main(["prompt", "--benchmark", str(bench), "--db-root", str(root),
                      "--prompt", "create+select:3", "--out", str(tmp_path / "p.jsonl")]) == 0
-        assert sorted(log.read_text().splitlines()) == sorted(
+        assert sorted(opened) == sorted(
             read_only_uri(db_path(root, db_id)) for db_id in ("network_1", "keywords"))
 
 
+def reference_row_block(sample: RowSample) -> str:
+    """format_row_block as it was written row by row, kept as the reference."""
+    def cell_text(value):
+        if value is None:
+            return ""
+        if isinstance(value, float):
+            return repr(value)
+        return str(value)
+
+    cells = [[cell_text(v) for v in row] for row in sample.rows]
+    widths = []
+    for j, name in enumerate(sample.header):
+        col_vals = [row[j] for row in sample.rows]
+        numeric = any(v is not None for v in col_vals) and all(
+            v is None or (isinstance(v, (int, float)) and not isinstance(v, bool))
+            for v in col_vals
+        )
+        vw = max((len(r[j]) for r in cells), default=0)
+        if numeric and len(name) > vw:
+            widths.append(len(name) + 1)
+        else:
+            widths.append(max(vw, len(name)))
+    lines = [" ".join(name.rjust(w) for name, w in zip(sample.header, widths))]
+    for row in cells:
+        lines.append(" ".join(cell.rjust(w) for cell, w in zip(row, widths)))
+    return "\n".join(lines)
+
+
+# the cells of one column: numbers, text, or any mix, each with NULLs
+_NUMBERS = st.one_of(st.none(), st.integers(-10**6, 10**6), st.floats())
+_TEXT_CELLS = st.one_of(st.none(), st.text(max_size=8), st.binary(max_size=4))
+_COLUMN_CELLS = st.sampled_from([_NUMBERS, _TEXT_CELLS, st.one_of(_NUMBERS, _TEXT_CELLS)])
+
+
 class TestRowBlock:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n_rows=st.integers(0, 4),
+           header=st.lists(st.text(max_size=12), min_size=1, max_size=4))
+    def test_same_block_as_the_reference(self, data, n_rows, header):
+        columns = [data.draw(st.lists(data.draw(_COLUMN_CELLS), min_size=n_rows,
+                                      max_size=n_rows)) for _ in header]
+        sample = RowSample("t", 3, header, list(zip(*columns)))
+        assert format_row_block(sample) == reference_row_block(sample)
+
     def test_numeric_column_wider_header_gets_extra_space(self):
         block = format_row_block(RowSample("Friend", 3, ["student_id", "friend_id"],
                                            [(1510, 1381), (1510, 1689), (1689, 1709)]))
